@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cohomology import ObstructionResult, Ring, all_obstructions, obstruction
-from .extendability import Verdict, classify, is_extendable_at
+from .extendability import Classification, Verdict, classify, is_extendable_at
 from .model import SupportModel, ks_support
 from .scenario import Scenario, Section, is_connected
 
@@ -84,15 +84,19 @@ def false_positives(
     model: SupportModel,
     ring: Ring,
     obstructions: dict[tuple[int, Section], ObstructionResult] | None = None,
+    classification: Classification | None = None,
 ) -> FalsePositiveReport:
     """Join the obstruction verdicts with the extendability oracle.
 
-    Every reported pair is re-verified directly against both modules: the
-    obstruction is recomputed and the oracle is asked again.
+    `obstructions` and `classification` may be passed in when already
+    computed for the model.  Every reported pair is re-verified directly
+    against both modules: the obstruction is recomputed and the oracle is
+    asked again.
     """
     if obstructions is None:
         obstructions = all_obstructions(model, ring)
-    classification = classify(model)
+    if classification is None:
+        classification = classify(model)
     pairs: list[tuple[int, Section]] = []
     for (index, section), result in obstructions.items():
         if result.vanishes and not classification.extendable[(index, section)]:

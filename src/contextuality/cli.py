@@ -13,12 +13,12 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .cohomology import Ring, VerificationError, obstruction
+from .cohomology import Ring, VerificationError, all_obstructions, obstruction
 from .corpus import EXAMPLE_NAMES, example_text, load_example
 from .documents import DocumentError, ScenarioDocument, parse_scenario
 from .extendability import classify
 from .model import SignallingError, support_violations
-from .report import RING_ORDER, build_report, emit_report, format_witness
+from .report import RING_ORDER, build_report, emit_report, format_witness, witness_payload
 from .scenario import Section
 
 USAGE_ERROR = 1
@@ -95,19 +95,7 @@ def _print_obstruction(result, show_witness: bool) -> None:  # noqa: ANN001
     if result.vanishes:
         print(f"{where}: vanishes over {ring_name}")
         if show_witness:
-            assert result.witness is not None
-            for line in format_witness(
-                [
-                    {
-                        "context": k,
-                        "terms": [
-                            {"section": s.outcome_string(), "coefficient": c}
-                            for s, c in combo.terms()
-                        ],
-                    }
-                    for k, combo in enumerate(result.witness)
-                ]
-            ):
+            for line in format_witness(witness_payload(result)):
                 print(line)
     else:
         print(f"{where}: does not vanish over {ring_name}")
@@ -133,15 +121,11 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
         return 0
 
     for ring in rings:
-        non_vanishing = 0
-        total = 0
-        for ctx in support.scenario.contexts:
-            for section in support.support_list(ctx.index):
-                result = obstruction(support, ctx.index, section, ring)
-                total += 1
-                non_vanishing += 0 if result.vanishes else 1
-                _print_obstruction(result, args.witness)
-        print(f"{non_vanishing}/{total} non-vanishing over {ring.describe()}")
+        results = all_obstructions(support, ring).values()
+        for result in results:
+            _print_obstruction(result, args.witness)
+        non_vanishing = sum(1 for result in results if not result.vanishes)
+        print(f"{non_vanishing}/{len(results)} non-vanishing over {ring.describe()}")
     return 0
 
 

@@ -6,15 +6,19 @@ is a family of ring-linear combinations of support sections, one per
 context, that equals 1*t on the base context and whose members agree under
 restriction on every overlap.  Such a family exists iff an exact linear
 system is solvable, which is decided over the integers or over GF(2) by the
-solvers in :mod:`contextuality.linalg`.  Vanishing results carry a witness
-family that is re-verified at the presheaf level (by push-forward, not by
-the solver); non-vanishing results carry a certificate re-verified against
-the untouched system.
+solvers in :mod:`contextuality.linalg`.  Within one base context the matrix
+of that system is the same for every support section; only the right-hand
+side changes.  :func:`all_obstructions` therefore factors each base
+context's matrix once and solves every section's right-hand side against
+it.  Vanishing results carry a witness family that is re-verified at the
+presheaf level (by push-forward, not by the solver); non-vanishing results
+carry a certificate re-verified, in scaled integers, against the untouched
+system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -22,7 +26,7 @@ from .linalg import (
     Ring,
     SolveResult,
     VerificationError,
-    check_certificate,
+    factor,
     gf2_nullity,
     gf2_rank,
     solve_linear,
@@ -565,6 +569,60 @@ def verify_witness(
     return True
 
 
+def _require_overlap_consistent(model: SupportModel) -> None:
+    violations = support_violations(model)
+    if violations:
+        raise SignallingError(
+            f"support model is possibilistically signalling at {len(violations)} section(s)",
+            violations,
+        )
+
+
+def _section_rhs(system: ObstructionSystem, section: Section) -> tuple[int, ...]:
+    """The right-hand side of a base context's system at one of its support
+    sections: the base side of each equation sums the fixed coefficients of
+    the sections in its fiber, which is 1 exactly where the section lies."""
+    base, ring = system.base, system.ring
+    images: dict[tuple[str, ...], Section] = {}
+    rhs = []
+    for i, j, restricted in system.equations:
+        if base not in (i, j):
+            rhs.append(0)
+            continue
+        image = images.get(restricted.domain)
+        if image is None:
+            image = images[restricted.domain] = restrict_section(section, restricted.domain)
+        rhs.append(ring.reduce(-1 if base == i else 1) if image == restricted else 0)
+    return tuple(rhs)
+
+
+def _conclude(
+    model: SupportModel, system: ObstructionSystem, full: SolveResult, identify: bool
+) -> ObstructionResult:
+    """Turn the solve of the full system into a verdict with its proof.
+
+    With `identify`, the identified system is solved as well; its verdict
+    must agree with the full solve, and its solution, expanded through the
+    variable-merge map, gives the witness.  Certificates always refer to the
+    full system.  Every witness is re-checked at the presheaf level.
+    """
+    ring, base, section = system.ring, system.base, system.section
+    solution = full.solution
+    if identify:
+        reduced_rows, reduced_rhs, var_map = _identify_variables(system)
+        shortcut = solve_linear(reduced_rows, reduced_rhs, ring, width=max(var_map, default=-1) + 1)
+        if shortcut.solvable != full.solvable:
+            raise VerificationError("variable identification changed the verdict")
+        if shortcut.solution is not None:
+            solution = tuple(shortcut.solution[var_map[v]] for v in range(len(system.variables)))
+    if solution is None:
+        return ObstructionResult(ring, base, section, False, None, full.certificate, system)
+    witness = _witness_from_solution(model, system, solution)
+    if not verify_witness(model, base, section, witness, ring):
+        raise VerificationError("witness family failed its presheaf re-check")
+    return ObstructionResult(ring, base, section, True, witness, None, system)
+
+
 def obstruction(
     model: SupportModel,
     base: int | Context,
@@ -583,58 +641,39 @@ def obstruction(
     """
     if isinstance(base, Context):
         base = base.index
-    violations = support_violations(model)
-    if violations:
-        raise SignallingError(
-            f"support model is possibilistically signalling at {len(violations)} section(s)",
-            violations,
-        )
+    _require_overlap_consistent(model)
     if not 0 <= base < len(model.scenario.contexts):
         raise ValueError(f"no context with index {base}")
     if section not in model.supports[base]:
         raise ValueError(
             f"{section.outcome_string()} is not in the support of context {base}"
         )
-
     system = build_obstruction_system(model, base, section, ring)
-    full_matrix = [list(r) for r in system.matrix]
-    full_rhs = list(system.rhs)
-
-    if identify:
-        reduced_rows, reduced_rhs, var_map = _identify_variables(system)
-        result = solve_linear(reduced_rows, reduced_rhs, ring, width=max(var_map, default=-1) + 1)
-        if result.solution is not None:
-            expanded = tuple(result.solution[var_map[v]] for v in range(len(system.variables)))
-            witness = _witness_from_solution(model, system, expanded)
-            if not verify_witness(model, base, section, witness, ring):
-                raise VerificationError("witness family failed its presheaf re-check")
-            return ObstructionResult(ring, base, section, True, witness, None, system)
-        # Re-solve the untouched system so the certificate refers to it; this
-        # also cross-checks that the shortcut did not change the verdict.
-        full = solve_linear(full_matrix, full_rhs, ring, width=len(system.variables))
-        if full.solution is not None:
-            raise VerificationError(
-                "variable identification changed an unsolvable system into a solvable one"
-            )
-        return ObstructionResult(ring, base, section, False, None, full.certificate, system)
-
-    result = solve_linear(full_matrix, full_rhs, ring, width=len(system.variables))
-    if result.solution is not None:
-        witness = _witness_from_solution(model, system, result.solution)
-        if not verify_witness(model, base, section, witness, ring):
-            raise VerificationError("witness family failed its presheaf re-check")
-        return ObstructionResult(ring, base, section, True, witness, None, system)
-    if not check_certificate(full_matrix, full_rhs, result.certificate):
-        raise VerificationError("certificate failed its re-check")
-    return ObstructionResult(ring, base, section, False, None, result.certificate, system)
+    full = solve_linear(system.matrix, system.rhs, ring, width=len(system.variables))
+    return _conclude(model, system, full, identify)
 
 
 def all_obstructions(
     model: SupportModel, ring: Ring, identify: bool = True
 ) -> dict[tuple[int, Section], ObstructionResult]:
-    """The obstruction verdict for every support section of every context."""
+    """The obstruction verdict for every support section of every context.
+
+    Within one base context only the right-hand side depends on the
+    section, so each base context's system is built and factored once and
+    every support section is solved against that factorization; the
+    results share one matrix.  Verdicts and proofs are those of
+    :func:`obstruction`.
+    """
+    _require_overlap_consistent(model)
     out: dict[tuple[int, Section], ObstructionResult] = {}
     for ctx in model.scenario.contexts:
-        for s in model.support_list(ctx.index):
-            out[(ctx.index, s)] = obstruction(model, ctx.index, s, ring, identify=identify)
+        sections = model.support_list(ctx.index)
+        if not sections:
+            continue
+        template = build_obstruction_system(model, ctx.index, sections[0], ring)
+        factored = factor(template.matrix, ring, width=len(template.variables))
+        for s in sections:
+            rhs = _section_rhs(template, s)
+            system = replace(template, section=s, rhs=rhs)
+            out[(ctx.index, s)] = _conclude(model, system, factored.solve(rhs), identify)
     return out

@@ -67,8 +67,7 @@ class SupportModel:
 
     def support_list(self, index: int) -> list[Section]:
         """Support of one context in canonical section order."""
-        members = self.scenario.contexts[index].members
-        return [s for s in enumerate_sections(self.scenario, members) if s in self.supports[index]]
+        return sorted(self.supports[index], key=self.scenario.section_sort_key)
 
 
 def empirical_model(

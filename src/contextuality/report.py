@@ -18,7 +18,7 @@ from .scenario import is_connected
 RING_ORDER = (Ring.Z2, Ring.Z)
 
 
-def _witness_payload(result: ObstructionResult) -> list[dict]:
+def witness_payload(result: ObstructionResult) -> list[dict]:
     assert result.witness is not None
     payload = []
     for index, combo in enumerate(result.witness):
@@ -125,7 +125,7 @@ def build_report(
             }
             if include_witnesses:
                 if result.vanishes:
-                    entry["witness"] = _witness_payload(result)
+                    entry["witness"] = witness_payload(result)
                 else:
                     entry["certificate"] = _certificate_payload(result)
             entries.append(entry)
@@ -135,7 +135,7 @@ def build_report(
             "vanishing": vanishing,
             "results": entries,
         }
-        fp = false_positives(support, ring, obstructions=results)
+        fp = false_positives(support, ring, obstructions=results, classification=classification)
         report["false_positives"][ring.value] = {
             "sections": [
                 {"context": index, "section": section.outcome_string()}
@@ -268,4 +268,5 @@ __all__ = [
     "emit_report",
     "format_witness",
     "render_text",
+    "witness_payload",
 ]

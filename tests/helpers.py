@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's search and solver paths:
 global sections are enumerated by brute force over the full assignment
 space, compatibility of combination families is checked pairwise and
-directly, and connectivity is re-derived with union-find.
+directly, connectivity is re-derived with union-find, and certificates are
+re-checked with dense rational dot products.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from contextuality import (
@@ -27,6 +29,7 @@ from contextuality import (
     zero_cochain,
 )
 from contextuality.cohomology import Cochain, cochain
+from contextuality.linalg import Certificate
 from contextuality.scenario import nerve
 
 BINARY = ("0", "1")
@@ -65,6 +68,25 @@ def pairwise_compatible(omega: Cochain) -> bool:
             if left != right:
                 return False
     return True
+
+
+def reference_check_certificate(matrix, rhs, certificate: Certificate) -> bool:
+    """Dense re-check of a certificate in exact rationals: every column of
+    y.A and y.b computed as a full Fraction dot product.  The reference for
+    the library's scaled-integer check."""
+    y = certificate.multipliers
+    if len(y) != len(rhs):
+        return False
+    n = len(matrix[0]) if matrix else 0
+    if certificate.ring is Ring.Z2:
+        for j in range(n):
+            if sum(y[i] * matrix[i][j] for i in range(len(y))) % 2 != 0:
+                return False
+        return sum(y[i] * rhs[i] for i in range(len(y))) % 2 == 1
+    combo = [sum(Fraction(y[i]) * matrix[i][j] for i in range(len(y))) for j in range(n)]
+    if any(c.denominator != 1 for c in combo):
+        return False
+    return sum(Fraction(y[i]) * rhs[i] for i in range(len(y))).denominator != 1
 
 
 def connected_by_union_find(scenario: Scenario) -> bool:

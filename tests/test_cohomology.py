@@ -15,8 +15,12 @@ Core claims:
     - inconsistent supports and non-support sections are rejected
     - the variable-identification shortcut never changes a verdict and
       reduces the 18-measurement one-hot system from 32 to 18 unknowns
+    - the batch path (one factorization per base context) gives exactly the
+      per-section results, refuses signalling supports before solving, and
+      its factorizations carry no state from one solve to the next
 """
 
+import copy
 import random
 from itertools import product
 
@@ -47,8 +51,9 @@ from contextuality import (
     zero_cochain,
     zero_combination,
 )
+from contextuality import cohomology
 from contextuality.cohomology import _identify_variables
-from contextuality.linalg import check_certificate, mat_vec
+from contextuality.linalg import check_certificate, factor, mat_vec
 
 import helpers
 from helpers import section
@@ -333,3 +338,59 @@ def test_support_at_matches_any_containing_context(corpus_supports):
     assert got == {"0", "1"}
     with pytest.raises(ValueError, match="not contained"):
         support_at(model, ("A", "A'"))
+
+
+@pytest.mark.parametrize("identify", [True, False])
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_batch_matches_per_section(ring, identify, corpus_supports):
+    rng = random.Random(120)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    for model in models:
+        batch = all_obstructions(model, ring, identify=identify)
+        assert list(batch) == helpers.sections_of(model)
+        for (index, s), result in batch.items():
+            single = obstruction(model, index, s, ring, identify=identify)
+            assert result.vanishes == single.vanishes
+            assert result.witness == single.witness
+            assert result.certificate == single.certificate
+            assert result.system == single.system
+
+
+def _crooked_support():
+    scen = build_scenario("ABC", "01", [("A", "B"), ("B", "C")])
+    return support_model(
+        scen,
+        [{section(("A", "B"), "0,0")}, {section(("B", "C"), "1,0")}],
+    )
+
+
+def test_batch_rejects_signalling_before_solving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a system of a signalling support was built or solved")
+
+    for name in ("build_obstruction_system", "factor", "solve_linear"):
+        monkeypatch.setattr(cohomology, name, forbidden)
+    for ring in (Ring.Z, Ring.Z2):
+        with pytest.raises(SignallingError, match="possibilistically signalling"):
+            all_obstructions(_crooked_support(), ring)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_factorization_keeps_no_state_between_solves(ring, corpus_supports):
+    for name in ("hardy", "ks-false-positive", "prbox"):
+        model = corpus_supports[name]
+        for ctx in model.scenario.contexts:
+            systems = [
+                build_obstruction_system(model, ctx.index, s, ring)
+                for s in model.support_list(ctx.index)
+            ]
+            matrix, width = systems[0].matrix, len(systems[0].variables)
+            shared = factor(matrix, ring, width=width)
+            before = copy.deepcopy(vars(shared))
+            for second in systems:
+                fresh = factor(matrix, ring, width=width).solve(second.rhs)
+                for first in systems:
+                    shared.solve(first.rhs)
+                    assert shared.solve(second.rhs) == fresh
+            assert vars(shared) == before

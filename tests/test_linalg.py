@@ -7,12 +7,16 @@ Core claims:
     - inconsistent GF(2) systems yield verifiable row combinations
     - every returned solution substitutes exactly; every certificate re-checks
     - tampered certificates are rejected by the checker
+    - the scaled-integer certificate check agrees with the dense rational
+      reference on solver certificates and on mutated ones
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality.linalg import (
     Certificate,
@@ -23,6 +27,8 @@ from contextuality.linalg import (
     gf2_rank,
     solve_linear,
 )
+
+import helpers
 
 
 def test_identity_system_both_rings():
@@ -136,3 +142,65 @@ def test_solver_is_deterministic():
     first = solve_linear(a, b, Ring.Z)
     second = solve_linear([row[:] for row in a], list(b), Ring.Z)
     assert first == second
+
+
+@st.composite
+def _small_systems(draw):
+    ring = draw(st.sampled_from([Ring.Z, Ring.Z2]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3).map(ring.reduce)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    return ring, a, b
+
+
+def _mutations(a, b, certificate):
+    """Mutated copies of a valid certificate, each paired with whether it is
+    certainly invalid: one multiplier changed, one dropped (zeroed, which
+    may leave a valid certificate, or removed), the vector rescaled."""
+    ring, y = certificate.ring, list(certificate.multipliers)
+
+    def mutated(values):
+        return Certificate(ring, tuple(values), certificate.reason)
+
+    out = []
+    for i, row in enumerate(a):
+        j = next((j for j, v in enumerate(row) if v), None)
+        if j is None:
+            continue
+        # Column j of y.A moves by 1/2 over Z, by 1 over GF(2).
+        changed = list(y)
+        changed[i] = 1 - y[i] if ring is Ring.Z2 else y[i] + Fraction(1, 2 * row[j])
+        out.append((mutated(changed), True))
+        if y[i]:
+            zeroed = list(y)
+            zeroed[i] = 0
+            shift = [Fraction(y[i]) * v for v in row]
+            broken = any(s % 2 for s in shift) if ring is Ring.Z2 else any(
+                s.denominator != 1 for s in shift
+            )
+            out.append((mutated(zeroed), broken))
+    out.append((mutated(y[:-1]), True))
+    # Rescaling by the denominator of y.b (by 2 over GF(2)) makes y.b even
+    # or integral; rescaling by 0 makes it 0.
+    yb = sum(Fraction(v) * c for v, c in zip(y, b))
+    for k in (0, 2 if ring is Ring.Z2 else yb.denominator):
+        out.append((mutated([v * k for v in y]), True))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_small_systems())
+def test_certificate_check_matches_dense_reference(system):
+    ring, a, b = system
+    result = solve_linear(a, b, ring, width=len(a[0]))
+    if result.certificate is None:
+        return
+    assert check_certificate(a, b, result.certificate)
+    assert helpers.reference_check_certificate(a, b, result.certificate)
+    for certificate, invalid in _mutations(a, b, result.certificate):
+        verdict = check_certificate(a, b, certificate)
+        assert verdict == helpers.reference_check_certificate(a, b, certificate)
+        if invalid:
+            assert not verdict
