@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cohomology import ObstructionResult, Ring, all_obstructions, obstruction
-from .extendability import Classification, Verdict, classify, is_extendable_at
+from .extendability import Classification, Verdict, classify, global_sections
 from .model import SupportModel, ks_support
-from .scenario import Scenario, Section, is_connected
+from .scenario import Scenario, Section, is_connected, restrict_section
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ def false_positives(
 
     `obstructions` and `classification` may be passed in when already
     computed for the model.  Every reported pair is re-verified directly
-    against both modules: the obstruction is recomputed and the oracle is
-    asked again.
+    against both modules: the obstruction is recomputed, and one fresh
+    global-section search must restrict to none of the pairs.
     """
     if obstructions is None:
         obstructions = all_obstructions(model, ring)
@@ -102,9 +102,10 @@ def false_positives(
         if result.vanishes and not classification.extendable[(index, section)]:
             pairs.append((index, section))
 
+    fresh_sections = global_sections(model) if pairs else []
     for index, section in pairs:  # independent re-verification
-        ctx = model.scenario.contexts[index]
-        if is_extendable_at(model, ctx, section):
+        members = model.scenario.contexts[index].members
+        if any(restrict_section(g, members) == section for g in fresh_sections):
             raise RuntimeError(f"oracle disagreement at context {index}, {section}")
         fresh = obstruction(model, index, section, ring)
         if not fresh.vanishes:

@@ -6,14 +6,19 @@ is a family of ring-linear combinations of support sections, one per
 context, that equals 1*t on the base context and whose members agree under
 restriction on every overlap.  Such a family exists iff an exact linear
 system is solvable, which is decided over the integers or over GF(2) by the
-solvers in :mod:`contextuality.linalg`.  Within one base context the matrix
-of that system is the same for every support section; only the right-hand
-side changes.  :func:`all_obstructions` therefore factors each base
-context's matrix once and solves every section's right-hand side against
-it.  Vanishing results carry a witness family that is re-verified at the
-presheaf level (by push-forward, not by the solver); non-vanishing results
-carry a certificate re-verified, in scaled integers, against the untouched
-system.
+solvers in :mod:`contextuality.linalg`.  The equations are read off the
+model's overlap table (:attr:`SupportModel.overlap_table`), the fibers of
+restriction to every overlap, computed once per model.  Within one base
+context the matrix of that system is the same for every support section;
+only the right-hand side changes.  The identified system, which merges
+variables pinned equal by equations not involving the base context, keeps
+every equation and that same right-hand side, so its matrix does not
+depend on the section either.  :func:`all_obstructions` therefore factors
+each base context's matrix and its identified matrix once and solves every
+section's right-hand side against both.  Vanishing results carry a witness
+family that is re-verified at the presheaf level (by push-forward, not by
+the solver); non-vanishing results carry a certificate re-verified, in
+scaled integers, against the untouched system.
 """
 
 from __future__ import annotations
@@ -399,47 +404,30 @@ def build_obstruction_system(
     model: SupportModel, base: int, section: Section, ring: Ring
 ) -> ObstructionSystem:
     scenario = model.scenario
-    variables: list[tuple[int, Section]] = []
-    var_index: dict[tuple[int, Section], int] = {}
-    for ctx in scenario.contexts:
-        if ctx.index == base:
-            continue
-        for s in model.support_list(ctx.index):
-            var_index[(ctx.index, s)] = len(variables)
-            variables.append((ctx.index, s))
+    variables = [
+        (ctx.index, s)
+        for ctx in scenario.contexts
+        if ctx.index != base
+        for s in model.support_list(ctx.index)
+    ]
+    var_index = {variable: k for k, variable in enumerate(variables)}
 
     equations: list[tuple[int, int, Section]] = []
     rows: list[list[int]] = []
     rhs: list[int] = []
-    n = len(scenario.contexts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = set(scenario.contexts[i].members) & set(scenario.contexts[j].members)
-            if not common:
-                continue
-            target = canonical_subset(scenario, common)
-            image: set[Section] = set()
-            for side in (i, j):
-                image.update(
-                    restrict_section(s, target) for s in model.supports[side]
-                )
-            for restricted in enumerate_sections(scenario, target):
-                if restricted not in image:
-                    continue  # hit by neither side: a 0 = 0 row
-                row = [0] * len(variables)
-                constant = 0
-                for side, sign in ((i, 1), (j, -1)):
-                    for s in model.supports[side]:
-                        if restrict_section(s, target) != restricted:
-                            continue
-                        if side == base:
-                            constant -= sign * (1 if s == section else 0)
-                        else:
-                            row[var_index[(side, s)]] += sign
-                if any(row) or ring.reduce(constant):
-                    equations.append((i, j, restricted))
-                    rows.append([ring.reduce(v) for v in row])
-                    rhs.append(ring.reduce(constant))
+    for i, j, restricted, left, right in model.overlap_table:
+        row = [0] * len(variables)
+        constant = 0
+        for side, fiber, sign in ((i, left, 1), (j, right, -1)):
+            if side == base:
+                constant -= sign if section in fiber else 0
+            else:
+                for s in fiber:
+                    row[var_index[(side, s)]] += sign
+        if any(row) or ring.reduce(constant):
+            equations.append((i, j, restricted))
+            rows.append([ring.reduce(v) for v in row])
+            rhs.append(ring.reduce(constant))
 
     return ObstructionSystem(
         ring,
@@ -453,15 +441,22 @@ def build_obstruction_system(
 
 
 def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], list[int], list[int]]:
-    """Merge variable pairs forced equal by single-section overlap equations.
+    """Merge variable pairs forced equal by equations not involving the base
+    context.
 
-    Returns the reduced matrix, reduced right-hand side, and a map from
-    original variable index to reduced column (or -1 for none, impossible
-    here since merged variables always map to their representative).
-    Repeats until no row of the rewritten system pins two variables equal.
+    Such an equation has right-hand side 0 for every section of the base
+    context, so the merges, and with them the reduced matrix, are the same
+    for every section.  An equation whose rewritten form is c*(x_u - x_v) =
+    0 with c = +-1 (over GF(2): x_u + x_v = 0) pins x_u = x_v; u and v are
+    merged into the smaller index, and this repeats until no equation pins
+    two classes equal.  Every equation is kept, even one that merges down to
+    0 = 0, so the reduced right-hand side is the system's own.
+
+    Returns the reduced matrix, the reduced right-hand side, and a map from
+    original variable index to reduced column.
     """
-    n_vars = len(system.variables)
-    parent = list(range(n_vars))
+    ring = system.ring
+    parent = list(range(len(system.variables)))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -469,53 +464,39 @@ def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], lis
             v = parent[v]
         return v
 
-    rows = [list(r) for r in system.matrix]
-    rhs = list(system.rhs)
+    def rewritten(row: dict[int, int]) -> dict[int, int]:
+        merged: dict[int, int] = {}
+        for v, c in row.items():
+            rep = find(v)
+            merged[rep] = ring.reduce(merged.get(rep, 0) + c)
+            if merged[rep] == 0:
+                del merged[rep]
+        return merged
 
-    def rewritten() -> tuple[list[dict[int, int]], list[int]]:
-        out = []
-        for row in rows:
-            merged: dict[int, int] = {}
-            for v, c in enumerate(row):
-                if c:
-                    rep = find(v)
-                    merged[rep] = system.ring.reduce(merged.get(rep, 0) + c)
-                    if merged[rep] == 0:
-                        del merged[rep]
-            out.append(merged)
-        return out, rhs
-
-    while True:
-        merged_rows, _ = rewritten()
+    rows = [{v: c for v, c in enumerate(row) if c} for row in system.matrix]
+    pinning = [row for row, (i, j, _) in zip(rows, system.equations) if system.base not in (i, j)]
+    changed = True
+    while changed:
         changed = False
-        for merged, constant in zip(merged_rows, rhs):
-            if constant != 0 or len(merged) != 2:
+        for row in pinning:
+            merged = rewritten(row)
+            if len(merged) != 2:
                 continue
-            (u, cu), (v, cv) = sorted(merged.items())
-            if system.ring is Ring.Z2 or (abs(cu) == 1 and cu == -cv):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-                    changed = True
-        if not changed:
-            break
+            (u, cu), (v, cv) = merged.items()
+            if ring is Ring.Z2 or (abs(cu) == 1 and cu == -cv):
+                parent[max(u, v)] = min(u, v)
+                changed = True
 
-    representatives = sorted({find(v) for v in range(n_vars)})
+    representatives = sorted({find(v) for v in range(len(parent))})
     column = {rep: k for k, rep in enumerate(representatives)}
-    var_map = [column[find(v)] for v in range(n_vars)]
-
-    reduced_rows: list[list[int]] = []
-    reduced_rhs: list[int] = []
-    merged_rows, _ = rewritten()
-    for merged, constant in zip(merged_rows, rhs):
-        if not merged and constant == 0:
-            continue
-        row = [0] * len(representatives)
-        for rep, c in merged.items():
-            row[column[rep]] = c
-        reduced_rows.append(row)
-        reduced_rhs.append(constant)
-    return reduced_rows, reduced_rhs, var_map
+    var_map = [column[find(v)] for v in range(len(parent))]
+    reduced_rows = []
+    for row in rows:
+        reduced = [0] * len(representatives)
+        for rep, c in rewritten(row).items():
+            reduced[column[rep]] = c
+        reduced_rows.append(reduced)
+    return reduced_rows, list(system.rhs), var_map
 
 
 def _witness_from_solution(
@@ -556,16 +537,11 @@ def verify_witness(
             return False
         if any(s not in model.supports[ctx.index] for s in combo.coefficients):
             return False
-    n = len(scenario.contexts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = set(scenario.contexts[i].members) & set(scenario.contexts[j].members)
-            if not common:
-                continue
-            if restrict_combination(witness[i], common) != restrict_combination(
-                witness[j], common
-            ):
-                return False
+    for i, j, carrier in scenario.overlaps:
+        if restrict_combination(witness[i], carrier) != restrict_combination(
+            witness[j], carrier
+        ):
+            return False
     return True
 
 
@@ -578,49 +554,53 @@ def _require_overlap_consistent(model: SupportModel) -> None:
         )
 
 
-def _section_rhs(system: ObstructionSystem, section: Section) -> tuple[int, ...]:
-    """The right-hand side of a base context's system at one of its support
-    sections: the base side of each equation sums the fixed coefficients of
-    the sections in its fiber, which is 1 exactly where the section lies."""
-    base, ring = system.base, system.ring
-    images: dict[tuple[str, ...], Section] = {}
-    rhs = []
-    for i, j, restricted in system.equations:
-        if base not in (i, j):
-            rhs.append(0)
-            continue
-        image = images.get(restricted.domain)
-        if image is None:
-            image = images[restricted.domain] = restrict_section(section, restricted.domain)
-        rhs.append(ring.reduce(-1 if base == i else 1) if image == restricted else 0)
-    return tuple(rhs)
+def _base_solver(
+    model: SupportModel, base: int, first: Section, ring: Ring, identify: bool
+) -> Callable[[Section], ObstructionResult]:
+    """Build and factor a base context's system once, and its identified
+    form once with `identify`; return the verdict function for the support
+    sections of the base context.
 
-
-def _conclude(
-    model: SupportModel, system: ObstructionSystem, full: SolveResult, identify: bool
-) -> ObstructionResult:
-    """Turn the solve of the full system into a verdict with its proof.
-
-    With `identify`, the identified system is solved as well; its verdict
-    must agree with the full solve, and its solution, expanded through the
-    variable-merge map, gives the witness.  Certificates always refer to the
-    full system.  Every witness is re-checked at the presheaf level.
+    A section changes only the right-hand side: on each equation involving
+    the base context, the base side's fixed coefficients sum to 1 exactly
+    where the section lies in its fiber.  The full system is solved for
+    every section.  With `identify`, the identified system (same
+    right-hand side) is solved as well; its verdict must agree with the full
+    solve, and its solution, expanded through the variable-merge map, gives
+    the witness.  Certificates always refer to the full system.  Every
+    witness is re-checked at the presheaf level.
     """
-    ring, base, section = system.ring, system.base, system.section
-    solution = full.solution
+    template = build_obstruction_system(model, base, first, ring)
+    full = factor(template.matrix, ring, width=len(template.variables))
     if identify:
-        reduced_rows, reduced_rhs, var_map = _identify_variables(system)
-        shortcut = solve_linear(reduced_rows, reduced_rhs, ring, width=max(var_map, default=-1) + 1)
-        if shortcut.solvable != full.solvable:
-            raise VerificationError("variable identification changed the verdict")
-        if shortcut.solution is not None:
-            solution = tuple(shortcut.solution[var_map[v]] for v in range(len(system.variables)))
-    if solution is None:
-        return ObstructionResult(ring, base, section, False, None, full.certificate, system)
-    witness = _witness_from_solution(model, system, solution)
-    if not verify_witness(model, base, section, witness, ring):
-        raise VerificationError("witness family failed its presheaf re-check")
-    return ObstructionResult(ring, base, section, True, witness, None, system)
+        reduced_rows, _, var_map = _identify_variables(template)
+        shortcut = factor(reduced_rows, ring, width=max(var_map, default=-1) + 1)
+    base_sides = {
+        (i, j, restricted): (-1, left) if base == i else (1, right)
+        for i, j, restricted, left, right in model.overlap_table
+        if base in (i, j)
+    }
+    sides = [base_sides.get(equation, (0, ())) for equation in template.equations]
+
+    def decide(section: Section) -> ObstructionResult:
+        rhs = tuple(ring.reduce(sign) if section in fiber else 0 for sign, fiber in sides)
+        system = replace(template, section=section, rhs=rhs)
+        result = full.solve(rhs)
+        solution = result.solution
+        if identify:
+            short = shortcut.solve(rhs)
+            if short.solvable != result.solvable:
+                raise VerificationError("variable identification changed the verdict")
+            if short.solution is not None:
+                solution = tuple(short.solution[k] for k in var_map)
+        if solution is None:
+            return ObstructionResult(ring, base, section, False, None, result.certificate, system)
+        witness = _witness_from_solution(model, system, solution)
+        if not verify_witness(model, base, section, witness, ring):
+            raise VerificationError("witness family failed its presheaf re-check")
+        return ObstructionResult(ring, base, section, True, witness, None, system)
+
+    return decide
 
 
 def obstruction(
@@ -634,7 +614,8 @@ def obstruction(
 
     `base` may be a context or its cover index.  `identify` enables the
     variable-identification shortcut (merging variables pinned equal by
-    single-section overlaps); verdicts are identical with it disabled.
+    equations not involving the base context); verdicts are identical with
+    it disabled.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
@@ -648,9 +629,7 @@ def obstruction(
         raise ValueError(
             f"{section.outcome_string()} is not in the support of context {base}"
         )
-    system = build_obstruction_system(model, base, section, ring)
-    full = solve_linear(system.matrix, system.rhs, ring, width=len(system.variables))
-    return _conclude(model, system, full, identify)
+    return _base_solver(model, base, section, ring, identify)(section)
 
 
 def all_obstructions(
@@ -659,10 +638,10 @@ def all_obstructions(
     """The obstruction verdict for every support section of every context.
 
     Within one base context only the right-hand side depends on the
-    section, so each base context's system is built and factored once and
-    every support section is solved against that factorization; the
-    results share one matrix.  Verdicts and proofs are those of
-    :func:`obstruction`.
+    section, so each base context's system, and its identified system, is
+    built and factored once, and every support section is solved against
+    those factorizations; the results share one matrix.  Verdicts and
+    proofs are those of :func:`obstruction`.
     """
     _require_overlap_consistent(model)
     out: dict[tuple[int, Section], ObstructionResult] = {}
@@ -670,10 +649,7 @@ def all_obstructions(
         sections = model.support_list(ctx.index)
         if not sections:
             continue
-        template = build_obstruction_system(model, ctx.index, sections[0], ring)
-        factored = factor(template.matrix, ring, width=len(template.variables))
+        decide = _base_solver(model, ctx.index, sections[0], ring, identify)
         for s in sections:
-            rhs = _section_rhs(template, s)
-            system = replace(template, section=s, rhs=rhs)
-            out[(ctx.index, s)] = _conclude(model, system, factored.solve(rhs), identify)
+            out[(ctx.index, s)] = decide(s)
     return out

@@ -23,8 +23,9 @@ The GF(2) factorization is a bit-packed echelon form: each row is a single
 Python integer holding coefficient bits and row-combination tracking bits,
 so a right-hand side only enters through the parities of tracked
 combinations.  The integer factorization is a fraction-free echelon
-reduction (Hermite form) of the column lattice with its transform, in
-arbitrary-precision arithmetic, so divisibility obstructions are exact.
+reduction (Hermite form) of the column lattice with its transform, both
+held as sparse rows, in arbitrary-precision arithmetic, so divisibility
+obstructions are exact.
 """
 
 from __future__ import annotations
@@ -262,18 +263,20 @@ def gf2_nullity(matrix: Matrix, width: int | None = None) -> int:
 # Integers, via Hermite-form reduction of the column lattice
 
 
-def _axpy(target: list[list[int]], source: list[list[int]], scale: int) -> None:
+def _axpy(target: list[dict[int, int]], source: list[dict[int, int]], scale: int) -> None:
     for part in (0, 1):
-        target[part][:] = [t + scale * v for t, v in zip(target[part], source[part])]
+        row = target[part]
+        for k, v in source[part].items():
+            value = row.get(k, 0) + scale * v
+            if value:
+                row[k] = value
+            else:
+                del row[k]
 
 
-def _negate(row: list[list[int]]) -> None:
+def _negate(row: list[dict[int, int]]) -> None:
     for part in (0, 1):
-        row[part][:] = [-v for v in row[part]]
-
-
-def _terms(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((k, v) for k, v in enumerate(values) if v)
+        row[part] = {k: -v for k, v in row[part].items()}
 
 
 class _HermiteBasis(Factorization):
@@ -283,46 +286,48 @@ class _HermiteBasis(Factorization):
     coordinate pivots[l], where it is positive; it is zero at every earlier
     coordinate, and at each later pivot coordinate it lies in [0, pivot).
     Its transform (the combination of columns it is made of) turns a
-    reduction of b into a solution vector.
+    reduction of b into a solution vector.  Both are kept sparse, as
+    {index: nonzero value} dicts.
     """
 
     ring = Ring.Z
 
     def __init__(self, matrix: Matrix, width: int | None = None):
         super().__init__(matrix, width)
-        a, m, n = self.matrix, self.height, self.width
+        m, n = self.height, self.width
         # Lattice generators: the columns of the matrix, with composition
         # tracking so a reduction of b turns into a solution vector.
-        rows: list[list[list[int]]] = [
-            [[a[i][j] for i in range(m)], [1 if k == j else 0 for k in range(n)]]
-            for j in range(n)
-        ]
+        rows: list[list[dict[int, int]]] = [[{}, {j: 1}] for j in range(n)]
+        for i, entries in enumerate(self.matrix):
+            for j, a in enumerate(entries):
+                if a:
+                    rows[j][0][i] = a
 
         pivots: list[int] = []
         h = 0
         for col in range(m):
-            if not any(rows[r][0][col] for r in range(h, n)):
+            if not any(col in rows[r][0] for r in range(h, n)):
                 continue
             while True:
-                candidates = [r for r in range(h, n) if rows[r][0][col] != 0]
+                candidates = [r for r in range(h, n) if col in rows[r][0]]
                 r0 = min(candidates, key=lambda r: (abs(rows[r][0][col]), r))
                 if r0 != h:
                     rows[h], rows[r0] = rows[r0], rows[h]
                 d = rows[h][0][col]
-                others = [r for r in range(h + 1, n) if rows[r][0][col] != 0]
+                others = [r for r in range(h + 1, n) if col in rows[r][0]]
                 if not others:
                     break
                 for r in others:
                     q = rows[r][0][col] // d
                     if q:
                         _axpy(rows[r], rows[h], -q)
-                if not any(rows[r][0][col] for r in range(h + 1, n)):
+                if not any(col in rows[r][0] for r in range(h + 1, n)):
                     break
             if rows[h][0][col] < 0:
                 _negate(rows[h])
             d = rows[h][0][col]
             for r in range(h):
-                q = rows[r][0][col] // d
+                q = rows[r][0].get(col, 0) // d
                 if q:
                     _axpy(rows[r], rows[h], -q)
             pivots.append(col)
@@ -330,9 +335,8 @@ class _HermiteBasis(Factorization):
 
         self.rank = h
         self._pivots = tuple(pivots)
-        self._lattice = tuple(tuple(lattice) for lattice, _ in rows[:h])
-        self._lattice_terms = tuple(_terms(lattice) for lattice in self._lattice)
-        self._transform_terms = tuple(_terms(tracking) for _, tracking in rows[:h])
+        self._lattice = tuple(lattice for lattice, _ in rows[:h])
+        self._transform = tuple(tracking for _, tracking in rows[:h])
 
     def _solve(self, rhs: Vector) -> SolveResult:
         residual = list(rhs)
@@ -347,9 +351,9 @@ class _HermiteBasis(Factorization):
                 failure = ("divisibility", idx, col)
                 break
             q = value // d
-            for t, v in self._lattice_terms[idx]:
+            for t, v in self._lattice[idx].items():
                 residual[t] -= q * v
-            for t, v in self._transform_terms[idx]:
+            for t, v in self._transform[idx].items():
                 solution[t] += q * v
 
         if failure is None:
@@ -364,7 +368,7 @@ class _HermiteBasis(Factorization):
 
 
 def _integer_certificate(
-    lattice: Sequence[Sequence[int]],
+    lattice: Sequence[dict[int, int]],
     pivots: Sequence[int],
     residual: list[int],
     failure: tuple[str, int, int],
@@ -385,14 +389,14 @@ def _integer_certificate(
         # entry 1/(2 rho) there, cancelled on the first idx lattice rows.
         k = idx
         denominator = 2 * residual[col]
-        numerators = [-lattice[l][col] for l in range(k)]
+        numerators = [-lattice[l].get(col, 0) for l in range(k)]
         star = Fraction(1, denominator)
 
     for l in range(k - 1, -1, -1):
         row = lattice[l]
         acc = numerators[l]
         for j in range(l + 1, k):
-            if numerators[j] and row[pivots[j]]:
+            if numerators[j] and pivots[j] in row:
                 acc -= row[pivots[j]] * numerators[j]
         d = row[pivots[l]]
         if d != 1:

@@ -8,17 +8,15 @@ floating point, so marginal comparisons are exact equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scenario import (
-    Scenario,
-    Section,
-    canonical_subset,
-    enumerate_sections,
-    restrict_section,
-)
+from .scenario import Scenario, Section, enumerate_sections, restrict_section
+
+# One row of SupportModel.overlap_table: a context pair i < j, a section of
+# their overlap, and the support sections of i and of j restricting to it.
+OverlapFiber = tuple[int, int, Section, tuple[Section, ...], tuple[Section, ...]]
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,37 @@ class SupportModel:
 
     scenario: Scenario
     supports: tuple[frozenset[Section], ...]
+    # Filled on first use of `overlap_table`; a declared field for the
+    # reason given at Scenario._overlaps.
+    _overlap_table: tuple[OverlapFiber, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def support_list(self, index: int) -> list[Section]:
         """Support of one context in canonical section order."""
         return sorted(self.supports[index], key=self.scenario.section_sort_key)
+
+    @property
+    def overlap_table(self) -> tuple[OverlapFiber, ...]:
+        """The fibers of restriction to every overlap, computed once.
+
+        For each pair (i, j, carrier) of :attr:`Scenario.overlaps` and each
+        section of the carrier that a support section of i or of j restricts
+        to, in canonical order: (i, j, section, fiber in i, fiber in j), each
+        fiber in canonical order.  A one-sided section has an empty fiber.
+        """
+        if self._overlap_table is None:
+            table: list[OverlapFiber] = []
+            for i, j, carrier in self.scenario.overlaps:
+                fibers: dict[Section, tuple[list[Section], list[Section]]] = {}
+                for side, index in enumerate((i, j)):
+                    for s in self.support_list(index):
+                        fibers.setdefault(restrict_section(s, carrier), ([], []))[side].append(s)
+                for restricted in sorted(fibers, key=self.scenario.section_sort_key):
+                    left, right = fibers[restricted]
+                    table.append((i, j, restricted, tuple(left), tuple(right)))
+            object.__setattr__(self, "_overlap_table", tuple(table))
+        return self._overlap_table
 
 
 def empirical_model(
@@ -155,21 +180,15 @@ def check_no_signalling(model: EmpiricalModel) -> list[SignallingViolation]:
     """
     scenario = model.scenario
     violations: list[SignallingViolation] = []
-    n = len(scenario.contexts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = set(scenario.contexts[i].members) & set(scenario.contexts[j].members)
-            if not common:
-                continue
-            target = canonical_subset(scenario, common)
-            left = marginalize(model.tables[i], target)
-            right = marginalize(model.tables[j], target)
-            for section in enumerate_sections(scenario, target):
-                a = left.get(section, Fraction(0))
-                b = right.get(section, Fraction(0))
-                if a != b:
-                    violations.append(SignallingViolation(i, j, section, a, b))
-                    break
+    for i, j, carrier in scenario.overlaps:
+        left = marginalize(model.tables[i], carrier)
+        right = marginalize(model.tables[j], carrier)
+        for section in enumerate_sections(scenario, carrier):
+            a = left.get(section, Fraction(0))
+            b = right.get(section, Fraction(0))
+            if a != b:
+                violations.append(SignallingViolation(i, j, section, a, b))
+                break
     return violations
 
 
@@ -193,22 +212,12 @@ def support_violations(model: SupportModel) -> list[SupportViolation]:
     For each intersecting context pair, the two sets of restricted possible
     sections must coincide; any one-sided section is reported.
     """
-    scenario = model.scenario
     out: list[SupportViolation] = []
-    n = len(scenario.contexts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = set(scenario.contexts[i].members) & set(scenario.contexts[j].members)
-            if not common:
-                continue
-            target = canonical_subset(scenario, common)
-            left = {restrict_section(s, target) for s in model.supports[i]}
-            right = {restrict_section(s, target) for s in model.supports[j]}
-            for section in enumerate_sections(scenario, target):
-                if section in left and section not in right:
-                    out.append(SupportViolation(i, j, section, i))
-                elif section in right and section not in left:
-                    out.append(SupportViolation(i, j, section, j))
+    for i, j, section, left, right in model.overlap_table:
+        if not right:
+            out.append(SupportViolation(i, j, section, i))
+        elif not left:
+            out.append(SupportViolation(i, j, section, j))
     return out
 
 

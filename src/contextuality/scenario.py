@@ -11,7 +11,7 @@ deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -77,6 +77,13 @@ class Scenario:
     measurements: tuple[str, ...]
     outcomes: tuple[str, ...]
     contexts: tuple[Context, ...]
+    # Filled on first use of `overlaps`.  A declared field, not a
+    # functools.cached_property: writing through __dict__ would turn the
+    # instance's attribute storage into a plain dict and slow every
+    # attribute read in the hot loops that use the scenario.
+    _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def position(self, measurement: str) -> int:
         return self.measurements.index(measurement)
@@ -86,6 +93,20 @@ class Scenario:
 
     def section_sort_key(self, section: Section) -> tuple[int, ...]:
         return tuple(self.outcome_index(v) for v in section.values)
+
+    @property
+    def overlaps(self) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+        """Every intersecting context pair (i, j), i < j, in lexicographic
+        order, with its common measurements in global order; computed once."""
+        if self._overlaps is None:
+            out = []
+            for a in self.contexts:
+                for b in self.contexts[a.index + 1 :]:
+                    common = tuple(m for m in a.members if m in b.members)
+                    if common:
+                        out.append((a.index, b.index, common))
+            object.__setattr__(self, "_overlaps", tuple(out))
+        return self._overlaps
 
 
 def build_scenario(

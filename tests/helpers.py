@@ -89,6 +89,56 @@ def reference_check_certificate(matrix, rhs, certificate: Certificate) -> bool:
     return sum(Fraction(y[i]) * rhs[i] for i in range(len(y))).denominator != 1
 
 
+def reference_hermite(matrix, width=None):
+    """Dense Hermite reduction of the column lattice of a matrix: the
+    reference for the library's sparse one, with the same pivot choice and
+    the same arithmetic on full lists.  Returns (pivots, lattice basis,
+    transforms), each basis vector of length m and each transform of
+    length n."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else (width or 0)
+    rows = [
+        [[matrix[i][j] for i in range(m)], [1 if k == j else 0 for k in range(n)]]
+        for j in range(n)
+    ]
+
+    def axpy(target, source, scale):
+        for part in (0, 1):
+            target[part][:] = [t + scale * v for t, v in zip(target[part], source[part])]
+
+    pivots = []
+    h = 0
+    for col in range(m):
+        if not any(rows[r][0][col] for r in range(h, n)):
+            continue
+        while True:
+            candidates = [r for r in range(h, n) if rows[r][0][col] != 0]
+            r0 = min(candidates, key=lambda r: (abs(rows[r][0][col]), r))
+            if r0 != h:
+                rows[h], rows[r0] = rows[r0], rows[h]
+            d = rows[h][0][col]
+            others = [r for r in range(h + 1, n) if rows[r][0][col] != 0]
+            if not others:
+                break
+            for r in others:
+                q = rows[r][0][col] // d
+                if q:
+                    axpy(rows[r], rows[h], -q)
+            if not any(rows[r][0][col] for r in range(h + 1, n)):
+                break
+        if rows[h][0][col] < 0:
+            for part in (0, 1):
+                rows[h][part][:] = [-v for v in rows[h][part]]
+        d = rows[h][0][col]
+        for r in range(h):
+            q = rows[r][0][col] // d
+            if q:
+                axpy(rows[r], rows[h], -q)
+        pivots.append(col)
+        h += 1
+    return pivots, [lattice for lattice, _ in rows[:h]], [tracking for _, tracking in rows[:h]]
+
+
 def connected_by_union_find(scenario: Scenario) -> bool:
     n = len(scenario.contexts)
     parent = list(range(n))

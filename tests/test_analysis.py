@@ -10,6 +10,8 @@ Core claims:
     - false positives are exactly {vanishing} minus {extendable}: Hardy has
       exactly one over Z; the PR box none; the five-context cover triggers
       the strong-contextuality false-positive flag
+    - reported false positives are re-verified against one fresh
+      global-section search, which rejects a pair it finds extendable
 """
 
 import pytest
@@ -146,3 +148,30 @@ def test_false_positives_are_vanishing_minus_extendable(corpus_supports):
             assert set(report.sections) == expected, (name, ring)
             for key in report.sections:
                 assert results[key].vanishes
+
+
+def test_false_positives_are_reverified_by_one_fresh_search(corpus_supports, monkeypatch):
+    from contextuality import Section, analysis
+
+    model = corpus_supports["ks-false-positive"]
+    classification = classify(model)
+    searches = []
+
+    def counted(searched):
+        searches.append(searched)
+        return real(searched)
+
+    real = analysis.global_sections
+    monkeypatch.setattr(analysis, "global_sections", counted)
+    report = false_positives(model, Ring.Z, classification=classification)
+    assert len(report.sections) == len(KSFP_VANISHING) and searches == [model]
+
+    # A search that extends one reported section is an oracle disagreement.
+    index, s = report.sections[-1]
+    measurements = model.scenario.measurements
+    extension = Section(
+        measurements, tuple(s.value_of(m) if m in s.domain else "0" for m in measurements)
+    )
+    monkeypatch.setattr(analysis, "global_sections", lambda searched: [extension])
+    with pytest.raises(RuntimeError, match="oracle disagreement"):
+        false_positives(model, Ring.Z, classification=classification)

@@ -7,14 +7,17 @@ Core claims:
     - the Hardy obstruction witness prints a -1 term
     - --json output is byte-deterministic and reparses to the built report
     - the Peres-Mermin report carries the 24/24 and gcd lines
+    - `examples run <name> --ring both --json --witness` prints, byte for
+      byte, the golden output in tests/golden/<name>.json
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from contextuality.cli import main
-from contextuality.corpus import example_text
+from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.report import RING_ORDER, build_report, emit_report
 
 
@@ -211,3 +214,10 @@ def test_internal_verification_failure_maps_to_exit_3(corpus_file, monkeypatch, 
     monkeypatch.setattr(cli, "classify", broken)
     assert main(["classify", corpus_file("prbox")]) == 3
     assert "internal verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_examples_run_matches_golden_output(name, capsys):
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert main(["examples", "run", name, "--ring", "both", "--json", "--witness"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

@@ -14,7 +14,9 @@ Core claims:
       verified witness; PR box, triangle, GHZ sections do not vanish
     - inconsistent supports and non-support sections are rejected
     - the variable-identification shortcut never changes a verdict and
-      reduces the 18-measurement one-hot system from 32 to 18 unknowns
+      reduces the 18-measurement one-hot system from 32 to 18 unknowns;
+      its reduced matrix and variable map are the same for every section
+      of a base context, and its right-hand side is the system's own
     - the batch path (one factorization per base context) gives exactly the
       per-section results, refuses signalling supports before solving, and
       its factorizations carry no state from one solve to the next
@@ -330,6 +332,23 @@ def test_identification_never_changes_verdicts():
             with_shortcut = obstruction(model, index, s, ring, identify=True)
             without = obstruction(model, index, s, ring, identify=False)
             assert with_shortcut.vanishes == without.vanishes
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_identified_system_is_the_same_for_every_section(ring, corpus_supports):
+    rng = random.Random(121)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    for model in models:
+        for ctx in model.scenario.contexts:
+            reductions = []
+            for s in model.support_list(ctx.index):
+                system = build_obstruction_system(model, ctx.index, s, ring)
+                reduced_rows, reduced_rhs, var_map = _identify_variables(system)
+                assert reduced_rhs == list(system.rhs)
+                assert len(reduced_rows) == len(system.matrix)
+                reductions.append((reduced_rows, var_map))
+            assert all(reduction == reductions[0] for reduction in reductions)
 
 
 def test_support_at_matches_any_containing_context(corpus_supports):

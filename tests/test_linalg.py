@@ -9,6 +9,9 @@ Core claims:
     - tampered certificates are rejected by the checker
     - the scaled-integer certificate check agrees with the dense rational
       reference on solver certificates and on mutated ones
+    - the sparse Hermite basis has the dense reference's pivots, lattice
+      basis and transforms, on small random matrices and on every base
+      system of the corpus
 """
 
 import random
@@ -18,11 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextuality import build_obstruction_system
+from contextuality.cohomology import _identify_variables
 from contextuality.linalg import (
     Certificate,
     Ring,
     check_certificate,
     check_solution,
+    factor,
     gf2_nullity,
     gf2_rank,
     solve_linear,
@@ -204,3 +210,38 @@ def test_certificate_check_matches_dense_reference(system):
         assert verdict == helpers.reference_check_certificate(a, b, certificate)
         if invalid:
             assert not verdict
+
+
+def _assert_matches_reference_hermite(matrix, width):
+    basis = factor(matrix, Ring.Z, width=width)
+    pivots, lattice, transform = helpers.reference_hermite(matrix, width)
+    m = len(matrix)
+    assert list(basis._pivots) == pivots
+    assert [[v.get(i, 0) for i in range(m)] for v in basis._lattice] == lattice
+    assert [[t.get(k, 0) for k in range(width)] for t in basis._transform] == transform
+    assert all(0 not in v.values() for v in basis._lattice + basis._transform)
+
+
+@st.composite
+def _integer_matrices(draw):
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    rows = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    return draw(st.lists(rows, min_size=m, max_size=m)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_integer_matrices())
+def test_sparse_hermite_matches_dense_reference(system):
+    matrix, width = system
+    _assert_matches_reference_hermite(matrix, width)
+
+
+def test_sparse_hermite_matches_dense_reference_on_corpus_systems(corpus_supports):
+    for model in corpus_supports.values():
+        for ctx in model.scenario.contexts:
+            first = model.support_list(ctx.index)[0]
+            system = build_obstruction_system(model, ctx.index, first, Ring.Z)
+            _assert_matches_reference_hermite(system.matrix, len(system.variables))
+            reduced, _, var_map = _identify_variables(system)
+            _assert_matches_reference_hermite(reduced, max(var_map, default=-1) + 1)
