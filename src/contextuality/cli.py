@@ -17,7 +17,7 @@ from .cohomology import Ring, VerificationError, all_obstructions, obstruction
 from .corpus import EXAMPLE_NAMES, example_text, load_example
 from .documents import DocumentError, ScenarioDocument, parse_scenario
 from .extendability import classify
-from .model import SignallingError, support_violations
+from .model import SignallingError, require_overlap_consistent
 from .report import RING_ORDER, build_report, emit_report, format_witness, witness_payload
 from .scenario import Section
 
@@ -42,20 +42,9 @@ def _load_document(path: str) -> ScenarioDocument:
     return parse_scenario(Path(path).read_text("utf-8"))
 
 
-def _checked_support(document: ScenarioDocument):
-    support = document.support_model()
-    violations = support_violations(support)
-    if violations:
-        raise SignallingError(
-            f"support is possibilistically signalling at {len(violations)} section(s)",
-            violations,
-        )
-    return support
-
-
 def _cmd_validate(args) -> int:  # noqa: ANN001
     document = _load_document(args.file)
-    _checked_support(document)
+    require_overlap_consistent(document.support_model())
     kind = "distribution" if document.kind == "distribution" else "support"
     print(f"{document.name}: valid {kind} model")
     return 0
@@ -63,7 +52,7 @@ def _cmd_validate(args) -> int:  # noqa: ANN001
 
 def _cmd_classify(args) -> int:  # noqa: ANN001
     document = _load_document(args.file)
-    support = _checked_support(document)
+    support = require_overlap_consistent(document.support_model())
     result = classify(support)
     count = len(result.global_sections)
     print(
@@ -106,7 +95,7 @@ def _print_obstruction(result, show_witness: bool) -> None:  # noqa: ANN001
 
 def _cmd_obstruction(args) -> int:  # noqa: ANN001
     document = _load_document(args.file)
-    support = _checked_support(document)
+    support = require_overlap_consistent(document.support_model())
     rings = _rings(args.ring)
     if (args.context is None) != (args.section is None):
         raise SystemExit(USAGE_ERROR)
@@ -130,7 +119,7 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
 
 
 def _run_report(document: ScenarioDocument, ring_flag: str, as_json: bool, witness: bool) -> int:
-    _checked_support(document)
+    require_overlap_consistent(document.support_model())
     report = build_report(document, rings=_rings(ring_flag), include_witnesses=witness)
     sys.stdout.write(emit_report(report, as_json, include_witnesses=witness))
     return 0

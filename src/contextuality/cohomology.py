@@ -4,13 +4,15 @@ support of a model, and the per-section obstruction.
 The obstruction at a support section t of a base context asks whether there
 is a family of ring-linear combinations of support sections, one per
 context, that equals 1*t on the base context and whose members agree under
-restriction on every overlap.  Such a family exists iff an exact linear
-system is solvable, which is decided over the integers or over GF(2) by the
-solvers in :mod:`contextuality.linalg`.  The equations are read off the
-model's overlap table (:attr:`SupportModel.overlap_table`), the fibers of
-restriction to every overlap, computed once per model.  Within one base
-context the matrix of that system is the same for every support section;
-only the right-hand side changes.  The identified system, which merges
+restriction on every overlap: a 0-cochain with base entry 1*t and
+coboundary delta^0 zero.  So the system is delta^0 with the base block
+moved right: its rows on the context pairs i < j, read off the model's
+overlap table (:attr:`SupportModel.overlap_table`, the fibers of
+restriction to every overlap, computed once per model), the non-base
+columns as the matrix and minus the column of t as the right-hand side.
+It is decided over the integers or over GF(2) by the solvers in
+:mod:`contextuality.linalg`.  Within one base context only the right-hand
+side depends on the section.  The identified system, which merges
 variables pinned equal by equations not involving the base context, keeps
 every equation and that same right-hand side, so its matrix does not
 depend on the section either.  :func:`all_obstructions` therefore factors
@@ -23,7 +25,7 @@ scaled integers, against the untouched system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -36,7 +38,7 @@ from .linalg import (
     gf2_rank,
     solve_linear,
 )
-from .model import SignallingError, SupportModel, support_violations
+from .model import SupportModel, require_overlap_consistent
 from .scenario import (
     Context,
     Section,
@@ -328,8 +330,10 @@ def cochain_from_vector(
 def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:
     """Matrix of the coboundary from degree q to q+1 in the canonical bases.
 
-    Entries lie in {-1, 0, 1} before ring reduction; applying the matrix to a
-    serialized cochain agrees with :func:`coboundary`.
+    On each (q+1)-simplex every basis section of each face is restricted
+    once and adds its face sign to the row of its image; rows follow
+    :func:`support_at`, zero rows included.  Entries lie in {-1, 0, 1}
+    before ring reduction; the matrix agrees with :func:`coboundary`.
     """
     if degree not in (0, 1):
         raise ValueError("coboundary matrices are built for degrees 0 and 1 only")
@@ -340,15 +344,14 @@ def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list
     }
     rows: list[list[int]] = []
     for simplex in nerve(scenario, degree + 1)[degree + 1]:
-        for section in support_at(model, simplex.carrier):
-            row = [0] * len(source)
-            for j in range(degree + 2):
-                facet = face(scenario, simplex, j)
-                sign = -1 if j % 2 == 0 else 1
-                for candidate in support_at(model, facet.carrier):
-                    if restrict_section(candidate, simplex.carrier) == section:
-                        row[source_index[(facet.vertices, candidate)]] += sign
-            rows.append([ring.reduce(v) for v in row])
+        block = {section: [0] * len(source) for section in support_at(model, simplex.carrier)}
+        for j in range(degree + 2):
+            facet = face(scenario, simplex, j)
+            sign = -1 if j % 2 == 0 else 1
+            for section in support_at(model, facet.carrier):
+                image = restrict_section(section, simplex.carrier)
+                block[image][source_index[(facet.vertices, section)]] += sign
+        rows.extend([ring.reduce(v) for v in row] for row in block.values())
     return rows
 
 
@@ -371,11 +374,13 @@ def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, in
 class ObstructionSystem:
     """The linear system deciding the obstruction at one base section.
 
-    One variable per support section of every non-base context; one equation
-    per intersecting unordered context pair and restricted section possible
-    on the overlap, stating that the two fiber sums agree.  The base
-    context's coefficients are fixed (1 at the base section, 0 elsewhere)
-    and appear on the right-hand side.
+    The system is the coboundary delta^0 with the base block moved right:
+    the rows of :func:`coboundary_matrix` at degree 0 on the context pairs
+    i < j (one equation per overlap and section possible on it, stating that
+    the two fiber sums agree), its columns of the non-base contexts as the
+    matrix (one variable per support section), and minus the column of the
+    base section as the right-hand side, since the base context's entry is
+    fixed to 1*section.
     """
 
     ring: Ring
@@ -400,44 +405,59 @@ class ObstructionResult:
     system: ObstructionSystem
 
 
+def _split_coboundary(
+    model: SupportModel, base: int, ring: Ring
+) -> dict[Section, ObstructionSystem]:
+    """The obstruction system of every support section of a base context.
+
+    Reads the rows of delta^0 on the pairs i < j off the overlap table: on
+    the row of (i, j, section), +1 on the fiber in i and -1 on the fiber in
+    j.  The base context's columns are one contiguous block; the others form
+    the shared matrix, and each base section's negated column is its
+    right-hand side.
+    """
+    scenario = model.scenario
+    basis = [(ctx.index, s) for ctx in scenario.contexts for s in model.support_list(ctx.index)]
+    column = {entry: k for k, entry in enumerate(basis)}
+    minus = ring.reduce(-1)
+    rows = []
+    for i, j, _, left, right in model.overlap_table:
+        row = [0] * len(basis)
+        for s in left:
+            row[column[i, s]] = 1
+        for s in right:
+            row[column[j, s]] = minus
+        rows.append(row)
+    lo = sum(len(support) for support in model.supports[:base])
+    hi = lo + len(model.supports[base])
+    variables = tuple(basis[:lo] + basis[hi:])
+    equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
+    matrix = tuple((*row[:lo], *row[hi:]) for row in rows)
+    return {
+        s: ObstructionSystem(
+            ring, base, s, variables, equations, matrix, tuple(ring.reduce(-row[k]) for row in rows)
+        )
+        for k, (_, s) in enumerate(basis[lo:hi], start=lo)
+    }
+
+
+def _check_base(model: SupportModel, base: int, section: Section) -> None:
+    require_overlap_consistent(model)
+    if not 0 <= base < len(model.scenario.contexts):
+        raise ValueError(f"no context with index {base}")
+    if section not in model.supports[base]:
+        raise ValueError(
+            f"{section.outcome_string()} is not in the support of context {base}"
+        )
+
+
 def build_obstruction_system(
     model: SupportModel, base: int, section: Section, ring: Ring
 ) -> ObstructionSystem:
-    scenario = model.scenario
-    variables = [
-        (ctx.index, s)
-        for ctx in scenario.contexts
-        if ctx.index != base
-        for s in model.support_list(ctx.index)
-    ]
-    var_index = {variable: k for k, variable in enumerate(variables)}
-
-    equations: list[tuple[int, int, Section]] = []
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i, j, restricted, left, right in model.overlap_table:
-        row = [0] * len(variables)
-        constant = 0
-        for side, fiber, sign in ((i, left, 1), (j, right, -1)):
-            if side == base:
-                constant -= sign if section in fiber else 0
-            else:
-                for s in fiber:
-                    row[var_index[(side, s)]] += sign
-        if any(row) or ring.reduce(constant):
-            equations.append((i, j, restricted))
-            rows.append([ring.reduce(v) for v in row])
-            rhs.append(ring.reduce(constant))
-
-    return ObstructionSystem(
-        ring,
-        base,
-        section,
-        tuple(variables),
-        tuple(equations),
-        tuple(tuple(r) for r in rows),
-        tuple(rhs),
-    )
+    """The obstruction system at one support section; inputs are checked as
+    by :func:`obstruction`."""
+    _check_base(model, base, section)
+    return _split_coboundary(model, base, ring)[section]
 
 
 def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], list[int], list[int]]:
@@ -545,50 +565,33 @@ def verify_witness(
     return True
 
 
-def _require_overlap_consistent(model: SupportModel) -> None:
-    violations = support_violations(model)
-    if violations:
-        raise SignallingError(
-            f"support model is possibilistically signalling at {len(violations)} section(s)",
-            violations,
-        )
-
-
 def _base_solver(
-    model: SupportModel, base: int, first: Section, ring: Ring, identify: bool
+    model: SupportModel, base: int, ring: Ring, identify: bool
 ) -> Callable[[Section], ObstructionResult]:
     """Build and factor a base context's system once, and its identified
     form once with `identify`; return the verdict function for the support
     sections of the base context.
 
-    A section changes only the right-hand side: on each equation involving
-    the base context, the base side's fixed coefficients sum to 1 exactly
-    where the section lies in its fiber.  The full system is solved for
-    every section.  With `identify`, the identified system (same
-    right-hand side) is solved as well; its verdict must agree with the full
-    solve, and its solution, expanded through the variable-merge map, gives
-    the witness.  Certificates always refer to the full system.  Every
+    A section changes only the right-hand side, minus its column of
+    delta^0.  The full system is solved for every section.  With
+    `identify`, the identified system (same right-hand side) is solved as
+    well; its verdict must agree with the full solve, and its solution,
+    expanded through the variable-merge map, gives the witness.  Certificates always refer to the full system.  Every
     witness is re-checked at the presheaf level.
     """
-    template = build_obstruction_system(model, base, first, ring)
+    systems = _split_coboundary(model, base, ring)
+    template = next(iter(systems.values()))
     full = factor(template.matrix, ring, width=len(template.variables))
     if identify:
         reduced_rows, _, var_map = _identify_variables(template)
         shortcut = factor(reduced_rows, ring, width=max(var_map, default=-1) + 1)
-    base_sides = {
-        (i, j, restricted): (-1, left) if base == i else (1, right)
-        for i, j, restricted, left, right in model.overlap_table
-        if base in (i, j)
-    }
-    sides = [base_sides.get(equation, (0, ())) for equation in template.equations]
 
     def decide(section: Section) -> ObstructionResult:
-        rhs = tuple(ring.reduce(sign) if section in fiber else 0 for sign, fiber in sides)
-        system = replace(template, section=section, rhs=rhs)
-        result = full.solve(rhs)
+        system = systems[section]
+        result = full.solve(system.rhs)
         solution = result.solution
         if identify:
-            short = shortcut.solve(rhs)
+            short = shortcut.solve(system.rhs)
             if short.solvable != result.solvable:
                 raise VerificationError("variable identification changed the verdict")
             if short.solution is not None:
@@ -622,14 +625,8 @@ def obstruction(
     """
     if isinstance(base, Context):
         base = base.index
-    _require_overlap_consistent(model)
-    if not 0 <= base < len(model.scenario.contexts):
-        raise ValueError(f"no context with index {base}")
-    if section not in model.supports[base]:
-        raise ValueError(
-            f"{section.outcome_string()} is not in the support of context {base}"
-        )
-    return _base_solver(model, base, section, ring, identify)(section)
+    _check_base(model, base, section)
+    return _base_solver(model, base, ring, identify)(section)
 
 
 def all_obstructions(
@@ -643,13 +640,13 @@ def all_obstructions(
     those factorizations; the results share one matrix.  Verdicts and
     proofs are those of :func:`obstruction`.
     """
-    _require_overlap_consistent(model)
+    require_overlap_consistent(model)
     out: dict[tuple[int, Section], ObstructionResult] = {}
     for ctx in model.scenario.contexts:
         sections = model.support_list(ctx.index)
         if not sections:
             continue
-        decide = _base_solver(model, ctx.index, sections[0], ring, identify)
+        decide = _base_solver(model, ctx.index, ring, identify)
         for s in sections:
             out[(ctx.index, s)] = decide(s)
     return out

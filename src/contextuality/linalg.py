@@ -306,23 +306,22 @@ class _HermiteBasis(Factorization):
         pivots: list[int] = []
         h = 0
         for col in range(m):
-            if not any(col in rows[r][0] for r in range(h, n)):
+            # Generators from h on with an entry at col; updated, not rescanned.
+            holders = [r for r in range(h, n) if col in rows[r][0]]
+            if not holders:
                 continue
             while True:
-                candidates = [r for r in range(h, n) if col in rows[r][0]]
-                r0 = min(candidates, key=lambda r: (abs(rows[r][0][col]), r))
-                if r0 != h:
-                    rows[h], rows[r0] = rows[r0], rows[h]
-                d = rows[h][0][col]
-                others = [r for r in range(h + 1, n) if col in rows[r][0]]
+                r0 = min(holders, key=lambda r: (abs(rows[r][0][col]), r))
+                rows[h], rows[r0] = rows[r0], rows[h]
+                others = [r0 if r == h else r for r in holders if r != r0]
                 if not others:
                     break
+                d = rows[h][0][col]
                 for r in others:
                     q = rows[r][0][col] // d
                     if q:
                         _axpy(rows[r], rows[h], -q)
-                if not any(col in rows[r][0] for r in range(h + 1, n)):
-                    break
+                holders = [h] + [r for r in others if col in rows[r][0]]
             if rows[h][0][col] < 0:
                 _negate(rows[h])
             d = rows[h][0][col]

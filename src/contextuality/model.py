@@ -221,6 +221,18 @@ def support_violations(model: SupportModel) -> list[SupportViolation]:
     return out
 
 
+def require_overlap_consistent(model: SupportModel) -> SupportModel:
+    """Return the model, or raise :class:`SignallingError` listing its
+    :func:`support_violations`."""
+    violations = support_violations(model)
+    if violations:
+        raise SignallingError(
+            f"support is possibilistically signalling at {len(violations)} section(s)",
+            violations,
+        )
+    return model
+
+
 def _require_binary(scenario: Scenario) -> None:
     if set(scenario.outcomes) != {"0", "1"}:
         raise ValueError(f'outcomes must be exactly "0" and "1", got {scenario.outcomes}')

@@ -249,14 +249,14 @@ def face(scenario: Scenario, simplex: Simplex, j: int) -> Simplex:
 def is_connected(scenario: Scenario) -> bool:
     """True iff every pair of contexts is joined by a chain of pairwise
     intersecting contexts."""
-    n = len(scenario.contexts)
-    members = [set(c.members) for c in scenario.contexts]
+    neighbours: list[set[int]] = [set() for _ in scenario.contexts]
+    for i, j, _ in scenario.overlaps:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and members[i] & members[j]:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+        reached = neighbours[frontier.pop()] - seen
+        seen |= reached
+        frontier.extend(reached)
+    return len(seen) == len(scenario.contexts)

@@ -28,9 +28,9 @@ from contextuality import (
     support_violations,
     zero_cochain,
 )
-from contextuality.cohomology import Cochain, cochain
+from contextuality.cohomology import Cochain, cochain, cochain_basis
 from contextuality.linalg import Certificate
-from contextuality.scenario import nerve
+from contextuality.scenario import face, nerve
 
 BINARY = ("0", "1")
 
@@ -137,6 +137,28 @@ def reference_hermite(matrix, width=None):
         pivots.append(col)
         h += 1
     return pivots, [lattice for lattice, _ in rows[:h]], [tracking for _, tracking in rows[:h]]
+
+
+def reference_coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:
+    """The coboundary matrix built row by row: for every row section, scan
+    every basis section of each face and keep those restricting to it."""
+    scenario = model.scenario
+    source = cochain_basis(model, degree)
+    source_index = {
+        (simplex.vertices, section): k for k, (simplex, section) in enumerate(source)
+    }
+    rows: list[list[int]] = []
+    for simplex in nerve(scenario, degree + 1)[degree + 1]:
+        for section in support_at(model, simplex.carrier):
+            row = [0] * len(source)
+            for j in range(degree + 2):
+                facet = face(scenario, simplex, j)
+                sign = -1 if j % 2 == 0 else 1
+                for candidate in support_at(model, facet.carrier):
+                    if restrict_section(candidate, simplex.carrier) == section:
+                        row[source_index[(facet.vertices, candidate)]] += sign
+            rows.append([ring.reduce(v) for v in row])
+    return rows
 
 
 def connected_by_union_find(scenario: Scenario) -> bool:

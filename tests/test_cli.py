@@ -8,7 +8,9 @@ Core claims:
     - --json output is byte-deterministic and reparses to the built report
     - the Peres-Mermin report carries the 24/24 and gcd lines
     - `examples run <name> --ring both --json --witness` prints, byte for
-      byte, the golden output in tests/golden/<name>.json
+      byte, the golden output in tests/golden/<name>.json, and
+      `obstruction <file> --all --witness` the one in
+      tests/golden/<name>.obstruction.txt
 """
 
 import json
@@ -220,4 +222,11 @@ def test_internal_verification_failure_maps_to_exit_3(corpus_file, monkeypatch, 
 def test_examples_run_matches_golden_output(name, capsys):
     golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert main(["examples", "run", name, "--ring", "both", "--json", "--witness"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_obstruction_all_matches_golden_output(name, corpus_file, capsys):
+    golden = Path(__file__).parent / "golden" / f"{name}.obstruction.txt"
+    assert main(["obstruction", corpus_file(name), "--all", "--witness"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

@@ -8,8 +8,14 @@ Core claims:
       positive and negative (b':1) terms cancel leaving 1*(b':0)
     - the degree-0 coboundary on a pair (i, j) is w(i) - w(j) on the overlap
     - the coboundary matrix reproduces the coboundary map entry for entry,
-      and its GF(2) kernel on the triangle matches brute-force cocycle
-      counting (2 cocycles: the all-0 and all-1 families)
+      equals the row-by-row scan of helpers.reference_coboundary_matrix
+      (also on overlap-inconsistent supports), and its GF(2) kernel on the
+      triangle matches brute-force cocycle counting (2 cocycles: the all-0
+      and all-1 families)
+    - every obstruction system is delta^0 on the pairs i < j with the base
+      block moved right: the non-base columns are its matrix and minus the
+      base section's column its right-hand side; building one validates the
+      base context and section like obstruction() does
     - obstruction verdicts: Hardy (a,b)->(0,0) vanishes over Z with a
       verified witness; PR box, triangle, GHZ sections do not vanish
     - inconsistent supports and non-support sections are rejected
@@ -38,6 +44,7 @@ from contextuality import (
     coboundary,
     coboundary_matrix,
     cochain,
+    cochain_basis,
     cochain_from_vector,
     cochain_to_vector,
     combination,
@@ -49,6 +56,7 @@ from contextuality import (
     restrict_section,
     support_at,
     support_model,
+    support_violations,
     verify_witness,
     zero_cochain,
     zero_combination,
@@ -56,6 +64,7 @@ from contextuality import (
 from contextuality import cohomology
 from contextuality.cohomology import _identify_variables
 from contextuality.linalg import check_certificate, factor, mat_vec
+from contextuality.scenario import nerve
 
 import helpers
 from helpers import section
@@ -242,6 +251,72 @@ def test_matrix_agrees_with_coboundary_randomized():
                 via_matrix = [ring.reduce(v) for v in mat_vec(matrix, cochain_to_vector(omega))]
                 direct = cochain_to_vector(coboundary(degree, omega))
                 assert via_matrix == [ring.reduce(v) for v in direct]
+
+
+def test_matrix_matches_row_scan_reference():
+    # On the pair (0, 1), B:1 is possible only through context 2, so its row
+    # of the degree-0 matrix is zero and must stay in place.
+    scen = build_scenario("ABCD", "01", [("A", "B"), ("B", "C"), ("B", "D")])
+    gap = support_model(
+        scen,
+        [
+            {section(("A", "B"), "0,0")},
+            {section(("B", "C"), "0,0")},
+            {section(("B", "D"), "0,1"), section(("B", "D"), "1,1")},
+        ],
+    )
+    assert sum(not any(row) for row in coboundary_matrix(gap, Ring.Z, 0)) == 2
+    rng = random.Random(122)
+    models = [gap]
+    for k in range(120):
+        if k % 2:
+            models.append(helpers.random_consistent_support(rng))
+        else:
+            models.append(helpers.random_any_support(rng, helpers.random_scenario(rng)))
+    assert sum(bool(support_violations(model)) for model in models) >= 10
+    for model in models:
+        for ring in (Ring.Z, Ring.Z2):
+            for degree in (0, 1):
+                expected = helpers.reference_coboundary_matrix(model, ring, degree)
+                assert coboundary_matrix(model, ring, degree) == expected
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_obstruction_system_is_coboundary_with_base_block_moved_right(ring, corpus_supports):
+    rng = random.Random(123)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    for model in models:
+        delta = coboundary_matrix(model, ring, 0)
+        pairs = [
+            (simplex.vertices, s)
+            for simplex in nerve(model.scenario, 1)[1]
+            for s in support_at(model, simplex.carrier)
+        ]
+        rows = [row for row, ((i, j), _) in zip(delta, pairs) if i < j]
+        equations = tuple((i, j, s) for (i, j), s in pairs if i < j)
+        basis = [(simplex.vertices[0], s) for simplex, s in cochain_basis(model, 0)]
+        for ctx in model.scenario.contexts:
+            kept = [k for k, (owner, _) in enumerate(basis) if owner != ctx.index]
+            for s in model.support_list(ctx.index):
+                system = build_obstruction_system(model, ctx.index, s, ring)
+                column = basis.index((ctx.index, s))
+                assert system.equations == equations
+                assert system.variables == tuple(basis[k] for k in kept)
+                assert system.matrix == tuple(tuple(row[k] for k in kept) for row in rows)
+                assert system.rhs == tuple(ring.reduce(-row[column]) for row in rows)
+
+
+def test_build_obstruction_system_rejects_bad_inputs(corpus_supports):
+    model = corpus_supports["prbox"]
+    members = model.scenario.contexts[0].members
+    with pytest.raises(ValueError, match="not in the support"):
+        build_obstruction_system(model, 0, section(members, "0,1"), Ring.Z)
+    for base in (9, -1):
+        with pytest.raises(ValueError, match="no context"):
+            build_obstruction_system(model, base, section(members, "0,0"), Ring.Z2)
+    with pytest.raises(SignallingError, match="possibilistically signalling"):
+        build_obstruction_system(_crooked_support(), 0, section(("A", "B"), "0,0"), Ring.Z)
 
 
 def test_matrix_entries_are_signs(corpus_supports):
