@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .cohomology import Ring, VerificationError, all_obstructions, obstruction
 from .corpus import EXAMPLE_NAMES, example_text, load_example
@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: ANN001  (argparse override)
         self.print_usage(sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _usage_error(args, reason: str) -> NoReturn:  # noqa: ANN001
+    """Print the subcommand's usage line and `reason` to stderr; exit 1."""
+    args.parser.print_usage(sys.stderr)
+    print(f"{args.parser.prog}: error: {reason}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
 
 
 def _rings(flag: str) -> tuple[Ring, ...]:
@@ -98,9 +105,9 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
     support = require_overlap_consistent(document.support_model())
     rings = _rings(args.ring)
     if (args.context is None) != (args.section is None):
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(args, "--context and --section must be given together")
     if args.all and args.context is not None:
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(args, "--all cannot be combined with --context")
 
     if args.context is not None:
         section = _parse_section_flag(document, args.context, args.section)
@@ -135,7 +142,7 @@ def _cmd_examples(args) -> int:  # noqa: ANN001
             print(name)
         return 0
     if args.name is None:
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(args, f"{args.action} needs an example name")
     if args.name not in EXAMPLE_NAMES:
         print(
             f"unknown example {args.name!r}; choose from {', '.join(EXAMPLE_NAMES)}",
@@ -175,7 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_obstruction.add_argument("--section", default=None)
     p_obstruction.add_argument("--all", action="store_true", default=False)
     p_obstruction.add_argument("--witness", action="store_true", default=False)
-    p_obstruction.set_defaults(handler=_cmd_obstruction)
+    p_obstruction.set_defaults(handler=_cmd_obstruction, parser=p_obstruction)
 
     p_report = sub.add_parser("report", help="full analysis report")
     p_report.add_argument("file")
@@ -190,7 +197,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_examples.add_argument("--ring", choices=("z2", "z", "both"), default="both")
     p_examples.add_argument("--json", action="store_true", default=False)
     p_examples.add_argument("--witness", action="store_true", default=False)
-    p_examples.set_defaults(handler=_cmd_examples)
+    p_examples.set_defaults(handler=_cmd_examples, parser=p_examples)
 
     return parser
 

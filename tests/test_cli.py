@@ -40,22 +40,26 @@ def test_usage_errors():
     assert main(["examples", "show"]) == 1
 
 
-def test_context_and_section_must_come_together(corpus_file):
-    assert main(["obstruction", corpus_file("hardy"), "--context", "0"]) == 1
-    assert (
-        main(
-            [
-                "obstruction",
-                corpus_file("hardy"),
-                "--all",
-                "--context",
-                "0",
-                "--section",
-                "0,0",
-            ]
-        )
-        == 1
-    )
+def test_context_and_section_must_come_together(corpus_file, capsys):
+    for flags in (
+        ["--context", "0"],
+        ["--section", "0,0"],
+        ["--all", "--context", "0", "--section", "0,0"],
+    ):
+        assert main(["obstruction", corpus_file("prbox"), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, reason = err.splitlines()[0], err.splitlines()[-1]
+        assert usage.startswith("usage: contextuality obstruction"), flags
+        assert reason.startswith("contextuality obstruction: error: --"), flags
+
+
+def test_examples_without_a_name_says_why(capsys):
+    assert main(["examples", "show"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: contextuality examples")
+    assert err.splitlines()[-1] == "contextuality examples: error: show needs an example name"
 
 
 def test_missing_file_is_a_model_error(capsys):

@@ -8,9 +8,16 @@ Core claims:
     - a full-support model admits every assignment
     - backtracking agrees with exhaustive enumeration set-for-set
     - relabelling measurements permutes global sections bijectively
+    - the oracle's output, order and extendability flags do not depend on
+      the order measurements and outcomes are declared in: nested,
+      disconnected and one-measurement covers, one-hot rings with
+      trace(T^k) global sections
+    - the search visits the most-constrained context first
+    - the soundness re-check rejects an assignment outside one support
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -21,10 +28,13 @@ from contextuality import (
     classify,
     enumerate_sections,
     global_sections,
+    is_connected,
     is_extendable_at,
+    ks_support,
     restrict_section,
     support_model,
 )
+from contextuality.extendability import _checked, _plan
 
 import helpers
 from helpers import section
@@ -165,3 +175,127 @@ def test_relabelling_permutes_global_sections():
         assert original.verdict is permuted.verdict
         expected = {_relabel_section(g, mapping, relabeled) for g in original.global_sections}
         assert expected == set(permuted.global_sections)
+
+
+def _check_against_exhaustive(model):
+    """Global sections, their order, every flag and every is_extendable_at
+    answer agree with full enumeration."""
+    scen = model.scenario
+    expected = sorted(helpers.exhaustive_global_sections(model), key=scen.section_sort_key)
+    assert global_sections(model) == expected
+    cls = classify(model)
+    assert list(cls.global_sections) == expected
+    for ctx in scen.contexts:
+        images = {restrict_section(g, ctx.members) for g in expected}
+        for s in model.support_list(ctx.index):
+            assert cls.extendable[(ctx.index, s)] == (s in images)
+            assert is_extendable_at(model, ctx, s) == (s in images)
+    return expected
+
+
+def test_oracle_matches_exhaustive_in_any_declaration_order():
+    rng = random.Random(116)
+    shapes = {"nested": 0, "disconnected": 0, "one-measurement": 0, "extendable": 0}
+    for trial in range(200):
+        base = helpers.random_scenario(rng, max_measurements=7, max_contexts=6)
+        contexts = [ctx.members for ctx in base.contexts]
+        if trial % 4 == 3:  # a disjoint union of two covers
+            other = helpers.random_scenario(rng, max_measurements=3, max_contexts=2)
+            contexts += [tuple("q" + m for m in ctx.members) for ctx in other.contexts]
+        declared = sorted({m for members in contexts for m in members})
+        rng.shuffle(declared)
+        outcomes = rng.choice([("0", "1"), ("1", "0"), ("b", "a", "c")])
+        if len(outcomes) == 3 and len(declared) > 5:
+            outcomes = ("1", "0")
+        scen = build_scenario(declared, outcomes, contexts)
+        members = [set(ctx.members) for ctx in scen.contexts]
+        shapes["nested"] += any(a < b for a in members for b in members)
+        shapes["disconnected"] += not is_connected(scen)
+        shapes["one-measurement"] += any(len(m) == 1 for m in members)
+        if trial % 2:
+            model = helpers.random_image_support(rng, scen)
+        else:
+            model = helpers.random_any_support(rng, scen)
+        shapes["extendable"] += bool(_check_against_exhaustive(model))
+    assert min(shapes.values()) >= 20, shapes
+
+
+def _ring_cover(k: int, rng: random.Random | None):
+    """One-hot ring of k 4-sets, consecutive ones sharing a measurement;
+    declared in ring order, or shuffled by `rng`."""
+    ring = [f"r{j:02d}" for j in range(3 * k)]
+    contexts = [[ring[(3 * i + d) % (3 * k)] for d in range(4)] for i in range(k)]
+    declared = list(ring)
+    if rng is not None:
+        rng.shuffle(declared)
+    return ks_support(build_scenario(declared, "01", contexts))
+
+
+def _trace_of_power(k: int) -> int:
+    t = [[2, 1], [1, 0]]
+    power = [[1, 0], [0, 1]]
+    for _ in range(k):
+        power = [[sum(power[i][m] * t[m][j] for m in range(2)) for j in range(2)] for i in range(2)]
+    return power[0][0] + power[1][1]
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_one_hot_rings_have_trace_of_transfer_power_global_sections(k):
+    rng = random.Random(117 + k)
+    for model in (_ring_cover(k, None), _ring_cover(k, rng), _ring_cover(k, rng)):
+        sections = global_sections(model)
+        assert len(sections) == _trace_of_power(k)
+        keys = [model.scenario.section_sort_key(g) for g in sections]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert classify(model).verdict is Verdict.NON_CONTEXTUAL
+        if k <= 4:
+            _check_against_exhaustive(model)
+
+
+def _model(measurements, contexts_and_supports):
+    scen = build_scenario(measurements, "01", [c for c, _ in contexts_and_supports])
+    return support_model(
+        scen, [[section(c, text) for text in texts] for c, texts in contexts_and_supports]
+    )
+
+
+def test_plan_takes_most_assigned_then_smallest_support_then_lowest_index():
+    full = ["0,0", "0,1", "1,0", "1,1"]
+    model = _model(
+        "abcde",
+        [
+            ("ab", full),
+            ("bc", ["0,0", "1,1"]),
+            ("cd", ["0,0", "0,1", "1,1"]),
+            ("de", ["0,1", "1,0"]),
+        ],
+    )
+    # All start unassigned: 1 and 3 have the smallest support, 1 is lower.
+    # Then 0 and 2 share one assigned member each, 2 has the smaller support;
+    # then 0 and 3 share one each and 3 has the smaller support.
+    assert [ctx.index for ctx in _plan(model)] == [1, 2, 3, 0]
+    model = _model(
+        "abcd",
+        [("abc", ["0,0,1", "1,1,0"]), ("ab", full), ("cd", ["0,1", "1,0"])],
+    )
+    # Two assigned members beat one, whatever the support sizes.
+    assert [ctx.index for ctx in _plan(model)] == [0, 1, 2]
+
+
+def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supports):
+    model = corpus_supports["hardy"]
+    scen = model.scenario
+    exhaustive = helpers.exhaustive_global_sections(model)
+    good = [tuple(map(scen.outcome_index, g.values)) for g in global_sections(model)]
+    bad = next(
+        values
+        for values in product(range(len(scen.outcomes)), repeat=len(scen.measurements))
+        if Section(scen.measurements, tuple(scen.outcomes[v] for v in values)) not in exhaustive
+    )
+    sections, restrictions = _checked(model, list(reversed(good)))
+    assert sections == global_sections(model)
+    assert restrictions == [
+        {restrict_section(g, ctx.members) for g in sections} for ctx in scen.contexts
+    ]
+    with pytest.raises(RuntimeError, match="non-global section"):
+        _checked(model, good + [bad])
