@@ -15,27 +15,35 @@ It is decided over the integers or over GF(2) by the solvers in
 side depends on the section.  The identified system, which merges
 variables pinned equal by equations not involving the base context, keeps
 every equation and that same right-hand side, so its matrix does not
-depend on the section either.  :func:`all_obstructions` therefore factors
-each base context's matrix and its identified matrix once and solves every
-section's right-hand side against both.  Vanishing results carry a witness
-family that is re-verified at the presheaf level (by push-forward, not by
-the solver); non-vanishing results carry a certificate re-verified, in
-scaled integers, against the untouched system.
+depend on the section either.  :func:`all_obstructions` therefore reduces
+each base context's matrix once mod 2 and decides every section over GF(2)
+first.  Integer vanishing descends mod 2, so a section unsolvable mod 2
+does not vanish over Z either, and its GF(2) certificate, halved, is the
+integer proof.  Only sections that vanish mod 2 need the integer (Hermite)
+factorization and the identified one, each built once per base context.
+Vanishing results carry a witness family that is re-verified at the
+presheaf level (by push-forward, not by the solver); non-vanishing results
+carry a certificate re-verified, in scaled integers, against the untouched
+system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
     Certificate,
+    Factorization,
     Ring,
     SolveResult,
     VerificationError,
+    check_certificate,
     factor,
     gf2_nullity,
     gf2_rank,
+    halve_certificate,
     solve_linear,
 )
 from .model import SupportModel, require_overlap_consistent
@@ -568,30 +576,52 @@ def verify_witness(
 def _base_solver(
     model: SupportModel, base: int, ring: Ring, identify: bool
 ) -> Callable[[Section], ObstructionResult]:
-    """Build and factor a base context's system once, and its identified
-    form once with `identify`; return the verdict function for the support
-    sections of the base context.
+    """Build a base context's system once, decide each of its support
+    sections over Z/2 first, and return the verdict function.
 
-    A section changes only the right-hand side, minus its column of
-    delta^0.  The full system is solved for every section.  With
-    `identify`, the identified system (same right-hand side) is solved as
-    well; its verdict must agree with the full solve, and its solution,
-    expanded through the variable-merge map, gives the witness.  Certificates always refer to the full system.  Every
-    witness is re-checked at the presheaf level.
+    A section changes only the right-hand side, so one GF(2) echelon of the
+    ring's matrix (entries read mod 2) serves every section.  A section
+    unsolvable mod 2 does not vanish: its certificate is the echelon's y,
+    or y/2 over Z, re-checked against the system and, with `identify`,
+    against the identified matrix, whose columns sum the merged ones.  Only
+    a section that vanishes mod 2 builds the Hermite basis (over Z) and the
+    identified factorization, once per base context.  Their verdicts must
+    agree; the identified solution, expanded through the variable-merge
+    map, gives the witness, re-checked at the presheaf level, and a failure
+    over Z keeps the Hermite certificate of the full system.
     """
     systems = _split_coboundary(model, base, ring)
     template = next(iter(systems.values()))
-    full = factor(template.matrix, ring, width=len(template.variables))
+    width = len(template.variables)
+    parity = factor(template.matrix, Ring.Z2, width=width)
     if identify:
         reduced_rows, _, var_map = _identify_variables(template)
-        shortcut = factor(reduced_rows, ring, width=max(var_map, default=-1) + 1)
+
+    @cache
+    def hermite() -> Factorization:
+        return factor(template.matrix, Ring.Z, width=width)
+
+    @cache
+    def shortcut() -> Factorization:
+        return factor(reduced_rows, ring, width=max(var_map, default=-1) + 1)
 
     def decide(section: Section) -> ObstructionResult:
         system = systems[section]
-        result = full.solve(system.rhs)
+        result = parity.solve(system.rhs)
+        if result.certificate is not None:
+            # solve() re-checked y against the system; y/2 is re-checked here.
+            certificate, recheck = result.certificate, [reduced_rows] if identify else []
+            if ring is Ring.Z:
+                certificate = halve_certificate(certificate)
+                recheck.append(system.matrix)
+            if not all(check_certificate(a, system.rhs, certificate) for a in recheck):
+                raise VerificationError("Z/2 certificate failed its re-check")
+            return ObstructionResult(ring, base, section, False, None, certificate, system)
+        if ring is Ring.Z:
+            result = hermite().solve(system.rhs)
         solution = result.solution
         if identify:
-            short = shortcut.solve(system.rhs)
+            short = shortcut().solve(system.rhs)
             if short.solvable != result.solvable:
                 raise VerificationError("variable identification changed the verdict")
             if short.solution is not None:
@@ -635,10 +665,9 @@ def all_obstructions(
     """The obstruction verdict for every support section of every context.
 
     Within one base context only the right-hand side depends on the
-    section, so each base context's system, and its identified system, is
-    built and factored once, and every support section is solved against
-    those factorizations; the results share one matrix.  Verdicts and
-    proofs are those of :func:`obstruction`.
+    section, so each base context's system is built and reduced mod 2 once,
+    and its integer and identified factorizations at most once; the results
+    share one matrix.  Verdicts and proofs are those of :func:`obstruction`.
     """
     require_overlap_consistent(model)
     out: dict[tuple[int, Section], ObstructionResult] = {}

@@ -15,6 +15,10 @@ factorization:
 * over the integers: y has rational entries, y.A is integral while y.b is
   not, which no integer solution could satisfy.
 
+An integer solution reduces to a GF(2) one, so a GF(2) certificate y also
+refutes the system over the integers: y.A even and y.b odd make y/2 an
+integer certificate (:func:`halve_certificate`).
+
 The check works in scaled integers: with L the common denominator of y it
 tests L*y.A = 0 and L*y.b != 0 modulo L (modulo 2L over GF(2)), skipping
 zero multipliers and zero entries.
@@ -118,6 +122,18 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     return constant % modulus == scale if gf2 else constant % modulus != 0
 
 
+def halve_certificate(certificate: Certificate) -> Certificate:
+    """The integer certificate y/2 of a GF(2) certificate y of the same
+    system: y.A even makes y.A/2 integral, and y.b odd keeps y.b/2 not."""
+    if certificate.ring is not Ring.Z2:
+        raise ValueError("only a GF(2) certificate halves to an integer one")
+    return Certificate(
+        Ring.Z,
+        tuple(Fraction(v, 2) for v in certificate.multipliers),
+        "Z/2 certificate halved: y.A even, y.b odd",
+    )
+
+
 class Factorization:
     """A matrix reduced once over a ring.
 
@@ -196,7 +212,8 @@ class _GF2Echelon(Factorization):
     row i as part of the combination.  Each pivot keeps the combination of
     input rows it is made of; each input row that reduced to zero keeps the
     combination that cancelled it.  For a right-hand side b, a combination's
-    affine value is the parity of the b entries it tracks.
+    affine value is the parity of the b entries it tracks.  Entries are
+    read mod 2, so an integer matrix factors as its reduction.
     """
 
     ring = Ring.Z2

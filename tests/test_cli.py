@@ -11,9 +11,12 @@ Core claims:
       byte, the golden output in tests/golden/<name>.json, and
       `obstruction <file> --all --witness` the one in
       tests/golden/<name>.obstruction.txt
+    - in the golden JSON, every Z result whose Z/2 result does not vanish
+      carries the halved Z/2 certificate over the same equations
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -234,3 +237,20 @@ def test_obstruction_all_matches_golden_output(name, corpus_file, capsys):
     golden = Path(__file__).parent / "golden" / f"{name}.obstruction.txt"
     assert main(["obstruction", corpus_file(name), "--all", "--witness"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_golden_z_certificates_are_halved_z2_certificates(name):
+    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    z2, z = (report["obstructions"][ring]["results"] for ring in ("z2", "z"))
+    for mod2, over_z in zip(z2, z):
+        assert (mod2["context"], mod2["section"]) == (over_z["context"], over_z["section"])
+        if mod2["vanishes"]:
+            continue
+        assert not over_z["vanishes"]
+        expected = dict(
+            mod2["certificate"],
+            reason="Z/2 certificate halved: y.A even, y.b odd",
+            multipliers=[str(Fraction(m) / 2) for m in mod2["certificate"]["multipliers"]],
+        )
+        assert over_z["certificate"] == expected

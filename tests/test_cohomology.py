@@ -26,11 +26,25 @@ Core claims:
     - the batch path (one factorization per base context) gives exactly the
       per-section results, refuses signalling supports before solving, and
       its factorizations carry no state from one solve to the next
+    - Z/2 first: every Z verdict equals a per-section integer solve of the
+      untouched system (bundled, random and Fano models, identification on
+      and off); halved Z/2 certificates pass the dense reference check and
+      fail it with one 1/2 zeroed or the vector doubled; where every section
+      is non-vanishing mod 2 (PR box, GHZ-4) nothing is factored over Z and
+      no identified system is factored
+    - a mod-2 certificate that fails its re-check against the system or the
+      identified matrix raises VerificationError
+    - the one-hot Fano plane is the model where Z is strictly stronger: all
+      21 sections vanish over Z/2 (verified witnesses) and all 21 are
+      non-vanishing over Z, with Hermite certificates whose denominators do
+      not divide 2
 """
 
 import copy
 import random
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -38,6 +52,7 @@ from contextuality import (
     Ring,
     Section,
     SignallingError,
+    VerificationError,
     all_obstructions,
     build_obstruction_system,
     build_scenario,
@@ -50,7 +65,9 @@ from contextuality import (
     combination,
     embed,
     gf2_cohomology_dimensions,
+    ks_support,
     obstruction,
+    parity_support,
     push_forward,
     restrict_combination,
     restrict_section,
@@ -63,7 +80,7 @@ from contextuality import (
 )
 from contextuality import cohomology
 from contextuality.cohomology import _identify_variables
-from contextuality.linalg import check_certificate, factor, mat_vec
+from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
 from contextuality.scenario import nerve
 
 import helpers
@@ -488,3 +505,143 @@ def test_factorization_keeps_no_state_between_solves(ring, corpus_supports):
                     shared.solve(first.rhs)
                     assert shared.solve(second.rhs) == fresh
             assert vars(shared) == before
+
+
+# ---------------------------------------------------------------------------
+# Z/2 first: halved certificates, the Hermite fallback, laziness
+
+HALVED = "Z/2 certificate halved: y.A even, y.b odd"
+
+
+def fano_one_hot():
+    """One-hot supports on the Fano plane: 7 measurements, lines {i, i+1,
+    i+3} mod 7 as contexts.  Every measurement lies in 3 contexts, so
+    summing a witness's coefficient sums over the contexts gives 3*sum = 7:
+    no integer witness, though the system is solvable mod 2."""
+    points = [f"p{i}" for i in range(7)]
+    lines = [[points[(i + d) % 7] for d in (0, 1, 3)] for i in range(7)]
+    return ks_support(build_scenario(points, "01", lines))
+
+
+def ghz_parity(parties):
+    """n-party GHZ parity supports on the contexts with an even number of Y
+    measurements; a context with 2j Y's has outcome parity j mod 2."""
+    measurements = [f"{axis}{p}" for p in range(1, parties + 1) for axis in "XY"]
+    contexts, bits = [], []
+    for axes in product("XY", repeat=parties):
+        if axes.count("Y") % 2 == 0:
+            contexts.append([f"{a}{p}" for p, a in enumerate(axes, start=1)])
+            bits.append(axes.count("Y") // 2 % 2)
+    return parity_support(build_scenario(measurements, "01", contexts), bits)
+
+
+@pytest.mark.parametrize("identify", [True, False])
+def test_fano_plane_vanishes_mod_2_but_not_over_z(identify):
+    model = fano_one_hot()
+    mod2 = all_obstructions(model, Ring.Z2, identify=identify)
+    assert len(mod2) == 21
+    for (index, s), result in mod2.items():
+        assert result.vanishes
+        assert verify_witness(model, index, s, result.witness, Ring.Z2)
+    over_z = all_obstructions(model, Ring.Z, identify=identify)
+    assert len(over_z) == 21
+    for result in over_z.values():
+        assert not result.vanishes
+        certificate = result.certificate
+        assert certificate.reason != HALVED
+        assert helpers.reference_check_certificate(
+            result.system.matrix, result.system.rhs, certificate
+        )
+        # A certificate whose denominators divide 2 would, doubled, refute
+        # the system mod 2.
+        assert lcm(*(Fraction(v).denominator for v in certificate.multipliers)) > 2
+
+
+def _halved_mutations(certificate):
+    """The first 1/2 set to 0 (some column of y.A becomes half-integral:
+    every row of an obstruction system has a +-1 entry), and the vector
+    doubled (y.b becomes integral)."""
+    y = certificate.multipliers
+    i = next(i for i, v in enumerate(y) if v)
+    out = [y[:i] + (Fraction(0),) + y[i + 1 :], tuple(2 * v for v in y)]
+    return [Certificate(Ring.Z, m, certificate.reason) for m in out]
+
+
+def test_z_verdicts_match_per_section_integer_solve(corpus_supports):
+    rng = random.Random(122)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    models.append(fano_one_hot())
+    halved = 0
+    for model in models:
+        batches = [all_obstructions(model, Ring.Z, identify=flag) for flag in (True, False)]
+        for key, result in batches[0].items():
+            system = result.system
+            reference = solve_linear(system.matrix, system.rhs, Ring.Z)
+            assert result.vanishes == batches[1][key].vanishes == reference.solvable
+            assert result.certificate == batches[1][key].certificate
+            if result.vanishes or result.certificate.reason != HALVED:
+                continue
+            halved += 1
+            assert helpers.reference_check_certificate(
+                system.matrix, system.rhs, result.certificate
+            )
+            for mutated in _halved_mutations(result.certificate):
+                assert not check_certificate(system.matrix, system.rhs, mutated)
+                assert not helpers.reference_check_certificate(system.matrix, system.rhs, mutated)
+    assert halved > 0
+
+
+@pytest.mark.parametrize("name", ["prbox", "ghz4"])
+def test_no_integer_or_identified_factorization_when_mod_2_decides(
+    name, corpus_supports, monkeypatch
+):
+    model = corpus_supports["prbox"] if name == "prbox" else ghz_parity(4)
+    identified: list[list[list[int]]] = []
+    factored: list[Ring] = []
+
+    def recording_identify(system):
+        reduction = _identify_variables(system)
+        identified.append(reduction[0])
+        return reduction
+
+    def guarded_factor(matrix, ring, width=None):
+        if ring is Ring.Z or any(matrix is rows for rows in identified):
+            raise AssertionError("factored over Z or the identified system")
+        factored.append(ring)
+        return factor(matrix, ring, width)
+
+    monkeypatch.setattr(cohomology, "_identify_variables", recording_identify)
+    monkeypatch.setattr(cohomology, "factor", guarded_factor)
+    contexts = len(model.scenario.contexts)
+    for ring in (Ring.Z, Ring.Z2):
+        for identify in (True, False):
+            factored.clear()
+            results = all_obstructions(model, ring, identify=identify)
+            assert not any(result.vanishes for result in results.values())
+            assert factored == [Ring.Z2] * contexts
+    assert identified
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_mod_2_certificate_failing_on_identified_matrix_raises(
+    ring, corpus_supports, monkeypatch
+):
+    def unit_columns(system):
+        # Column i is e_i, so y.A_id = y: odd, or half-integral, where y is not 0.
+        _, rhs, var_map = _identify_variables(system)
+        m = len(system.matrix)
+        return [[int(i == k) for k in range(m)] for i in range(m)], rhs, var_map
+
+    monkeypatch.setattr(cohomology, "_identify_variables", unit_columns)
+    with pytest.raises(VerificationError, match="Z/2 certificate failed"):
+        all_obstructions(corpus_supports["prbox"], ring)
+
+
+def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
+    def unhalved(certificate):
+        return Certificate(Ring.Z, certificate.multipliers, certificate.reason)
+
+    monkeypatch.setattr(cohomology, "halve_certificate", unhalved)
+    with pytest.raises(VerificationError, match="Z/2 certificate failed"):
+        all_obstructions(corpus_supports["prbox"], Ring.Z, identify=False)

@@ -12,6 +12,10 @@ Core claims:
     - the sparse Hermite basis has the dense reference's pivots, lattice
       basis and transforms, on small random matrices and on every base
       system of the corpus
+    - integer solvability agrees with sympy's Smith normal form on small
+      random systems (skipped without sympy)
+    - a halved GF(2) certificate is an integer certificate of the same
+      system, and only a GF(2) certificate halves
 """
 
 import random
@@ -31,6 +35,7 @@ from contextuality.linalg import (
     factor,
     gf2_nullity,
     gf2_rank,
+    halve_certificate,
     solve_linear,
 )
 
@@ -245,3 +250,58 @@ def test_sparse_hermite_matches_dense_reference_on_corpus_systems(corpus_support
             _assert_matches_reference_hermite(system.matrix, len(system.variables))
             reduced, _, var_map = _identify_variables(system)
             _assert_matches_reference_hermite(reduced, max(var_map, default=-1) + 1)
+
+
+def _smith_solvable(matrix, rhs) -> bool:
+    """A x = b over Z through sympy's Smith form S = U A V: with c = U b,
+    solvable iff every diagonal entry d_i divides c_i and c_i = 0 past
+    the diagonal (d_i = 0 included)."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    smith, left, _ = normalforms.smith_normal_decomp(Matrix(matrix))
+    c = left * Matrix(rhs)
+    width = len(matrix[0])
+    for i in range(len(matrix)):
+        d = smith[i, i] if i < width else 0
+        if (c[i] != 0) if d == 0 else (c[i] % d != 0):
+            return False
+    return True
+
+
+@st.composite
+def _integer_systems(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    matrix = draw(st.lists(rows, min_size=m, max_size=m))
+    return matrix, draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_integer_systems())
+def test_integer_solvability_matches_smith_normal_form(system):
+    matrix, rhs = system
+    expected = _smith_solvable(matrix, rhs)
+    assert solve_linear(matrix, rhs, Ring.Z).solvable == expected
+
+
+def test_halved_certificate_refutes_over_z():
+    rng = random.Random(124)
+    halved = 0
+    while halved < 50:
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        mod2 = solve_linear(a, b, Ring.Z2, width=n)
+        if mod2.solvable:
+            continue
+        halved += 1
+        certificate = halve_certificate(mod2.certificate)
+        assert certificate.ring is Ring.Z
+        assert certificate.reason == "Z/2 certificate halved: y.A even, y.b odd"
+        assert check_certificate(a, b, certificate)
+        assert helpers.reference_check_certificate(a, b, certificate)
+        assert not solve_linear(a, b, Ring.Z, width=n).solvable
+        with pytest.raises(ValueError, match="GF\\(2\\)"):
+            halve_certificate(certificate)
