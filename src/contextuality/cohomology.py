@@ -1,36 +1,40 @@
 """Formal linear combinations of sections, the cochain complex over the
 support of a model, and the per-section obstruction.
 
-The obstruction at a support section t of a base context asks whether there
-is a family of ring-linear combinations of support sections, one per
-context, that equals 1*t on the base context and whose members agree under
-restriction on every overlap: a 0-cochain with base entry 1*t and
-coboundary delta^0 zero.  So the system is delta^0 with the base block
-moved right: its rows on the context pairs i < j, read off the model's
-overlap table (:attr:`SupportModel.overlap_table`, the fibers of
-restriction to every overlap, computed once per model), the non-base
-columns as the matrix and minus the column of t as the right-hand side.
-It is decided over the integers or over GF(2) by the solvers in
-:mod:`contextuality.linalg`.  Within one base context only the right-hand
-side depends on the section.  The identified system, which merges
-variables pinned equal by equations not involving the base context, keeps
-every equation and that same right-hand side, so its matrix does not
-depend on the section either.  :func:`all_obstructions` therefore reduces
-each base context's matrix once mod 2 and decides every section over GF(2)
-first.  Integer vanishing descends mod 2, so a section unsolvable mod 2
-does not vanish over Z either, and its GF(2) certificate, halved, is the
-integer proof.  Only sections that vanish mod 2 need the integer (Hermite)
-factorization and the identified one, each built once per base context.
-Vanishing results carry a witness family that is re-verified at the
-presheaf level (by push-forward, not by the solver); non-vanishing results
-carry a certificate re-verified, in scaled integers, against the untouched
-system.
+The obstruction at a support section t of a base context b asks whether
+there is a family of ring-linear combinations of support sections, one per
+context, that equals 1*t on b and whose members agree under restriction on
+every overlap: a 0-cocycle, a cochain with coboundary delta^0 zero, whose
+block on b is e_t.  So it vanishes iff e_t lies in pi_b(ker delta^0), the
+projection of the cocycles onto b, and its system is delta^0 with the base
+block moved right: the rows on the context pairs i < j, read off the
+model's overlap table (:attr:`SupportModel.overlap_table`, computed once
+per model), the non-base columns as the matrix and minus the column of t
+as the right-hand side.
+
+Every section is decided mod 2 first, by cocycle projection: one GF(2)
+echelon of the transpose of delta^0 per call gives a basis K of the
+cocycles and turns any vector of its row space into the combination of
+rows that makes it.  Per base context only the small projection pi_b(K)
+is factored.  A section whose unit vector it reaches vanishes mod 2, with
+the cocycle as witness; otherwise a vector g orthogonal to pi_b(K) with
+g_t = 1 is, padded with zeros, a combination z of the rows of delta^0, and
+z refutes the system.  Integer vanishing descends mod 2, so over Z that z,
+halved, is the proof; only sections that vanish mod 2 need the integer
+(Hermite) factorization and the identified one, which merges variables
+pinned equal by equations not involving the base context, each built once
+per base context.  Vanishing results carry a witness family re-verified at
+the presheaf level (by push-forward, not by the solver); non-vanishing
+results carry a certificate re-verified, in scaled integers, against the
+untouched system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from itertools import compress
+from operator import neg, xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -40,6 +44,7 @@ from .linalg import (
     SolveResult,
     VerificationError,
     check_certificate,
+    check_solution,
     factor,
     gf2_nullity,
     gf2_rank,
@@ -413,19 +418,12 @@ class ObstructionResult:
     system: ObstructionSystem
 
 
-def _split_coboundary(
-    model: SupportModel, base: int, ring: Ring
-) -> dict[Section, ObstructionSystem]:
-    """The obstruction system of every support section of a base context.
-
-    Reads the rows of delta^0 on the pairs i < j off the overlap table: on
+def _coboundary_rows(model: SupportModel, ring: Ring) -> tuple[list, list[tuple[int, ...]]]:
+    """The support sections of every context, in context order, and the rows
+    of delta^0 on the pairs i < j over them, read off the overlap table: on
     the row of (i, j, section), +1 on the fiber in i and -1 on the fiber in
-    j.  The base context's columns are one contiguous block; the others form
-    the shared matrix, and each base section's negated column is its
-    right-hand side.
-    """
-    scenario = model.scenario
-    basis = [(ctx.index, s) for ctx in scenario.contexts for s in model.support_list(ctx.index)]
+    j."""
+    basis = [(c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)]
     column = {entry: k for k, entry in enumerate(basis)}
     minus = ring.reduce(-1)
     rows = []
@@ -435,17 +433,28 @@ def _split_coboundary(
             row[column[i, s]] = 1
         for s in right:
             row[column[j, s]] = minus
-        rows.append(row)
+        rows.append(tuple(row))
+    return basis, rows
+
+
+def _split_coboundary(
+    model: SupportModel, base: int, ring: Ring, basis: list, rows: list[tuple[int, ...]]
+) -> dict[Section, ObstructionSystem]:
+    """The obstruction system of every support section of a base context,
+    from :func:`_coboundary_rows`.  The base context's columns are one
+    contiguous block; the others form the shared matrix, and each base
+    section's negated column is its right-hand side."""
     lo = sum(len(support) for support in model.supports[:base])
     hi = lo + len(model.supports[base])
     variables = tuple(basis[:lo] + basis[hi:])
     equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
-    matrix = tuple((*row[:lo], *row[hi:]) for row in rows)
+    matrix = tuple(row[:lo] + row[hi:] for row in rows)
+    columns = list(zip(*(row[lo:hi] for row in rows))) or [()] * (hi - lo)
+    if ring is Ring.Z:  # over GF(2) every entry is its own negative
+        columns = [tuple(map(neg, column)) for column in columns]
     return {
-        s: ObstructionSystem(
-            ring, base, s, variables, equations, matrix, tuple(ring.reduce(-row[k]) for row in rows)
-        )
-        for k, (_, s) in enumerate(basis[lo:hi], start=lo)
+        s: ObstructionSystem(ring, base, s, variables, equations, matrix, rhs)
+        for (_, s), rhs in zip(basis[lo:hi], columns)
     }
 
 
@@ -465,7 +474,7 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    return _split_coboundary(model, base, ring)[section]
+    return _split_coboundary(model, base, ring, *_coboundary_rows(model, ring))[section]
 
 
 def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], list[int], list[int]]:
@@ -530,19 +539,12 @@ def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], lis
 def _witness_from_solution(
     model: SupportModel, system: ObstructionSystem, solution: Sequence[int]
 ) -> tuple[LinearCombination, ...]:
-    scenario = model.scenario
-    per_context: list[LinearCombination] = []
-    for ctx in scenario.contexts:
-        if ctx.index == system.base:
-            per_context.append(embed(system.ring, system.section))
-            continue
-        coeffs = {
-            s: solution[k]
-            for k, (owner, s) in enumerate(system.variables)
-            if owner == ctx.index
-        }
-        per_context.append(combination(system.ring, ctx.members, coeffs))
-    return tuple(per_context)
+    contexts = model.scenario.contexts
+    coeffs: dict[int, dict[Section, int]] = {c.index: {} for c in contexts}
+    for (owner, s), value in zip(system.variables, solution):
+        coeffs[owner][s] = value
+    coeffs[system.base] = {system.section: 1}
+    return tuple(combination(system.ring, c.members, coeffs[c.index]) for c in contexts)
 
 
 def verify_witness(
@@ -573,67 +575,78 @@ def verify_witness(
     return True
 
 
-def _base_solver(
-    model: SupportModel, base: int, ring: Ring, identify: bool
-) -> Callable[[Section], ObstructionResult]:
-    """Build a base context's system once, decide each of its support
-    sections over Z/2 first, and return the verdict function.
-
-    A section changes only the right-hand side, so one GF(2) echelon of the
-    ring's matrix (entries read mod 2) serves every section.  A section
-    unsolvable mod 2 does not vanish: its certificate is the echelon's y,
-    or y/2 over Z, re-checked against the system and, with `identify`,
-    against the identified matrix, whose columns sum the merged ones.  Only
-    a section that vanishes mod 2 builds the Hermite basis (over Z) and the
-    identified factorization, once per base context.  Their verdicts must
-    agree; the identified solution, expanded through the variable-merge
-    map, gives the witness, re-checked at the presheaf level, and a failure
-    over Z keeps the Hermite certificate of the full system.
+def _obstruction_solver(
+    model: SupportModel, ring: Ring, identify: bool
+) -> Callable[[int], Callable[[Section], ObstructionResult]]:
+    """Factor delta^0 once mod 2 and return, per base context, the verdict
+    function of its support sections (the algorithm of the module
+    docstring).  A cocycle is re-checked by substitution into the system and
+    as a witness family; a combination z of rows, or z/2 over Z, against the
+    untouched system.  A section that vanishes mod 2 over Z gets the Hermite
+    verdict and, with `identify`, the identified one, which must agree; the
+    identified solution, expanded through the variable-merge map, gives the
+    witness, and a failure keeps the Hermite certificate of the full system.
     """
-    systems = _split_coboundary(model, base, ring)
-    template = next(iter(systems.values()))
-    width = len(template.variables)
-    parity = factor(template.matrix, Ring.Z2, width=width)
-    if identify:
-        reduced_rows, _, var_map = _identify_variables(template)
+    basis, rows = _coboundary_rows(model, ring)
+    cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
+    kernel = cocycles.kernel()
 
-    @cache
-    def hermite() -> Factorization:
-        return factor(template.matrix, Ring.Z, width=width)
+    def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
+        systems = _split_coboundary(model, base, ring, basis, rows)
+        lo = sum(len(support) for support in model.supports[:base])
+        block = range(lo, lo + len(systems))
+        projection = factor([[(k >> v) & 1 for k in kernel] for v in block], Ring.Z2, len(kernel))
+        units = {s: [int(k == t) for k in block] for t, s in zip(block, systems)}
+        template = next(iter(systems.values()))
 
-    @cache
-    def shortcut() -> Factorization:
-        return factor(reduced_rows, ring, width=max(var_map, default=-1) + 1)
+        @cache
+        def hermite() -> Factorization:
+            return factor(template.matrix, Ring.Z, width=len(template.variables))
 
-    def decide(section: Section) -> ObstructionResult:
-        system = systems[section]
-        result = parity.solve(system.rhs)
-        if result.certificate is not None:
-            # solve() re-checked y against the system; y/2 is re-checked here.
-            certificate, recheck = result.certificate, [reduced_rows] if identify else []
-            if ring is Ring.Z:
-                certificate = halve_certificate(certificate)
-                recheck.append(system.matrix)
-            if not all(check_certificate(a, system.rhs, certificate) for a in recheck):
-                raise VerificationError("Z/2 certificate failed its re-check")
-            return ObstructionResult(ring, base, section, False, None, certificate, system)
-        if ring is Ring.Z:
-            result = hermite().solve(system.rhs)
-        solution = result.solution
-        if identify:
-            short = shortcut().solve(system.rhs)
-            if short.solvable != result.solvable:
-                raise VerificationError("variable identification changed the verdict")
-            if short.solution is not None:
-                solution = tuple(short.solution[k] for k in var_map)
-        if solution is None:
-            return ObstructionResult(ring, base, section, False, None, result.certificate, system)
-        witness = _witness_from_solution(model, system, solution)
-        if not verify_witness(model, base, section, witness, ring):
-            raise VerificationError("witness family failed its presheaf re-check")
-        return ObstructionResult(ring, base, section, True, witness, None, system)
+        @cache
+        def shortcut() -> tuple[Factorization, list[int]]:
+            reduced_rows, _, var_map = _identify_variables(template)
+            return factor(reduced_rows, ring, width=max(var_map, default=-1) + 1), var_map
 
-    return decide
+        def decide(section: Section) -> ObstructionResult:
+            system = systems[section]
+            found = projection.solve(units[section])
+            if found.certificate is not None:
+                g = [0] * lo + list(found.certificate.multipliers) + [0] * (len(basis) - block.stop)
+                # Unchecked solve: z is re-checked below as a certificate of
+                # the system (a g outside the row space gives none, and fails).
+                z = cocycles._solve(g).solution or ()
+                certificate = Certificate(Ring.Z2, z, "inconsistent equation combination")
+                if ring is Ring.Z:
+                    certificate = halve_certificate(certificate)
+                if not check_certificate(system.matrix, system.rhs, certificate):
+                    raise VerificationError("Z/2 certificate failed its re-check")
+                solution = None
+            elif ring is Ring.Z2:
+                cocycle = reduce(xor, compress(kernel, found.solution), 0)  # K.y
+                solution = [(cocycle >> v) & 1 for v in range(len(basis)) if v not in block]
+                if not check_solution(system.matrix, system.rhs, solution, ring):
+                    raise VerificationError("cocycle fails substitution into the system")
+            else:
+                result = hermite().solve(system.rhs)
+                solution, certificate = result.solution, result.certificate
+                if identify:
+                    identified, var_map = shortcut()
+                    short = identified.solve(system.rhs)
+                    if short.solvable != result.solvable:
+                        raise VerificationError("variable identification changed the verdict")
+                    if short.solution is not None:
+                        solution = tuple(short.solution[k] for k in var_map)
+            if solution is None:
+                return ObstructionResult(ring, base, section, False, None, certificate, system)
+            witness = _witness_from_solution(model, system, solution)
+            if not verify_witness(model, base, section, witness, ring):
+                raise VerificationError("witness family failed its presheaf re-check")
+            return ObstructionResult(ring, base, section, True, witness, None, system)
+
+        return decide
+
+    return base_solver
 
 
 def obstruction(
@@ -645,10 +658,13 @@ def obstruction(
 ) -> ObstructionResult:
     """Decide whether the obstruction at one support section vanishes.
 
-    `base` may be a context or its cover index.  `identify` enables the
-    variable-identification shortcut (merging variables pinned equal by
-    equations not involving the base context); verdicts are identical with
-    it disabled.
+    The section is decided mod 2 by cocycle projection, from one GF(2)
+    factorization of delta^0 (see the module docstring), and over Z by the
+    Hermite form of its base context's system where it vanishes mod 2.
+    `base` may be a context or its cover index.  `identify` enables, on that
+    Hermite path, the variable-identification shortcut (merging variables
+    pinned equal by equations not involving the base context); verdicts are
+    identical with it disabled.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
@@ -656,7 +672,7 @@ def obstruction(
     if isinstance(base, Context):
         base = base.index
     _check_base(model, base, section)
-    return _base_solver(model, base, ring, identify)(section)
+    return _obstruction_solver(model, ring, identify)(base)(section)
 
 
 def all_obstructions(
@@ -664,18 +680,19 @@ def all_obstructions(
 ) -> dict[tuple[int, Section], ObstructionResult]:
     """The obstruction verdict for every support section of every context.
 
-    Within one base context only the right-hand side depends on the
-    section, so each base context's system is built and reduced mod 2 once,
-    and its integer and identified factorizations at most once; the results
-    share one matrix.  Verdicts and proofs are those of :func:`obstruction`.
+    delta^0 is factored mod 2 once for the whole call, and each base
+    context's cocycle projection once; a base context's integer and
+    identified factorizations are built at most once, and its results share
+    one matrix.  Verdicts and proofs are those of :func:`obstruction`.
     """
     require_overlap_consistent(model)
+    solver = _obstruction_solver(model, ring, identify)
     out: dict[tuple[int, Section], ObstructionResult] = {}
     for ctx in model.scenario.contexts:
         sections = model.support_list(ctx.index)
         if not sections:
             continue
-        decide = _base_solver(model, ctx.index, ring, identify)
+        decide = solver(ctx.index)
         for s in sections:
             out[(ctx.index, s)] = decide(s)
     return out

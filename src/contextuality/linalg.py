@@ -26,9 +26,10 @@ zero multipliers and zero entries.
 The GF(2) factorization is a bit-packed echelon form: each row is a single
 Python integer holding coefficient bits and row-combination tracking bits,
 so a right-hand side only enters through the parities of tracked
-combinations.  The integer factorization is a fraction-free echelon
-reduction (Hermite form) of the column lattice with its transform, both
-held as sparse rows, in arbitrary-precision arithmetic, so divisibility
+combinations, and the combinations that cancelled the dependent rows are a
+basis of the left kernel.  The integer factorization is a fraction-free
+echelon reduction (Hermite form) of the column lattice with its transform,
+both held as sparse rows, in arbitrary-precision arithmetic, so divisibility
 obstructions are exact.
 """
 
@@ -38,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
 from typing import Sequence
 
@@ -104,32 +106,33 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     y = certificate.multipliers
     if len(y) != len(rhs):
         return False
-    scale = lcm(*(v.denominator for v in y))
+    used = [(v, row, b) for v, row, b in zip(y, matrix, rhs) if v]
+    scale = lcm(*(v.denominator for v, _, _ in used))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
     totals: dict[int, int] = {}
     constant = 0
-    for v, row, b in zip(y, matrix, rhs):
-        if not v:
-            continue
+    for v, row, b in used:
         w = v.numerator * (scale // v.denominator)
         constant += w * b
-        for j, a in enumerate(row):
-            if a:
-                totals[j] = totals.get(j, 0) + w * a
+        for j in compress(count(), row):
+            totals[j] = totals.get(j, 0) + w * row[j]
     if any(t % modulus for t in totals.values()):
         return False
     return constant % modulus == scale if gf2 else constant % modulus != 0
 
 
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
+
 def halve_certificate(certificate: Certificate) -> Certificate:
-    """The integer certificate y/2 of a GF(2) certificate y of the same
+    """The integer certificate y/2 of a 0/1 GF(2) certificate y of the same
     system: y.A even makes y.A/2 integral, and y.b odd keeps y.b/2 not."""
     if certificate.ring is not Ring.Z2:
         raise ValueError("only a GF(2) certificate halves to an integer one")
     return Certificate(
         Ring.Z,
-        tuple(Fraction(v, 2) for v in certificate.multipliers),
+        tuple(_HALF if v else _ZERO for v in certificate.multipliers),
         "Z/2 certificate halved: y.A even, y.b odd",
     )
 
@@ -246,6 +249,11 @@ class _GF2Echelon(Factorization):
         self.rank = len(pivot_cols)
         self._pivots = tuple((col, prow >> n) for col, prow in zip(pivot_cols, pivot_rows))
         self._dependent = tuple(dependent)
+
+    def kernel(self) -> tuple[int, ...]:
+        """A basis of the left kernel {y : y.A = 0}: the combinations that
+        cancelled the dependent input rows, bit i marking input row i."""
+        return self._dependent
 
     def _solve(self, rhs: Vector) -> SolveResult:
         bits = 0

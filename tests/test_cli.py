@@ -13,6 +13,8 @@ Core claims:
       tests/golden/<name>.obstruction.txt
     - in the golden JSON, every Z result whose Z/2 result does not vanish
       carries the halved Z/2 certificate over the same equations
+    - build_report checks a distribution for no-signalling exactly once,
+      and a signalling one raises the same SignallingError as support_of
 """
 
 import json
@@ -21,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from contextuality import SignallingError, model as model_module, report as report_module
 from contextuality.cli import main
 from contextuality.corpus import EXAMPLE_NAMES, example_text
+from contextuality.documents import parse_scenario
 from contextuality.report import RING_ORDER, build_report, emit_report
 
 
@@ -254,3 +258,43 @@ def test_golden_z_certificates_are_halved_z2_certificates(name):
             multipliers=[str(Fraction(m) / 2) for m in mod2["certificate"]["multipliers"]],
         )
         assert over_z["certificate"] == expected
+
+
+def _ghz3_distribution():
+    document = json.loads(example_text("ghz"))
+    supports = document["model"].pop("support")
+    document["model"]["distribution"] = [{s: "1/4" for s in support} for support in supports]
+    return parse_scenario(json.dumps(document))
+
+
+def test_build_report_checks_no_signalling_once(monkeypatch):
+    calls = []
+    check = model_module.check_no_signalling
+
+    def counted(model):
+        calls.append(model)
+        return check(model)
+
+    # Every module that might call it, under the name it is bound to.
+    for module in (model_module, report_module):
+        monkeypatch.setattr(module, "check_no_signalling", counted, raising=False)
+    report = build_report(_ghz3_distribution())
+    assert len(calls) == 1
+    assert report["no_signalling"] == {"holds": True, "violations": []}
+    assert list(report)[list(report).index("no_signalling") + 1] == "support"
+
+
+def test_build_report_rejects_signalling_distribution():
+    document = parse_scenario(
+        json.dumps(
+            {
+                "name": "signal",
+                "measurements": ["a", "b", "b'"],
+                "outcomes": ["0", "1"],
+                "contexts": [["a", "b"], ["a", "b'"]],
+                "model": {"distribution": [{"0,0": "1"}, {"1,0": "1"}]},
+            }
+        )
+    )
+    with pytest.raises(SignallingError, match=r"^model is signalling on 1 context pair\(s\)$"):
+        build_report(document)

@@ -23,17 +23,24 @@ Core claims:
       reduces the 18-measurement one-hot system from 32 to 18 unknowns;
       its reduced matrix and variable map are the same for every section
       of a base context, and its right-hand side is the system's own
-    - the batch path (one factorization per base context) gives exactly the
-      per-section results, refuses signalling supports before solving, and
-      its factorizations carry no state from one solve to the next
+    - the batch path gives exactly the per-section results, refuses
+      signalling supports before solving, and factorizations carry no state
+      from one solve to the next
     - Z/2 first: every Z verdict equals a per-section integer solve of the
       untouched system (bundled, random and Fano models, identification on
       and off); halved Z/2 certificates pass the dense reference check and
       fail it with one 1/2 zeroed or the vector doubled; where every section
-      is non-vanishing mod 2 (PR box, GHZ-4) nothing is factored over Z and
-      no identified system is factored
-    - a mod-2 certificate that fails its re-check against the system or the
-      identified matrix raises VerificationError
+      is non-vanishing mod 2 (PR box, GHZ-4) delta^0 is factored once per
+      call, each base context factors only its cocycle projection, nothing
+      is factored over Z and no variables are identified
+    - cocycle projection: on the bundled, 60 random, Fano, GHZ-3/4 and
+      chain16 models every Z/2 verdict equals a per-section GF(2) solve and
+      does not depend on identification, every certificate passes the dense
+      reference check, every single-multiplier flip of a Z/2 certificate is
+      rejected, and over Z a section non-vanishing mod 2 carries y/2
+    - a mod-2 certificate that fails its re-check against the system, or an
+      identified system whose verdict differs from the Hermite one, raises
+      VerificationError
     - the one-hot Fano plane is the model where Z is strictly stronger: all
       21 sections vanish over Z/2 (verified witnesses) and all 21 are
       non-vanishing over Z, with Hermite certificates whose denominators do
@@ -597,45 +604,52 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
     name, corpus_supports, monkeypatch
 ):
     model = corpus_supports["prbox"] if name == "prbox" else ghz_parity(4)
-    identified: list[list[list[int]]] = []
-    factored: list[Ring] = []
+    identified: list = []
+    factored: list[tuple[int, int]] = []
 
     def recording_identify(system):
-        reduction = _identify_variables(system)
-        identified.append(reduction[0])
-        return reduction
+        identified.append(system)
+        return _identify_variables(system)
 
     def guarded_factor(matrix, ring, width=None):
-        if ring is Ring.Z or any(matrix is rows for rows in identified):
-            raise AssertionError("factored over Z or the identified system")
-        factored.append(ring)
+        if ring is Ring.Z:
+            raise AssertionError("factored over Z")
+        factored.append((len(matrix), width))
         return factor(matrix, ring, width)
 
     monkeypatch.setattr(cohomology, "_identify_variables", recording_identify)
     monkeypatch.setattr(cohomology, "factor", guarded_factor)
-    contexts = len(model.scenario.contexts)
+    sections = [len(support) for support in model.supports]
+    equations = len(model.overlap_table)
     for ring in (Ring.Z, Ring.Z2):
         for identify in (True, False):
             factored.clear()
             results = all_obstructions(model, ring, identify=identify)
             assert not any(result.vanishes for result in results.values())
-            assert factored == [Ring.Z2] * contexts
-    assert identified
+            # delta^0 transposed, once per call, then one cocycle projection
+            # (|S_b| rows, one column per cocycle) per base context; no
+            # per-base system, which has one row per equation.
+            (height, width), *projections = factored
+            assert (height, width) == (sum(sections), equations)
+            assert [rows for rows, _ in projections] == sections
+            assert len({cols for _, cols in projections}) == 1
+            assert equations not in sections
+    assert not identified
 
 
-@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
-def test_mod_2_certificate_failing_on_identified_matrix_raises(
-    ring, corpus_supports, monkeypatch
-):
+def test_identified_verdict_disagreeing_with_hermite_raises(monkeypatch):
+    # Identification runs only over Z, for sections that vanish mod 2: on
+    # the Fano plane, all 21.  One unit column per equation makes the
+    # identified system solvable for every right-hand side, against the
+    # Hermite verdict; the variable map is widened to match.
     def unit_columns(system):
-        # Column i is e_i, so y.A_id = y: odd, or half-integral, where y is not 0.
-        _, rhs, var_map = _identify_variables(system)
         m = len(system.matrix)
-        return [[int(i == k) for k in range(m)] for i in range(m)], rhs, var_map
+        unit = [[int(i == k) for k in range(m)] for i in range(m)]
+        return unit, list(system.rhs), [m - 1] * len(system.variables)
 
     monkeypatch.setattr(cohomology, "_identify_variables", unit_columns)
-    with pytest.raises(VerificationError, match="Z/2 certificate failed"):
-        all_obstructions(corpus_supports["prbox"], ring)
+    with pytest.raises(VerificationError, match="variable identification changed the verdict"):
+        all_obstructions(fano_one_hot(), Ring.Z)
 
 
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
@@ -645,3 +659,49 @@ def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
     monkeypatch.setattr(cohomology, "halve_certificate", unhalved)
     with pytest.raises(VerificationError, match="Z/2 certificate failed"):
         all_obstructions(corpus_supports["prbox"], Ring.Z, identify=False)
+
+
+# ---------------------------------------------------------------------------
+# Cocycle projection against per-section solves
+
+
+def parity_chain(n):
+    """n-cycle parity supports (the chained PR box): contexts are
+    consecutive pairs, one of them odd."""
+    names = [f"m{i:02d}" for i in range(n)]
+    contexts = [sorted([names[i], names[(i + 1) % n]]) for i in range(n)]
+    return parity_support(build_scenario(names, "01", contexts), [int(i == 0) for i in range(n)])
+
+
+def test_cocycle_projection_matches_per_section_solves(corpus_supports):
+    rng = random.Random(125)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    models += [fano_one_hot(), ghz_parity(3), ghz_parity(4), parity_chain(16)]
+    certificates = 0
+    for model in models:
+        mod2 = all_obstructions(model, Ring.Z2)
+        assert all_obstructions(model, Ring.Z2, identify=False) == mod2
+        over_z = {flag: all_obstructions(model, Ring.Z, identify=flag) for flag in (True, False)}
+        for key, result in mod2.items():
+            system = result.system
+            assert result.vanishes == solve_linear(system.matrix, system.rhs, Ring.Z2).solvable
+            if result.vanishes:
+                continue
+            certificates += 1
+            y = result.certificate.multipliers
+            assert helpers.reference_check_certificate(system.matrix, system.rhs, result.certificate)
+            for i in range(len(y)):
+                flipped = Certificate(Ring.Z2, y[:i] + (1 - y[i],) + y[i + 1 :], "flip")
+                assert not check_certificate(system.matrix, system.rhs, flipped)
+            # Integer vanishing descends mod 2: over Z the section carries y/2.
+            for batch in over_z.values():
+                assert batch[key].certificate.multipliers == tuple(Fraction(v, 2) for v in y)
+        for batch in over_z.values():
+            for result in batch.values():
+                if not result.vanishes:
+                    system = result.system
+                    assert helpers.reference_check_certificate(
+                        system.matrix, system.rhs, result.certificate
+                    )
+    assert certificates > 0
