@@ -418,11 +418,13 @@ class ObstructionResult:
     system: ObstructionSystem
 
 
-def _coboundary_rows(model: SupportModel, ring: Ring) -> tuple[list, list[tuple[int, ...]]]:
-    """The support sections of every context, in context order, and the rows
-    of delta^0 on the pairs i < j over them, read off the overlap table: on
-    the row of (i, j, section), +1 on the fiber in i and -1 on the fiber in
-    j."""
+def _coboundary_rows(
+    model: SupportModel, ring: Ring
+) -> tuple[list, list[tuple[int, ...]], tuple[tuple[int, int, Section], ...]]:
+    """The support sections of every context, in context order, the rows of
+    delta^0 on the pairs i < j over them, read off the overlap table (on the
+    row of (i, j, section), +1 on the fiber in i and -1 on the fiber in j),
+    and the equation labels (i, j, section) of those rows."""
     basis = [(c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)]
     column = {entry: k for k, entry in enumerate(basis)}
     minus = ring.reduce(-1)
@@ -434,20 +436,26 @@ def _coboundary_rows(model: SupportModel, ring: Ring) -> tuple[list, list[tuple[
         for s in right:
             row[column[j, s]] = minus
         rows.append(tuple(row))
-    return basis, rows
+    equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
+    return basis, rows, equations
 
 
 def _split_coboundary(
-    model: SupportModel, base: int, ring: Ring, basis: list, rows: list[tuple[int, ...]]
+    model: SupportModel,
+    base: int,
+    ring: Ring,
+    basis: list,
+    rows: list[tuple[int, ...]],
+    equations: tuple[tuple[int, int, Section], ...],
 ) -> dict[Section, ObstructionSystem]:
     """The obstruction system of every support section of a base context,
     from :func:`_coboundary_rows`.  The base context's columns are one
     contiguous block; the others form the shared matrix, and each base
-    section's negated column is its right-hand side."""
+    section's negated column is its right-hand side.  Every system holds the
+    same `equations` tuple, whatever its base."""
     lo = sum(len(support) for support in model.supports[:base])
     hi = lo + len(model.supports[base])
     variables = tuple(basis[:lo] + basis[hi:])
-    equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
     matrix = tuple(row[:lo] + row[hi:] for row in rows)
     columns = list(zip(*(row[lo:hi] for row in rows))) or [()] * (hi - lo)
     if ring is Ring.Z:  # over GF(2) every entry is its own negative
@@ -587,12 +595,12 @@ def _obstruction_solver(
     identified solution, expanded through the variable-merge map, gives the
     witness, and a failure keeps the Hermite certificate of the full system.
     """
-    basis, rows = _coboundary_rows(model, ring)
+    basis, rows, equations = _coboundary_rows(model, ring)
     cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
-        systems = _split_coboundary(model, base, ring, basis, rows)
+        systems = _split_coboundary(model, base, ring, basis, rows, equations)
         lo = sum(len(support) for support in model.supports[:base])
         block = range(lo, lo + len(systems))
         projection = factor([[(k >> v) & 1 for k in kernel] for v in block], Ring.Z2, len(kernel))
@@ -683,7 +691,8 @@ def all_obstructions(
     delta^0 is factored mod 2 once for the whole call, and each base
     context's cocycle projection once; a base context's integer and
     identified factorizations are built at most once, and its results share
-    one matrix.  Verdicts and proofs are those of :func:`obstruction`.
+    one matrix.  All results of the call share one `system.equations` tuple.
+    Verdicts and proofs are those of :func:`obstruction`.
     """
     require_overlap_consistent(model)
     solver = _obstruction_solver(model, ring, identify)

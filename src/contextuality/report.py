@@ -4,9 +4,9 @@ a human rendering with the support table laid out per context row."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import false_positives, gcd_condition
 from .cohomology import ObstructionResult, Ring, all_obstructions
@@ -33,16 +33,20 @@ def witness_payload(result: ObstructionResult) -> list[dict]:
     return payload
 
 
-def _certificate_payload(result: ObstructionResult) -> dict:
+def _certificate_payload(result: ObstructionResult, equation_lists: dict[int, list]) -> dict:
+    """`equation_lists` maps id() of a `system.equations` tuple, kept alive by
+    the caller, to its payload, so that every certificate over one tuple
+    holds the same list."""
     assert result.certificate is not None
-    equations = [
-        {"first": i, "second": j, "section": s.outcome_string()}
-        for i, j, s in result.system.equations
-    ]
+    equations = result.system.equations
+    if id(equations) not in equation_lists:
+        equation_lists[id(equations)] = [
+            {"first": i, "second": j, "section": s.outcome_string()} for i, j, s in equations
+        ]
     return {
         "reason": result.certificate.reason,
-        "multipliers": [str(Fraction(m)) for m in result.certificate.multipliers],
-        "equations": equations,
+        "multipliers": [str(m) for m in result.certificate.multipliers],
+        "equations": equation_lists[id(equations)],
     }
 
 
@@ -103,6 +107,7 @@ def build_report(
     for ring in rings:
         results = all_obstructions(support, ring)
         entries = []
+        equation_lists: dict[int, list] = {}  # keyed on tuples that `results` holds
         for (index, section), result in results.items():
             entry = {
                 "context": index,
@@ -113,7 +118,7 @@ def build_report(
                 if result.vanishes:
                     entry["witness"] = witness_payload(result)
                 else:
-                    entry["certificate"] = _certificate_payload(result)
+                    entry["certificate"] = _certificate_payload(result, equation_lists)
             entries.append(entry)
         vanishing = sum(1 for e in entries if e["vanishes"])
         report["obstructions"][ring.value] = {
@@ -240,11 +245,70 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_indented(value: object) -> str:
+    """`json.dumps(value, indent=2)` for a tree with string keys, in one pass
+    over the tree and one generator frame per open container.  Strings go
+    through the C encoder of :mod:`json`; None, booleans and ints are
+    written directly, and any other scalar by `json.dumps`.  A container met
+    a second time at the same indent (the equation list every certificate
+    of a ring shares) is rendered to text then, and that text is reused from
+    the third time on."""
+    seen: set[tuple[int, str]] = set()
+    texts: dict[tuple[int, str], str] = {}
+
+    def render(value: object, indent: str) -> Iterable[str]:
+        if isinstance(value, str):
+            return (encode_basestring_ascii(value),)
+        if value is None:
+            return ("null",)
+        if value is True:
+            return ("true",)
+        if value is False:
+            return ("false",)
+        if type(value) is int:
+            return (int.__repr__(value),)
+        if not isinstance(value, (dict, list, tuple)):
+            return (json.dumps(value),)
+        if not value:
+            return ("{}" if isinstance(value, dict) else "[]",)
+        key = (id(value), indent)
+        if key in texts:
+            return (texts[key],)
+        if key in seen:
+            texts[key] = "".join(container(value, indent))
+            return (texts[key],)
+        seen.add(key)
+        return container(value, indent)
+
+    def container(value: dict | list | tuple, indent: str) -> Iterator[str]:
+        inner = indent + "  "
+        separator = "\n" + inner
+        if isinstance(value, dict):
+            yield "{"
+            for name, item in value.items():
+                yield separator + encode_basestring_ascii(name) + ": "
+                yield from render(item, inner)
+                separator = ",\n" + inner
+            yield "\n" + indent + "}"
+        else:
+            yield "["
+            for item in value:
+                yield separator
+                yield from render(item, inner)
+                separator = ",\n" + inner
+            yield "\n" + indent + "]"
+
+    return "".join(render(value, ""))
+
+
 def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) -> str:
-    """Render a report for output; the JSON form is stable-keyed and
-    reparses to the same dict."""
+    """Render a report for output.  The JSON form is byte-identical to
+    `json.dumps(report, indent=2)` plus a newline, and reparses to the same
+    dict.  A subtree that several entries share, such as the equation list
+    of a ring's certificates, is rendered at most twice, however often it
+    recurs."""
     if as_json:
-        return json.dumps(report, indent=2) + "\n"
+        return _json_indented(report) + "\n"
     return render_text(report, include_witnesses=include_witnesses)
 
 

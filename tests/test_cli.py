@@ -15,16 +15,30 @@ Core claims:
       carries the halved Z/2 certificate over the same equations
     - build_report checks a distribution for no-signalling exactly once,
       and a signalling one raises the same SignallingError as support_of
+    - emit_report(r, True) is byte-identical to json.dumps(r, indent=2) plus
+      a newline for every report of the bundled models and of the generated
+      GHZ-3, GHZ-4, chain16, ring11 and cover11, with and without
+      witnesses, and for random JSON trees (escapes in keys and values,
+      bool beside int, big ints, nan/inf, empty containers, one list object
+      at two depths and three times at one depth)
+    - every result of one all_obstructions call holds the same
+      system.equations tuple, and every certificate of one ring in a report
+      holds the same equations list
 """
 
 import json
+import random
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextuality import SignallingError, model as model_module, report as report_module
 from contextuality.cli import main
+from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
 from contextuality.report import RING_ORDER, build_report, emit_report
@@ -298,3 +312,81 @@ def test_build_report_rejects_signalling_distribution():
     )
     with pytest.raises(SignallingError, match=r"^model is signalling on 1 context pair\(s\)$"):
         build_report(document)
+
+
+def _generated_documents():
+    """GHZ-3, GHZ-4, chain16, ring11 and cover11 from the benchmark's
+    generators, by name."""
+    families = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "families.py"))
+    generated = [
+        families["ghz"](3),
+        families["ghz"](4),
+        families["parity_chain"](16, 5),
+        families["ring_cover"](11),
+        families["random_cover"](11, random.Random(1)),
+    ]
+    return {g.name: parse_scenario(g.text) for g in generated}
+
+
+GENERATED = _generated_documents()
+
+
+@pytest.mark.parametrize("witnesses", [False, True])
+@pytest.mark.parametrize("name", [*EXAMPLE_NAMES, *GENERATED])
+def test_json_emission_is_byte_identical_to_json_dumps(name, witnesses):
+    document = GENERATED[name] if name in GENERATED else parse_scenario(example_text(name))
+    report = build_report(document, include_witnesses=witnesses)
+    assert emit_report(report, True) == json.dumps(report, indent=2) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _trees_with_shared_lists(draw):
+    shared = draw(st.lists(_TREES, max_size=4))
+    return {
+        "tree": draw(_TREES),
+        "shared": shared,
+        "deeper": [draw(_TREES), {draw(st.text()): shared}],
+        "thrice": [shared, shared, shared],
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trees_with_shared_lists())
+@example(
+    {
+        "\u00e9\"\\\x00\n\u2603\U0001f600": ["\u00e9\"\\\x00\x1f\ud800", True, 1, False, 0],
+        "numbers": [-(2**70), 2**70, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+        "empty": [{}, [], {"": {}}, [[]], ()],
+        "tuple": ("a", (1, None)),
+    }
+)
+def test_json_emission_matches_json_dumps_on_random_trees(tree):
+    assert emit_report(tree, True) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_report_shares_one_equation_list_per_ring():
+    document = GENERATED["ghz4"]
+    for ring in RING_ORDER:
+        results = all_obstructions(document.support_model(), ring).values()
+        assert len({id(result.system.equations) for result in results}) == 1
+    report = build_report(document, include_witnesses=True)
+    for ring in RING_ORDER:
+        entries = report["obstructions"][ring.value]["results"]
+        assert entries and all("certificate" in e for e in entries)
+        assert len({id(e["certificate"]["equations"]) for e in entries}) == 1
