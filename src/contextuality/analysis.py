@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cohomology import ObstructionResult, Ring, all_obstructions, obstruction
+from .cohomology import ObstructionResult, Ring, all_obstructions
 from .extendability import Classification, Verdict, classify, global_sections
 from .model import SupportModel, ks_support
 from .scenario import Scenario, Section, is_connected, restrict_section
@@ -90,8 +90,9 @@ def false_positives(
 
     `obstructions` and `classification` may be passed in when already
     computed for the model.  Every reported pair is re-verified directly
-    against both modules: the obstruction is recomputed, and one fresh
-    global-section search must restrict to none of the pairs.
+    against both modules: one fresh batch of obstructions must find it
+    vanishing, and one fresh global-section search must restrict to none
+    of the pairs.
     """
     if obstructions is None:
         obstructions = all_obstructions(model, ring)
@@ -103,12 +104,12 @@ def false_positives(
             pairs.append((index, section))
 
     fresh_sections = global_sections(model) if pairs else []
+    fresh_obstructions = all_obstructions(model, ring) if pairs else {}
     for index, section in pairs:  # independent re-verification
         members = model.scenario.contexts[index].members
         if any(restrict_section(g, members) == section for g in fresh_sections):
             raise RuntimeError(f"oracle disagreement at context {index}, {section}")
-        fresh = obstruction(model, index, section, ring)
-        if not fresh.vanishes:
+        if not fresh_obstructions[(index, section)].vanishes:
             raise RuntimeError(f"obstruction disagreement at context {index}, {section}")
 
     flag = classification.verdict is Verdict.STRONGLY_CONTEXTUAL and any(

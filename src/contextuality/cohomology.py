@@ -20,13 +20,17 @@ is factored.  A section whose unit vector it reaches vanishes mod 2, with
 the cocycle as witness; otherwise a vector g orthogonal to pi_b(K) with
 g_t = 1 is, padded with zeros, a combination z of the rows of delta^0, and
 z refutes the system.  Integer vanishing descends mod 2, so over Z that z,
-halved, is the proof; only sections that vanish mod 2 need the integer
-(Hermite) factorization and the identified one, which merges variables
-pinned equal by equations not involving the base context, each built once
-per base context.  Vanishing results carry a witness family re-verified at
-the presheaf level (by push-forward, not by the solver); non-vanishing
-results carry a certificate re-verified, in scaled integers, against the
-untouched system.
+halved, is the proof.  A section that vanishes mod 2 is decided over Z the
+same way, from the lattice of integer cocycles: one Hermite form of
+delta^0 per call gives a saturated basis K_Z of it, and per base context
+only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
+witness; if not, the section vanishes mod 2 only, and the Hermite form of
+its base context's system gives the certificate, with the identified
+system (variables pinned equal by equations not involving the base context
+merged) as a cross-check of the verdict.  Vanishing results carry a
+witness family re-verified at the presheaf level (by push-forward, not by
+the solver); non-vanishing results carry a certificate re-verified, in
+scaled integers, against the untouched system.
 """
 
 from __future__ import annotations
@@ -590,14 +594,20 @@ def _obstruction_solver(
     function of its support sections (the algorithm of the module
     docstring).  A cocycle is re-checked by substitution into the system and
     as a witness family; a combination z of rows, or z/2 over Z, against the
-    untouched system.  A section that vanishes mod 2 over Z gets the Hermite
-    verdict and, with `identify`, the identified one, which must agree; the
-    identified solution, expanded through the variable-merge map, gives the
-    witness, and a failure keeps the Hermite certificate of the full system.
+    untouched system.  Over Z, a section that vanishes mod 2 is decided by
+    the integer cocycle lattice, built at most once per call, and its
+    projection onto the base context, factored at most once per base; where
+    that projection does not reach the section, the Hermite form of the
+    system gives the certificate and, with `identify`, the identified
+    system must agree that there is no solution.
     """
     basis, rows, equations = _coboundary_rows(model, ring)
     cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
+
+    @cache
+    def lattice() -> tuple[dict[int, int], ...]:
+        return factor(rows, Ring.Z, width=len(basis)).kernel()
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         systems = _split_coboundary(model, base, ring, basis, rows, equations)
@@ -608,17 +618,23 @@ def _obstruction_solver(
         template = next(iter(systems.values()))
 
         @cache
+        def integer_projection() -> Factorization:
+            basis_z = lattice()
+            return factor([[k.get(v, 0) for k in basis_z] for v in block], Ring.Z, len(basis_z))
+
+        @cache
         def hermite() -> Factorization:
             return factor(template.matrix, Ring.Z, width=len(template.variables))
 
         @cache
-        def shortcut() -> tuple[Factorization, list[int]]:
+        def shortcut() -> Factorization:
             reduced_rows, _, var_map = _identify_variables(template)
-            return factor(reduced_rows, ring, width=max(var_map, default=-1) + 1), var_map
+            return factor(reduced_rows, Ring.Z, width=max(var_map, default=-1) + 1)
 
         def decide(section: Section) -> ObstructionResult:
             system = systems[section]
             found = projection.solve(units[section])
+            solution = certificate = None
             if found.certificate is not None:
                 g = [0] * lo + list(found.certificate.multipliers) + [0] * (len(basis) - block.stop)
                 # Unchecked solve: z is re-checked below as a certificate of
@@ -629,24 +645,26 @@ def _obstruction_solver(
                     certificate = halve_certificate(certificate)
                 if not check_certificate(system.matrix, system.rhs, certificate):
                     raise VerificationError("Z/2 certificate failed its re-check")
-                solution = None
             elif ring is Ring.Z2:
                 cocycle = reduce(xor, compress(kernel, found.solution), 0)  # K.y
                 solution = [(cocycle >> v) & 1 for v in range(len(basis)) if v not in block]
-                if not check_solution(system.matrix, system.rhs, solution, ring):
-                    raise VerificationError("cocycle fails substitution into the system")
-            else:
+            elif (lifted := integer_projection().solve(units[section])).solution is not None:
+                cocycle = [0] * len(basis)  # K_Z.y
+                for k, y in zip(lattice(), lifted.solution):
+                    for v, c in k.items():
+                        cocycle[v] += y * c
+                solution = [c for v, c in enumerate(cocycle) if v not in block]
+            else:  # vanishes mod 2 only: the Hermite form refutes the system
                 result = hermite().solve(system.rhs)
-                solution, certificate = result.solution, result.certificate
-                if identify:
-                    identified, var_map = shortcut()
-                    short = identified.solve(system.rhs)
-                    if short.solvable != result.solvable:
-                        raise VerificationError("variable identification changed the verdict")
-                    if short.solution is not None:
-                        solution = tuple(short.solution[k] for k in var_map)
+                if result.solvable:
+                    raise VerificationError("Hermite form solves what the lattice does not")
+                if identify and shortcut().solve(system.rhs).solvable:
+                    raise VerificationError("variable identification changed the verdict")
+                certificate = result.certificate
             if solution is None:
                 return ObstructionResult(ring, base, section, False, None, certificate, system)
+            if not check_solution(system.matrix, system.rhs, solution, ring):
+                raise VerificationError("cocycle fails substitution into the system")
             witness = _witness_from_solution(model, system, solution)
             if not verify_witness(model, base, section, witness, ring):
                 raise VerificationError("witness family failed its presheaf re-check")
@@ -667,12 +685,13 @@ def obstruction(
     """Decide whether the obstruction at one support section vanishes.
 
     The section is decided mod 2 by cocycle projection, from one GF(2)
-    factorization of delta^0 (see the module docstring), and over Z by the
-    Hermite form of its base context's system where it vanishes mod 2.
-    `base` may be a context or its cover index.  `identify` enables, on that
-    Hermite path, the variable-identification shortcut (merging variables
-    pinned equal by equations not involving the base context); verdicts are
-    identical with it disabled.
+    factorization of delta^0 (see the module docstring), and, where it
+    vanishes mod 2, over Z by projecting the integer cocycle lattice.
+    `base` may be a context or its cover index.  `identify` enables the
+    variable-identification cross-check (merging variables pinned equal by
+    equations not involving the base context) on the Hermite path of a
+    section that vanishes mod 2 but not over Z; verdicts are identical with
+    it disabled.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
@@ -688,10 +707,11 @@ def all_obstructions(
 ) -> dict[tuple[int, Section], ObstructionResult]:
     """The obstruction verdict for every support section of every context.
 
-    delta^0 is factored mod 2 once for the whole call, and each base
-    context's cocycle projection once; a base context's integer and
-    identified factorizations are built at most once, and its results share
-    one matrix.  All results of the call share one `system.equations` tuple.
+    delta^0 is factored mod 2 once for the whole call, and over Z at most
+    once; each base context's cocycle projections are factored at most once
+    per ring, its Hermite and identified systems only for sections that
+    vanish mod 2 but not over Z, and its results share one matrix.  All
+    results of the call share one `system.equations` tuple.
     Verdicts and proofs are those of :func:`obstruction`.
     """
     require_overlap_consistent(model)

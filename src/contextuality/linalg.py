@@ -30,7 +30,8 @@ combinations, and the combinations that cancelled the dependent rows are a
 basis of the left kernel.  The integer factorization is a fraction-free
 echelon reduction (Hermite form) of the column lattice with its transform,
 both held as sparse rows, in arbitrary-precision arithmetic, so divisibility
-obstructions are exact.
+obstructions are exact; the transforms of the columns that reduced to zero
+are a saturated basis of the integer kernel.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
 
 
 def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) -> bool:
+    if len(rhs) != len(matrix) or any(len(row) != len(x) for row in matrix):
+        return False
     got = mat_vec(matrix, x)
     if ring is Ring.Z2:
         return all((g - r) % 2 == 0 for g, r in zip(got, rhs))
@@ -361,6 +364,13 @@ class _HermiteBasis(Factorization):
         self._pivots = tuple(pivots)
         self._lattice = tuple(lattice for lattice, _ in rows[:h])
         self._transform = tuple(tracking for _, tracking in rows[:h])
+        self._kernel = tuple(tracking for _, tracking in rows[h:])
+
+    def kernel(self) -> tuple[dict[int, int], ...]:
+        """A basis of the integer kernel {x : A.x = 0}: the transforms of the
+        generators that reduced to zero, as {index: nonzero value} dicts.
+        Every reduction step is unimodular, so the basis is saturated."""
+        return self._kernel
 
     def _solve(self, rhs: Vector) -> SolveResult:
         residual = list(rhs)

@@ -11,8 +11,12 @@ Core claims:
       exactly one over Z; the PR box none; the five-context cover triggers
       the strong-contextuality false-positive flag
     - reported false positives are re-verified against one fresh
-      global-section search, which rejects a pair it finds extendable
+      global-section search, which rejects a pair it finds extendable, and
+      one fresh batch of obstructions per ring, which rejects a pair it
+      finds non-vanishing
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -175,3 +179,34 @@ def test_false_positives_are_reverified_by_one_fresh_search(corpus_supports, mon
     monkeypatch.setattr(analysis, "global_sections", lambda searched: [extension])
     with pytest.raises(RuntimeError, match="oracle disagreement"):
         false_positives(model, Ring.Z, classification=classification)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_false_positives_are_reverified_by_one_fresh_batch(ring, corpus_supports, monkeypatch):
+    from contextuality import analysis
+
+    model = corpus_supports["ks-false-positive"]
+    results = all_obstructions(model, ring)
+    classification = classify(model)
+    batches = []
+
+    def counted(searched, searched_ring):
+        batches.append((searched, searched_ring))
+        return all_obstructions(searched, searched_ring)
+
+    monkeypatch.setattr(analysis, "all_obstructions", counted)
+    report = false_positives(model, ring, obstructions=results, classification=classification)
+    assert report.sections and batches == [(model, ring)]
+
+    # A fresh batch that finds one reported section non-vanishing is an
+    # obstruction disagreement.
+    key = report.sections[0]
+
+    def disagreeing(searched, searched_ring):
+        fresh = dict(all_obstructions(searched, searched_ring))
+        fresh[key] = replace(fresh[key], vanishes=False)
+        return fresh
+
+    monkeypatch.setattr(analysis, "all_obstructions", disagreeing)
+    with pytest.raises(RuntimeError, match="obstruction disagreement"):
+        false_positives(model, ring, obstructions=results, classification=classification)

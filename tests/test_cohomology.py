@@ -85,7 +85,7 @@ from contextuality import (
     zero_cochain,
     zero_combination,
 )
-from contextuality import cohomology
+from contextuality import cohomology, linalg
 from contextuality.cohomology import _identify_variables
 from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
 from contextuality.scenario import nerve
@@ -650,6 +650,71 @@ def test_identified_verdict_disagreeing_with_hermite_raises(monkeypatch):
     monkeypatch.setattr(cohomology, "_identify_variables", unit_columns)
     with pytest.raises(VerificationError, match="variable identification changed the verdict"):
         all_obstructions(fano_one_hot(), Ring.Z)
+
+
+def one_hot_ring(k):
+    """Ring of k one-hot 4-sets, consecutive contexts sharing one
+    measurement: every section vanishes, over Z and mod 2."""
+    points = [f"r{j:02d}" for j in range(3 * k)]
+    lines = [[points[(3 * i + d) % (3 * k)] for d in range(4)] for i in range(k)]
+    return ks_support(build_scenario(points, "01", lines))
+
+
+@pytest.mark.parametrize("name", ["ring5", "ring6", "ring7", "ring8", "ring9", "hardy", "fano"])
+def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkeypatch):
+    if name == "hardy":
+        model = corpus_supports["hardy"]
+    else:
+        model = fano_one_hot() if name == "fano" else one_hot_ring(int(name[4:]))
+    identified: list = []
+    factored: list[tuple[int, int]] = []
+
+    def recording_identify(system):
+        identified.append(system)
+        return _identify_variables(system)
+
+    def recording_factor(matrix, ring, width=None):
+        if ring is Ring.Z:
+            factored.append((len(matrix), width))
+        return factor(matrix, ring, width)
+
+    monkeypatch.setattr(cohomology, "_identify_variables", recording_identify)
+    monkeypatch.setattr(cohomology, "factor", recording_factor)
+    sections = [len(support) for support in model.supports]
+    equations = len(model.overlap_table)
+    assert equations not in sections
+    for identify in (True, False):
+        factored.clear()
+        identified.clear()
+        results = all_obstructions(model, Ring.Z, identify=identify)
+        # delta^0 over Z, once per call, then per base context at most one
+        # lattice projection (|S_b| rows); a system with one row per
+        # equation is a per-base Hermite or identified factorization.
+        (height, width), *rest = factored
+        assert (height, width) == (equations, sum(sections))
+        per_base = [rows for rows, _ in rest if rows == equations]
+        assert len(rest) - len(per_base) <= len(sections)
+        if name == "fano":  # every section vanishes mod 2 only
+            assert not any(result.vanishes for result in results.values())
+            assert len(per_base) == len(sections) * (1 + identify)
+            assert len(identified) == len(sections) * identify
+        else:
+            assert any(result.vanishes for result in results.values())
+            assert not per_base and not identified
+
+
+def test_corrupted_lattice_cocycle_raises(monkeypatch):
+    real = linalg._HermiteBasis.kernel
+
+    def corrupted(self):
+        first, *others = real(self)
+        first = dict(first)
+        first[0] = first.get(0, 0) + 1
+        return (first, *others)
+
+    monkeypatch.setattr(linalg._HermiteBasis, "kernel", corrupted)
+    with pytest.raises(VerificationError, match="cocycle fails substitution"):
+        all_obstructions(one_hot_ring(5), Ring.Z)
 
 
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):

@@ -8,11 +8,17 @@ Core claims:
     - structural problems are rejected with the offending path: missing
       keys, cover violations, arity mismatches, bad rationals, distributions
       that do not sum to 1 (reported with the context index)
+    - on bundled documents with keys dropped or replaced by arbitrary JSON,
+      table entries replaced, or a non-object top level, the parser raises
+      nothing but DocumentError
 """
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     DocumentError,
@@ -170,3 +176,63 @@ def test_inconsistent_support_document_parses():
     from contextuality import support_violations
 
     assert support_violations(doc.support_model())
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "0", "1", "a", "0,1", "1/2", "1/0", "-1", "0,0,0"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A bundled document with one to three mutations: a top-level key
+    dropped or replaced by arbitrary JSON, a context or model table (or one
+    entry of it) replaced, or the whole document replaced by a non-object."""
+    raw = json.loads(example_text(draw(st.sampled_from(EXAMPLE_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(raw, dict):
+            break
+        kind = draw(st.sampled_from(["drop", "replace", "context", "table", "entry", "top"]))
+        key = draw(st.sampled_from(sorted(raw) or ["name"]))
+        model = raw.get("model")
+        tables = next(iter(model.values()), None) if isinstance(model, dict) else None
+        if kind == "drop":
+            raw.pop(key, None)
+        elif kind == "replace":
+            raw[key] = draw(_JSON)
+        elif kind == "context" and isinstance(raw.get("contexts"), list) and raw["contexts"]:
+            k = draw(st.integers(0, len(raw["contexts"]) - 1))
+            raw["contexts"][k] = draw(_JSON)
+        elif kind in ("table", "entry") and isinstance(tables, list) and tables:
+            k = draw(st.integers(0, len(tables) - 1))
+            table = tables[k]
+            if kind == "table" or not table or not isinstance(table, (list, dict)):
+                tables[k] = draw(_JSON)
+            elif isinstance(table, list):
+                table[draw(st.integers(0, len(table) - 1))] = draw(_JSON)
+            else:
+                entry = draw(st.sampled_from(sorted(table)))
+                if draw(st.booleans()):
+                    table[entry] = draw(_JSON)
+                else:
+                    table[draw(st.text(max_size=6))] = table.pop(entry)
+        elif kind == "top":
+            raw = draw(_JSON.filter(lambda value: not isinstance(value, dict)))
+    return json.dumps(raw)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents())
+def test_parser_raises_only_document_errors_on_mutated_documents(text):
+    try:
+        parse_scenario(text)
+    except DocumentError:
+        pass

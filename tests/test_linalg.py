@@ -14,6 +14,11 @@ Core claims:
       system of the corpus
     - integer solvability agrees with sympy's Smith normal form on small
       random systems (skipped without sympy)
+    - the Hermite basis's kernel is a saturated basis of {x : A.x = 0}:
+      n - rank vectors, each in the kernel, whose Smith invariants are all
+      1 (sympy; skipped without it)
+    - a solution check rejects a right-hand side or a solution of the
+      wrong length
     - a halved GF(2) certificate is an integer certificate of the same
       system, and only a GF(2) certificate halves
 """
@@ -36,6 +41,7 @@ from contextuality.linalg import (
     gf2_nullity,
     gf2_rank,
     halve_certificate,
+    mat_vec,
     solve_linear,
 )
 
@@ -92,6 +98,14 @@ def test_dimension_mismatch_rejected():
         solve_linear([[1, 2]], [1, 2], Ring.Z)
     with pytest.raises(ValueError):
         solve_linear([[1, 2], [1]], [1, 2], Ring.Z)
+
+
+def test_solution_check_rejects_wrong_lengths():
+    identity = [[1, 0], [0, 1]]
+    assert check_solution(identity, [1, 5], [1, 5], Ring.Z)
+    assert not check_solution(identity, [1, 5], [1], Ring.Z)  # second equation unchecked
+    assert not check_solution(identity, [1, 5, 0], [1, 5], Ring.Z)
+    assert not check_solution(identity, [1, 5], [1, 5, 7], Ring.Z2)
 
 
 def test_tampered_certificates_rejected():
@@ -250,6 +264,22 @@ def test_sparse_hermite_matches_dense_reference_on_corpus_systems(corpus_support
             _assert_matches_reference_hermite(system.matrix, len(system.variables))
             reduced, _, var_map = _identify_variables(system)
             _assert_matches_reference_hermite(reduced, max(var_map, default=-1) + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_integer_matrices())
+def test_hermite_kernel_is_a_saturated_basis(system):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    matrix, width = system
+    kernel = [[k.get(j, 0) for j in range(width)] for k in factor(matrix, Ring.Z, width).kernel()]
+    assert all(not any(mat_vec(matrix, k)) for k in kernel)
+    rank = Matrix(matrix).rank() if matrix else 0
+    assert len(kernel) == width - rank
+    if kernel:
+        smith, _, _ = normalforms.smith_normal_decomp(Matrix(kernel))
+        assert [abs(smith[i, i]) for i in range(len(kernel))] == [1] * len(kernel)
 
 
 def _smith_solvable(matrix, rhs) -> bool:
