@@ -45,6 +45,12 @@ Core claims:
       21 sections vanish over Z/2 (verified witnesses) and all 21 are
       non-vanishing over Z, with Hermite certificates whose denominators do
       not divide 2
+    - integer cocycle lattice: over Z, delta^0 is factored once per call
+      and each base context factors at most one lattice projection; on the
+      one-hot rings of 5 to 9 contexts and on Hardy no per-base system is
+      factored and no variables are identified, while on the Fano plane
+      every base context takes the Hermite path; a lattice cocycle with one
+      coordinate changed fails substitution and raises VerificationError
 """
 
 import copy
@@ -638,10 +644,10 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
 
 
 def test_identified_verdict_disagreeing_with_hermite_raises(monkeypatch):
-    # Identification runs only over Z, for sections that vanish mod 2: on
-    # the Fano plane, all 21.  One unit column per equation makes the
-    # identified system solvable for every right-hand side, against the
-    # Hermite verdict; the variable map is widened to match.
+    # Identification runs only over Z, for sections that vanish mod 2 but
+    # not over Z: on the Fano plane, all 21.  One unit column per equation
+    # makes the identified system solvable for every right-hand side,
+    # against the Hermite verdict; the variable map is widened to match.
     def unit_columns(system):
         m = len(system.matrix)
         unit = [[int(i == k) for k in range(m)] for i in range(m)]
