@@ -25,12 +25,11 @@ same way, from the lattice of integer cocycles: one Hermite form of
 delta^0 per call gives a saturated basis K_Z of it, and per base context
 only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
 witness; if not, the section vanishes mod 2 only, and the Hermite form of
-its base context's system gives the certificate, with the identified
-system (variables pinned equal by equations not involving the base context
-merged) as a cross-check of the verdict.  Vanishing results carry a
-witness family re-verified at the presheaf level (by push-forward, not by
-the solver); non-vanishing results carry a certificate re-verified, in
-scaled integers, against the untouched system.
+its base context's system gives the certificate, which must agree with the
+lattice that there is no solution.  Vanishing results carry a witness
+family re-verified at the presheaf level (by push-forward, not by the
+solver); non-vanishing results carry a certificate re-verified, in scaled
+integers, against the untouched system.
 """
 
 from __future__ import annotations
@@ -489,65 +488,6 @@ def build_obstruction_system(
     return _split_coboundary(model, base, ring, *_coboundary_rows(model, ring))[section]
 
 
-def _identify_variables(system: ObstructionSystem) -> tuple[list[list[int]], list[int], list[int]]:
-    """Merge variable pairs forced equal by equations not involving the base
-    context.
-
-    Such an equation has right-hand side 0 for every section of the base
-    context, so the merges, and with them the reduced matrix, are the same
-    for every section.  An equation whose rewritten form is c*(x_u - x_v) =
-    0 with c = +-1 (over GF(2): x_u + x_v = 0) pins x_u = x_v; u and v are
-    merged into the smaller index, and this repeats until no equation pins
-    two classes equal.  Every equation is kept, even one that merges down to
-    0 = 0, so the reduced right-hand side is the system's own.
-
-    Returns the reduced matrix, the reduced right-hand side, and a map from
-    original variable index to reduced column.
-    """
-    ring = system.ring
-    parent = list(range(len(system.variables)))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def rewritten(row: dict[int, int]) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for v, c in row.items():
-            rep = find(v)
-            merged[rep] = ring.reduce(merged.get(rep, 0) + c)
-            if merged[rep] == 0:
-                del merged[rep]
-        return merged
-
-    rows = [{v: c for v, c in enumerate(row) if c} for row in system.matrix]
-    pinning = [row for row, (i, j, _) in zip(rows, system.equations) if system.base not in (i, j)]
-    changed = True
-    while changed:
-        changed = False
-        for row in pinning:
-            merged = rewritten(row)
-            if len(merged) != 2:
-                continue
-            (u, cu), (v, cv) = merged.items()
-            if ring is Ring.Z2 or (abs(cu) == 1 and cu == -cv):
-                parent[max(u, v)] = min(u, v)
-                changed = True
-
-    representatives = sorted({find(v) for v in range(len(parent))})
-    column = {rep: k for k, rep in enumerate(representatives)}
-    var_map = [column[find(v)] for v in range(len(parent))]
-    reduced_rows = []
-    for row in rows:
-        reduced = [0] * len(representatives)
-        for rep, c in rewritten(row).items():
-            reduced[column[rep]] = c
-        reduced_rows.append(reduced)
-    return reduced_rows, list(system.rhs), var_map
-
-
 def _witness_from_solution(
     model: SupportModel, system: ObstructionSystem, solution: Sequence[int]
 ) -> tuple[LinearCombination, ...]:
@@ -588,7 +528,7 @@ def verify_witness(
 
 
 def _obstruction_solver(
-    model: SupportModel, ring: Ring, identify: bool
+    model: SupportModel, ring: Ring
 ) -> Callable[[int], Callable[[Section], ObstructionResult]]:
     """Factor delta^0 once mod 2 and return, per base context, the verdict
     function of its support sections (the algorithm of the module
@@ -598,8 +538,7 @@ def _obstruction_solver(
     the integer cocycle lattice, built at most once per call, and its
     projection onto the base context, factored at most once per base; where
     that projection does not reach the section, the Hermite form of the
-    system gives the certificate and, with `identify`, the identified
-    system must agree that there is no solution.
+    system, factored at most once per base, gives the certificate.
     """
     basis, rows, equations = _coboundary_rows(model, ring)
     cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
@@ -625,11 +564,6 @@ def _obstruction_solver(
         @cache
         def hermite() -> Factorization:
             return factor(template.matrix, Ring.Z, width=len(template.variables))
-
-        @cache
-        def shortcut() -> Factorization:
-            reduced_rows, _, var_map = _identify_variables(template)
-            return factor(reduced_rows, Ring.Z, width=max(var_map, default=-1) + 1)
 
         def decide(section: Section) -> ObstructionResult:
             system = systems[section]
@@ -658,8 +592,6 @@ def _obstruction_solver(
                 result = hermite().solve(system.rhs)
                 if result.solvable:
                     raise VerificationError("Hermite form solves what the lattice does not")
-                if identify and shortcut().solve(system.rhs).solvable:
-                    raise VerificationError("variable identification changed the verdict")
                 certificate = result.certificate
             if solution is None:
                 return ObstructionResult(ring, base, section, False, None, certificate, system)
@@ -687,11 +619,8 @@ def obstruction(
     The section is decided mod 2 by cocycle projection, from one GF(2)
     factorization of delta^0 (see the module docstring), and, where it
     vanishes mod 2, over Z by projecting the integer cocycle lattice.
-    `base` may be a context or its cover index.  `identify` enables the
-    variable-identification cross-check (merging variables pinned equal by
-    equations not involving the base context) on the Hermite path of a
-    section that vanishes mod 2 but not over Z; verdicts are identical with
-    it disabled.
+    `base` may be a context or its cover index.  `identify` has no effect;
+    it is kept so that existing callers still work.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
@@ -699,7 +628,7 @@ def obstruction(
     if isinstance(base, Context):
         base = base.index
     _check_base(model, base, section)
-    return _obstruction_solver(model, ring, identify)(base)(section)
+    return _obstruction_solver(model, ring)(base)(section)
 
 
 def all_obstructions(
@@ -709,13 +638,13 @@ def all_obstructions(
 
     delta^0 is factored mod 2 once for the whole call, and over Z at most
     once; each base context's cocycle projections are factored at most once
-    per ring, its Hermite and identified systems only for sections that
-    vanish mod 2 but not over Z, and its results share one matrix.  All
-    results of the call share one `system.equations` tuple.
-    Verdicts and proofs are those of :func:`obstruction`.
+    per ring, its Hermite system only for sections that vanish mod 2 but not
+    over Z, and its results share one matrix.  All results of the call share
+    one `system.equations` tuple.  Verdicts and proofs are those of
+    :func:`obstruction`; `identify` has no effect there either.
     """
     require_overlap_consistent(model)
-    solver = _obstruction_solver(model, ring, identify)
+    solver = _obstruction_solver(model, ring)
     out: dict[tuple[int, Section], ObstructionResult] = {}
     for ctx in model.scenario.contexts:
         sections = model.support_list(ctx.index)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
@@ -39,7 +39,7 @@ from .model import (
 )
 from .scenario import Scenario, Section, build_scenario, enumerate_sections
 
-_RATIONAL = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
+_RATIONAL = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits, whole string
 
 _TOP_LEVEL_KEYS = {"name", "measurements", "outcomes", "contexts", "model"}
 
@@ -61,24 +61,31 @@ class ScenarioDocument:
     kind: str  # "support" or "distribution"
     support: SupportModel | None
     empirical: EmpiricalModel | None
+    # A distribution's support, filled on the first successful call of
+    # `support_model`; a declared field for the reason given at
+    # Scenario._overlaps.
+    _extracted: SupportModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def support_model(self) -> SupportModel:
         """The support of the document's model.
 
-        For distribution documents this extracts the support, rejecting
-        signalling models (whose restricted supports would be ambiguous).
+        For distribution documents this extracts the support once, rejecting
+        signalling models (whose restricted supports would be ambiguous) on
+        every call.
         """
         if self.support is not None:
             return self.support
-        assert self.empirical is not None
-        return support_of(self.empirical)
+        if self._extracted is None:
+            assert self.empirical is not None
+            object.__setattr__(self, "_extracted", support_of(self.empirical))
+        return self._extracted
 
 
 def parse_rational(text: str, where: str, errors: list[str]) -> Fraction | None:
     if not isinstance(text, str):
         errors.append(f'{where}: probability must be a rational string like "1/2"')
         return None
-    match = _RATIONAL.match(text)
+    match = _RATIONAL.fullmatch(text)
     if not match:
         errors.append(f"{where}: bad rational {text!r} (expected nonnegative p or p/q)")
         return None
@@ -143,7 +150,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     measurements = _string_list(raw["measurements"], "measurements", errors)
     outcomes = raw["outcomes"]
     if not isinstance(outcomes, list) or not all(
-        isinstance(o, (str, int)) for o in outcomes
+        isinstance(o, (str, int)) and not isinstance(o, bool) for o in outcomes
     ):
         errors.append("outcomes: expected a list of strings or integers")
         outcomes = None

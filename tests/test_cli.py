@@ -13,8 +13,9 @@ Core claims:
       tests/golden/<name>.obstruction.txt
     - in the golden JSON, every Z result whose Z/2 result does not vanish
       carries the halved Z/2 certificate over the same equations
-    - build_report checks a distribution for no-signalling exactly once,
-      and a signalling one raises the same SignallingError as support_of
+    - a distribution document is checked for no-signalling exactly once,
+      however many times build_report or `report` reads its support, and a
+      signalling one raises the same SignallingError as support_of
     - emit_report(r, True) is byte-identical to json.dumps(r, indent=2) plus
       a newline for every report of the bundled models and of the generated
       GHZ-3, GHZ-4, chain16, ring11 and cover11, with and without
@@ -274,14 +275,14 @@ def test_golden_z_certificates_are_halved_z2_certificates(name):
         assert over_z["certificate"] == expected
 
 
-def _ghz3_distribution():
+def _ghz3_distribution_text():
     document = json.loads(example_text("ghz"))
     supports = document["model"].pop("support")
     document["model"]["distribution"] = [{s: "1/4" for s in support} for support in supports]
-    return parse_scenario(json.dumps(document))
+    return json.dumps(document)
 
 
-def test_build_report_checks_no_signalling_once(monkeypatch):
+def test_build_report_checks_no_signalling_once(monkeypatch, tmp_path, capsys):
     calls = []
     check = model_module.check_no_signalling
 
@@ -292,10 +293,22 @@ def test_build_report_checks_no_signalling_once(monkeypatch):
     # Every module that might call it, under the name it is bound to.
     for module in (model_module, report_module):
         monkeypatch.setattr(module, "check_no_signalling", counted, raising=False)
-    report = build_report(_ghz3_distribution())
+    document = parse_scenario(_ghz3_distribution_text())
+    report = build_report(document)
     assert len(calls) == 1
     assert report["no_signalling"] == {"holds": True, "violations": []}
     assert list(report)[list(report).index("no_signalling") + 1] == "support"
+    # The document keeps its support: a second report checks nothing again.
+    assert build_report(document) == report
+    assert len(calls) == 1
+    # `report` on a file reads the support twice (the CLI's own consistency
+    # check, then build_report), from one parsed document.
+    path = tmp_path / "ghz3-distribution.json"
+    path.write_text(_ghz3_distribution_text(), encoding="utf-8")
+    calls.clear()
+    assert main(["report", str(path)]) == 0
+    assert len(calls) == 1
+    assert "ghz" in capsys.readouterr().out
 
 
 def test_build_report_rejects_signalling_distribution():

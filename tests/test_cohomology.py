@@ -19,28 +19,24 @@ Core claims:
     - obstruction verdicts: Hardy (a,b)->(0,0) vanishes over Z with a
       verified witness; PR box, triangle, GHZ sections do not vanish
     - inconsistent supports and non-support sections are rejected
-    - the variable-identification shortcut never changes a verdict and
-      reduces the 18-measurement one-hot system from 32 to 18 unknowns;
-      its reduced matrix and variable map are the same for every section
-      of a base context, and its right-hand side is the system's own
     - the batch path gives exactly the per-section results, refuses
       signalling supports before solving, and factorizations carry no state
       from one solve to the next
     - Z/2 first: every Z verdict equals a per-section integer solve of the
-      untouched system (bundled, random and Fano models, identification on
-      and off); halved Z/2 certificates pass the dense reference check and
-      fail it with one 1/2 zeroed or the vector doubled; where every section
-      is non-vanishing mod 2 (PR box, GHZ-4) delta^0 is factored once per
-      call, each base context factors only its cocycle projection, nothing
-      is factored over Z and no variables are identified
+      untouched system (bundled, random and Fano models); halved Z/2
+      certificates pass the dense reference check and fail it with one 1/2
+      zeroed or the vector doubled; where every section is non-vanishing
+      mod 2 (PR box, GHZ-4) delta^0 is factored once per call, each base
+      context factors only its cocycle projection and nothing is factored
+      over Z
     - cocycle projection: on the bundled, 60 random, Fano, GHZ-3/4 and
-      chain16 models every Z/2 verdict equals a per-section GF(2) solve and
-      does not depend on identification, every certificate passes the dense
-      reference check, every single-multiplier flip of a Z/2 certificate is
-      rejected, and over Z a section non-vanishing mod 2 carries y/2
-    - a mod-2 certificate that fails its re-check against the system, or an
-      identified system whose verdict differs from the Hermite one, raises
-      VerificationError
+      chain16 models every Z/2 verdict equals a per-section GF(2) solve,
+      every certificate passes the dense reference check, every
+      single-multiplier flip of a Z/2 certificate is rejected, and over Z a
+      section non-vanishing mod 2 carries y/2
+    - a mod-2 certificate that fails its re-check against the system, or a
+      Hermite form that solves a system the integer lattice does not reach,
+      raises VerificationError
     - the one-hot Fano plane is the model where Z is strictly stronger: all
       21 sections vanish over Z/2 (verified witnesses) and all 21 are
       non-vanishing over Z, with Hermite certificates whose denominators do
@@ -48,9 +44,9 @@ Core claims:
     - integer cocycle lattice: over Z, delta^0 is factored once per call
       and each base context factors at most one lattice projection; on the
       one-hot rings of 5 to 9 contexts and on Hardy no per-base system is
-      factored and no variables are identified, while on the Fano plane
-      every base context takes the Hermite path; a lattice cocycle with one
-      coordinate changed fails substitution and raises VerificationError
+      factored, while on the Fano plane every base context factors exactly
+      one Hermite system; a lattice cocycle with one coordinate changed
+      fails substitution and raises VerificationError
 """
 
 import copy
@@ -92,7 +88,6 @@ from contextuality import (
     zero_combination,
 )
 from contextuality import cohomology, linalg
-from contextuality.cohomology import _identify_variables
 from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
 from contextuality.scenario import nerve
 
@@ -417,45 +412,6 @@ def test_obstruction_rejects_bad_inputs(corpus_supports):
         obstruction(crooked, 0, section(("A", "B"), "0,0"), Ring.Z)
 
 
-def test_identification_reduces_ks18_to_18_unknowns(corpus_supports):
-    model = corpus_supports["ks18"]
-    s = model.support_list(0)[0]
-    system = build_obstruction_system(model, 0, s, Ring.Z2)
-    assert len(system.variables) == 32  # 9 contexts x 4 sections, minus the base 4
-    reduced_rows, _, var_map = _identify_variables(system)
-    assert max(var_map) + 1 == 18  # the classic 36 -> 18 unknown reduction
-    assert all(len(row) == 18 for row in reduced_rows)
-
-
-def test_identification_never_changes_verdicts():
-    rng = random.Random(119)
-    for _ in range(60):
-        model = helpers.random_consistent_support(rng)
-        for ring in (Ring.Z, Ring.Z2):
-            pairs = helpers.sections_of(model)
-            index, s = rng.choice(pairs)
-            with_shortcut = obstruction(model, index, s, ring, identify=True)
-            without = obstruction(model, index, s, ring, identify=False)
-            assert with_shortcut.vanishes == without.vanishes
-
-
-@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
-def test_identified_system_is_the_same_for_every_section(ring, corpus_supports):
-    rng = random.Random(121)
-    models = list(corpus_supports.values())
-    models += [helpers.random_consistent_support(rng) for _ in range(60)]
-    for model in models:
-        for ctx in model.scenario.contexts:
-            reductions = []
-            for s in model.support_list(ctx.index):
-                system = build_obstruction_system(model, ctx.index, s, ring)
-                reduced_rows, reduced_rhs, var_map = _identify_variables(system)
-                assert reduced_rhs == list(system.rhs)
-                assert len(reduced_rows) == len(system.matrix)
-                reductions.append((reduced_rows, var_map))
-            assert all(reduction == reductions[0] for reduction in reductions)
-
-
 def test_support_at_matches_any_containing_context(corpus_supports):
     model = corpus_supports["ghz"]
     got = {s.outcome_string() for s in support_at(model, ("A",))}
@@ -464,17 +420,16 @@ def test_support_at_matches_any_containing_context(corpus_supports):
         support_at(model, ("A", "A'"))
 
 
-@pytest.mark.parametrize("identify", [True, False])
 @pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
-def test_batch_matches_per_section(ring, identify, corpus_supports):
+def test_batch_matches_per_section(ring, corpus_supports):
     rng = random.Random(120)
     models = list(corpus_supports.values())
     models += [helpers.random_consistent_support(rng) for _ in range(60)]
     for model in models:
-        batch = all_obstructions(model, ring, identify=identify)
+        batch = all_obstructions(model, ring)
         assert list(batch) == helpers.sections_of(model)
         for (index, s), result in batch.items():
-            single = obstruction(model, index, s, ring, identify=identify)
+            single = obstruction(model, index, s, ring)
             assert result.vanishes == single.vanishes
             assert result.witness == single.witness
             assert result.certificate == single.certificate
@@ -548,15 +503,14 @@ def ghz_parity(parties):
     return parity_support(build_scenario(measurements, "01", contexts), bits)
 
 
-@pytest.mark.parametrize("identify", [True, False])
-def test_fano_plane_vanishes_mod_2_but_not_over_z(identify):
+def test_fano_plane_vanishes_mod_2_but_not_over_z():
     model = fano_one_hot()
-    mod2 = all_obstructions(model, Ring.Z2, identify=identify)
+    mod2 = all_obstructions(model, Ring.Z2)
     assert len(mod2) == 21
     for (index, s), result in mod2.items():
         assert result.vanishes
         assert verify_witness(model, index, s, result.witness, Ring.Z2)
-    over_z = all_obstructions(model, Ring.Z, identify=identify)
+    over_z = all_obstructions(model, Ring.Z)
     assert len(over_z) == 21
     for result in over_z.values():
         assert not result.vanishes
@@ -587,12 +541,9 @@ def test_z_verdicts_match_per_section_integer_solve(corpus_supports):
     models.append(fano_one_hot())
     halved = 0
     for model in models:
-        batches = [all_obstructions(model, Ring.Z, identify=flag) for flag in (True, False)]
-        for key, result in batches[0].items():
+        for result in all_obstructions(model, Ring.Z).values():
             system = result.system
-            reference = solve_linear(system.matrix, system.rhs, Ring.Z)
-            assert result.vanishes == batches[1][key].vanishes == reference.solvable
-            assert result.certificate == batches[1][key].certificate
+            assert result.vanishes == solve_linear(system.matrix, system.rhs, Ring.Z).solvable
             if result.vanishes or result.certificate.reason != HALVED:
                 continue
             halved += 1
@@ -610,12 +561,7 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
     name, corpus_supports, monkeypatch
 ):
     model = corpus_supports["prbox"] if name == "prbox" else ghz_parity(4)
-    identified: list = []
     factored: list[tuple[int, int]] = []
-
-    def recording_identify(system):
-        identified.append(system)
-        return _identify_variables(system)
 
     def guarded_factor(matrix, ring, width=None):
         if ring is Ring.Z:
@@ -623,39 +569,21 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
         factored.append((len(matrix), width))
         return factor(matrix, ring, width)
 
-    monkeypatch.setattr(cohomology, "_identify_variables", recording_identify)
     monkeypatch.setattr(cohomology, "factor", guarded_factor)
     sections = [len(support) for support in model.supports]
     equations = len(model.overlap_table)
     for ring in (Ring.Z, Ring.Z2):
-        for identify in (True, False):
-            factored.clear()
-            results = all_obstructions(model, ring, identify=identify)
-            assert not any(result.vanishes for result in results.values())
-            # delta^0 transposed, once per call, then one cocycle projection
-            # (|S_b| rows, one column per cocycle) per base context; no
-            # per-base system, which has one row per equation.
-            (height, width), *projections = factored
-            assert (height, width) == (sum(sections), equations)
-            assert [rows for rows, _ in projections] == sections
-            assert len({cols for _, cols in projections}) == 1
-            assert equations not in sections
-    assert not identified
-
-
-def test_identified_verdict_disagreeing_with_hermite_raises(monkeypatch):
-    # Identification runs only over Z, for sections that vanish mod 2 but
-    # not over Z: on the Fano plane, all 21.  One unit column per equation
-    # makes the identified system solvable for every right-hand side,
-    # against the Hermite verdict; the variable map is widened to match.
-    def unit_columns(system):
-        m = len(system.matrix)
-        unit = [[int(i == k) for k in range(m)] for i in range(m)]
-        return unit, list(system.rhs), [m - 1] * len(system.variables)
-
-    monkeypatch.setattr(cohomology, "_identify_variables", unit_columns)
-    with pytest.raises(VerificationError, match="variable identification changed the verdict"):
-        all_obstructions(fano_one_hot(), Ring.Z)
+        factored.clear()
+        results = all_obstructions(model, ring)
+        assert not any(result.vanishes for result in results.values())
+        # delta^0 transposed, once per call, then one cocycle projection
+        # (|S_b| rows, one column per cocycle) per base context; no
+        # per-base system, which has one row per equation.
+        (height, width), *projections = factored
+        assert (height, width) == (sum(sections), equations)
+        assert [rows for rows, _ in projections] == sections
+        assert len({cols for _, cols in projections}) == 1
+        assert equations not in sections
 
 
 def one_hot_ring(k):
@@ -672,41 +600,31 @@ def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkey
         model = corpus_supports["hardy"]
     else:
         model = fano_one_hot() if name == "fano" else one_hot_ring(int(name[4:]))
-    identified: list = []
     factored: list[tuple[int, int]] = []
-
-    def recording_identify(system):
-        identified.append(system)
-        return _identify_variables(system)
 
     def recording_factor(matrix, ring, width=None):
         if ring is Ring.Z:
             factored.append((len(matrix), width))
         return factor(matrix, ring, width)
 
-    monkeypatch.setattr(cohomology, "_identify_variables", recording_identify)
     monkeypatch.setattr(cohomology, "factor", recording_factor)
     sections = [len(support) for support in model.supports]
     equations = len(model.overlap_table)
     assert equations not in sections
-    for identify in (True, False):
-        factored.clear()
-        identified.clear()
-        results = all_obstructions(model, Ring.Z, identify=identify)
-        # delta^0 over Z, once per call, then per base context at most one
-        # lattice projection (|S_b| rows); a system with one row per
-        # equation is a per-base Hermite or identified factorization.
-        (height, width), *rest = factored
-        assert (height, width) == (equations, sum(sections))
-        per_base = [rows for rows, _ in rest if rows == equations]
-        assert len(rest) - len(per_base) <= len(sections)
-        if name == "fano":  # every section vanishes mod 2 only
-            assert not any(result.vanishes for result in results.values())
-            assert len(per_base) == len(sections) * (1 + identify)
-            assert len(identified) == len(sections) * identify
-        else:
-            assert any(result.vanishes for result in results.values())
-            assert not per_base and not identified
+    results = all_obstructions(model, Ring.Z)
+    # delta^0 over Z, once per call, then per base context at most one
+    # lattice projection (|S_b| rows); a system with one row per equation is
+    # a per-base Hermite factorization.
+    (height, width), *rest = factored
+    assert (height, width) == (equations, sum(sections))
+    per_base = [rows for rows, _ in rest if rows == equations]
+    assert len(rest) - len(per_base) <= len(sections)
+    if name == "fano":  # every section vanishes mod 2 only
+        assert not any(result.vanishes for result in results.values())
+        assert len(per_base) == len(sections)
+    else:
+        assert any(result.vanishes for result in results.values())
+        assert not per_base
 
 
 def test_corrupted_lattice_cocycle_raises(monkeypatch):
@@ -723,13 +641,23 @@ def test_corrupted_lattice_cocycle_raises(monkeypatch):
         all_obstructions(one_hot_ring(5), Ring.Z)
 
 
+def test_lattice_missing_cocycles_raises(monkeypatch):
+    # With only the first lattice vector, the projection reaches too few
+    # sections of the one-hot ring, and the Hermite form of the untouched
+    # system solves what the lattice does not.
+    real = linalg._HermiteBasis.kernel
+    monkeypatch.setattr(linalg._HermiteBasis, "kernel", lambda self: real(self)[:1])
+    with pytest.raises(VerificationError, match="Hermite form solves what the lattice"):
+        all_obstructions(one_hot_ring(5), Ring.Z)
+
+
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
     def unhalved(certificate):
         return Certificate(Ring.Z, certificate.multipliers, certificate.reason)
 
     monkeypatch.setattr(cohomology, "halve_certificate", unhalved)
     with pytest.raises(VerificationError, match="Z/2 certificate failed"):
-        all_obstructions(corpus_supports["prbox"], Ring.Z, identify=False)
+        all_obstructions(corpus_supports["prbox"], Ring.Z)
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +680,7 @@ def test_cocycle_projection_matches_per_section_solves(corpus_supports):
     certificates = 0
     for model in models:
         mod2 = all_obstructions(model, Ring.Z2)
-        assert all_obstructions(model, Ring.Z2, identify=False) == mod2
-        over_z = {flag: all_obstructions(model, Ring.Z, identify=flag) for flag in (True, False)}
+        over_z = all_obstructions(model, Ring.Z)
         for key, result in mod2.items():
             system = result.system
             assert result.vanishes == solve_linear(system.matrix, system.rhs, Ring.Z2).solvable
@@ -766,13 +693,11 @@ def test_cocycle_projection_matches_per_section_solves(corpus_supports):
                 flipped = Certificate(Ring.Z2, y[:i] + (1 - y[i],) + y[i + 1 :], "flip")
                 assert not check_certificate(system.matrix, system.rhs, flipped)
             # Integer vanishing descends mod 2: over Z the section carries y/2.
-            for batch in over_z.values():
-                assert batch[key].certificate.multipliers == tuple(Fraction(v, 2) for v in y)
-        for batch in over_z.values():
-            for result in batch.values():
-                if not result.vanishes:
-                    system = result.system
-                    assert helpers.reference_check_certificate(
-                        system.matrix, system.rhs, result.certificate
-                    )
+            assert over_z[key].certificate.multipliers == tuple(Fraction(v, 2) for v in y)
+        for result in over_z.values():
+            if not result.vanishes:
+                system = result.system
+                assert helpers.reference_check_certificate(
+                    system.matrix, system.rhs, result.certificate
+                )
     assert certificates > 0

@@ -6,7 +6,8 @@ Core claims:
     - serialize(parse(text)) is a fixed point and preserves rationals
       bit-exactly
     - structural problems are rejected with the offending path: missing
-      keys, cover violations, arity mismatches, bad rationals, distributions
+      keys, cover violations, arity mismatches, bad rationals (decimals, a
+      trailing newline, non-ASCII digits), boolean outcomes, distributions
       that do not sum to 1 (reported with the context index)
     - on bundled documents with keys dropped or replaced by arbitrary JSON,
       table entries replaced, or a non-object top level, the parser raises
@@ -129,9 +130,25 @@ def test_unknown_outcome_reported():
 
 
 def test_decimal_probability_rejected():
-    text = example_text("prbox").replace('"1/2"', '"0.5"', 1)
-    with pytest.raises(DocumentError, match="bad rational"):
-        parse_scenario(text)
+    # A decimal, a trailing newline, and a non-ASCII digit (ARABIC-INDIC ONE).
+    for bad in ("0.5", "1/2\n", "\u0661/2"):
+        text = example_text("prbox").replace('"1/2"', json.dumps(bad), 1)
+        with pytest.raises(DocumentError, match=r"distribution\[0\].*bad rational"):
+            parse_scenario(text)
+
+
+def test_boolean_outcomes_rejected():
+    # Read as labels, false and true would become the outcomes "False" and
+    # "True", which these sections name.
+    raw = {
+        "name": "flags",
+        "measurements": ["a"],
+        "outcomes": [False, True],
+        "contexts": [["a"]],
+        "model": {"support": [["False", "True"]]},
+    }
+    with pytest.raises(DocumentError, match="^outcomes: expected a list of strings or integers$"):
+        parse_scenario(json.dumps(raw))
 
 
 def test_distribution_sum_checked_with_context_index():
