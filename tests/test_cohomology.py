@@ -420,16 +420,17 @@ def test_support_at_matches_any_containing_context(corpus_supports):
         support_at(model, ("A", "A'"))
 
 
+@pytest.mark.parametrize("identify", [True, False])
 @pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
-def test_batch_matches_per_section(ring, corpus_supports):
+def test_batch_matches_per_section(ring, identify, corpus_supports):
     rng = random.Random(120)
     models = list(corpus_supports.values())
     models += [helpers.random_consistent_support(rng) for _ in range(60)]
     for model in models:
-        batch = all_obstructions(model, ring)
+        batch = all_obstructions(model, ring, identify=identify)
         assert list(batch) == helpers.sections_of(model)
         for (index, s), result in batch.items():
-            single = obstruction(model, index, s, ring)
+            single = obstruction(model, index, s, ring, identify=identify)
             assert result.vanishes == single.vanishes
             assert result.witness == single.witness
             assert result.certificate == single.certificate
@@ -503,14 +504,15 @@ def ghz_parity(parties):
     return parity_support(build_scenario(measurements, "01", contexts), bits)
 
 
-def test_fano_plane_vanishes_mod_2_but_not_over_z():
+@pytest.mark.parametrize("identify", [True, False])
+def test_fano_plane_vanishes_mod_2_but_not_over_z(identify):
     model = fano_one_hot()
-    mod2 = all_obstructions(model, Ring.Z2)
+    mod2 = all_obstructions(model, Ring.Z2, identify=identify)
     assert len(mod2) == 21
     for (index, s), result in mod2.items():
         assert result.vanishes
         assert verify_witness(model, index, s, result.witness, Ring.Z2)
-    over_z = all_obstructions(model, Ring.Z)
+    over_z = all_obstructions(model, Ring.Z, identify=identify)
     assert len(over_z) == 21
     for result in over_z.values():
         assert not result.vanishes
