@@ -27,9 +27,9 @@ only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
 witness; if not, the section vanishes mod 2 only, and the Hermite form of
 its base context's system gives the certificate, which must agree with the
 lattice that there is no solution.  Vanishing results carry a witness
-family re-verified at the presheaf level (by push-forward, not by the
-solver); non-vanishing results carry a certificate re-verified, in scaled
-integers, against the untouched system.
+family, built straight from the cocycle and re-verified, not by the solver,
+on the fibers of restriction to each overlap; non-vanishing results carry a
+certificate re-verified, in scaled integers, against the untouched system.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linalg import (
     SolveResult,
     VerificationError,
     check_certificate,
-    check_solution,
     factor,
     gf2_nullity,
     gf2_rank,
@@ -488,17 +487,6 @@ def build_obstruction_system(
     return _split_coboundary(model, base, ring, *_coboundary_rows(model, ring))[section]
 
 
-def _witness_from_solution(
-    model: SupportModel, system: ObstructionSystem, solution: Sequence[int]
-) -> tuple[LinearCombination, ...]:
-    contexts = model.scenario.contexts
-    coeffs: dict[int, dict[Section, int]] = {c.index: {} for c in contexts}
-    for (owner, s), value in zip(system.variables, solution):
-        coeffs[owner][s] = value
-    coeffs[system.base] = {system.section: 1}
-    return tuple(combination(system.ring, c.members, coeffs[c.index]) for c in contexts)
-
-
 def verify_witness(
     model: SupportModel,
     base: int,
@@ -506,23 +494,25 @@ def verify_witness(
     witness: Sequence[LinearCombination],
     ring: Ring,
 ) -> bool:
-    """Presheaf-level re-check of a witness family, independent of the solver:
-    the base entry is 1*section, every entry is supported on its context's
-    support, and restrictions agree on every overlap."""
-    scenario = model.scenario
-    if len(witness) != len(scenario.contexts):
+    """Re-check of a witness family on the fibers of restriction, independent
+    of the solver: the base entry is 1*section, every entry is supported on
+    its context's support, and on every row of the overlap table the two
+    fiber sums agree.  Every term lies in a support, so it falls in some
+    fiber of each overlap of its context: this is the push-forward condition
+    on every overlap."""
+    contexts = model.scenario.contexts
+    if len(witness) != len(contexts) or not 0 <= base < len(contexts):
         return False
     if witness[base] != embed(ring, section):
         return False
-    for ctx, combo in zip(scenario.contexts, witness):
+    for ctx, combo in zip(contexts, witness):
         if combo.ring is not ring or combo.domain != ctx.members:
             return False
-        if any(s not in model.supports[ctx.index] for s in combo.coefficients):
+        if not model.supports[ctx.index].issuperset(combo.coefficients):
             return False
-    for i, j, carrier in scenario.overlaps:
-        if restrict_combination(witness[i], carrier) != restrict_combination(
-            witness[j], carrier
-        ):
+    for i, j, _, left, right in model.overlap_table:
+        first, second = witness[i].coefficients, witness[j].coefficients
+        if ring.reduce(sum(first.get(s, 0) for s in left) - sum(second.get(s, 0) for s in right)):
             return False
     return True
 
@@ -532,14 +522,16 @@ def _obstruction_solver(
 ) -> Callable[[int], Callable[[Section], ObstructionResult]]:
     """Factor delta^0 once mod 2 and return, per base context, the verdict
     function of its support sections (the algorithm of the module
-    docstring).  A cocycle is re-checked by substitution into the system and
-    as a witness family; a combination z of rows, or z/2 over Z, against the
-    untouched system.  Over Z, a section that vanishes mod 2 is decided by
-    the integer cocycle lattice, built at most once per call, and its
-    projection onto the base context, factored at most once per base; where
-    that projection does not reach the section, the Hermite form of the
-    system, factored at most once per base, gives the certificate.
+    docstring).  A cocycle, grouped by context into a witness family, is
+    re-checked once, by :func:`verify_witness`; a combination z of rows, or
+    z/2 over Z, against the untouched system.  Over Z, a section that
+    vanishes mod 2 is decided by the integer cocycle lattice, built at most
+    once per call, and its projection onto the base context, factored at
+    most once per base; where that projection does not reach the section,
+    the Hermite form of the system, factored at most once per base, gives
+    the certificate.
     """
+    contexts = model.scenario.contexts
     basis, rows, equations = _coboundary_rows(model, ring)
     cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
@@ -568,7 +560,7 @@ def _obstruction_solver(
         def decide(section: Section) -> ObstructionResult:
             system = systems[section]
             found = projection.solve(units[section])
-            solution = certificate = None
+            cocycle = certificate = None
             if found.certificate is not None:
                 g = [0] * lo + list(found.certificate.multipliers) + [0] * (len(basis) - block.stop)
                 # Unchecked solve: z is re-checked below as a certificate of
@@ -580,26 +572,27 @@ def _obstruction_solver(
                 if not check_certificate(system.matrix, system.rhs, certificate):
                     raise VerificationError("Z/2 certificate failed its re-check")
             elif ring is Ring.Z2:
-                cocycle = reduce(xor, compress(kernel, found.solution), 0)  # K.y
-                solution = [(cocycle >> v) & 1 for v in range(len(basis)) if v not in block]
+                bits = reduce(xor, compress(kernel, found.solution), 0)  # K.y
+                cocycle = [(bits >> v) & 1 for v in range(len(basis))]
             elif (lifted := integer_projection().solve(units[section])).solution is not None:
                 cocycle = [0] * len(basis)  # K_Z.y
                 for k, y in zip(lattice(), lifted.solution):
                     for v, c in k.items():
                         cocycle[v] += y * c
-                solution = [c for v, c in enumerate(cocycle) if v not in block]
             else:  # vanishes mod 2 only: the Hermite form refutes the system
                 result = hermite().solve(system.rhs)
                 if result.solvable:
                     raise VerificationError("Hermite form solves what the lattice does not")
                 certificate = result.certificate
-            if solution is None:
+            if cocycle is None:
                 return ObstructionResult(ring, base, section, False, None, certificate, system)
-            if not check_solution(system.matrix, system.rhs, solution, ring):
-                raise VerificationError("cocycle fails substitution into the system")
-            witness = _witness_from_solution(model, system, solution)
+            terms: list[dict[Section, int]] = [{} for _ in contexts]
+            for (owner, s), c in zip(basis, cocycle):
+                if c:
+                    terms[owner][s] = c
+            witness = tuple(LinearCombination(ring, c.members, terms[c.index]) for c in contexts)
             if not verify_witness(model, base, section, witness, ring):
-                raise VerificationError("witness family failed its presheaf re-check")
+                raise VerificationError("cocycle fails substitution into the overlap fibers")
             return ObstructionResult(ring, base, section, True, witness, None, system)
 
         return decide

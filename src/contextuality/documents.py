@@ -183,7 +183,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     try:
         scenario = build_scenario(measurements, outcomes, contexts)
     except ValueError as exc:
-        raise DocumentError([f"contexts: {exc}"]) from exc
+        raise DocumentError([f"scenario: {exc}"]) from exc
 
     model = raw["model"]
     if not isinstance(model, dict) or set(model) not in ({"support"}, {"distribution"}):

@@ -6,6 +6,8 @@ Core claims:
     - the Hardy family (s1, s6+s7-s8, s11, s15) passes the witness check and
       restricts as computed by hand: to {a} it gives 1*(a:0), to {b'} the
       positive and negative (b':1) terms cancel leaving 1*(b':0)
+    - a witness check against a base index outside the cover (negative or
+      past the end) fails
     - the degree-0 coboundary on a pair (i, j) is w(i) - w(j) on the overlap
     - the coboundary matrix reproduces the coboundary map entry for entry,
       equals the row-by-row scan of helpers.reference_coboundary_matrix
@@ -47,6 +49,8 @@ Core claims:
       factored, while on the Fano plane every base context factors exactly
       one Hermite system; a lattice cocycle with one coordinate changed
       fails substitution and raises VerificationError
+    - witnesses are re-checked on the overlap table: deciding Hardy and a
+      one-hot ring calls no restrict_combination
 """
 
 import copy
@@ -146,6 +150,15 @@ def test_hardy_paper_family_is_a_witness(corpus, corpus_supports):
     model = corpus_supports["hardy"]
     witness = hardy_witness(scen)
     assert verify_witness(model, 0, section(scen.contexts[0].members, "0,0"), witness, Ring.Z)
+
+
+@pytest.mark.parametrize("base", [-4, 4])
+def test_witness_with_base_out_of_range_is_rejected(base, corpus, corpus_supports):
+    # -4 would index the base entry of context 0 from the end.
+    scen = corpus["hardy"].scenario
+    witness = hardy_witness(scen)
+    t = section(scen.contexts[0].members, "0,0")
+    assert not verify_witness(corpus_supports["hardy"], base, t, witness, Ring.Z)
 
 
 def test_embedding_commutes_with_restriction():
@@ -641,6 +654,19 @@ def test_corrupted_lattice_cocycle_raises(monkeypatch):
     monkeypatch.setattr(linalg._HermiteBasis, "kernel", corrupted)
     with pytest.raises(VerificationError, match="cocycle fails substitution"):
         all_obstructions(one_hot_ring(5), Ring.Z)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_witnesses_are_checked_on_the_overlap_table(ring, corpus_supports, monkeypatch):
+    # The re-check reads the fibers the overlap table already holds; it
+    # pushes no combination forward.
+    def forbidden(combo, subset):
+        raise AssertionError("restrict_combination called while deciding")
+
+    monkeypatch.setattr(cohomology, "restrict_combination", forbidden)
+    for model in (corpus_supports["hardy"], one_hot_ring(5)):
+        results = all_obstructions(model, ring)
+        assert any(result.vanishes for result in results.values())
 
 
 def test_lattice_missing_cocycles_raises(monkeypatch):

@@ -8,7 +8,9 @@ Core claims:
     - structural problems are rejected with the offending path: missing
       keys, cover violations, arity mismatches, bad rationals (decimals, a
       trailing newline, non-ASCII digits), boolean outcomes, distributions
-      that do not sum to 1 (reported with the context index)
+      that do not sum to 1 (reported with the context index); errors of the
+      scenario as a whole (duplicate measurements, bad outcome labels) are
+      tagged `scenario:`
     - on bundled documents with keys dropped or replaced by arbitrary JSON,
       table entries replaced, or a non-object top level, the parser raises
       nothing but DocumentError
@@ -149,6 +151,32 @@ def test_boolean_outcomes_rejected():
     }
     with pytest.raises(DocumentError, match="^outcomes: expected a list of strings or integers$"):
         parse_scenario(json.dumps(raw))
+
+
+def _one_measurement_document(measurements, outcomes):
+    return json.dumps(
+        {
+            "name": "tagged",
+            "measurements": measurements,
+            "outcomes": outcomes,
+            "contexts": [["a"]],
+            "model": {"support": [["1"]]},
+        }
+    )
+
+
+def test_duplicate_measurement_tagged_as_scenario_error():
+    with pytest.raises(DocumentError) as caught:
+        parse_scenario(_one_measurement_document(["a", "a"], ["0", "1"]))
+    assert caught.value.errors == ("scenario: measurement labels must be distinct",)
+
+
+def test_bad_outcome_label_tagged_as_scenario_error():
+    with pytest.raises(DocumentError) as caught:
+        parse_scenario(_one_measurement_document(["a"], ["0,1", "1"]))
+    assert caught.value.errors == (
+        "scenario: bad outcome label '0,1': must be nonempty, no commas",
+    )
 
 
 def test_distribution_sum_checked_with_context_index():

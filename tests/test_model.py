@@ -9,6 +9,10 @@ Core claims:
     - one-hot supports have one section per context member; parity supports
       hold the stated parity
     - every bundled support model is consistent on all overlaps
+    - the overlap table is the fibers of restriction, rebuilt section by
+      section with restrict_section (bundled, random consistent and random
+      arbitrary supports, nested contexts and one-sided fibers included),
+      with rows and fibers in enumeration order
 """
 
 import random
@@ -26,6 +30,7 @@ from contextuality import (
     ks_support,
     marginalize,
     parity_support,
+    restrict_section,
     support_model,
     support_of,
     support_violations,
@@ -243,6 +248,48 @@ def test_ghz_support_is_a_parity_table(corpus):
 def test_corpus_supports_are_overlap_consistent(corpus_supports):
     for name, model in corpus_supports.items():
         assert support_violations(model) == [], name
+
+
+def _fibers_by_restriction(model):
+    """The overlap table rebuilt from scratch: per overlap, each section of
+    the carrier, in enumeration order, that a support section of either
+    context restricts to, with the support sections of each context, also
+    in enumeration order, that restrict to it."""
+    scenario = model.scenario
+
+    def support_in_order(k):
+        members = scenario.contexts[k].members
+        return [s for s in enumerate_sections(scenario, members) if s in model.supports[k]]
+
+    rows = []
+    for i, j, carrier in scenario.overlaps:
+        sides = [support_in_order(i), support_in_order(j)]
+        for target in enumerate_sections(scenario, carrier):
+            left, right = (
+                tuple(s for s in side if restrict_section(s, carrier) == target)
+                for side in sides
+            )
+            if left or right:
+                rows.append((i, j, target, left, right))
+    return rows
+
+
+def test_overlap_table_is_the_fibers_of_restriction(corpus_supports):
+    rng = random.Random(113)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(60)]
+    models += [helpers.random_any_support(rng, helpers.random_scenario(rng)) for _ in range(60)]
+    nested = one_sided = 0
+    for model in models:
+        table = model.overlap_table
+        assert list(table) == _fibers_by_restriction(model)
+        members = [set(ctx.members) for ctx in model.scenario.contexts]
+        nested += any(
+            members[i] < members[j] or members[j] < members[i]
+            for i, j, _ in model.scenario.overlaps
+        )
+        one_sided += sum(not left or not right for *_, left, right in table)
+    assert nested and one_sided
 
 
 def test_support_of_satisfies_restriction_consistency():
