@@ -61,7 +61,7 @@ def _cmd_classify(args) -> int:  # noqa: ANN001
     document = _load_document(args.file)
     support = require_overlap_consistent(document.support_model())
     result = classify(support)
-    count = len(result.global_sections)
+    count = result.count
     print(
         f"{result.verdict.value.replace('_', ' ')}; "
         f"{count} global section{'s' if count != 1 else ''}"

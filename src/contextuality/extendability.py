@@ -1,20 +1,33 @@
 """The global-section oracle and the classification it induces.
 
 Global sections are the compatible families of support sections (Abramsky
-& Brandenburger, NJP 13:113036, 2011).  The search joins the supports one
+& Brandenburger, NJP 13:113036, 2011).  The oracle joins the supports one
 context at a time, most-constrained first, on tuples of outcome indices in
 measurement order: one table per step maps the values already on a
-context's members to its support rows' values on the rest (forward
-checking).  Outside the search, each context's distinct restrictions of the
-results are re-checked as sections against the untouched supports; they
-give every extendability flag.
+context's members to its support rows' values on the rest.
+
+It counts global sections without listing them.  The completions of a
+partial assignment depend only on its values on the step's frontier, the
+measurements already assigned that this step or a later one reads, so one
+depth-first search memoizes the number of completions on the frontier at
+every step (bucket elimination along the context order: Dechter, AIJ 113,
+1999).  A support row is extendable iff the search meets it with a nonzero
+count.  Each extendable row is proved by one global section, completed from
+the first place the search met it along memo entries with nonzero counts;
+outside the search, each context's distinct restrictions of these proofs
+are re-checked as sections against the untouched supports, and they give
+every extendability flag.  The list of global sections is built only on
+demand, by walking the same live memo entries, so it never backtracks out
+of a dead branch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from typing import Callable
 
 from .model import SupportModel
 from .scenario import Context, Section
@@ -26,13 +39,50 @@ class Verdict(Enum):
     STRONGLY_CONTEXTUAL = "strongly_contextual"
 
 
+class _LazySections(Sequence):
+    """A model's global sections as a read-only tuple, built once through
+    :func:`global_sections` on first use.  Its length is the count, and
+    `len` and `bool` list nothing."""
+
+    __slots__ = ("_model", "_count", "_sections")
+
+    def __init__(self, model: SupportModel, count: int):
+        self._model, self._count, self._sections = model, count, None
+
+    def _tuple(self) -> tuple[Section, ...]:
+        if self._sections is None:
+            self._sections = tuple(global_sections(self._model)) if self._count else ()
+        return self._sections
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __bool__(self) -> bool:  # not through len(), which fails past sys.maxsize
+        return self._count > 0
+
+    def __getitem__(self, index):  # noqa: ANN001
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:  # noqa: ANN001
+        return self._tuple() == other
+
+    def __repr__(self) -> str:
+        return f"<{self._count} global sections>"
+
+
 @dataclass(frozen=True)
 class Classification:
-    """Model verdict plus the full per-support-section extendability map."""
+    """Model verdict, the full per-support-section extendability map, and
+    the exact number of global sections, which `global_sections` lists only
+    when read."""
 
     verdict: Verdict
     extendable: dict[tuple[int, Section], bool]
-    global_sections: tuple[Section, ...]
+    global_sections: Sequence[Section]
+    count: int
 
 
 def _plan(model: SupportModel) -> list[Context]:
@@ -47,34 +97,117 @@ def _plan(model: SupportModel) -> list[Context]:
     return order
 
 
-def _search(model: SupportModel) -> list[tuple[int, ...]]:
-    """Every global section as a tuple of outcome indices, unordered."""
+def _key(positions: list[int]) -> Callable:
+    """The values at `positions` of an assignment; one position: a bare value."""
+    return itemgetter(*positions) if positions else lambda _: ()
+
+
+def _steps(model: SupportModel) -> list[tuple]:
+    """One step per context of `_plan`, on tuples of outcome indices: (key
+    of its members that earlier steps assigned, the positions of its other
+    members, table from that key to its support rows' values on those, in
+    canonical order, key of its frontier, key of all its members).  The
+    frontier is what earlier steps assigned and this or a later step reads."""
     scenario = model.scenario
-    values = [0] * len(scenario.measurements)  # also scratch for the tables
-    steps, assigned = [], set()
-    for ctx in _plan(model):
-        members = [scenario.position(m) for m in ctx.members]
-        bound = [p for p in members if p in assigned]
-        new = [p for p in members if p not in assigned]
-        assigned.update(new)
-        key = itemgetter(*bound) if bound else lambda _: ()  # one position: a bare key
-        table: dict = {}
-        for s in model.supports[ctx.index]:
+    index = {o: i for i, o in enumerate(scenario.outcomes)}
+    plan = [(ctx, [scenario.position(m) for m in ctx.members]) for ctx in _plan(model)]
+    last = {p: k for k, (_, members) in enumerate(plan) for p in members}  # last reader
+    values = [0] * len(scenario.measurements)  # scratch for the keys
+    steps, frontier = [], []
+    for k, (ctx, members) in enumerate(plan):
+        bound = [p for p in members if p in frontier]
+        new = [p for p in members if p not in frontier]
+        key, table = _key(bound), {}
+        for s in model.support_list(ctx.index):
             for p, v in zip(members, s.values):
-                values[p] = scenario.outcome_index(v)
-            table.setdefault(key(values), []).append(tuple(values[p] for p in new))
-        steps.append((key, new, table))
-    found = []
+                values[p] = index[v]
+            table.setdefault(key(values), []).append(tuple([values[p] for p in new]))
+        steps.append((key, new, table, _key(frontier), _key(members)))
+        frontier = [p for p in frontier + new if last[p] > k]
+    return steps
+
+
+def _search(steps: list[tuple], width: int) -> tuple[int, list[dict], list[dict]]:
+    """The number of global sections, by a depth-first search memoized on
+    the frontier.  Also returns the memo (per step, frontier values to
+    completions; a state with no table row is left out) and the live rows
+    (per step, the values of each row met with a nonzero count, to a copy
+    of the assignment it was first met in)."""
+    memo: list[dict] = [{} for _ in steps]
+    live: list[dict] = [{} for _ in steps]
+    values, last = [0] * width, len(steps) - 1
+
+    def completions(k: int, state, rows: list) -> int:  # noqa: ANN001
+        _, new, _, _, row = steps[k]
+        first, total = live[k], 0
+        if k < last:
+            child_key, _, child_table, child_frontier, _ = steps[k + 1]
+            child_memo = memo[k + 1]
+        for candidate in rows:
+            for p, v in zip(new, candidate):
+                values[p] = v
+            if k == last:
+                count = 1
+            else:
+                child_rows = child_table.get(child_key(values))
+                if child_rows is None:
+                    continue
+                child = child_frontier(values)
+                count = child_memo.get(child)
+                if count is None:
+                    count = completions(k + 1, child, child_rows)
+            if count:
+                total += count
+                if row(values) not in first:
+                    first[row(values)] = values.copy()
+        memo[k][state] = total
+        return total
+
+    return completions(0, (), steps[0][2][()]), memo, live
+
+
+def _live(steps: list[tuple], memo: list[dict], k: int, values: list[int]) -> bool:
+    """True iff the assignment in `values`, through step k, completes."""
+    return k == len(steps) - 1 or memo[k + 1].get(steps[k + 1][3](values), 0) > 0
+
+
+def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tuple[int, ...]]:
+    """One global section through every live row, emptying `live`: the first
+    row left is completed from the assignment it was met in, taking at every
+    later step the first row whose completion count is nonzero, and the rows
+    the completion passes through are removed."""
+    proofs: list[tuple[int, ...]] = []
+    for k, rows in enumerate(live):
+        while rows:
+            values = rows.pop(next(iter(rows)))
+            for j in range(k + 1, len(steps)):
+                key, new, table, _, row = steps[j]
+                for candidate in table[key(values)]:
+                    for p, v in zip(new, candidate):
+                        values[p] = v
+                    if _live(steps, memo, j, values):
+                        break
+                live[j].pop(row(values), None)
+            proofs.append(tuple(values))
+    return proofs
+
+
+def _enumerate(steps: list[tuple], memo: list[dict], width: int) -> list[tuple[int, ...]]:
+    """Every global section as a tuple of outcome indices, unordered, walking
+    only rows whose completion count is nonzero."""
+    found, values = [], [0] * width
 
     def extend(k: int) -> None:
-        if k == len(steps):
-            found.append(tuple(values))
-            return
-        key, new, table = steps[k]
+        key, new, table, _, _ = steps[k]
         for candidate in table.get(key(values), ()):
             for p, v in zip(new, candidate):
                 values[p] = v
-            extend(k + 1)
+            if not _live(steps, memo, k, values):
+                continue
+            if k == len(steps) - 1:
+                found.append(tuple(values))
+            else:
+                extend(k + 1)
 
     extend(0)
     return found
@@ -98,10 +231,28 @@ def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[
     return found, restrictions
 
 
+def _proved(model: SupportModel) -> tuple[int, list[set[Section]]]:
+    """The global-section count, and each context's support rows that some
+    re-checked proof section restricts to.  RuntimeError unless the proofs
+    cover exactly the rows the search found live."""
+    steps = _steps(model)
+    count, memo, live = _search(steps, len(model.scenario.measurements))
+    extendable = sum(map(len, live))
+    if count:
+        restrictions = _checked(model, _proofs(steps, memo, live))[1]
+    else:  # no proof to re-check
+        restrictions = [set() for _ in model.scenario.contexts]
+    if sum(map(len, restrictions)) != extendable:
+        raise RuntimeError("proof sections do not cover exactly the extendable rows")
+    return count, restrictions
+
+
 def global_sections(model: SupportModel) -> list[Section]:
     """All assignments on the full measurement set whose restriction to every
     context lies in that context's support, in canonical order."""
-    return _checked(model, _search(model))[0]
+    steps, width = _steps(model), len(model.scenario.measurements)
+    memo = _search(steps, width)[1]
+    return _checked(model, _enumerate(steps, memo, width))[0]
 
 
 def is_extendable_at(model: SupportModel, context: Context, section: Section) -> bool:
@@ -110,7 +261,7 @@ def is_extendable_at(model: SupportModel, context: Context, section: Section) ->
         raise ValueError(
             f"{section.outcome_string()} is not in the support of context {context.index}"
         )
-    return section in _checked(model, _search(model))[1][context.index]
+    return section in _proved(model)[1][context.index]
 
 
 def classify(model: SupportModel) -> Classification:
@@ -120,7 +271,7 @@ def classify(model: SupportModel) -> Classification:
     level.  None extendable (equivalently: no global section): strongly
     contextual.  Otherwise: contextual.
     """
-    sections, restrictions = _checked(model, _search(model))
+    count, restrictions = _proved(model)
     flags = {
         (ctx.index, s): s in restrictions[ctx.index]
         for ctx in model.scenario.contexts
@@ -132,4 +283,4 @@ def classify(model: SupportModel) -> Classification:
         verdict = Verdict.STRONGLY_CONTEXTUAL
     else:
         verdict = Verdict.CONTEXTUAL
-    return Classification(verdict, flags, tuple(sections))
+    return Classification(verdict, flags, _LazySections(model, count), count)

@@ -67,10 +67,18 @@ class SupportModel:
     _overlap_table: tuple[OverlapFiber, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Filled on first use of `support_list`, for the same reason.
+    _support_lists: tuple[tuple[Section, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def support_list(self, index: int) -> list[Section]:
-        """Support of one context in canonical section order."""
-        return sorted(self.supports[index], key=self.scenario.section_sort_key)
+        """Support of one context in canonical section order, sorted once."""
+        if self._support_lists is None:
+            key = self.scenario.section_sort_key
+            sorted_supports = tuple(tuple(sorted(s, key=key)) for s in self.supports)
+            object.__setattr__(self, "_support_lists", sorted_supports)
+        return list(self._support_lists[index])
 
     @property
     def overlap_table(self) -> tuple[OverlapFiber, ...]:

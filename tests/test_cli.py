@@ -2,7 +2,9 @@
 
 Core claims:
     - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model
-    - classify prints the verdict with the global-section count
+    - classify prints the verdict with the global-section count, exact past
+      sys.maxsize: 92585104325562912980002 on the ring of 60 one-hot
+      4-sets, in under a second
     - `examples run ghz --ring z2` reports 16/16 non-vanishing
     - the Hardy obstruction witness prints a -1 term
     - --json output is byte-deterministic and reparses to the built report
@@ -32,6 +34,7 @@ import random
 import runpy
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +133,26 @@ def test_classify_prbox(corpus_file, capsys):
 def test_classify_hardy(corpus_file, capsys):
     assert main(["classify", corpus_file("hardy")]) == 0
     assert capsys.readouterr().out.strip() == "contextual; 5 global sections"
+
+
+def test_classify_prints_an_exact_count_past_maxsize(tmp_path, capsys):
+    k = 60
+    ring = [f"r{j:03d}" for j in range(3 * k)]  # names that sort in ring order
+    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
+    document = {
+        "name": f"ring{k}",
+        "measurements": ring,
+        "outcomes": ["0", "1"],
+        "contexts": [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)],
+        "model": {"support": [rows] * k},
+    }
+    path = tmp_path / "ring60.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    start = perf_counter()
+    assert main(["classify", str(path)]) == 0
+    assert perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert out == "non contextual possibilistic; 92585104325562912980002 global sections\n"
 
 
 def test_obstruction_single_section_with_witness(corpus_file, capsys):

@@ -14,6 +14,14 @@ Core claims:
       trace(T^k) global sections
     - the search visits the most-constrained context first
     - the soundness re-check rejects an assignment outside one support
+    - classify counts global sections without listing them: on 200 random
+      models the count and the lazily listed sections equal
+      global_sections; the ring of 20 (45,239,074 sections) is classified,
+      counted and proved with the enumeration disabled
+    - the lazy list behaves as the tuple, is built once and only when read,
+      and is not built at all when the count is 0
+    - a proof section outside a support, or proofs that miss an extendable
+      row, raise RuntimeError
 """
 
 import random
@@ -34,6 +42,7 @@ from contextuality import (
     restrict_section,
     support_model,
 )
+from contextuality import extendability
 from contextuality.extendability import _checked, _plan
 
 import helpers
@@ -299,3 +308,84 @@ def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supp
     ]
     with pytest.raises(RuntimeError, match="non-global section"):
         _checked(model, good + [bad])
+
+
+def test_count_and_lazy_list_agree_with_global_sections():
+    rng = random.Random(118)
+    for trial in range(200):
+        scen = helpers.random_scenario(rng)
+        if trial % 2:
+            model = helpers.random_image_support(rng, scen)
+        else:
+            model = helpers.random_any_support(rng, scen)
+        cls = classify(model)
+        sections = global_sections(model)
+        assert cls.count == len(sections)
+        assert list(cls.global_sections) == sections
+
+
+def _refuse(*args):
+    raise AssertionError("the global sections were listed")
+
+
+def test_classify_counts_and_proves_the_ring_of_20_without_listing(monkeypatch):
+    monkeypatch.setattr(extendability, "global_sections", _refuse)
+    monkeypatch.setattr(extendability, "_enumerate", _refuse)
+    model = _ring_cover(20, None)
+    cls = classify(model)
+    assert cls.verdict is Verdict.NON_CONTEXTUAL
+    assert cls.count == 45_239_074 == _trace_of_power(20)
+    assert len(cls.extendable) == 80 and all(cls.extendable.values())
+    assert len(cls.global_sections) == 45_239_074 and cls.global_sections
+    ctx = model.scenario.contexts[7]
+    assert is_extendable_at(model, ctx, model.support_list(ctx.index)[2])
+
+
+def test_lazy_list_behaves_as_the_tuple_and_is_built_once(corpus_supports, monkeypatch):
+    model = corpus_supports["hardy"]
+    expected = tuple(global_sections(model))
+    calls = []
+    real = extendability.global_sections
+    monkeypatch.setattr(
+        extendability, "global_sections", lambda m: calls.append(m) or real(m)
+    )
+    sections = classify(model).global_sections
+    assert len(sections) == 5 and sections and not calls
+    assert sections == expected and expected == sections and sections != list(expected)
+    assert sections[0] == expected[0] and sections[-1] == expected[-1]
+    assert sections[1:3] == expected[1:3] and expected[2] in sections
+    assert tuple(sections) == expected and list(reversed(sections)) == list(expected[::-1])
+    assert sections.index(expected[3]) == 3
+    assert calls == [model]
+    assert classify(model) == classify(model)
+
+
+def test_no_global_section_builds_nothing(corpus_supports, monkeypatch):
+    monkeypatch.setattr(extendability, "global_sections", _refuse)
+    cls = classify(corpus_supports["ks-false-positive"])
+    assert cls.count == 0 and not cls.global_sections and len(cls.global_sections) == 0
+    assert list(cls.global_sections) == [] and cls.global_sections == ()
+
+
+def test_a_proof_section_outside_a_support_is_refused(monkeypatch):
+    real = extendability._steps
+
+    def corrupted(model):
+        steps = real(model)
+        _, new, table, _, _ = steps[-1]  # every reached row of the last step is live
+        table[next(iter(table))] = [tuple(1 for _ in new)]
+        return steps
+
+    monkeypatch.setattr(extendability, "_steps", corrupted)
+    model = _ring_cover(5, None)
+    with pytest.raises(RuntimeError, match="non-global section"):
+        classify(model)
+    with pytest.raises(RuntimeError, match="non-global section"):
+        global_sections(model)
+
+
+def test_proofs_that_miss_an_extendable_row_are_refused(corpus_supports, monkeypatch):
+    real = extendability._proofs
+    monkeypatch.setattr(extendability, "_proofs", lambda *args: real(*args)[1:])
+    with pytest.raises(RuntimeError, match="extendable rows"):
+        classify(corpus_supports["hardy"])

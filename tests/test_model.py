@@ -13,6 +13,8 @@ Core claims:
       section with restrict_section (bundled, random consistent and random
       arbitrary supports, nested contexts and one-sided fibers included),
       with rows and fibers in enumeration order
+    - support_list is the support in canonical order, and a list returned
+      to a caller is the caller's own
 """
 
 import random
@@ -290,6 +292,20 @@ def test_overlap_table_is_the_fibers_of_restriction(corpus_supports):
         )
         one_sided += sum(not left or not right for *_, left, right in table)
     assert nested and one_sided
+
+
+def test_support_list_is_sorted_and_a_fresh_list(corpus_supports):
+    rng = random.Random(119)
+    models = list(corpus_supports.values())
+    models += [helpers.random_any_support(rng, helpers.random_scenario(rng)) for _ in range(20)]
+    for model in models:
+        for index, support in enumerate(model.supports):
+            expected = sorted(support, key=model.scenario.section_sort_key)
+            first = model.support_list(index)
+            assert first == expected
+            first.reverse()
+            first.append(None)
+            assert model.support_list(index) == expected
 
 
 def test_support_of_satisfies_restriction_consistency():
