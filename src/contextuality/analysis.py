@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cohomology import ObstructionResult, Ring, all_obstructions
+from .cohomology import ObstructionResult, Ring, VerificationError, all_obstructions
 from .extendability import Classification, Verdict, classify, global_sections
 from .model import SupportModel, ks_support
 from .scenario import Scenario, Section, is_connected, restrict_section
@@ -92,7 +92,7 @@ def false_positives(
     computed for the model.  Every reported pair is re-verified directly
     against both modules: one fresh batch of obstructions must find it
     vanishing, and one fresh global-section search must restrict to none
-    of the pairs.
+    of the pairs.  A disagreement raises :class:`VerificationError`.
     """
     if obstructions is None:
         obstructions = all_obstructions(model, ring)
@@ -108,9 +108,9 @@ def false_positives(
     for index, section in pairs:  # independent re-verification
         members = model.scenario.contexts[index].members
         if any(restrict_section(g, members) == section for g in fresh_sections):
-            raise RuntimeError(f"oracle disagreement at context {index}, {section}")
+            raise VerificationError(f"oracle disagreement at context {index}, {section}")
         if not fresh_obstructions[(index, section)].vanishes:
-            raise RuntimeError(f"obstruction disagreement at context {index}, {section}")
+            raise VerificationError(f"obstruction disagreement at context {index}, {section}")
 
     flag = classification.verdict is Verdict.STRONGLY_CONTEXTUAL and any(
         r.vanishes for r in obstructions.values()

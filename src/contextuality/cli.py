@@ -2,8 +2,10 @@
 
 Subcommands: validate, classify, obstruction, report, examples.  Exit
 codes: 0 analysis completed, 1 usage error, 2 invalid or signalling model,
-3 internal verification failure (a witness or certificate failed its
-re-check, which must never happen).
+3 internal verification failure (a witness, certificate or proof section
+failed its re-check, or the oracle and the obstructions disagree, which
+must never happen), 4 resource limit reached (the process ran out of
+memory).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .scenario import Section
 USAGE_ERROR = 1
 MODEL_ERROR = 2
 VERIFICATION_FAILURE = 3
+RESOURCE_LIMIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,6 +230,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE
+    except MemoryError:
+        print("error: out of memory: the model is too large for this process", file=sys.stderr)
+        return RESOURCE_LIMIT
 
 
 def entry_point() -> None:

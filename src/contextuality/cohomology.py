@@ -12,14 +12,21 @@ model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
+delta^0 is built once per call, sparse: its rows as {column: entry} dicts
+and the same entries by column.  Each :class:`ObstructionSystem` is a view
+on it; the dense `matrix` and `rhs` are materialized only when read, once
+per base context, and the solver never reads them.
+
 Every section is decided mod 2 first, by cocycle projection: one GF(2)
-echelon of the transpose of delta^0 per call gives a basis K of the
-cocycles and turns any vector of its row space into the combination of
-rows that makes it.  Per base context only the small projection pi_b(K)
-is factored.  A section whose unit vector it reaches vanishes mod 2, with
-the cocycle as witness; otherwise a vector g orthogonal to pi_b(K) with
-g_t = 1 is, padded with zeros, a combination z of the rows of delta^0, and
-z refutes the system.  Integer vanishing descends mod 2, so over Z that z,
+echelon of the transpose of delta^0 per call, packed straight from its
+columns, gives a basis K of the cocycles and turns any vector of its row
+space into the combination of rows that makes it.  Per base context only
+the small projection pi_b(K) is factored.  A section whose unit vector it
+reaches vanishes mod 2, with the cocycle as witness; otherwise a vector g
+orthogonal to pi_b(K) with g_t = 1 is, padded with zeros, a combination z
+of the rows of delta^0, and z refutes the system.  Such a z is the sum of
+the combinations of the block's unit vectors that g holds, computed once
+per base, and a certificate keeps only its nonzero terms.  Integer vanishing descends mod 2, so over Z that z,
 halved, is the proof.  A section that vanishes mod 2 is decided over Z the
 same way, from the lattice of integer cocycles: one Hermite form of
 delta^0 per call gives a saturated basis K_Z of it, and per base context
@@ -29,15 +36,16 @@ its base context's system gives the certificate, which must agree with the
 lattice that there is no solution.  Vanishing results carry a witness
 family, built straight from the cocycle and re-verified, not by the solver,
 on the fibers of restriction to each overlap; non-vanishing results carry a
-certificate re-verified, in scaled integers, against the untouched system.
+certificate re-verified, in scaled integers, against the untouched system:
+on its terms' rows of delta^0, less the base block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import compress
-from operator import neg, xor
+from itertools import accumulate, compress
+from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -385,6 +393,84 @@ def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, in
 # The obstruction
 
 
+class _Coboundary:
+    """delta^0 on the context pairs i < j, built once per call from the
+    overlap table and never changed: the support sections of every context
+    in context order (the basis, one block per context), the rows as sparse
+    {column: entry} dicts (on the row of (i, j, section), +1 on the fiber in
+    i and -1 on the fiber in j), the same entries by column as {row: entry}
+    dicts, and the equation labels (i, j, section) of the rows.
+
+    It also materializes the dense per-base matrices and right-hand sides
+    that :class:`ObstructionSystem` exposes, on first read and once per base.
+    """
+
+    def __init__(self, model: SupportModel, ring: Ring):
+        self.ring = ring
+        self.offsets = list(accumulate((len(support) for support in model.supports), initial=0))
+        self.basis = [
+            (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
+        ]
+        column = {entry: k for k, entry in enumerate(self.basis)}
+        minus = ring.reduce(-1)
+        self.rows: list[dict[int, int]] = []
+        self.columns: list[dict[int, int]] = [{} for _ in self.basis]
+        for r, (i, j, _, left, right) in enumerate(model.overlap_table):
+            row = {column[i, s]: 1 for s in left}
+            row.update((column[j, s], minus) for s in right)
+            for k, a in row.items():
+                self.columns[k][r] = a
+            self.rows.append(row)
+        self.equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
+        self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
+        self._matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._rhs: dict[int, dict[Section, tuple[int, ...]]] = {}
+
+    def block(self, base: int) -> range:
+        """The columns of the base context's support sections."""
+        return range(self.offsets[base], self.offsets[base + 1])
+
+    def rhs_entries(self, column: int) -> dict[int, int]:
+        """Minus one column of delta^0, as {row: entry}."""
+        if self.ring is Ring.Z2:  # every entry is 1, its own negative
+            return self.columns[column]
+        return {r: -a for r, a in self.columns[column].items()}
+
+    def system(self, base: int, section: Section) -> "ObstructionSystem":
+        if base not in self._variables:
+            block = self.block(base)
+            self._variables[base] = tuple(self.basis[: block.start] + self.basis[block.stop :])
+        return ObstructionSystem(
+            self.ring, base, section, self._variables[base], self.equations, self
+        )
+
+    def matrix(self, base: int) -> tuple[tuple[int, ...], ...]:
+        if base not in self._matrices:
+            block = self.block(base)
+            dense = []
+            for row in self.rows:
+                out = _dense(row, len(self.basis))
+                del out[block.start : block.stop]
+                dense.append(tuple(out))
+            self._matrices[base] = tuple(dense)
+        return self._matrices[base]
+
+    def rhs(self, base: int, section: Section) -> tuple[int, ...]:
+        if base not in self._rhs:
+            self._rhs[base] = {
+                self.basis[k][1]: tuple(_dense(self.rhs_entries(k), len(self.rows)))
+                for k in self.block(base)
+            }
+        return self._rhs[base][section]
+
+
+def _dense(entries: Mapping[int, int], length: int) -> list[int]:
+    out = [0] * length
+    for k, a in entries.items():
+        out[k] = a
+    return out
+
+
 @dataclass(frozen=True)
 class ObstructionSystem:
     """The linear system deciding the obstruction at one base section.
@@ -396,6 +482,12 @@ class ObstructionSystem:
     matrix (one variable per support section), and minus the column of the
     base section as the right-hand side, since the base context's entry is
     fixed to 1*section.
+
+    A system is a view on the sparse delta^0 of the call that made it, which
+    all systems of that call share, with their `equations` tuple.  The dense
+    `matrix` and `rhs` are built on first read and kept, once per base
+    context: the solver never reads them.  Ring, base, section, variables
+    and equations determine every entry, so they alone are compared.
     """
 
     ring: Ring
@@ -403,8 +495,15 @@ class ObstructionSystem:
     section: Section
     variables: tuple[tuple[int, Section], ...]
     equations: tuple[tuple[int, int, Section], ...]
-    matrix: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
+    _coboundary: _Coboundary = field(repr=False, compare=False)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return self._coboundary.matrix(self.base)
+
+    @property
+    def rhs(self) -> tuple[int, ...]:
+        return self._coboundary.rhs(self.base, self.section)
 
 
 @dataclass(frozen=True)
@@ -420,52 +519,9 @@ class ObstructionResult:
     system: ObstructionSystem
 
 
-def _coboundary_rows(
-    model: SupportModel, ring: Ring
-) -> tuple[list, list[tuple[int, ...]], tuple[tuple[int, int, Section], ...]]:
-    """The support sections of every context, in context order, the rows of
-    delta^0 on the pairs i < j over them, read off the overlap table (on the
-    row of (i, j, section), +1 on the fiber in i and -1 on the fiber in j),
-    and the equation labels (i, j, section) of those rows."""
-    basis = [(c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)]
-    column = {entry: k for k, entry in enumerate(basis)}
-    minus = ring.reduce(-1)
-    rows = []
-    for i, j, _, left, right in model.overlap_table:
-        row = [0] * len(basis)
-        for s in left:
-            row[column[i, s]] = 1
-        for s in right:
-            row[column[j, s]] = minus
-        rows.append(tuple(row))
-    equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
-    return basis, rows, equations
-
-
-def _split_coboundary(
-    model: SupportModel,
-    base: int,
-    ring: Ring,
-    basis: list,
-    rows: list[tuple[int, ...]],
-    equations: tuple[tuple[int, int, Section], ...],
-) -> dict[Section, ObstructionSystem]:
-    """The obstruction system of every support section of a base context,
-    from :func:`_coboundary_rows`.  The base context's columns are one
-    contiguous block; the others form the shared matrix, and each base
-    section's negated column is its right-hand side.  Every system holds the
-    same `equations` tuple, whatever its base."""
-    lo = sum(len(support) for support in model.supports[:base])
-    hi = lo + len(model.supports[base])
-    variables = tuple(basis[:lo] + basis[hi:])
-    matrix = tuple(row[:lo] + row[hi:] for row in rows)
-    columns = list(zip(*(row[lo:hi] for row in rows))) or [()] * (hi - lo)
-    if ring is Ring.Z:  # over GF(2) every entry is its own negative
-        columns = [tuple(map(neg, column)) for column in columns]
-    return {
-        s: ObstructionSystem(ring, base, s, variables, equations, matrix, rhs)
-        for (_, s), rhs in zip(basis[lo:hi], columns)
-    }
+def _coboundary_rows(model: SupportModel, ring: Ring) -> _Coboundary:
+    """delta^0 of the model over the ring, as sparse rows and columns."""
+    return _Coboundary(model, ring)
 
 
 def _check_base(model: SupportModel, base: int, section: Section) -> None:
@@ -484,7 +540,7 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    return _split_coboundary(model, base, ring, *_coboundary_rows(model, ring))[section]
+    return _coboundary_rows(model, ring).system(base, section)
 
 
 def verify_witness(
@@ -524,29 +580,36 @@ def _obstruction_solver(
     function of its support sections (the algorithm of the module
     docstring).  A cocycle, grouped by context into a witness family, is
     re-checked once, by :func:`verify_witness`; a combination z of rows, or
-    z/2 over Z, against the untouched system.  Over Z, a section that
-    vanishes mod 2 is decided by the integer cocycle lattice, built at most
-    once per call, and its projection onto the base context, factored at
-    most once per base; where that projection does not reach the section,
-    the Hermite form of the system, factored at most once per base, gives
-    the certificate.
+    z/2 over Z, against the system's sparse rows: those of delta^0, less the
+    base block on the rows that meet it.  Over Z, a section that vanishes
+    mod 2 is decided by the integer cocycle lattice, built at most once per
+    call, and its projection onto the base context, factored at most once
+    per base; where that projection does not reach the section, the Hermite
+    form of the system, factored at most once per base, gives the
+    certificate.
     """
     contexts = model.scenario.contexts
-    basis, rows, equations = _coboundary_rows(model, ring)
-    cocycles = factor(list(zip(*rows)) or [()] * len(basis), Ring.Z2, width=len(rows))
+    delta = _coboundary_rows(model, ring)
+    basis, rows, columns = delta.basis, delta.rows, delta.columns
+    cocycles = factor(columns, Ring.Z2, width=len(rows))  # delta^0 transposed
     kernel = cocycles.kernel()
+
+    @cache
+    def reach() -> list[list[int]]:  # z for each unit vector, z.delta^0 = e_v
+        return cocycles.unit_solutions()
 
     @cache
     def lattice() -> tuple[dict[int, int], ...]:
         return factor(rows, Ring.Z, width=len(basis)).kernel()
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
-        systems = _split_coboundary(model, base, ring, basis, rows, equations)
-        lo = sum(len(support) for support in model.supports[:base])
-        block = range(lo, lo + len(systems))
+        block = delta.block(base)
+        lo, hi = block.start, block.stop
+        system_rows = list(rows)
+        for r in {r for v in block for r in columns[v]}:
+            system_rows[r] = {k: a for k, a in rows[r].items() if not lo <= k < hi}
         projection = factor([[(k >> v) & 1 for k in kernel] for v in block], Ring.Z2, len(kernel))
-        units = {s: [int(k == t) for k in block] for t, s in zip(block, systems)}
-        template = next(iter(systems.values()))
+        position = {basis[t][1]: t for t in block}
 
         @cache
         def integer_projection() -> Factorization:
@@ -555,32 +618,42 @@ def _obstruction_solver(
 
         @cache
         def hermite() -> Factorization:
-            return factor(template.matrix, Ring.Z, width=len(template.variables))
+            shifted = [
+                {(k if k < lo else k - len(block)): a for k, a in row.items()} for row in system_rows
+            ]
+            return factor(shifted, Ring.Z, width=len(basis) - len(block))
 
         def decide(section: Section) -> ObstructionResult:
-            system = systems[section]
-            found = projection.solve(units[section])
+            t = position[section]
+            system = delta.system(base, section)
+            rhs = delta.rhs_entries(t)
+            unit = [int(k == t) for k in block]
+            found = projection.solve(unit)
             cocycle = certificate = None
             if found.certificate is not None:
-                g = [0] * lo + list(found.certificate.multipliers) + [0] * (len(basis) - block.stop)
-                # Unchecked solve: z is re-checked below as a certificate of
-                # the system (a g outside the row space gives none, and fails).
-                z = cocycles._solve(g).solution or ()
-                certificate = Certificate(Ring.Z2, z, "inconsistent equation combination")
+                # z.delta^0 = g for g, padded with zeros, summed from the unit
+                # vectors g holds.  Unchecked: z is re-checked below as a
+                # certificate of the system (a g outside the row space fails).
+                z: set[int] = set()
+                for k, _ in found.certificate.terms:
+                    z.symmetric_difference_update(reach()[lo + k])
+                certificate = Certificate.from_terms(
+                    Ring.Z2, ((r, 1) for r in sorted(z)), len(rows), "inconsistent equation combination"
+                )
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)
-                if not check_certificate(system.matrix, system.rhs, certificate):
+                if not check_certificate(system_rows, rhs, certificate):
                     raise VerificationError("Z/2 certificate failed its re-check")
             elif ring is Ring.Z2:
                 bits = reduce(xor, compress(kernel, found.solution), 0)  # K.y
                 cocycle = [(bits >> v) & 1 for v in range(len(basis))]
-            elif (lifted := integer_projection().solve(units[section])).solution is not None:
+            elif (lifted := integer_projection().solve(unit)).solution is not None:
                 cocycle = [0] * len(basis)  # K_Z.y
                 for k, y in zip(lattice(), lifted.solution):
                     for v, c in k.items():
                         cocycle[v] += y * c
             else:  # vanishes mod 2 only: the Hermite form refutes the system
-                result = hermite().solve(system.rhs)
+                result = hermite().solve(_dense(rhs, len(rows)))
                 if result.solvable:
                     raise VerificationError("Hermite form solves what the lattice does not")
                 certificate = result.certificate
@@ -631,9 +704,11 @@ def all_obstructions(
 
     delta^0 is factored mod 2 once for the whole call, and over Z at most
     once; each base context's cocycle projections are factored at most once
-    per ring, its Hermite system only for sections that vanish mod 2 but not
-    over Z, and its results share one matrix.  All results of the call share
-    one `system.equations` tuple.  Verdicts and proofs are those of
+    per ring, and its Hermite system only for sections that vanish mod 2 but
+    not over Z.  All results of the call are views on one sparse delta^0 and
+    share one `system.equations` tuple; the results of one base context
+    share one `system.matrix`, built when first read.  Verdicts and proofs
+    are those of
     :func:`obstruction`; `identify` has no effect there either.
     """
     require_overlap_consistent(model)

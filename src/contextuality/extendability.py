@@ -29,6 +29,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable
 
+from .linalg import VerificationError
 from .model import SupportModel
 from .scenario import Context, Section
 
@@ -216,7 +217,7 @@ def _enumerate(steps: list[tuple], memo: list[dict], width: int) -> list[tuple[i
 def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[Section]]]:
     """Sort the index tuples `found` and turn them into sections in place;
     also return each context's distinct restrictions of them, as sections.
-    RuntimeError unless every restriction lies in its context's support."""
+    VerificationError unless every restriction lies in its context's support."""
     scenario, outcomes = model.scenario, model.scenario.outcomes
     found.sort()
     restrictions = []
@@ -224,7 +225,7 @@ def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[
         columns = [map(itemgetter(scenario.position(m)), found) for m in ctx.members]
         seen = {Section(ctx.members, tuple([outcomes[v] for v in k])) for k in set(zip(*columns))}
         if not seen <= model.supports[ctx.index]:
-            raise RuntimeError(f"search produced a non-global section (context {ctx.index})")
+            raise VerificationError(f"search produced a non-global section (context {ctx.index})")
         restrictions.append(seen)
     for k, entries in enumerate(found):  # in place: never hold both forms
         found[k] = Section(scenario.measurements, tuple([outcomes[v] for v in entries]))
@@ -233,7 +234,7 @@ def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[
 
 def _proved(model: SupportModel) -> tuple[int, list[set[Section]]]:
     """The global-section count, and each context's support rows that some
-    re-checked proof section restricts to.  RuntimeError unless the proofs
+    re-checked proof section restricts to.  VerificationError unless the proofs
     cover exactly the rows the search found live."""
     steps = _steps(model)
     count, memo, live = _search(steps, len(model.scenario.measurements))
@@ -243,7 +244,7 @@ def _proved(model: SupportModel) -> tuple[int, list[set[Section]]]:
     else:  # no proof to re-check
         restrictions = [set() for _ in model.scenario.contexts]
     if sum(map(len, restrictions)) != extendable:
-        raise RuntimeError("proof sections do not cover exactly the extendable rows")
+        raise VerificationError("proof sections do not cover exactly the extendable rows")
     return count, restrictions
 
 

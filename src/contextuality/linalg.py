@@ -5,11 +5,14 @@ Each solver comes in two steps.  :func:`factor` reduces a matrix once; the
 side b at a time, as often as needed, and no solve changes it.
 :func:`solve_linear` is factor-then-solve for a single right-hand side.
 
+A row of a matrix is either a dense sequence or a sparse {column: entry}
+dict, and so may a right-hand side be where a certificate is checked.
+
 A solve returns either a solution or a certificate of unsolvability.
 Solutions are re-checked by substitution before they are returned.
-Certificates are separating functionals y on the equations, re-checked
-against the untouched matrix and right-hand side, never against the
-factorization:
+Certificates are separating functionals y on the equations, held as their
+nonzero terms and re-checked against the untouched matrix and right-hand
+side, never against the factorization:
 
 * over GF(2): y has 0/1 entries, y.A = 0 and y.b = 1 (mod 2);
 * over the integers: y has rational entries, y.A is integral while y.b is
@@ -20,14 +23,15 @@ refutes the system over the integers: y.A even and y.b odd make y/2 an
 integer certificate (:func:`halve_certificate`).
 
 The check works in scaled integers: with L the common denominator of y it
-tests L*y.A = 0 and L*y.b != 0 modulo L (modulo 2L over GF(2)), skipping
-zero multipliers and zero entries.
+tests L*y.A = 0 and L*y.b != 0 modulo L (modulo 2L over GF(2)), reading
+only the rows of the terms and their nonzero entries.
 
-The GF(2) factorization is a bit-packed echelon form: each row is a single
-Python integer holding coefficient bits and row-combination tracking bits,
-so a right-hand side only enters through the parities of tracked
-combinations, and the combinations that cancelled the dependent rows are a
-basis of the left kernel.  The integer factorization is a fraction-free
+The GF(2) factorization is a bit-packed reduced echelon form: each row is a
+pair of Python integers, its coefficient bits and the bits of the input
+rows it combines, so a right-hand side only enters through the parities of
+tracked combinations, and the combinations that cancelled the dependent
+rows are a basis of the left kernel.  Rows are eliminated forward only,
+each pivot keyed by its lowest bit, and reduced once at the end.  The integer factorization is a fraction-free
 echelon reduction (Hermite form) of the column lattice with its transform,
 both held as sparse rows, in arbitrary-precision arithmetic, so divisibility
 obstructions are exact; the transforms of the columns that reduced to zero
@@ -42,10 +46,11 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
-from typing import Sequence
+from operator import itemgetter, lt
+from typing import Iterable, Sequence
 
-Matrix = Sequence[Sequence[int]]
-Vector = Sequence[int]
+Vector = Sequence[int] | dict[int, int]  # dense, or {index: nonzero entry}
+Matrix = Sequence[Vector]
 
 
 class Ring(Enum):
@@ -65,13 +70,52 @@ class VerificationError(RuntimeError):
     """An internally produced witness or certificate failed its re-check."""
 
 
-@dataclass(frozen=True)
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
+
+@dataclass(frozen=True, init=False)
 class Certificate:
-    """Separating functional proving that A x = b has no solution."""
+    """Separating functional y proving that A x = b has no solution, held as
+    its nonzero terms (row, y_row) in increasing row order and the number of
+    rows.  ``Certificate(ring, multipliers, reason)`` takes the dense y, one
+    multiplier per row; :meth:`from_terms` takes the terms."""
 
     ring: Ring
-    multipliers: tuple[Fraction, ...] | tuple[int, ...]
+    terms: tuple[tuple[int, Fraction | int], ...]
+    length: int
     reason: str
+
+    def __init__(self, ring: Ring, multipliers: Sequence[Fraction | int], reason: str):
+        terms = tuple((r, v) for r, v in enumerate(multipliers) if v)
+        self.__dict__.update(ring=ring, terms=terms, length=len(multipliers), reason=reason)
+
+    @classmethod
+    def from_terms(
+        cls, ring: Ring, terms: Iterable[tuple[int, Fraction | int]], length: int, reason: str
+    ) -> "Certificate":
+        terms = tuple(terms)
+        rows = list(map(itemgetter(0), terms))
+        if not all(map(lt, rows, rows[1:])) or rows and not 0 <= rows[0] <= rows[-1] < length:
+            raise ValueError("certificate terms must be on distinct rows, in order, in range")
+        if not all(map(itemgetter(1), terms)):
+            raise ValueError("certificate terms must be nonzero")
+        return cls._made(ring, terms, length, reason)
+
+    @classmethod
+    def _made(cls, ring: Ring, terms: tuple, length: int, reason: str) -> "Certificate":
+        """From terms made in this module, nonzero and on rows in order."""
+        certificate = cls.__new__(cls)
+        certificate.__dict__.update(ring=ring, terms=terms, length=length, reason=reason)
+        return certificate
+
+    @property
+    def multipliers(self) -> tuple[Fraction | int, ...]:
+        """The dense y: one multiplier per row, zero (0 over GF(2), Fraction
+        0 over the integers) off the terms."""
+        dense: list[Fraction | int] = [0 if self.ring is Ring.Z2 else _ZERO] * self.length
+        for r, v in self.terms:
+            dense[r] = v
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -86,12 +130,25 @@ class SolveResult:
         return self.solution is not None
 
 
+def _entries(vector: Vector) -> Iterable[tuple[int, int]]:
+    """The nonzero entries (index, value) of a dense or a sparse vector."""
+    if isinstance(vector, dict):
+        return vector.items()
+    return ((j, vector[j]) for j in compress(count(), vector))
+
+
+def _fits(row: Vector, width: int) -> bool:
+    if isinstance(row, dict):
+        return not row or min(row) >= 0 and max(row) < width
+    return len(row) == width
+
+
 def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
-    return [sum(a * x[j] for j, a in enumerate(row) if a) for row in matrix]
+    return [sum(a * x[j] for j, a in _entries(row)) for row in matrix]
 
 
-def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) -> bool:
-    if len(rhs) != len(matrix) or any(len(row) != len(x) for row in matrix):
+def check_solution(matrix: Matrix, rhs: Sequence[int], x: Sequence[int], ring: Ring) -> bool:
+    if len(rhs) != len(matrix) or not all(_fits(row, len(x)) for row in matrix):
         return False
     got = mat_vec(matrix, x)
     if ring is Ring.Z2:
@@ -100,32 +157,37 @@ def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) ->
 
 
 def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> bool:
-    """Re-check a certificate against a system in scaled integers.
+    """Re-check a certificate against a system in scaled integers, reading
+    only the rows and right-hand side entries of its terms.
 
     With L the common denominator of the multipliers y and w = L*y, y.A is
     integral iff w.A = 0 (mod L) and y.b is not iff w.b != 0 (mod L).  Over
-    GF(2) y.A must be even and y.b odd: w.A = 0 and w.b = L (mod 2L).
+    GF(2) y.A must be even and y.b odd: w.A = 0 and w.b = L (mod 2L).  The
+    certificate must have one multiplier per row, and a dense right-hand
+    side one entry per row.
     """
-    y = certificate.multipliers
-    if len(y) != len(rhs):
+    sparse_rhs = isinstance(rhs, dict)
+    if certificate.length != len(matrix) or not sparse_rhs and len(rhs) != len(matrix):
         return False
-    used = [(v, row, b) for v, row, b in zip(y, matrix, rhs) if v]
-    scale = lcm(*(v.denominator for v, _, _ in used))
+    terms = certificate.terms
+    scale = lcm(*(v.denominator for _, v in terms))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
     totals: dict[int, int] = {}
     constant = 0
-    for v, row, b in used:
+    for r, v in terms:
         w = v.numerator * (scale // v.denominator)
-        constant += w * b
-        for j in compress(count(), row):
-            totals[j] = totals.get(j, 0) + w * row[j]
+        constant += w * (rhs.get(r, 0) if sparse_rhs else rhs[r])
+        row = matrix[r]
+        if isinstance(row, dict):
+            for j, a in row.items():
+                totals[j] = totals.get(j, 0) + w * a
+        else:
+            for j in compress(count(), row):
+                totals[j] = totals.get(j, 0) + w * row[j]
     if any(t % modulus for t in totals.values()):
         return False
     return constant % modulus == scale if gf2 else constant % modulus != 0
-
-
-_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 def halve_certificate(certificate: Certificate) -> Certificate:
@@ -133,9 +195,10 @@ def halve_certificate(certificate: Certificate) -> Certificate:
     system: y.A even makes y.A/2 integral, and y.b odd keeps y.b/2 not."""
     if certificate.ring is not Ring.Z2:
         raise ValueError("only a GF(2) certificate halves to an integer one")
-    return Certificate(
+    return Certificate._made(
         Ring.Z,
-        tuple(_HALF if v else _ZERO for v in certificate.multipliers),
+        tuple([(r, _HALF) for r, _ in certificate.terms]),
+        certificate.length,
         "Z/2 certificate halved: y.A even, y.b odd",
     )
 
@@ -154,19 +217,28 @@ class Factorization:
 
     def __init__(self, matrix: Matrix, width: int | None = None):
         m = len(matrix)
-        if m:
+        if m and isinstance(matrix[0], dict):
+            # Sparse rows are kept as given, not copied.
+            if width is None:
+                raise ValueError("sparse rows need a declared width")
+            if not all(isinstance(row, dict) and _fits(row, width) for row in matrix):
+                raise ValueError(f"sparse row with a column outside width {width}")
+            n = width
+            self.matrix = tuple(matrix)
+        elif m:
             n = len(matrix[0])
-            if any(len(row) != n for row in matrix):
+            if any(isinstance(row, dict) or len(row) != n for row in matrix):
                 raise ValueError("ragged matrix")
             if width is not None and width != n:
                 raise ValueError(f"declared width {width} != row length {n}")
+            self.matrix = tuple(tuple(row) for row in matrix)
         else:
             n = width if width is not None else 0
-        self.matrix = tuple(tuple(row) for row in matrix)
+            self.matrix = ()
         self.height = m
         self.width = n
 
-    def solve(self, rhs: Vector) -> SolveResult:
+    def solve(self, rhs: Sequence[int]) -> SolveResult:
         """Decide A x = b; the result carries a verified solution or a
         verified certificate of unsolvability."""
         if len(rhs) != self.height:
@@ -183,7 +255,7 @@ class Factorization:
                 raise VerificationError("solver returned a certificate that fails re-check")
         return result
 
-    def _solve(self, rhs: Vector) -> SolveResult:
+    def _solve(self, rhs: Sequence[int]) -> SolveResult:
         raise NotImplementedError
 
 
@@ -196,7 +268,7 @@ def factor(matrix: Matrix, ring: Ring, width: int | None = None) -> Factorizatio
 
 
 def solve_linear(
-    matrix: Matrix, rhs: Vector, ring: Ring, width: int | None = None
+    matrix: Matrix, rhs: Sequence[int], ring: Ring, width: int | None = None
 ) -> SolveResult:
     """Decide A x = b over the ring; result carries a verified witness or
     a verified certificate of unsolvability."""
@@ -211,46 +283,79 @@ def _lowest_bit(value: int) -> int:
     return (value & -value).bit_length() - 1
 
 
+def _bits(vector: Vector) -> int:
+    """A vector read mod 2, packed: bit j is entry j."""
+    packed = 0
+    if isinstance(vector, dict):
+        for j, a in vector.items():
+            if a & 1:
+                packed |= 1 << j
+    else:
+        for j in compress(count(), vector):
+            if vector[j] & 1:
+                packed |= 1 << j
+    return packed
+
+
+def _ones(value: int) -> list[int]:
+    """The positions of the set bits of a nonnegative integer, ascending."""
+    digits = bin(value)[:1:-1]  # bit k is digits[k]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
 class _GF2Echelon(Factorization):
     """Reduced echelon form over GF(2) with row tracking.
 
-    Bits 0..n-1 of a packed row are its coefficients, bit n+i marks input
-    row i as part of the combination.  Each pivot keeps the combination of
-    input rows it is made of; each input row that reduced to zero keeps the
-    combination that cancelled it.  For a right-hand side b, a combination's
-    affine value is the parity of the b entries it tracks.  Entries are
-    read mod 2, so an integer matrix factors as its reduction.
+    A packed row is a pair: its coefficient bits, and its combination, in
+    which bit i marks input row i.  Input rows are eliminated in order
+    against pivots keyed by their lowest coefficient bit, forward only; a
+    row left with no bits is dependent and keeps the combination that
+    cancelled it.  Then, highest pivot first, every pivot row is cleared of
+    the other pivot columns, which gives the reduced form.  For a
+    right-hand side b, a combination's affine value is the parity of the b
+    entries it tracks.  Entries are read mod 2, so an integer matrix
+    factors as its reduction.
     """
 
     ring = Ring.Z2
 
     def __init__(self, matrix: Matrix, width: int | None = None):
         super().__init__(matrix, width)
-        n = self.width
-        coeff_mask = (1 << n) - 1
-        pivot_cols: list[int] = []
-        pivot_rows: list[int] = []
+        pivots: dict[int, tuple[int, int]] = {}
         dependent: list[int] = []
         for i, row in enumerate(self.matrix):
-            cur = 1 << (n + i)
-            for j, a in enumerate(row):
-                if a & 1:
-                    cur |= 1 << j
-            for col, prow in zip(pivot_cols, pivot_rows):
-                if (cur >> col) & 1:
-                    cur ^= prow
-            if cur & coeff_mask:
-                col = _lowest_bit(cur & coeff_mask)
-                for k in range(len(pivot_rows)):
-                    if (pivot_rows[k] >> col) & 1:
-                        pivot_rows[k] ^= cur
-                slot = bisect_left(pivot_cols, col)
-                pivot_cols.insert(slot, col)
-                pivot_rows.insert(slot, cur)
+            cur, combo = _bits(row), 1 << i
+            while cur:
+                col = _lowest_bit(cur)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    pivots[col] = (cur, combo)
+                    break
+                cur ^= pivot[0]
+                combo ^= pivot[1]
             else:
-                dependent.append(cur >> n)
-        self.rank = len(pivot_cols)
-        self._pivots = tuple((col, prow >> n) for col, prow in zip(pivot_cols, pivot_rows))
+                dependent.append(combo)
+        columns = 0
+        for col in pivots:
+            columns |= 1 << col
+        reduced: dict[int, int] = {}  # pivot column: combination
+        cleared: dict[int, int] = {}  # pivot column: coefficients, reduced
+        for col in sorted(pivots, reverse=True):
+            # Pivot rows above col are reduced already, so clearing their
+            # columns from this row brings in no other pivot column.
+            cur, combo = pivots[col]
+            if above := (cur & columns) >> (col + 1):
+                for k in _ones(above):
+                    cur ^= cleared[col + 1 + k]
+                    combo ^= reduced[col + 1 + k]
+            cleared[col], reduced[col] = cur, combo
+        self.rank = len(pivots)
+        self._pivots = tuple(sorted(reduced.items()))
         self._dependent = tuple(dependent)
 
     def kernel(self) -> tuple[int, ...]:
@@ -258,19 +363,33 @@ class _GF2Echelon(Factorization):
         cancelled the dependent input rows, bit i marking input row i."""
         return self._dependent
 
-    def _solve(self, rhs: Vector) -> SolveResult:
-        bits = 0
-        for i, value in enumerate(rhs):
-            if value & 1:
-                bits |= 1 << i
+    def unit_solutions(self) -> list[list[int]]:
+        """For each input row i, the pivot columns, ascending, whose tracked
+        combination holds i.  The solution :meth:`solve` gives (free
+        columns 0) is linear in the right-hand side, so for a consistent one
+        it is 1 exactly on the symmetric difference of the lists of its odd
+        entries.  Unchecked: nothing here tests the consistency of a
+        right-hand side, so the caller must re-check what it builds from
+        these lists."""
+        out: list[list[int]] = [[] for _ in range(self.height)]
+        for col, combo in self._pivots:
+            for i in _ones(combo):
+                out[i].append(col)
+        return out
+
+    def _solve(self, rhs: Sequence[int]) -> SolveResult:
+        bits = _bits(rhs)
         # Input rows are eliminated in order, so the first dependent row with
         # an odd right-hand side gives the first inconsistency reached.
         for combo in self._dependent:
             if (combo & bits).bit_count() & 1:
-                multipliers = tuple((combo >> i) & 1 for i in range(self.height))
-                return SolveResult(
-                    None, Certificate(Ring.Z2, multipliers, "inconsistent equation combination")
+                certificate = Certificate._made(
+                    Ring.Z2,
+                    tuple([(i, 1) for i in _ones(combo)]),
+                    self.height,
+                    "inconsistent equation combination",
                 )
+                return SolveResult(None, certificate)
         solution = [0] * self.width  # free columns stay 0
         for col, combo in self._pivots:
             solution[col] = (combo & bits).bit_count() & 1
@@ -327,9 +446,8 @@ class _HermiteBasis(Factorization):
         # tracking so a reduction of b turns into a solution vector.
         rows: list[list[dict[int, int]]] = [[{}, {j: 1}] for j in range(n)]
         for i, entries in enumerate(self.matrix):
-            for j, a in enumerate(entries):
-                if a:
-                    rows[j][0][i] = a
+            for j, a in _entries(entries):
+                rows[j][0][i] = a
 
         pivots: list[int] = []
         h = 0
@@ -372,7 +490,7 @@ class _HermiteBasis(Factorization):
         Every reduction step is unimodular, so the basis is saturated."""
         return self._kernel
 
-    def _solve(self, rhs: Vector) -> SolveResult:
+    def _solve(self, rhs: Sequence[int]) -> SolveResult:
         residual = list(rhs)
         solution = [0] * self.width
         failure: tuple[str, int, int] | None = None

@@ -37,15 +37,19 @@ def _certificate_payload(result: ObstructionResult, equation_lists: dict[int, li
     """`equation_lists` maps id() of a `system.equations` tuple, kept alive by
     the caller, to its payload, so that every certificate over one tuple
     holds the same list."""
-    assert result.certificate is not None
+    certificate = result.certificate
+    assert certificate is not None
     equations = result.system.equations
     if id(equations) not in equation_lists:
         equation_lists[id(equations)] = [
             {"first": i, "second": j, "section": s.outcome_string()} for i, j, s in equations
         ]
+    multipliers = ["0"] * certificate.length  # str(0) and str(Fraction(0)) alike
+    for r, m in certificate.terms:
+        multipliers[r] = str(m)
     return {
-        "reason": result.certificate.reason,
-        "multipliers": [str(m) for m in result.certificate.multipliers],
+        "reason": certificate.reason,
+        "multipliers": multipliers,
         "equations": equation_lists[id(equations)],
     }
 

@@ -1,7 +1,9 @@
 """The command-line front end: commands, exit codes, and output shape.
 
 Core claims:
-    - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model
+    - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model, 3 a
+      failed re-check (also of the oracle's proof sections, and an oracle
+      or obstruction disagreement), printed on one line, 4 out of memory
     - classify prints the verdict with the global-section count, exact past
       sys.maxsize: 92585104325562912980002 on the ring of 60 one-hot
       4-sets, in under a second
@@ -46,6 +48,7 @@ from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
 from contextuality.report import RING_ORDER, build_report, emit_report
+from contextuality.scenario import Section
 
 
 @pytest.fixture()
@@ -265,6 +268,48 @@ def test_internal_verification_failure_maps_to_exit_3(corpus_file, monkeypatch, 
     monkeypatch.setattr(cli, "classify", broken)
     assert main(["classify", corpus_file("prbox")]) == 3
     assert "internal verification failure" in capsys.readouterr().err
+
+
+def test_oracle_proof_failures_map_to_exit_3(corpus_file, monkeypatch, capsys):
+    from contextuality import analysis, extendability
+
+    real = extendability._proofs
+    monkeypatch.setattr(extendability, "_proofs", lambda *args: real(*args)[1:])
+    assert main(["classify", corpus_file("hardy")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "internal verification failure: "
+        "proof sections do not cover exactly the extendable rows\n"
+    )
+    monkeypatch.undo()
+
+    # A search that extends a reported false positive is an oracle
+    # disagreement, found while building the report.
+    model = parse_scenario(example_text("ks-false-positive")).support_model()
+    index, section = analysis.false_positives(model, RING_ORDER[0]).sections[0]
+    measurements = model.scenario.measurements
+    extension = Section(
+        measurements,
+        tuple(section.value_of(m) if m in section.domain else "0" for m in measurements),
+    )
+    monkeypatch.setattr(analysis, "global_sections", lambda searched: [extension])
+    assert main(["report", corpus_file("ks-false-positive")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal verification failure: oracle disagreement at context {index}")
+    assert err.count("\n") == 1
+
+
+def test_running_out_of_memory_maps_to_exit_4(corpus_file, monkeypatch, capsys):
+    import contextuality.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_report", exhausted)
+    assert main(["report", corpus_file("prbox"), "--ring", "z2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: the model is too large for this process\n"
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

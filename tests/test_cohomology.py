@@ -51,6 +51,15 @@ Core claims:
       fails substitution and raises VerificationError
     - witnesses are re-checked on the overlap table: deciding Hardy and a
       one-hot ring calls no restrict_combination
+    - obstruction systems are views: all_obstructions on GHZ-4 and on the
+      bundled models, over both rings, builds no dense per-base matrix or
+      right-hand side, and every result of a call shares one delta^0; once
+      read, each result's matrix and rhs are the dense split of
+      coboundary_matrix(model, ring, 0) and are built once per base
+    - certificates are their nonzero terms: multipliers is the dense
+      expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
+      rebuilt from its dense multipliers equals it, and from_terms refuses
+      rows out of order, repeated or out of range, and zero multipliers
 """
 
 import copy
@@ -729,3 +738,98 @@ def test_cocycle_projection_matches_per_section_solves(corpus_supports):
                     system.matrix, system.rhs, result.certificate
                 )
     assert certificates > 0
+
+
+# ---------------------------------------------------------------------------
+# Systems as views on one sparse delta^0, certificates as their terms
+
+
+def _dense_split(model, ring, base, section_):
+    """The system at one base section from the dense coboundary matrix: its
+    rows on the pairs i < j, the non-base columns and minus the base
+    section's column."""
+    delta = coboundary_matrix(model, ring, 0)
+    pairs = [
+        (simplex.vertices, s)
+        for simplex in nerve(model.scenario, 1)[1]
+        for s in support_at(model, simplex.carrier)
+    ]
+    rows = [row for row, ((i, j), _) in zip(delta, pairs) if i < j]
+    basis = [(simplex.vertices[0], s) for simplex, s in cochain_basis(model, 0)]
+    kept = [k for k, (owner, _) in enumerate(basis) if owner != base]
+    column = basis.index((base, section_))
+    matrix = tuple(tuple(row[k] for k in kept) for row in rows)
+    return matrix, tuple(ring.reduce(-row[column]) for row in rows)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_systems_are_views_built_only_when_read(ring, corpus_supports):
+    models = [ghz_parity(4), *corpus_supports.values()]
+    for model in models:
+        results = all_obstructions(model, ring)
+        shared = {id(result.system._coboundary) for result in results.values()}
+        assert len(shared) == 1
+        delta = next(iter(results.values())).system._coboundary
+        assert delta._matrices == {} and delta._rhs == {}
+        for (base, s), result in results.items():
+            matrix, rhs = _dense_split(model, ring, base, s)
+            assert result.system.matrix == matrix
+            assert result.system.rhs == rhs
+        bases = {base for base, _ in results}
+        assert set(delta._matrices) == set(delta._rhs) == bases
+        for (base, _), result in results.items():  # cached: the same objects again
+            assert result.system.matrix is delta._matrices[base]
+
+
+def test_view_equality_is_the_systems_equality(corpus_supports):
+    model = corpus_supports["hardy"]
+    first = all_obstructions(model, Ring.Z)
+    second = all_obstructions(model, Ring.Z)
+    for key, result in first.items():
+        other = second[key]
+        assert result.system._coboundary is not other.system._coboundary
+        assert result.system == other.system and hash(result.system) == hash(other.system)
+        assert result == other
+    base, s = next(iter(first))
+    assert first[(base, s)].system != all_obstructions(model, Ring.Z2)[(base, s)].system
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_certificates_hold_their_nonzero_terms(ring, corpus_supports):
+    models = [ghz_parity(4), fano_one_hot(), *corpus_supports.values()]
+    zero = 0 if ring is Ring.Z2 else Fraction(0)
+    seen = 0
+    for model in models:
+        for result in all_obstructions(model, ring).values():
+            certificate = result.certificate
+            if certificate is None:
+                continue
+            seen += 1
+            assert certificate.length == len(result.system.equations)
+            assert all(v for _, v in certificate.terms)
+            dense = [zero] * certificate.length
+            for r, v in certificate.terms:
+                dense[r] = v
+            multipliers = certificate.multipliers
+            assert multipliers == tuple(dense)
+            assert [type(v) for v in multipliers] == [type(v) for v in dense]
+            rebuilt = Certificate(certificate.ring, multipliers, certificate.reason)
+            assert rebuilt == certificate
+            assert rebuilt.terms == certificate.terms
+    assert seen > 0
+
+
+def test_term_built_certificates_are_validated():
+    good = Certificate.from_terms(Ring.Z2, [(0, 1), (3, 1)], 4, "t")
+    assert good.multipliers == (1, 0, 0, 1)
+    assert good == Certificate(Ring.Z2, (1, 0, 0, 1), "t")
+    assert Certificate.from_terms(Ring.Z, [], 3, "t").multipliers == (Fraction(0),) * 3
+    for terms, length in [
+        ([(3, 1), (0, 1)], 4),  # out of order
+        ([(1, 1), (1, 1)], 4),  # repeated row
+        ([(0, 1), (4, 1)], 4),  # past the last row
+        ([(-1, 1)], 4),  # before the first
+        ([(0, 1), (2, 0)], 4),  # a zero multiplier
+    ]:
+        with pytest.raises(ValueError):
+            Certificate.from_terms(Ring.Z2, terms, length, "bad")

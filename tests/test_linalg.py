@@ -21,6 +21,12 @@ Core claims:
       wrong length
     - a halved GF(2) certificate is an integer certificate of the same
       system, and only a GF(2) certificate halves
+    - a matrix given as sparse {column: entry} rows factors exactly as its
+      dense form: same rank, kernel, solutions and certificates; rows with a
+      column outside the declared width, or without a width, are refused
+    - over GF(2), the unit solutions of the input rows add up (as
+      symmetric differences) to the support of the solution of any
+      consistent right-hand side, here ones that vanish outside a block
 """
 
 import random
@@ -150,6 +156,50 @@ def test_random_systems_solution_xor_certificate(ring):
             unsolvable += 1
             assert check_certificate(a, b, result.certificate)
     assert solvable and unsolvable  # the sample exercises both branches
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_sparse_rows_factor_as_their_dense_form(ring):
+    rng = random.Random(131 if ring is Ring.Z else 132)
+    for _ in range(200):
+        m, n = rng.randint(1, 8), rng.randint(1, 7)
+        a = [[ring.reduce(v) for v in row] for row in _random_matrix(rng, m, n)]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+        dense, packed = factor(a, ring), factor(sparse, ring, width=n)
+        assert (packed.rank, packed.kernel()) == (dense.rank, dense.kernel())
+        for _ in range(3):
+            b = [ring.reduce(rng.randint(-3, 3)) for _ in range(m)]
+            assert packed.solve(b) == dense.solve(b)
+    with pytest.raises(ValueError, match="width"):
+        factor([{0: 1}, {3: 1}], ring, width=3)
+    with pytest.raises(ValueError, match="width"):
+        factor([{0: 1}], ring)
+
+
+def test_gf2_unit_solutions_add_up_to_the_solution():
+    rng = random.Random(133)
+    checked = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 9), rng.randint(1, 7)
+        a = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        echelon = factor(a, Ring.Z2)
+        lo = rng.randint(0, m - 1)
+        block = range(lo, rng.randint(lo + 1, m))
+        units = echelon.unit_solutions()
+        for _ in range(10):
+            # b = A x0 is consistent; keep it when it vanishes off the block.
+            x0 = [rng.randint(0, 1) for _ in range(n)]
+            b = [sum(a[i][j] * x0[j] for j in range(n)) % 2 for i in range(m)]
+            if any(b[i] for i in range(m) if i not in block):
+                continue
+            support: set[int] = set()
+            for i in block:
+                if b[i]:
+                    support.symmetric_difference_update(units[i])
+            solution = echelon.solve(b).solution
+            assert support == {j for j, v in enumerate(solution) if v}
+            checked += 1
+    assert checked > 500
 
 
 def test_gf2_rank_and_nullity():

@@ -13,6 +13,9 @@ Core claims, on the bundled models and on random consistent supports
       of a halved Z certificate (1/2 to 0 and back) makes check_certificate
       reject it against the result's system; Hermite certificates are left
       out, since adding an integer to a multiplier keeps them valid
+    - a certificate built from its terms and one built from its dense
+      multipliers are equal and check the same, before and after every such
+      flip, against the dense system and against its sparse rows
 """
 
 from fractions import Fraction
@@ -92,3 +95,31 @@ def test_mutated_proofs_are_rejected(model):
                         mutated = _bumped(witness, ctx.index, t, ring)
                         assert not verify_witness(model, base, s, mutated, ring)
                         break
+
+
+def _sparse(system):
+    """The system's rows and right-hand side as {index: nonzero} dicts."""
+    rows = [{j: a for j, a in enumerate(row) if a} for row in system.matrix]
+    return rows, {r: b for r, b in enumerate(system.rhs) if b}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_models)
+def test_term_built_and_dense_certificates_check_alike(model):
+    for ring in (Ring.Z2, Ring.Z):
+        for result in all_obstructions(model, ring).values():
+            certificate = result.certificate
+            if certificate is None:
+                continue
+            system = result.system
+            rows, rhs = _sparse(system)
+            mutations = [] if ring is Ring.Z and certificate.reason != HALVED else _flips(certificate)
+            for dense in [certificate, *mutations]:
+                terms = Certificate.from_terms(dense.ring, dense.terms, dense.length, dense.reason)
+                rebuilt = Certificate(dense.ring, dense.multipliers, dense.reason)
+                assert terms == dense == rebuilt
+                verdict = check_certificate(system.matrix, system.rhs, dense)
+                assert verdict == (dense is certificate)
+                assert check_certificate(system.matrix, system.rhs, terms) == verdict
+                assert check_certificate(rows, rhs, terms) == verdict
+                assert check_certificate(rows, list(system.rhs), dense) == verdict
