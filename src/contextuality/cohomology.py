@@ -24,9 +24,10 @@ space into the combination of rows that makes it.  Per base context only
 the small projection pi_b(K) is factored.  A section whose unit vector it
 reaches vanishes mod 2, with the cocycle as witness; otherwise a vector g
 orthogonal to pi_b(K) with g_t = 1 is, padded with zeros, a combination z
-of the rows of delta^0, and z refutes the system.  Such a z is the sum of
-the combinations of the block's unit vectors that g holds, computed once
-per base, and a certificate keeps only its nonzero terms.  Integer vanishing descends mod 2, so over Z that z,
+of the rows of delta^0, and z refutes the system.  The echelon's solution
+is linear in g, so z is the sum of the solutions for the unit vectors g
+holds, each computed once per call, and a certificate keeps only its
+nonzero terms.  Integer vanishing descends mod 2, so over Z that z,
 halved, is the proof.  A section that vanishes mod 2 is decided over Z the
 same way, from the lattice of integer cocycles: one Hermite form of
 delta^0 per call gives a saturated basis K_Z of it, and per base context
@@ -595,7 +596,7 @@ def _obstruction_solver(
     kernel = cocycles.kernel()
 
     @cache
-    def reach() -> list[list[int]]:  # z for each unit vector, z.delta^0 = e_v
+    def reach() -> list[list[int]]:  # per column v: the z solved for e_v
         return cocycles.unit_solutions()
 
     @cache
@@ -638,7 +639,10 @@ def _obstruction_solver(
                 for k, _ in found.certificate.terms:
                     z.symmetric_difference_update(reach()[lo + k])
                 certificate = Certificate.from_terms(
-                    Ring.Z2, ((r, 1) for r in sorted(z)), len(rows), "inconsistent equation combination"
+                    Ring.Z2,
+                    [(r, 1) for r in sorted(z)],
+                    len(rows),
+                    "inconsistent equation combination",
                 )
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)

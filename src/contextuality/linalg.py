@@ -31,11 +31,12 @@ pair of Python integers, its coefficient bits and the bits of the input
 rows it combines, so a right-hand side only enters through the parities of
 tracked combinations, and the combinations that cancelled the dependent
 rows are a basis of the left kernel.  Rows are eliminated forward only,
-each pivot keyed by its lowest bit, and reduced once at the end.  The integer factorization is a fraction-free
-echelon reduction (Hermite form) of the column lattice with its transform,
-both held as sparse rows, in arbitrary-precision arithmetic, so divisibility
-obstructions are exact; the transforms of the columns that reduced to zero
-are a saturated basis of the integer kernel.
+each pivot keyed by its lowest bit, and reduced once at the end.  The
+integer factorization is a fraction-free echelon reduction (Hermite form)
+of the column lattice with its transform, both held as sparse rows, in
+arbitrary-precision arithmetic, so divisibility obstructions are exact;
+the transforms of the columns that reduced to zero are a saturated basis
+of the integer kernel.
 """
 
 from __future__ import annotations

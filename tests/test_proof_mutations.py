@@ -113,7 +113,8 @@ def test_term_built_and_dense_certificates_check_alike(model):
                 continue
             system = result.system
             rows, rhs = _sparse(system)
-            mutations = [] if ring is Ring.Z and certificate.reason != HALVED else _flips(certificate)
+            hermite = ring is Ring.Z and certificate.reason != HALVED
+            mutations = [] if hermite else _flips(certificate)
             for dense in [certificate, *mutations]:
                 terms = Certificate.from_terms(dense.ring, dense.terms, dense.length, dense.reason)
                 rebuilt = Certificate(dense.ring, dense.multipliers, dense.reason)
