@@ -131,13 +131,6 @@ class SolveResult:
         return self.solution is not None
 
 
-def _entries(vector: Vector) -> Iterable[tuple[int, int]]:
-    """The nonzero entries (index, value) of a dense or a sparse vector."""
-    if isinstance(vector, dict):
-        return vector.items()
-    return ((j, vector[j]) for j in compress(count(), vector))
-
-
 def _fits(row: Vector, width: int) -> bool:
     if isinstance(row, dict):
         return not row or min(row) >= 0 and max(row) < width
@@ -145,7 +138,8 @@ def _fits(row: Vector, width: int) -> bool:
 
 
 def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
-    return [sum(a * x[j] for j, a in _entries(row)) for row in matrix]
+    rows = (row.items() if isinstance(row, dict) else enumerate(row) for row in matrix)
+    return [sum(a * x[j] for j, a in entries) for entries in rows]
 
 
 def check_solution(matrix: Matrix, rhs: Sequence[int], x: Sequence[int], ring: Ring) -> bool:
@@ -328,6 +322,7 @@ class _GF2Echelon(Factorization):
     def __init__(self, matrix: Matrix, width: int | None = None):
         super().__init__(matrix, width)
         pivots: dict[int, tuple[int, int]] = {}
+        columns = 0  # the pivot columns, as bits
         dependent: list[int] = []
         for i, row in enumerate(self.matrix):
             cur, combo = _bits(row), 1 << i
@@ -336,14 +331,12 @@ class _GF2Echelon(Factorization):
                 pivot = pivots.get(col)
                 if pivot is None:
                     pivots[col] = (cur, combo)
+                    columns |= 1 << col
                     break
                 cur ^= pivot[0]
                 combo ^= pivot[1]
             else:
                 dependent.append(combo)
-        columns = 0
-        for col in pivots:
-            columns |= 1 << col
         reduced: dict[int, int] = {}  # pivot column: combination
         cleared: dict[int, int] = {}  # pivot column: coefficients, reduced
         for col in sorted(pivots, reverse=True):
@@ -447,8 +440,9 @@ class _HermiteBasis(Factorization):
         # tracking so a reduction of b turns into a solution vector.
         rows: list[list[dict[int, int]]] = [[{}, {j: 1}] for j in range(n)]
         for i, entries in enumerate(self.matrix):
-            for j, a in _entries(entries):
-                rows[j][0][i] = a
+            for j, a in entries.items() if isinstance(entries, dict) else enumerate(entries):
+                if a:
+                    rows[j][0][i] = a
 
         pivots: list[int] = []
         h = 0
