@@ -636,7 +636,7 @@ def _obstruction_solver(
                 # vectors g holds.  Unchecked: z is re-checked below as a
                 # certificate of the system (a g outside the row space fails).
                 z: set[int] = set()
-                for k, _ in found.certificate.terms:
+                for k in found.certificate.rows:
                     z.symmetric_difference_update(reach()[lo + k])
                 certificate = Certificate.from_terms(
                     Ring.Z2,

@@ -47,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, Sequence
 
 Vector = Sequence[int] | dict[int, int]  # dense, or {index: nonzero entry}
@@ -77,44 +77,56 @@ _ZERO, _HALF = Fraction(0), Fraction(1, 2)
 @dataclass(frozen=True, init=False)
 class Certificate:
     """Separating functional y proving that A x = b has no solution, held as
-    its nonzero terms (row, y_row) in increasing row order and the number of
-    rows.  ``Certificate(ring, multipliers, reason)`` takes the dense y, one
-    multiplier per row; :meth:`from_terms` takes the terms."""
+    its nonzero terms, the rows in increasing order beside their
+    multipliers, and the number of rows.  ``Certificate(ring, multipliers,
+    reason)`` takes the dense y, one multiplier per row; :meth:`from_terms`
+    takes the (row, multiplier) terms."""
 
     ring: Ring
-    terms: tuple[tuple[int, Fraction | int], ...]
+    rows: tuple[int, ...]
+    values: tuple[Fraction | int, ...]
     length: int
     reason: str
 
     def __init__(self, ring: Ring, multipliers: Sequence[Fraction | int], reason: str):
-        terms = tuple((r, v) for r, v in enumerate(multipliers) if v)
-        self.__dict__.update(ring=ring, terms=terms, length=len(multipliers), reason=reason)
+        rows = tuple(compress(count(), multipliers))
+        values = tuple(multipliers[r] for r in rows)
+        self.__dict__.update(
+            ring=ring, rows=rows, values=values, length=len(multipliers), reason=reason
+        )
 
     @classmethod
     def from_terms(
         cls, ring: Ring, terms: Iterable[tuple[int, Fraction | int]], length: int, reason: str
     ) -> "Certificate":
-        terms = tuple(terms)
-        rows = list(map(itemgetter(0), terms))
+        rows, values = tuple(zip(*terms)) or ((), ())
         if not all(map(lt, rows, rows[1:])) or rows and not 0 <= rows[0] <= rows[-1] < length:
             raise ValueError("certificate terms must be on distinct rows, in order, in range")
-        if not all(map(itemgetter(1), terms)):
+        if not all(values):
             raise ValueError("certificate terms must be nonzero")
-        return cls._made(ring, terms, length, reason)
+        return cls._made(ring, rows, values, length, reason)
 
     @classmethod
-    def _made(cls, ring: Ring, terms: tuple, length: int, reason: str) -> "Certificate":
+    def _made(
+        cls, ring: Ring, rows: tuple, values: tuple, length: int, reason: str
+    ) -> "Certificate":
         """From terms made in this module, nonzero and on rows in order."""
         certificate = cls.__new__(cls)
-        certificate.__dict__.update(ring=ring, terms=terms, length=length, reason=reason)
+        certificate.__dict__.update(
+            ring=ring, rows=rows, values=values, length=length, reason=reason
+        )
         return certificate
+
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction | int], ...]:
+        return tuple(zip(self.rows, self.values))
 
     @property
     def multipliers(self) -> tuple[Fraction | int, ...]:
         """The dense y: one multiplier per row, zero (0 over GF(2), Fraction
         0 over the integers) off the terms."""
         dense: list[Fraction | int] = [0 if self.ring is Ring.Z2 else _ZERO] * self.length
-        for r, v in self.terms:
+        for r, v in zip(self.rows, self.values):
             dense[r] = v
         return tuple(dense)
 
@@ -164,13 +176,12 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     sparse_rhs = isinstance(rhs, dict)
     if certificate.length != len(matrix) or not sparse_rhs and len(rhs) != len(matrix):
         return False
-    terms = certificate.terms
-    scale = lcm(*(v.denominator for _, v in terms))
+    scale = lcm(*(v.denominator for v in certificate.values))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
     totals: dict[int, int] = {}
     constant = 0
-    for r, v in terms:
+    for r, v in zip(certificate.rows, certificate.values):
         w = v.numerator * (scale // v.denominator)
         constant += w * (rhs.get(r, 0) if sparse_rhs else rhs[r])
         row = matrix[r]
@@ -192,7 +203,8 @@ def halve_certificate(certificate: Certificate) -> Certificate:
         raise ValueError("only a GF(2) certificate halves to an integer one")
     return Certificate._made(
         Ring.Z,
-        tuple([(r, _HALF) for r, _ in certificate.terms]),
+        certificate.rows,
+        (_HALF,) * len(certificate.rows),
         certificate.length,
         "Z/2 certificate halved: y.A even, y.b odd",
     )
@@ -377,12 +389,9 @@ class _GF2Echelon(Factorization):
         # an odd right-hand side gives the first inconsistency reached.
         for combo in self._dependent:
             if (combo & bits).bit_count() & 1:
-                certificate = Certificate._made(
-                    Ring.Z2,
-                    tuple([(i, 1) for i in _ones(combo)]),
-                    self.height,
-                    "inconsistent equation combination",
-                )
+                rows = tuple(_ones(combo))
+                ones, reason = (1,) * len(rows), "inconsistent equation combination"
+                certificate = Certificate._made(Ring.Z2, rows, ones, self.height, reason)
                 return SolveResult(None, certificate)
         solution = [0] * self.width  # free columns stay 0
         for col, combo in self._pivots:

@@ -45,7 +45,7 @@ def _certificate_payload(result: ObstructionResult, equation_lists: dict[int, li
             {"first": i, "second": j, "section": s.outcome_string()} for i, j, s in equations
         ]
     multipliers = ["0"] * certificate.length  # str(0) and str(Fraction(0)) alike
-    for r, m in certificate.terms:
+    for r, m in zip(certificate.rows, certificate.values):
         multipliers[r] = str(m)
     return {
         "reason": certificate.reason,
