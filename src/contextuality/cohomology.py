@@ -12,10 +12,11 @@ model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
-delta^0 is built once per call, sparse: its rows as {column: entry} dicts
-and the same entries by column.  Each :class:`ObstructionSystem` is a view
-on it; the dense `matrix` and `rhs` are materialized only when read, once
-per base context, and the solver never reads them.
+delta^0 is built once per call, sparse: its rows as {column: entry} dicts,
+and for the solver its columns as {row: entry} dicts.  Each
+:class:`ObstructionSystem` is a view on the rows; the dense `matrix` and
+`rhs` are materialized only when read, once per base context, and the
+solver never reads them.
 
 Every section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
@@ -399,8 +400,8 @@ class _Coboundary:
     overlap table and never changed: the support sections of every context
     in context order (the basis, one block per context), the rows as sparse
     {column: entry} dicts (on the row of (i, j, section), +1 on the fiber in
-    i and -1 on the fiber in j), the same entries by column as {row: entry}
-    dicts, and the equation labels (i, j, section) of the rows.
+    i and -1 on the fiber in j), and the equation labels (i, j, section) of
+    the rows.
 
     It also materializes the dense per-base matrices and right-hand sides
     that :class:`ObstructionSystem` exposes, on first read and once per base.
@@ -415,12 +416,9 @@ class _Coboundary:
         column = {entry: k for k, entry in enumerate(self.basis)}
         minus = ring.reduce(-1)
         self.rows: list[dict[int, int]] = []
-        self.columns: list[dict[int, int]] = [{} for _ in self.basis]
-        for r, (i, j, _, left, right) in enumerate(model.overlap_table):
+        for i, j, _, left, right in model.overlap_table:
             row = {column[i, s]: 1 for s in left}
             row.update((column[j, s], minus) for s in right)
-            for k, a in row.items():
-                self.columns[k][r] = a
             self.rows.append(row)
         self.equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
         self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
@@ -430,12 +428,6 @@ class _Coboundary:
     def block(self, base: int) -> range:
         """The columns of the base context's support sections."""
         return range(self.offsets[base], self.offsets[base + 1])
-
-    def rhs_entries(self, column: int) -> dict[int, int]:
-        """Minus one column of delta^0, as {row: entry}."""
-        if self.ring is Ring.Z2:  # every entry is 1, its own negative
-            return self.columns[column]
-        return {r: -a for r, a in self.columns[column].items()}
 
     def system(self, base: int, section: Section) -> "ObstructionSystem":
         if base not in self._variables:
@@ -458,10 +450,13 @@ class _Coboundary:
 
     def rhs(self, base: int, section: Section) -> tuple[int, ...]:
         if base not in self._rhs:
-            self._rhs[base] = {
-                self.basis[k][1]: tuple(_dense(self.rhs_entries(k), len(self.rows)))
-                for k in self.block(base)
-            }
+            block = self.block(base)
+            columns = [[0] * len(self.rows) for _ in block]
+            for r, row in enumerate(self.rows):
+                for k, a in row.items():
+                    if k in block:
+                        columns[k - block.start][r] = self.ring.reduce(-a)
+            self._rhs[base] = {self.basis[k][1]: tuple(c) for k, c in zip(block, columns)}
         return self._rhs[base][section]
 
 
@@ -521,7 +516,7 @@ class ObstructionResult:
 
 
 def _coboundary_rows(model: SupportModel, ring: Ring) -> _Coboundary:
-    """delta^0 of the model over the ring, as sparse rows and columns."""
+    """delta^0 of the model over the ring, as sparse rows."""
     return _Coboundary(model, ring)
 
 
@@ -591,8 +586,12 @@ def _obstruction_solver(
     """
     contexts = model.scenario.contexts
     delta = _coboundary_rows(model, ring)
-    basis, rows, columns = delta.basis, delta.rows, delta.columns
-    cocycles = factor(columns, Ring.Z2, width=len(rows))  # delta^0 transposed
+    basis, rows = delta.basis, delta.rows
+    columns: list[dict[int, int]] = [{} for _ in basis]  # delta^0 transposed
+    for r, row in enumerate(rows):
+        for k, a in row.items():
+            columns[k][r] = a
+    cocycles = factor(columns, Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
 
     @cache
@@ -619,15 +618,16 @@ def _obstruction_solver(
 
         @cache
         def hermite() -> Factorization:
-            shifted = [
-                {(k if k < lo else k - len(block)): a for k, a in row.items()} for row in system_rows
-            ]
-            return factor(shifted, Ring.Z, width=len(basis) - len(block))
+            # The system's rows with their columns numbered as its variables.
+            width = len(basis) - len(block)
+            shifted = [{k - (k >= hi) * len(block): a for k, a in r.items()} for r in system_rows]
+            return factor(shifted, Ring.Z, width=width)
 
         def decide(section: Section) -> ObstructionResult:
             t = position[section]
             system = delta.system(base, section)
-            rhs = delta.rhs_entries(t)
+            # Minus column t; over GF(2) every entry is 1, its own negative.
+            rhs = columns[t] if ring is Ring.Z2 else {r: -a for r, a in columns[t].items()}
             unit = [int(k == t) for k in block]
             found = projection.solve(unit)
             cocycle = certificate = None
