@@ -13,10 +13,11 @@ per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
 delta^0 is built once per call, sparse: its rows as {column: entry} dicts,
-and for the solver its columns as {row: entry} dicts.  Each
-:class:`ObstructionSystem` is a view on the rows; the dense `matrix` and
-`rhs` are materialized only when read, once per base context, and the
-solver never reads them.
+and for the GF(2) echelon its columns as {row: entry} dicts.  The systems
+of one base context are cut out of the rows once, sparse, and the solver
+reads them so.  Each :class:`ObstructionSystem` is a view on the rows; its
+dense `matrix` and `rhs` are made from the same cut only when read, once
+per base context.
 
 Every section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
@@ -403,8 +404,10 @@ class _Coboundary:
     i and -1 on the fiber in j), and the equation labels (i, j, section) of
     the rows.
 
-    It also materializes the dense per-base matrices and right-hand sides
-    that :class:`ObstructionSystem` exposes, on first read and once per base.
+    :meth:`split` cuts out the systems of one base context; the solver reads
+    them sparse, and the dense matrix and right-hand sides that
+    :class:`ObstructionSystem` exposes are made from them on first read and
+    kept, once per base.
     """
 
     def __init__(self, model: SupportModel, ring: Ring):
@@ -420,14 +423,33 @@ class _Coboundary:
             row = {column[i, s]: 1 for s in left}
             row.update((column[j, s], minus) for s in right)
             self.rows.append(row)
-        self.equations = tuple((i, j, restricted) for i, j, restricted, _, _ in model.overlap_table)
+        self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
         self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
-        self._matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._rhs: dict[int, dict[Section, tuple[int, ...]]] = {}
+        self._dense: dict[int, tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]] = {}
 
     def block(self, base: int) -> range:
         """The columns of the base context's support sections."""
         return range(self.offsets[base], self.offsets[base + 1])
+
+    def split(self, base: int) -> tuple[list[dict[int, int]], dict[Section, dict[int, int]]]:
+        """The systems at the base context's sections, sparse: the rows of
+        delta^0 less the base block (a row that does not meet it is delta^0's
+        own), and per section minus its column as the right-hand side.
+        Columns keep their delta^0 numbers."""
+        block = self.block(base)
+        rows = list(self.rows)
+        rhs: dict[Section, dict[int, int]] = {self.basis[k][1]: {} for k in block}
+        for r, (i, j, _) in enumerate(self.equations):
+            if base != i and base != j:
+                continue
+            kept = {}
+            for k, a in rows[r].items():
+                if k in block:
+                    rhs[self.basis[k][1]][r] = self.ring.reduce(-a)
+                else:
+                    kept[k] = a
+            rows[r] = kept
+        return rows, rhs
 
     def system(self, base: int, section: Section) -> "ObstructionSystem":
         if base not in self._variables:
@@ -437,27 +459,22 @@ class _Coboundary:
             self.ring, base, section, self._variables[base], self.equations, self
         )
 
-    def matrix(self, base: int) -> tuple[tuple[int, ...], ...]:
-        if base not in self._matrices:
+    def dense(self, base: int) -> tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]:
+        """The base context's matrix, with its columns numbered as the
+        variables, and its right-hand sides by section, dense."""
+        if base not in self._dense:
+            rows, rhs = self.split(base)
             block = self.block(base)
-            dense = []
-            for row in self.rows:
-                out = _dense(row, len(self.basis))
-                del out[block.start : block.stop]
-                dense.append(tuple(out))
-            self._matrices[base] = tuple(dense)
-        return self._matrices[base]
+            width = len(self.basis) - len(block)
+            matrix = tuple(tuple(_dense(row, width)) for row in _in_variables(rows, block))
+            columns = {s: tuple(_dense(column, len(rows))) for s, column in rhs.items()}
+            self._dense[base] = matrix, columns
+        return self._dense[base]
 
-    def rhs(self, base: int, section: Section) -> tuple[int, ...]:
-        if base not in self._rhs:
-            block = self.block(base)
-            columns = [[0] * len(self.rows) for _ in block]
-            for r, row in enumerate(self.rows):
-                for k, a in row.items():
-                    if k in block:
-                        columns[k - block.start][r] = self.ring.reduce(-a)
-            self._rhs[base] = {self.basis[k][1]: tuple(c) for k, c in zip(block, columns)}
-        return self._rhs[base][section]
+
+def _in_variables(rows: Sequence[dict[int, int]], block: range) -> list[dict[int, int]]:
+    """Rows without entries in the block, their columns renumbered to close it."""
+    return [{k - (k >= block.stop) * len(block): a for k, a in row.items()} for row in rows]
 
 
 def _dense(entries: Mapping[int, int], length: int) -> list[int]:
@@ -495,11 +512,11 @@ class ObstructionSystem:
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self._coboundary.matrix(self.base)
+        return self._coboundary.dense(self.base)[0]
 
     @property
     def rhs(self) -> tuple[int, ...]:
-        return self._coboundary.rhs(self.base, self.section)
+        return self._coboundary.dense(self.base)[1][self.section]
 
 
 @dataclass(frozen=True)
@@ -513,11 +530,6 @@ class ObstructionResult:
     witness: tuple[LinearCombination, ...] | None
     certificate: Certificate | None
     system: ObstructionSystem
-
-
-def _coboundary_rows(model: SupportModel, ring: Ring) -> _Coboundary:
-    """delta^0 of the model over the ring, as sparse rows."""
-    return _Coboundary(model, ring)
 
 
 def _check_base(model: SupportModel, base: int, section: Section) -> None:
@@ -536,7 +548,7 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    return _coboundary_rows(model, ring).system(base, section)
+    return _Coboundary(model, ring).system(base, section)
 
 
 def verify_witness(
@@ -585,7 +597,7 @@ def _obstruction_solver(
     certificate.
     """
     contexts = model.scenario.contexts
-    delta = _coboundary_rows(model, ring)
+    delta = _Coboundary(model, ring)
     basis, rows = delta.basis, delta.rows
     columns: list[dict[int, int]] = [{} for _ in basis]  # delta^0 transposed
     for r, row in enumerate(rows):
@@ -604,10 +616,7 @@ def _obstruction_solver(
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
-        lo, hi = block.start, block.stop
-        system_rows = list(rows)
-        for r in {r for v in block for r in columns[v]}:
-            system_rows[r] = {k: a for k, a in rows[r].items() if not lo <= k < hi}
+        system_rows, rhs_of = delta.split(base)
         projection = factor([[(k >> v) & 1 for k in kernel] for v in block], Ring.Z2, len(kernel))
         position = {basis[t][1]: t for t in block}
 
@@ -618,16 +627,12 @@ def _obstruction_solver(
 
         @cache
         def hermite() -> Factorization:
-            # The system's rows with their columns numbered as its variables.
             width = len(basis) - len(block)
-            shifted = [{k - (k >= hi) * len(block): a for k, a in r.items()} for r in system_rows]
-            return factor(shifted, Ring.Z, width=width)
+            return factor(_in_variables(system_rows, block), Ring.Z, width=width)
 
         def decide(section: Section) -> ObstructionResult:
             t = position[section]
-            system = delta.system(base, section)
-            # Minus column t; over GF(2) every entry is 1, its own negative.
-            rhs = columns[t] if ring is Ring.Z2 else {r: -a for r, a in columns[t].items()}
+            system, rhs = delta.system(base, section), rhs_of[section]
             unit = [int(k == t) for k in block]
             found = projection.solve(unit)
             cocycle = certificate = None
@@ -637,12 +642,10 @@ def _obstruction_solver(
                 # certificate of the system (a g outside the row space fails).
                 z: set[int] = set()
                 for k in found.certificate.rows:
-                    z.symmetric_difference_update(reach()[lo + k])
+                    z.symmetric_difference_update(reach()[block.start + k])
+                reason = "inconsistent equation combination"
                 certificate = Certificate.from_terms(
-                    Ring.Z2,
-                    [(r, 1) for r in sorted(z)],
-                    len(rows),
-                    "inconsistent equation combination",
+                    Ring.Z2, sorted(z), (1,) * len(z), len(rows), reason
                 )
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)

@@ -6,7 +6,8 @@ side b at a time, as often as needed, and no solve changes it.
 :func:`solve_linear` is factor-then-solve for a single right-hand side.
 
 A row of a matrix is either a dense sequence or a sparse {column: entry}
-dict, and so may a right-hand side be where a certificate is checked.
+dict, and so may a right-hand side be where a certificate is checked.  Each
+is read as a dict: a dense one is converted once, where it comes in.
 
 A solve returns either a solution or a certificate of unsolvability.
 Solutions are re-checked by substitution before they are returned.
@@ -48,7 +49,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = Sequence[int] | dict[int, int]  # dense, or {index: nonzero entry}
 Matrix = Sequence[Vector]
@@ -80,7 +81,7 @@ class Certificate:
     its nonzero terms, the rows in increasing order beside their
     multipliers, and the number of rows.  ``Certificate(ring, multipliers,
     reason)`` takes the dense y, one multiplier per row; :meth:`from_terms`
-    takes the (row, multiplier) terms."""
+    takes the terms, their rows beside their multipliers."""
 
     ring: Ring
     rows: tuple[int, ...]
@@ -91,35 +92,29 @@ class Certificate:
     def __init__(self, ring: Ring, multipliers: Sequence[Fraction | int], reason: str):
         rows = tuple(compress(count(), multipliers))
         values = tuple(multipliers[r] for r in rows)
-        self.__dict__.update(
-            ring=ring, rows=rows, values=values, length=len(multipliers), reason=reason
-        )
+        self._hold(ring, rows, values, len(multipliers), reason)
 
     @classmethod
     def from_terms(
-        cls, ring: Ring, terms: Iterable[tuple[int, Fraction | int]], length: int, reason: str
+        cls,
+        ring: Ring,
+        rows: Sequence[int],
+        values: Sequence[Fraction | int],
+        length: int,
+        reason: str,
     ) -> "Certificate":
-        rows, values = tuple(zip(*terms)) or ((), ())
+        """The certificate with multipliers `values` on `rows`, which must be
+        distinct, increasing and below `length`, and zero elsewhere."""
+        if len(rows) != len(values) or not all(values):
+            raise ValueError("certificate terms must pair each row with a nonzero multiplier")
         if not all(map(lt, rows, rows[1:])) or rows and not 0 <= rows[0] <= rows[-1] < length:
             raise ValueError("certificate terms must be on distinct rows, in order, in range")
-        if not all(values):
-            raise ValueError("certificate terms must be nonzero")
-        return cls._made(ring, rows, values, length, reason)
-
-    @classmethod
-    def _made(
-        cls, ring: Ring, rows: tuple, values: tuple, length: int, reason: str
-    ) -> "Certificate":
-        """From terms made in this module, nonzero and on rows in order."""
         certificate = cls.__new__(cls)
-        certificate.__dict__.update(
-            ring=ring, rows=rows, values=values, length=length, reason=reason
-        )
+        certificate._hold(ring, tuple(rows), tuple(values), length, reason)
         return certificate
 
-    @property
-    def terms(self) -> tuple[tuple[int, Fraction | int], ...]:
-        return tuple(zip(self.rows, self.values))
+    def _hold(self, ring: Ring, rows: tuple, values: tuple, length: int, reason: str) -> None:
+        self.__dict__.update(ring=ring, rows=rows, values=values, length=length, reason=reason)
 
     @property
     def multipliers(self) -> tuple[Fraction | int, ...]:
@@ -143,21 +138,33 @@ class SolveResult:
         return self.solution is not None
 
 
-def _fits(row: Vector, width: int) -> bool:
-    if isinstance(row, dict):
-        return not row or min(row) >= 0 and max(row) < width
-    return len(row) == width
+def _sparse(vector: Vector) -> dict[int, int]:
+    """A vector as {index: nonzero entry}; a dict is taken as given."""
+    if isinstance(vector, dict):
+        return vector
+    return {j: a for j, a in enumerate(vector) if a}
+
+
+def _sparse_rows(matrix: Matrix, width: int) -> tuple[dict[int, int], ...] | None:
+    """The rows as dicts, or None if a dense row is not `width` long or a
+    dict has a column outside it."""
+    if not all(isinstance(row, dict) or len(row) == width for row in matrix):
+        return None
+    rows = tuple(map(_sparse, matrix))
+    if not all(not row or min(row) >= 0 and max(row) < width for row in rows):
+        return None
+    return rows
 
 
 def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
-    rows = (row.items() if isinstance(row, dict) else enumerate(row) for row in matrix)
-    return [sum(a * x[j] for j, a in entries) for entries in rows]
+    return [sum(a * x[j] for j, a in _sparse(row).items()) for row in matrix]
 
 
 def check_solution(matrix: Matrix, rhs: Sequence[int], x: Sequence[int], ring: Ring) -> bool:
-    if len(rhs) != len(matrix) or not all(_fits(row, len(x)) for row in matrix):
+    rows = _sparse_rows(matrix, len(x))
+    if rows is None or len(rhs) != len(rows):
         return False
-    got = mat_vec(matrix, x)
+    got = mat_vec(rows, x)
     if ring is Ring.Z2:
         return all((g - r) % 2 == 0 for g, r in zip(got, rhs))
     return all(g == r for g, r in zip(got, rhs))
@@ -173,24 +180,20 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     certificate must have one multiplier per row, and a dense right-hand
     side one entry per row.
     """
-    sparse_rhs = isinstance(rhs, dict)
-    if certificate.length != len(matrix) or not sparse_rhs and len(rhs) != len(matrix):
+    if certificate.length != len(matrix) or not isinstance(rhs, dict) and len(rhs) != len(matrix):
         return False
+    b = _sparse(rhs)
+    rows = [_sparse(matrix[r]) for r in certificate.rows]
     scale = lcm(*(v.denominator for v in certificate.values))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
     totals: dict[int, int] = {}
     constant = 0
-    for r, v in zip(certificate.rows, certificate.values):
+    for r, v, row in zip(certificate.rows, certificate.values, rows):
         w = v.numerator * (scale // v.denominator)
-        constant += w * (rhs.get(r, 0) if sparse_rhs else rhs[r])
-        row = matrix[r]
-        if isinstance(row, dict):
-            for j, a in row.items():
-                totals[j] = totals.get(j, 0) + w * a
-        else:
-            for j in compress(count(), row):
-                totals[j] = totals.get(j, 0) + w * row[j]
+        constant += w * b.get(r, 0)
+        for j, a in row.items():
+            totals[j] = totals.get(j, 0) + w * a
     if any(t % modulus for t in totals.values()):
         return False
     return constant % modulus == scale if gf2 else constant % modulus != 0
@@ -201,7 +204,7 @@ def halve_certificate(certificate: Certificate) -> Certificate:
     system: y.A even makes y.A/2 integral, and y.b odd keeps y.b/2 not."""
     if certificate.ring is not Ring.Z2:
         raise ValueError("only a GF(2) certificate halves to an integer one")
-    return Certificate._made(
+    return Certificate.from_terms(
         Ring.Z,
         certificate.rows,
         (_HALF,) * len(certificate.rows),
@@ -223,27 +226,16 @@ class Factorization:
     rank: int
 
     def __init__(self, matrix: Matrix, width: int | None = None):
-        m = len(matrix)
-        if m and isinstance(matrix[0], dict):
-            # Sparse rows are kept as given, not copied.
-            if width is None:
+        if width is None:
+            if matrix and isinstance(matrix[0], dict):
                 raise ValueError("sparse rows need a declared width")
-            if not all(isinstance(row, dict) and _fits(row, width) for row in matrix):
-                raise ValueError(f"sparse row with a column outside width {width}")
-            n = width
-            self.matrix = tuple(matrix)
-        elif m:
-            n = len(matrix[0])
-            if any(isinstance(row, dict) or len(row) != n for row in matrix):
-                raise ValueError("ragged matrix")
-            if width is not None and width != n:
-                raise ValueError(f"declared width {width} != row length {n}")
-            self.matrix = tuple(tuple(row) for row in matrix)
-        else:
-            n = width if width is not None else 0
-            self.matrix = ()
-        self.height = m
-        self.width = n
+            width = len(matrix[0]) if matrix else 0
+        rows = _sparse_rows(matrix, width)  # dict rows are kept, not copied
+        if rows is None:
+            raise ValueError(f"a row does not fit the width {width}")
+        self.matrix = rows
+        self.height = len(rows)
+        self.width = width
 
     def solve(self, rhs: Sequence[int]) -> SolveResult:
         """Decide A x = b; the result carries a verified solution or a
@@ -252,17 +244,18 @@ class Factorization:
             raise ValueError(
                 f"matrix has {self.height} rows but right-hand side has {len(rhs)}"
             )
-        result = self._solve(rhs)
+        b = _sparse(rhs)
+        result = self._solve(b)
         if result.solution is not None:
             if not check_solution(self.matrix, rhs, result.solution, self.ring):
                 raise VerificationError("solver returned a solution that fails substitution")
         else:
             assert result.certificate is not None
-            if not check_certificate(self.matrix, rhs, result.certificate):
+            if not check_certificate(self.matrix, b, result.certificate):
                 raise VerificationError("solver returned a certificate that fails re-check")
         return result
 
-    def _solve(self, rhs: Sequence[int]) -> SolveResult:
+    def _solve(self, rhs: dict[int, int]) -> SolveResult:
         raise NotImplementedError
 
 
@@ -290,17 +283,12 @@ def _lowest_bit(value: int) -> int:
     return (value & -value).bit_length() - 1
 
 
-def _bits(vector: Vector) -> int:
+def _bits(vector: dict[int, int]) -> int:
     """A vector read mod 2, packed: bit j is entry j."""
     packed = 0
-    if isinstance(vector, dict):
-        for j, a in vector.items():
-            if a & 1:
-                packed |= 1 << j
-    else:
-        for j in compress(count(), vector):
-            if vector[j] & 1:
-                packed |= 1 << j
+    for j, a in vector.items():
+        if a & 1:
+            packed |= 1 << j
     return packed
 
 
@@ -383,15 +371,15 @@ class _GF2Echelon(Factorization):
                 out[i].append(col)
         return out
 
-    def _solve(self, rhs: Sequence[int]) -> SolveResult:
+    def _solve(self, rhs: dict[int, int]) -> SolveResult:
         bits = _bits(rhs)
         # Input rows are eliminated in order, so the first dependent row with
         # an odd right-hand side gives the first inconsistency reached.
         for combo in self._dependent:
             if (combo & bits).bit_count() & 1:
-                rows = tuple(_ones(combo))
-                ones, reason = (1,) * len(rows), "inconsistent equation combination"
-                certificate = Certificate._made(Ring.Z2, rows, ones, self.height, reason)
+                rows, reason = _ones(combo), "inconsistent equation combination"
+                ones = (1,) * len(rows)
+                certificate = Certificate.from_terms(Ring.Z2, rows, ones, self.height, reason)
                 return SolveResult(None, certificate)
         solution = [0] * self.width  # free columns stay 0
         for col, combo in self._pivots:
@@ -449,7 +437,7 @@ class _HermiteBasis(Factorization):
         # tracking so a reduction of b turns into a solution vector.
         rows: list[list[dict[int, int]]] = [[{}, {j: 1}] for j in range(n)]
         for i, entries in enumerate(self.matrix):
-            for j, a in entries.items() if isinstance(entries, dict) else enumerate(entries):
+            for j, a in entries.items():
                 if a:
                     rows[j][0][i] = a
 
@@ -494,8 +482,10 @@ class _HermiteBasis(Factorization):
         Every reduction step is unimodular, so the basis is saturated."""
         return self._kernel
 
-    def _solve(self, rhs: Sequence[int]) -> SolveResult:
-        residual = list(rhs)
+    def _solve(self, rhs: dict[int, int]) -> SolveResult:
+        residual = [0] * self.height
+        for r, b in rhs.items():
+            residual[r] = b
         solution = [0] * self.width
         failure: tuple[str, int, int] | None = None
         for idx, col in enumerate(self._pivots):

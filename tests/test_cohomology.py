@@ -59,7 +59,8 @@ Core claims:
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
       rebuilt from its dense multipliers equals it, and from_terms refuses
-      rows out of order, repeated or out of range, and zero multipliers
+      rows out of order, repeated or out of range, zero multipliers, and
+      rows and multipliers of different counts
 """
 
 import copy
@@ -770,15 +771,15 @@ def test_systems_are_views_built_only_when_read(ring, corpus_supports):
         shared = {id(result.system._coboundary) for result in results.values()}
         assert len(shared) == 1
         delta = next(iter(results.values())).system._coboundary
-        assert delta._matrices == {} and delta._rhs == {}
+        assert delta._dense == {}
         for (base, s), result in results.items():
             matrix, rhs = _dense_split(model, ring, base, s)
             assert result.system.matrix == matrix
             assert result.system.rhs == rhs
-        bases = {base for base, _ in results}
-        assert set(delta._matrices) == set(delta._rhs) == bases
-        for (base, _), result in results.items():  # cached: the same objects again
-            assert result.system.matrix is delta._matrices[base]
+        assert set(delta._dense) == {base for base, _ in results}
+        for (base, s), result in results.items():  # cached: the same objects again
+            assert result.system.matrix is delta._dense[base][0]
+            assert result.system.rhs is delta._dense[base][1][s]
 
 
 def test_view_equality_is_the_systems_equality(corpus_supports):
@@ -806,30 +807,32 @@ def test_certificates_hold_their_nonzero_terms(ring, corpus_supports):
                 continue
             seen += 1
             assert certificate.length == len(result.system.equations)
-            assert all(v for _, v in certificate.terms)
+            assert all(certificate.values)
+            assert len(certificate.rows) == len(certificate.values)
             dense = [zero] * certificate.length
-            for r, v in certificate.terms:
+            for r, v in zip(certificate.rows, certificate.values):
                 dense[r] = v
             multipliers = certificate.multipliers
             assert multipliers == tuple(dense)
             assert [type(v) for v in multipliers] == [type(v) for v in dense]
             rebuilt = Certificate(certificate.ring, multipliers, certificate.reason)
             assert rebuilt == certificate
-            assert rebuilt.terms == certificate.terms
+            assert (rebuilt.rows, rebuilt.values) == (certificate.rows, certificate.values)
     assert seen > 0
 
 
 def test_term_built_certificates_are_validated():
-    good = Certificate.from_terms(Ring.Z2, [(0, 1), (3, 1)], 4, "t")
+    good = Certificate.from_terms(Ring.Z2, [0, 3], [1, 1], 4, "t")
     assert good.multipliers == (1, 0, 0, 1)
     assert good == Certificate(Ring.Z2, (1, 0, 0, 1), "t")
-    assert Certificate.from_terms(Ring.Z, [], 3, "t").multipliers == (Fraction(0),) * 3
-    for terms, length in [
-        ([(3, 1), (0, 1)], 4),  # out of order
-        ([(1, 1), (1, 1)], 4),  # repeated row
-        ([(0, 1), (4, 1)], 4),  # past the last row
-        ([(-1, 1)], 4),  # before the first
-        ([(0, 1), (2, 0)], 4),  # a zero multiplier
+    assert Certificate.from_terms(Ring.Z, [], [], 3, "t").multipliers == (Fraction(0),) * 3
+    for rows, values in [
+        ([3, 0], [1, 1]),  # out of order
+        ([1, 1], [1, 1]),  # repeated row
+        ([0, 4], [1, 1]),  # past the last row
+        ([-1], [1]),  # before the first
+        ([0, 2], [1, 0]),  # a zero multiplier
+        ([0, 2], [1]),  # a row without a multiplier
     ]:
         with pytest.raises(ValueError):
-            Certificate.from_terms(Ring.Z2, terms, length, "bad")
+            Certificate.from_terms(Ring.Z2, rows, values, 4, "bad")

@@ -116,7 +116,9 @@ def test_term_built_and_dense_certificates_check_alike(model):
             hermite = ring is Ring.Z and certificate.reason != HALVED
             mutations = [] if hermite else _flips(certificate)
             for dense in [certificate, *mutations]:
-                terms = Certificate.from_terms(dense.ring, dense.terms, dense.length, dense.reason)
+                terms = Certificate.from_terms(
+                    dense.ring, dense.rows, dense.values, dense.length, dense.reason
+                )
                 rebuilt = Certificate(dense.ring, dense.multipliers, dense.reason)
                 assert terms == dense == rebuilt
                 verdict = check_certificate(system.matrix, system.rhs, dense)
