@@ -431,25 +431,25 @@ class _Coboundary:
         """The columns of the base context's support sections."""
         return range(self.offsets[base], self.offsets[base + 1])
 
-    def split(self, base: int) -> tuple[list[dict[int, int]], dict[Section, dict[int, int]]]:
+    def split(self, base: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
         """The systems at the base context's sections, sparse: the rows of
         delta^0 less the base block (a row that does not meet it is delta^0's
-        own), and per section minus its column as the right-hand side.
-        Columns keep their delta^0 numbers."""
+        own), and per section's column k of the block minus that column as
+        the right-hand side.  Columns keep their delta^0 numbers."""
         block = self.block(base)
         rows = list(self.rows)
-        rhs: dict[Section, dict[int, int]] = {self.basis[k][1]: {} for k in block}
+        columns: dict[int, dict[int, int]] = {k: {} for k in block}
         for r, (i, j, _) in enumerate(self.equations):
             if base != i and base != j:
                 continue
             kept = {}
             for k, a in rows[r].items():
                 if k in block:
-                    rhs[self.basis[k][1]][r] = self.ring.reduce(-a)
+                    columns[k][r] = self.ring.reduce(-a)
                 else:
                     kept[k] = a
             rows[r] = kept
-        return rows, rhs
+        return rows, columns
 
     def system(self, base: int, section: Section) -> "ObstructionSystem":
         if base not in self._variables:
@@ -467,8 +467,8 @@ class _Coboundary:
             block = self.block(base)
             width = len(self.basis) - len(block)
             matrix = tuple(tuple(_dense(row, width)) for row in _in_variables(rows, block))
-            columns = {s: tuple(_dense(column, len(rows))) for s, column in rhs.items()}
-            self._dense[base] = matrix, columns
+            by_section = {self.basis[k][1]: tuple(_dense(c, len(rows))) for k, c in rhs.items()}
+            self._dense[base] = matrix, by_section
         return self._dense[base]
 
 
@@ -617,13 +617,15 @@ def _obstruction_solver(
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
         system_rows, rhs_of = delta.split(base)
-        projection = factor([[(k >> v) & 1 for k in kernel] for v in block], Ring.Z2, len(kernel))
+        projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
+        projection = factor(projection_rows, Ring.Z2, len(kernel))
         position = {basis[t][1]: t for t in block}
 
         @cache
         def integer_projection() -> Factorization:
             basis_z = lattice()
-            return factor([[k.get(v, 0) for k in basis_z] for v in block], Ring.Z, len(basis_z))
+            rows_z = [{c: k[v] for c, k in enumerate(basis_z) if v in k} for v in block]
+            return factor(rows_z, Ring.Z, len(basis_z))
 
         @cache
         def hermite() -> Factorization:
@@ -632,7 +634,7 @@ def _obstruction_solver(
 
         def decide(section: Section) -> ObstructionResult:
             t = position[section]
-            system, rhs = delta.system(base, section), rhs_of[section]
+            system, rhs = delta.system(base, section), rhs_of[t]
             unit = [int(k == t) for k in block]
             found = projection.solve(unit)
             cocycle = certificate = None

@@ -183,16 +183,15 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     if certificate.length != len(matrix) or not isinstance(rhs, dict) and len(rhs) != len(matrix):
         return False
     b = _sparse(rhs)
-    rows = [_sparse(matrix[r]) for r in certificate.rows]
     scale = lcm(*(v.denominator for v in certificate.values))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
     totals: dict[int, int] = {}
     constant = 0
-    for r, v, row in zip(certificate.rows, certificate.values, rows):
+    for r, v in zip(certificate.rows, certificate.values):
         w = v.numerator * (scale // v.denominator)
         constant += w * b.get(r, 0)
-        for j, a in row.items():
+        for j, a in _sparse(matrix[r]).items():
             totals[j] = totals.get(j, 0) + w * a
     if any(t % modulus for t in totals.values()):
         return False
