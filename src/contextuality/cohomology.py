@@ -401,8 +401,8 @@ class _Coboundary:
     overlap table and never changed: the support sections of every context
     in context order (the basis, one block per context), the rows as sparse
     {column: entry} dicts (on the row of (i, j, section), +1 on the fiber in
-    i and -1 on the fiber in j), and the equation labels (i, j, section) of
-    the rows.
+    i and -1 on the fiber in j), the equation labels (i, j, section) of the
+    rows, and per context the rows that meet its block.
 
     :meth:`split` cuts out the systems of one base context; the solver reads
     them sparse, and the dense matrix and right-hand sides that
@@ -419,10 +419,13 @@ class _Coboundary:
         column = {entry: k for k, entry in enumerate(self.basis)}
         minus = ring.reduce(-1)
         self.rows: list[dict[int, int]] = []
-        for i, j, _, left, right in model.overlap_table:
+        self.meeting: list[list[int]] = [[] for _ in model.supports]
+        for r, (i, j, _, left, right) in enumerate(model.overlap_table):
             row = {column[i, s]: 1 for s in left}
             row.update((column[j, s], minus) for s in right)
             self.rows.append(row)
+            self.meeting[i].append(r)
+            self.meeting[j].append(r)
         self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
         self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
         self._dense: dict[int, tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]] = {}
@@ -439,9 +442,7 @@ class _Coboundary:
         block = self.block(base)
         rows = list(self.rows)
         columns: dict[int, dict[int, int]] = {k: {} for k in block}
-        for r, (i, j, _) in enumerate(self.equations):
-            if base != i and base != j:
-                continue
+        for r in self.meeting[base]:
             kept = {}
             for k, a in rows[r].items():
                 if k in block:
