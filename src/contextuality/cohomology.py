@@ -16,7 +16,7 @@ delta^0 is built once per call, sparse: its rows as {column: entry} dicts,
 and for the GF(2) echelon its columns as {row: entry} dicts.  The systems
 of one base context are cut out of the rows once, sparse, and the solver
 reads them so.  Each :class:`ObstructionSystem` is a view on the rows; its
-dense `matrix` and `rhs` are made from the same cut only when read, once
+dense `matrix` and `rhs` are made by the same cut only when read, once
 per base context.
 
 Every section is decided mod 2 first, by cocycle projection: one GF(2)
@@ -405,9 +405,9 @@ class _Coboundary:
     rows, and per context the rows that meet its block.
 
     :meth:`split` cuts out the systems of one base context; the solver reads
-    them sparse, and the dense matrix and right-hand sides that
-    :class:`ObstructionSystem` exposes are made from them on first read and
-    kept, once per base.
+    them sparse, and :meth:`dense` makes the matrix and right-hand sides that
+    :class:`ObstructionSystem` exposes from the same cut, on first read, and
+    keeps them, once per base.
     """
 
     def __init__(self, model: SupportModel, ring: Ring):
@@ -437,8 +437,8 @@ class _Coboundary:
     def split(self, base: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
         """The systems at the base context's sections, sparse: the rows of
         delta^0 less the base block (a row that does not meet it is delta^0's
-        own), and per section's column k of the block minus that column as
-        the right-hand side.  Columns keep their delta^0 numbers."""
+        own), and keyed by each column k of the block, minus column k: the
+        right-hand side at k's section.  Columns keep their delta^0 numbers."""
         block = self.block(base)
         rows = list(self.rows)
         columns: dict[int, dict[int, int]] = {k: {} for k in block}
