@@ -55,8 +55,7 @@ def _load_document(path: str) -> ScenarioDocument:
 def _cmd_validate(args) -> int:  # noqa: ANN001
     document = _load_document(args.file)
     require_overlap_consistent(document.support_model())
-    kind = "distribution" if document.kind == "distribution" else "support"
-    print(f"{document.name}: valid {kind} model")
+    print(f"{document.name}: valid {document.kind} model")
     return 0
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,11 +38,11 @@ from .model import (
     support_model,
     support_of,
 )
-from .scenario import Scenario, Section, build_scenario, enumerate_sections
+from .scenario import Scenario, Section, build_scenario
 
 _RATIONAL = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits, whole string
 
-_TOP_LEVEL_KEYS = {"name", "measurements", "outcomes", "contexts", "model"}
+_TOP_LEVEL_KEYS = ("name", "measurements", "outcomes", "contexts", "model")
 
 
 class DocumentError(ValueError):
@@ -81,6 +82,15 @@ class ScenarioDocument:
         return self._extracted
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """Object hook for json.loads: a repeated key is an error, not an overwrite."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise DocumentError([f"duplicate key {k!r}" for k, n in counts.items() if n > 1])
+    return out
+
+
 def parse_rational(text: str, where: str, errors: list[str]) -> Fraction | None:
     if not isinstance(text, str):
         errors.append(f'{where}: probability must be a rational string like "1/2"')
@@ -91,10 +101,6 @@ def parse_rational(text: str, where: str, errors: list[str]) -> Fraction | None:
         return None
     p, q = match.group(1), match.group(2)
     return Fraction(int(p), int(q) if q else 1)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)  # Fraction renders as "p/q", or "p" when integral
 
 
 def _string_list(raw, where: str, errors: list[str]) -> list[str] | None:  # noqa: ANN001
@@ -128,18 +134,14 @@ def parse_scenario(text: str) -> ScenarioDocument:
     carrying every schema error found, each tagged with its path."""
     errors: list[str] = []
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise DocumentError(["top level: expected a JSON object"])
 
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            errors.append(f"top level: unknown key {key!r}")
-    for key in ("name", "measurements", "outcomes", "contexts", "model"):
-        if key not in raw:
-            errors.append(f"top level: missing key {key!r}")
+    errors += [f"top level: unknown key {key!r}" for key in raw if key not in _TOP_LEVEL_KEYS]
+    errors += [f"top level: missing key {key!r}" for key in _TOP_LEVEL_KEYS if key not in raw]
     if errors:
         raise DocumentError(errors)
 
@@ -272,13 +274,11 @@ def serialize_document(document: ScenarioDocument) -> str:
         }
     else:
         assert document.empirical is not None
-        tables = []
-        for ctx, table in zip(scenario.contexts, document.empirical.tables):
-            entry = {}
-            for section in enumerate_sections(scenario, ctx.members):
-                value = table[section]
-                if value:
-                    entry[section.outcome_string()] = format_rational(value)
-            tables.append(entry)
+        # empirical_model fills each table in canonical section order, and a
+        # Fraction prints as "p/q", or "p" when integral.
+        tables = [
+            {s.outcome_string(): str(p) for s, p in table.items() if p}
+            for table in document.empirical.tables
+        ]
         payload["model"] = {"distribution": tables}
     return json.dumps(payload, indent=2) + "\n"

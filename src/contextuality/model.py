@@ -54,6 +54,8 @@ class EmpiricalModel:
 
     scenario: Scenario
     tables: tuple[dict[Section, Fraction], ...]
+    # Filled by `check_no_signalling`, for the reason given at Scenario._overlaps.
+    _support: SupportModel | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -184,19 +186,20 @@ def check_no_signalling(model: EmpiricalModel) -> list[SignallingViolation]:
     violation per disagreeing pair (at the first restricted section where
     the marginals differ, in canonical order).
 
-    Empty result means the model's tables form a compatible family.
+    Each marginal is an exact sum over one fiber of the nonzero support's
+    `overlap_table` (0 off its rows); empty means a compatible family.
     """
-    scenario = model.scenario
+    if model._support is None:
+        supports = [frozenset(s for s, p in table.items() if p != 0) for table in model.tables]
+        object.__setattr__(model, "_support", support_model(model.scenario, supports))
     violations: list[SignallingViolation] = []
-    for i, j, carrier in scenario.overlaps:
-        left = marginalize(model.tables[i], carrier)
-        right = marginalize(model.tables[j], carrier)
-        for section in enumerate_sections(scenario, carrier):
-            a = left.get(section, Fraction(0))
-            b = right.get(section, Fraction(0))
-            if a != b:
-                violations.append(SignallingViolation(i, j, section, a, b))
-                break
+    for i, j, section, left, right in model._support.overlap_table:
+        if violations and (violations[-1].first, violations[-1].second) == (i, j):
+            continue
+        a = sum((model.tables[i][s] for s in left), Fraction(0))
+        b = sum((model.tables[j][s] for s in right), Fraction(0))
+        if a != b:
+            violations.append(SignallingViolation(i, j, section, a, b))
     return violations
 
 
@@ -208,10 +211,7 @@ def support_of(model: EmpiricalModel) -> SupportModel:
         raise SignallingError(
             f"model is signalling on {len(violations)} context pair(s)", violations
         )
-    supports = [
-        frozenset(s for s, p in table.items() if p != 0) for table in model.tables
-    ]
-    return support_model(model.scenario, supports)
+    return model._support
 
 
 def support_violations(model: SupportModel) -> list[SupportViolation]:

@@ -11,6 +11,8 @@ Core claims:
       that do not sum to 1 (reported with the context index); errors of the
       scenario as a whole (duplicate measurements, bad outcome labels) are
       tagged `scenario:`
+    - a key repeated in any JSON object (a section of a table, a top-level
+      key) is rejected and named, not overwritten by its last value
     - on bundled documents with keys dropped or replaced by arbitrary JSON,
       table entries replaced, or a non-object top level, the parser raises
       nothing but DocumentError
@@ -29,6 +31,7 @@ from contextuality import (
     parse_scenario,
     serialize_document,
 )
+from contextuality.cli import main
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 
 PR_TABLE = {
@@ -199,6 +202,24 @@ def test_duplicate_support_sections_rejected():
     text = example_text("triangle").replace('"0,1", "1,0"', '"0,1", "0,1"', 1)
     with pytest.raises(DocumentError, match="duplicate sections"):
         parse_scenario(text)
+
+
+def test_repeated_section_key_rejected():
+    text = example_text("prbox").replace('"1,1": "1/2"', '"1,1": "1/4", "1,1": "1/4"', 1)
+    text = text.replace('"0,0": "1/2"', '"0,0": "1/2", "0,0": "1/4"', 1)
+    with pytest.raises(DocumentError) as raised:
+        parse_scenario(text)
+    assert raised.value.errors == ("duplicate key '0,0'", "duplicate key '1,1'")
+
+
+def test_repeated_top_level_key_rejected(tmp_path, capsys):
+    text = example_text("triangle").replace('"name"', '"name": "other", "name"', 1)
+    with pytest.raises(DocumentError, match=r"^duplicate key 'name'$"):
+        parse_scenario(text)
+    path = tmp_path / "twice-named.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate key 'name'\n")
 
 
 def test_integer_outcome_labels_are_coerced():

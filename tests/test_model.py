@@ -5,6 +5,12 @@ Core claims:
     - marginalization is the exact fiber sum and is transitive
     - the PR box with uniform halves is no-signalling; point-mass mismatch
       across an overlap is reported as one violation for that pair
+    - the no-signalling check, read off the nonzero support's overlap
+      fibers, reports what marginalizing every full table onto every overlap
+      reports: the same pairs, sections and Fraction marginals, on random
+      tables with zero entries, signalling or not
+    - a distribution document's overlap table is built once, by the check,
+      and never from marginals or an enumeration of an overlap's sections
     - the Hardy support has exactly 13 sections; PR has 2 per context
     - one-hot supports have one section per context member; parity supports
       hold the stated parity
@@ -25,18 +31,22 @@ import pytest
 from contextuality import (
     Section,
     SignallingError,
+    SignallingViolation,
     build_scenario,
     check_no_signalling,
     empirical_model,
     enumerate_sections,
     ks_support,
     marginalize,
+    model as model_module,
     parity_support,
+    parse_scenario,
     restrict_section,
     support_model,
     support_of,
     support_violations,
 )
+from contextuality.corpus import example_text
 
 import helpers
 from helpers import section
@@ -159,6 +169,102 @@ def test_single_context_never_signals():
     scen = build_scenario("AB", "01", [("A", "B")])
     table = {s: Fraction(1, 4) for s in enumerate_sections(scen, ("A", "B"))}
     assert check_no_signalling(empirical_model(scen, [table])) == []
+
+
+def _violations_by_marginals(model):
+    """No-signalling the long way: marginalize both full tables onto each
+    overlap and compare them on every section of its carrier, in order."""
+    violations = []
+    for i, j, carrier in model.scenario.overlaps:
+        left = marginalize(model.tables[i], carrier)
+        right = marginalize(model.tables[j], carrier)
+        for target in enumerate_sections(model.scenario, carrier):
+            a, b = left.get(target, Fraction(0)), right.get(target, Fraction(0))
+            if a != b:
+                violations.append(SignallingViolation(i, j, target, a, b))
+                break
+    return violations
+
+
+def _random_tables(rng, scen):
+    """Per-context tables with many zero entries: marginals of one random
+    global distribution (no-signalling), with probability 1/2 one context
+    redrawn on its own (usually signalling)."""
+
+    def table(members):
+        sections = enumerate_sections(scen, members)
+        weights = [rng.choice((0, 0, 1, 2, 3)) for _ in sections]
+        weights[rng.randrange(len(weights))] += 1
+        return {s: Fraction(w, sum(weights)) for s, w in zip(sections, weights)}
+
+    joint = table(scen.measurements)
+    tables = [marginalize(joint, ctx.members) for ctx in scen.contexts]
+    if rng.random() < 0.5:
+        k = rng.randrange(len(tables))
+        tables[k] = table(scen.contexts[k].members)
+    return empirical_model(scen, tables)
+
+
+def test_no_signalling_on_overlap_fibers_matches_marginals():
+    rng = random.Random(114)
+    signalling = compatible = zeros = 0
+    for _ in range(300):
+        model = _random_tables(rng, helpers.random_scenario(rng))
+        expected = _violations_by_marginals(model)
+        got = check_no_signalling(model)
+        assert got == expected
+        for violation in got:
+            assert type(violation.first_marginal) is Fraction
+            assert type(violation.second_marginal) is Fraction
+        assert check_no_signalling(model) == expected  # the cached support again
+        if expected:
+            signalling += 1
+            with pytest.raises(SignallingError) as raised:
+                support_of(model)
+            assert list(raised.value.violations) == expected
+        else:
+            compatible += 1
+            derived = support_of(model)
+            assert derived.supports == tuple(
+                frozenset(s for s, p in table.items() if p) for table in model.tables
+            )
+        zeros += any(p == 0 for table in model.tables for p in table.values())
+    assert signalling >= 50 and compatible >= 50 and zeros >= 200
+
+
+def test_distribution_overlap_table_is_built_once(monkeypatch):
+    restricted = []
+    enumerated = []
+
+    def counted_restrict(section, carrier):
+        restricted.append(section)
+        return restrict_section(section, carrier)
+
+    def counted_enumerate(scenario, members):
+        enumerated.append(tuple(members))
+        return enumerate_sections(scenario, members)
+
+    def forbidden(*args):
+        raise AssertionError("marginalize called")
+
+    monkeypatch.setattr(model_module, "restrict_section", counted_restrict)
+    monkeypatch.setattr(model_module, "enumerate_sections", counted_enumerate)
+    monkeypatch.setattr(model_module, "marginalize", forbidden)
+    document = parse_scenario(example_text("prbox"))
+    support = document.support_model()
+    overlaps = document.scenario.overlaps
+    # One restriction per support section per side of each overlap.
+    built = sum(len(support.supports[i]) + len(support.supports[j]) for i, j, _ in overlaps)
+    assert len(restricted) == built
+    table = support.overlap_table
+    assert check_no_signalling(document.empirical) == []
+    assert support_of(document.empirical) is support
+    assert document.support_model() is support
+    assert support.overlap_table is table
+    assert len(restricted) == built
+    contexts = {ctx.members for ctx in document.scenario.contexts}
+    assert set(enumerated) <= contexts
+    assert not contexts & {carrier for *_, carrier in overlaps}
 
 
 def test_hardy_support_has_13_sections(corpus):
