@@ -17,8 +17,9 @@ the first place the search met it along memo entries with nonzero counts;
 outside the search, each context's distinct restrictions of these proofs
 are re-checked as sections against the untouched supports, and they give
 every extendability flag.  The list of global sections is built only on
-demand, by walking the same live memo entries, so it never backtracks out
-of a dead branch.
+demand, by walking the live memo entries of the search that counted them,
+so it never backtracks out of a dead branch.  It is kept as sorted tuples
+of outcome indices, and a `Section` is built only where one is read.
 """
 
 from __future__ import annotations
@@ -41,19 +42,27 @@ class Verdict(Enum):
 
 
 class _LazySections(Sequence):
-    """A model's global sections as a read-only tuple, built once through
-    :func:`global_sections` on first use.  Its length is the count, and
-    `len` and `bool` list nothing."""
+    """A model's global sections as a read-only tuple.  They are listed once,
+    on first use, from a finished search (`_steps`, memo, width) and kept as
+    sorted tuples of outcome indices; a `Section` is built for each element
+    read.  Its length is the count, and `len` and `bool` list nothing."""
 
-    __slots__ = ("_model", "_count", "_sections")
+    __slots__ = ("_model", "_count", "_search", "_found")
 
-    def __init__(self, model: SupportModel, count: int):
-        self._model, self._count, self._sections = model, count, None
+    def __init__(self, model: SupportModel, count: int, search: tuple[list, list, int]):
+        self._model, self._count, self._found = model, count, None
+        self._search = search if count else None  # held until listed
 
-    def _tuple(self) -> tuple[Section, ...]:
-        if self._sections is None:
-            self._sections = tuple(global_sections(self._model)) if self._count else ()
-        return self._sections
+    def indices(self) -> list[tuple[int, ...]]:
+        """The global sections as outcome-index tuples, in canonical order."""
+        if self._found is None:
+            found = _checked(self._model, _enumerate(*self._search))[0] if self._count else []
+            self._found, self._search = found, None
+        return self._found
+
+    def _section(self, values: tuple[int, ...]) -> Section:
+        scenario = self._model.scenario
+        return Section(scenario.measurements, tuple([scenario.outcomes[v] for v in values]))
 
     def __len__(self) -> int:
         return self._count
@@ -62,13 +71,15 @@ class _LazySections(Sequence):
         return self._count > 0
 
     def __getitem__(self, index):  # noqa: ANN001
-        return self._tuple()[index]
+        if isinstance(index, slice):
+            return tuple(map(self._section, self.indices()[index]))
+        return self._section(self.indices()[index])
 
     def __iter__(self):
-        return iter(self._tuple())
+        return map(self._section, self.indices())
 
     def __eq__(self, other) -> bool:  # noqa: ANN001
-        return self._tuple() == other
+        return tuple(self) == other
 
     def __repr__(self) -> str:
         return f"<{self._count} global sections>"
@@ -78,7 +89,7 @@ class _LazySections(Sequence):
 class Classification:
     """Model verdict, the full per-support-section extendability map, and
     the exact number of global sections, which `global_sections` lists only
-    when read."""
+    when read (its `indices()` are the outcome-index tuples)."""
 
     verdict: Verdict
     extendable: dict[tuple[int, Section], bool]
@@ -164,12 +175,9 @@ def _search(steps: list[tuple], width: int) -> tuple[int, list[dict], list[dict]
         memo[k][state] = total
         return total
 
-    return completions(0, (), steps[0][2][()]), memo, live
-
-
-def _live(steps: list[tuple], memo: list[dict], k: int, values: list[int]) -> bool:
-    """True iff the assignment in `values`, through step k, completes."""
-    return k == len(steps) - 1 or memo[k + 1].get(steps[k + 1][3](values), 0) > 0
+    count = completions(0, (), steps[0][2][()])
+    del completions  # it refers to itself: free it and its cells without the cycle collector
+    return count, memo, live
 
 
 def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tuple[int, ...]]:
@@ -186,7 +194,7 @@ def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tupl
                 for candidate in table[key(values)]:
                     for p, v in zip(new, candidate):
                         values[p] = v
-                    if _live(steps, memo, j, values):
+                    if j == len(steps) - 1 or memo[j + 1].get(steps[j + 1][3](values)):
                         break
                 live[j].pop(row(values), None)
             proofs.append(tuple(values))
@@ -195,29 +203,33 @@ def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tupl
 
 def _enumerate(steps: list[tuple], memo: list[dict], width: int) -> list[tuple[int, ...]]:
     """Every global section as a tuple of outcome indices, unordered, walking
-    only rows whose completion count is nonzero."""
-    found, values = [], [0] * width
+    only rows whose completion count is nonzero: each step reads its child's
+    memo on the child's frontier, and every row of the last step completes."""
+    found, values, last = [], [0] * width, len(steps) - 1
+    walk = [
+        (key, new, table) + ((steps[k + 1][3], memo[k + 1]) if k < last else (None, None))
+        for k, (key, new, table, _, _) in enumerate(steps)
+    ]
 
     def extend(k: int) -> None:
-        key, new, table, _, _ = steps[k]
-        for candidate in table.get(key(values), ()):
+        key, new, table, child, child_memo = walk[k]
+        for candidate in table[key(values)]:
             for p, v in zip(new, candidate):
                 values[p] = v
-            if not _live(steps, memo, k, values):
-                continue
-            if k == len(steps) - 1:
+            if k == last:
                 found.append(tuple(values))
-            else:
+            elif child_memo.get(child(values)):
                 extend(k + 1)
 
     extend(0)
+    del extend  # as in `_search`: no cycle keeps `found` alive
     return found
 
 
-def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[Section]]]:
-    """Sort the index tuples `found` and turn them into sections in place;
-    also return each context's distinct restrictions of them, as sections.
-    VerificationError unless every restriction lies in its context's support."""
+def _checked(model: SupportModel, found: list) -> tuple[list[tuple[int, ...]], list[set[Section]]]:
+    """Sort the index tuples `found` in place and return them with each
+    context's distinct restrictions of them, as sections.  VerificationError
+    unless every restriction lies in its context's support."""
     scenario, outcomes = model.scenario, model.scenario.outcomes
     found.sort()
     restrictions = []
@@ -227,17 +239,16 @@ def _checked(model: SupportModel, found: list) -> tuple[list[Section], list[set[
         if not seen <= model.supports[ctx.index]:
             raise VerificationError(f"search produced a non-global section (context {ctx.index})")
         restrictions.append(seen)
-    for k, entries in enumerate(found):  # in place: never hold both forms
-        found[k] = Section(scenario.measurements, tuple([outcomes[v] for v in entries]))
     return found, restrictions
 
 
-def _proved(model: SupportModel) -> tuple[int, list[set[Section]]]:
-    """The global-section count, and each context's support rows that some
-    re-checked proof section restricts to.  VerificationError unless the proofs
-    cover exactly the rows the search found live."""
-    steps = _steps(model)
-    count, memo, live = _search(steps, len(model.scenario.measurements))
+def _proved(model: SupportModel) -> tuple[int, list[set[Section]], tuple[list, list, int]]:
+    """The global-section count, each context's support rows that some
+    re-checked proof section restricts to, and the search (steps, memo, width).
+    VerificationError unless the proofs cover exactly the rows the search
+    found live."""
+    steps, width = _steps(model), len(model.scenario.measurements)
+    count, memo, live = _search(steps, width)
     extendable = sum(map(len, live))
     if count:
         restrictions = _checked(model, _proofs(steps, memo, live))[1]
@@ -245,15 +256,16 @@ def _proved(model: SupportModel) -> tuple[int, list[set[Section]]]:
         restrictions = [set() for _ in model.scenario.contexts]
     if sum(map(len, restrictions)) != extendable:
         raise VerificationError("proof sections do not cover exactly the extendable rows")
-    return count, restrictions
+    return count, restrictions, (steps, memo, width)
 
 
 def global_sections(model: SupportModel) -> list[Section]:
     """All assignments on the full measurement set whose restriction to every
-    context lies in that context's support, in canonical order."""
+    context lies in that context's support, in canonical order, from a
+    search of its own."""
     steps, width = _steps(model), len(model.scenario.measurements)
-    memo = _search(steps, width)[1]
-    return _checked(model, _enumerate(steps, memo, width))[0]
+    count, memo, _ = _search(steps, width)
+    return list(_LazySections(model, count, (steps, memo, width)))
 
 
 def is_extendable_at(model: SupportModel, context: Context, section: Section) -> bool:
@@ -272,7 +284,7 @@ def classify(model: SupportModel) -> Classification:
     level.  None extendable (equivalently: no global section): strongly
     contextual.  Otherwise: contextual.
     """
-    count, restrictions = _proved(model)
+    count, restrictions, search = _proved(model)
     flags = {
         (ctx.index, s): s in restrictions[ctx.index]
         for ctx in model.scenario.contexts
@@ -284,4 +296,4 @@ def classify(model: SupportModel) -> Classification:
         verdict = Verdict.STRONGLY_CONTEXTUAL
     else:
         verdict = Verdict.CONTEXTUAL
-    return Classification(verdict, flags, _LazySections(model, count), count)
+    return Classification(verdict, flags, _LazySections(model, count, search), count)

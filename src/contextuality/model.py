@@ -93,14 +93,19 @@ class SupportModel:
         """
         if self._overlap_table is None:
             table: list[OverlapFiber] = []
+            contexts = self.scenario.contexts
             for i, j, carrier in self.scenario.overlaps:
-                fibers: dict[Section, tuple[list[Section], list[Section]]] = {}
+                # Fibers keyed on the carrier's values, read off by position.
+                fibers: dict[tuple[str, ...], tuple[list[Section], list[Section]]] = {}
                 for side, index in enumerate((i, j)):
+                    at = [contexts[index].members.index(m) for m in carrier]
                     for s in self.support_list(index):
-                        fibers.setdefault(restrict_section(s, carrier), ([], []))[side].append(s)
-                for restricted in sorted(fibers, key=self.scenario.section_sort_key):
-                    left, right = fibers[restricted]
-                    table.append((i, j, restricted, tuple(left), tuple(right)))
+                        values = tuple([s.values[p] for p in at])
+                        fibers.setdefault(values, ([], []))[side].append(s)
+                restricted = [Section(carrier, values) for values in fibers]
+                for section in sorted(restricted, key=self.scenario.section_sort_key):
+                    left, right = fibers[section.values]
+                    table.append((i, j, section, tuple(left), tuple(right)))
             object.__setattr__(self, "_overlap_table", tuple(table))
         return self._overlap_table
 

@@ -84,9 +84,12 @@ def build_report(
     ]
 
     classification = classify(support)
+    outcomes = scenario.outcomes
     report["classification"] = {
         "verdict": classification.verdict.value,
-        "global_sections": [g.outcome_string() for g in classification.global_sections],
+        "global_sections": [
+            ",".join([outcomes[v] for v in g]) for g in classification.global_sections.indices()
+        ],
         "extendable": [
             {
                 "context": index,

@@ -22,9 +22,15 @@ Core claims:
       and is not built at all when the count is 0
     - a proof section outside a support, or proofs that miss an extendable
       row, raise RuntimeError
+    - the report lists the global sections from classify's own search, in
+      global_sections' order, and builds a section only per distinct
+      restriction, not per global section; a listed classification, once
+      dropped, leaves nothing behind without the cycle collector
 """
 
+import gc
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -43,7 +49,9 @@ from contextuality import (
     support_model,
 )
 from contextuality import extendability
+from contextuality.documents import ScenarioDocument
 from contextuality.extendability import _checked, _plan
+from contextuality.report import build_report
 
 import helpers
 from helpers import section
@@ -301,10 +309,11 @@ def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supp
         for values in product(range(len(scen.outcomes)), repeat=len(scen.measurements))
         if Section(scen.measurements, tuple(scen.outcomes[v] for v in values)) not in exhaustive
     )
-    sections, restrictions = _checked(model, list(reversed(good)))
-    assert sections == global_sections(model)
+    indices, restrictions = _checked(model, list(reversed(good)))
+    assert indices == good  # sorted back into canonical order
     assert restrictions == [
-        {restrict_section(g, ctx.members) for g in sections} for ctx in scen.contexts
+        {restrict_section(g, ctx.members) for g in global_sections(model)}
+        for ctx in scen.contexts
     ]
     with pytest.raises(RuntimeError, match="non-global section"):
         _checked(model, good + [bad])
@@ -345,18 +354,19 @@ def test_lazy_list_behaves_as_the_tuple_and_is_built_once(corpus_supports, monke
     model = corpus_supports["hardy"]
     expected = tuple(global_sections(model))
     calls = []
-    real = extendability.global_sections
-    monkeypatch.setattr(
-        extendability, "global_sections", lambda m: calls.append(m) or real(m)
-    )
+    real = extendability._enumerate
+    monkeypatch.setattr(extendability, "_enumerate", lambda *a: calls.append(a) or real(*a))
     sections = classify(model).global_sections
+    # Listed from classify's own search, never a second one.
+    monkeypatch.setattr(extendability, "_search", lambda *a: pytest.fail("searched again"))
     assert len(sections) == 5 and sections and not calls
     assert sections == expected and expected == sections and sections != list(expected)
     assert sections[0] == expected[0] and sections[-1] == expected[-1]
     assert sections[1:3] == expected[1:3] and expected[2] in sections
     assert tuple(sections) == expected and list(reversed(sections)) == list(expected[::-1])
     assert sections.index(expected[3]) == 3
-    assert calls == [model]
+    assert len(calls) == 1
+    monkeypatch.undo()
     assert classify(model) == classify(model)
 
 
@@ -389,3 +399,56 @@ def test_proofs_that_miss_an_extendable_row_are_refused(corpus_supports, monkeyp
     monkeypatch.setattr(extendability, "_proofs", lambda *args: real(*args)[1:])
     with pytest.raises(RuntimeError, match="extendable rows"):
         classify(corpus_supports["hardy"])
+
+
+def _document(model):
+    return ScenarioDocument("generated", model.scenario, "support", model, None)
+
+
+def test_report_lists_the_global_sections_of_classify_s_own_search(monkeypatch):
+    rng = random.Random(120)
+    models = [_ring_cover(k, order) for k in range(3, 12) for order in (None, rng)]
+    for trial in range(200):
+        scen = helpers.random_scenario(rng)
+        if trial % 2:
+            models.append(helpers.random_image_support(rng, scen))
+        else:
+            models.append(helpers.random_any_support(rng, scen))
+    searches = []
+    real = extendability._search
+    monkeypatch.setattr(extendability, "_search", lambda *a: searches.append(a) or real(*a))
+    for model in models:
+        searches.clear()
+        listed = build_report(_document(model), rings=())["classification"]["global_sections"]
+        assert len(searches) == 1
+        assert listed == [g.outcome_string() for g in global_sections(model)]
+
+
+def test_report_builds_fewer_sections_than_it_lists(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(None)
+        return Section(*args)
+
+    monkeypatch.setattr(extendability, "Section", counted)
+    listed = build_report(_document(_ring_cover(11, None)))["classification"]["global_sections"]
+    assert len(listed) == _trace_of_power(11) and 0 < len(built) < len(listed)
+
+
+def test_a_listed_classification_leaves_nothing_behind():
+    model = _ring_cover(11, None)
+    model.support_list(0)  # the model's own cache
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cls = classify(model)
+        assert len(list(cls.global_sections)) == _trace_of_power(11)
+        del cls
+        assert tracemalloc.get_traced_memory()[0] - start < 1 << 20
+        assert gc.collect() == 0  # no reference cycle was left to collect
+    finally:
+        tracemalloc.stop()
+        gc.enable()

@@ -233,12 +233,13 @@ def test_no_signalling_on_overlap_fibers_matches_marginals():
 
 
 def test_distribution_overlap_table_is_built_once(monkeypatch):
-    restricted = []
+    listed = []
     enumerated = []
+    support_list = model_module.SupportModel.support_list
 
-    def counted_restrict(section, carrier):
-        restricted.append(section)
-        return restrict_section(section, carrier)
+    def counted_list(self, index):
+        listed.append(index)
+        return support_list(self, index)
 
     def counted_enumerate(scenario, members):
         enumerated.append(tuple(members))
@@ -247,21 +248,21 @@ def test_distribution_overlap_table_is_built_once(monkeypatch):
     def forbidden(*args):
         raise AssertionError("marginalize called")
 
-    monkeypatch.setattr(model_module, "restrict_section", counted_restrict)
+    monkeypatch.setattr(model_module.SupportModel, "support_list", counted_list)
     monkeypatch.setattr(model_module, "enumerate_sections", counted_enumerate)
     monkeypatch.setattr(model_module, "marginalize", forbidden)
     document = parse_scenario(example_text("prbox"))
     support = document.support_model()
     overlaps = document.scenario.overlaps
-    # One restriction per support section per side of each overlap.
-    built = sum(len(support.supports[i]) + len(support.supports[j]) for i, j, _ in overlaps)
-    assert len(restricted) == built
+    # The build lists the support of each side of each overlap, once.
+    built = [index for i, j, _ in overlaps for index in (i, j)]
+    assert listed == built
     table = support.overlap_table
     assert check_no_signalling(document.empirical) == []
     assert support_of(document.empirical) is support
     assert document.support_model() is support
     assert support.overlap_table is table
-    assert len(restricted) == built
+    assert listed == built
     contexts = {ctx.members for ctx in document.scenario.contexts}
     assert set(enumerated) <= contexts
     assert not contexts & {carrier for *_, carrier in overlaps}
