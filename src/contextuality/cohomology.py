@@ -636,7 +636,7 @@ def _obstruction_solver(
         def decide(section: Section) -> ObstructionResult:
             t = position[section]
             system, rhs = delta.system(base, section), rhs_of[t]
-            unit = [int(k == t) for k in block]
+            unit = {t - block.start: 1}
             found = projection.solve(unit)
             cocycle = certificate = None
             if found.certificate is not None:
@@ -647,9 +647,7 @@ def _obstruction_solver(
                 for k in found.certificate.rows:
                     z.symmetric_difference_update(reach()[block.start + k])
                 reason = "inconsistent equation combination"
-                certificate = Certificate.from_terms(
-                    Ring.Z2, sorted(z), (1,) * len(z), len(rows), reason
-                )
+                certificate = Certificate(Ring.Z2, sorted(z), (1,) * len(z), len(rows), reason)
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)
                 if not check_certificate(system_rows, rhs, certificate):
@@ -663,7 +661,7 @@ def _obstruction_solver(
                     for v, c in k.items():
                         cocycle[v] += y * c
             else:  # vanishes mod 2 only: the Hermite form refutes the system
-                result = hermite().solve(_dense(rhs, len(rows)))
+                result = hermite().solve(rhs)
                 if result.solvable:
                     raise VerificationError("Hermite form solves what the lattice does not")
                 certificate = result.certificate

@@ -6,8 +6,9 @@ side b at a time, as often as needed, and no solve changes it.
 :func:`solve_linear` is factor-then-solve for a single right-hand side.
 
 A row of a matrix is either a dense sequence or a sparse {column: entry}
-dict, and so may a right-hand side be where a certificate is checked.  Each
-is read as a dict: a dense one is converted once, where it comes in.
+dict, and so is a right-hand side, wherever a system is solved or checked:
+dense with one entry per row, or a dict keyed by rows.  Each is read as a
+dict: a dense one is converted once, where it comes in.
 
 A solve returns either a solution or a certificate of unsolvability.
 Solutions are re-checked by substitution before they are returned.
@@ -46,7 +47,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count
 from math import lcm
 from operator import lt
 from typing import Sequence
@@ -75,13 +75,13 @@ class VerificationError(RuntimeError):
 _ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Certificate:
-    """Separating functional y proving that A x = b has no solution, held as
-    its nonzero terms, the rows in increasing order beside their
-    multipliers, and the number of rows.  ``Certificate(ring, multipliers,
-    reason)`` takes the dense y, one multiplier per row; :meth:`from_terms`
-    takes the terms, their rows beside their multipliers."""
+    """Separating functional y proving that A x = b has no solution, held
+    only as its nonzero terms: multipliers `values` on `rows`, which are
+    distinct, increasing and below `length` (the number of rows); y is zero
+    elsewhere.  The terms are its one form and the fields its one
+    constructor; :attr:`multipliers` writes y out densely."""
 
     ring: Ring
     rows: tuple[int, ...]
@@ -89,32 +89,14 @@ class Certificate:
     length: int
     reason: str
 
-    def __init__(self, ring: Ring, multipliers: Sequence[Fraction | int], reason: str):
-        rows = tuple(compress(count(), multipliers))
-        values = tuple(multipliers[r] for r in rows)
-        self._hold(ring, rows, values, len(multipliers), reason)
-
-    @classmethod
-    def from_terms(
-        cls,
-        ring: Ring,
-        rows: Sequence[int],
-        values: Sequence[Fraction | int],
-        length: int,
-        reason: str,
-    ) -> "Certificate":
-        """The certificate with multipliers `values` on `rows`, which must be
-        distinct, increasing and below `length`, and zero elsewhere."""
+    def __post_init__(self) -> None:
+        rows, values = tuple(self.rows), tuple(self.values)
         if len(rows) != len(values) or not all(values):
             raise ValueError("certificate terms must pair each row with a nonzero multiplier")
-        if not all(map(lt, rows, rows[1:])) or rows and not 0 <= rows[0] <= rows[-1] < length:
+        if not all(map(lt, rows, rows[1:])) or rows and not 0 <= rows[0] <= rows[-1] < self.length:
             raise ValueError("certificate terms must be on distinct rows, in order, in range")
-        certificate = cls.__new__(cls)
-        certificate._hold(ring, tuple(rows), tuple(values), length, reason)
-        return certificate
-
-    def _hold(self, ring: Ring, rows: tuple, values: tuple, length: int, reason: str) -> None:
-        self.__dict__.update(ring=ring, rows=rows, values=values, length=length, reason=reason)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
 
     @property
     def multipliers(self) -> tuple[Fraction | int, ...]:
@@ -145,29 +127,33 @@ def _sparse(vector: Vector) -> dict[int, int]:
     return {j: a for j, a in enumerate(vector) if a}
 
 
+def _fitted(vector: Vector, length: int) -> dict[int, int] | None:
+    """A vector as a dict, or None if a dense one is not `length` long or a
+    dict has an index outside range(length)."""
+    if isinstance(vector, dict):
+        return vector if not vector or min(vector) >= 0 and max(vector) < length else None
+    return _sparse(vector) if len(vector) == length else None
+
+
 def _sparse_rows(matrix: Matrix, width: int) -> tuple[dict[int, int], ...] | None:
-    """The rows as dicts, or None if a dense row is not `width` long or a
-    dict has a column outside it."""
-    if not all(isinstance(row, dict) or len(row) == width for row in matrix):
-        return None
-    rows = tuple(map(_sparse, matrix))
-    if not all(not row or min(row) >= 0 and max(row) < width for row in rows):
-        return None
-    return rows
+    """The rows as dicts, or None if one does not fit the width."""
+    rows = tuple(_fitted(row, width) for row in matrix)
+    return None if None in rows else rows
 
 
 def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
     return [sum(a * x[j] for j, a in _sparse(row).items()) for row in matrix]
 
 
-def check_solution(matrix: Matrix, rhs: Sequence[int], x: Sequence[int], ring: Ring) -> bool:
+def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) -> bool:
     rows = _sparse_rows(matrix, len(x))
-    if rows is None or len(rhs) != len(rows):
+    b = None if rows is None else _fitted(rhs, len(rows))
+    if b is None:
         return False
     got = mat_vec(rows, x)
     if ring is Ring.Z2:
-        return all((g - r) % 2 == 0 for g, r in zip(got, rhs))
-    return all(g == r for g, r in zip(got, rhs))
+        return all((g - b.get(i, 0)) % 2 == 0 for i, g in enumerate(got))
+    return all(g == b.get(i, 0) for i, g in enumerate(got))
 
 
 def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> bool:
@@ -177,12 +163,12 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     With L the common denominator of the multipliers y and w = L*y, y.A is
     integral iff w.A = 0 (mod L) and y.b is not iff w.b != 0 (mod L).  Over
     GF(2) y.A must be even and y.b odd: w.A = 0 and w.b = L (mod 2L).  The
-    certificate must have one multiplier per row, and a dense right-hand
-    side one entry per row.
+    certificate must have one multiplier per row, and the right-hand side
+    must fit the rows.
     """
-    if certificate.length != len(matrix) or not isinstance(rhs, dict) and len(rhs) != len(matrix):
+    b = _fitted(rhs, len(matrix))
+    if certificate.length != len(matrix) or b is None:
         return False
-    b = _sparse(rhs)
     scale = lcm(*(v.denominator for v in certificate.values))
     gf2 = certificate.ring is Ring.Z2
     modulus = 2 * scale if gf2 else scale
@@ -203,7 +189,7 @@ def halve_certificate(certificate: Certificate) -> Certificate:
     system: y.A even makes y.A/2 integral, and y.b odd keeps y.b/2 not."""
     if certificate.ring is not Ring.Z2:
         raise ValueError("only a GF(2) certificate halves to an integer one")
-    return Certificate.from_terms(
+    return Certificate(
         Ring.Z,
         certificate.rows,
         (_HALF,) * len(certificate.rows),
@@ -236,17 +222,15 @@ class Factorization:
         self.height = len(rows)
         self.width = width
 
-    def solve(self, rhs: Sequence[int]) -> SolveResult:
+    def solve(self, rhs: Vector) -> SolveResult:
         """Decide A x = b; the result carries a verified solution or a
         verified certificate of unsolvability."""
-        if len(rhs) != self.height:
-            raise ValueError(
-                f"matrix has {self.height} rows but right-hand side has {len(rhs)}"
-            )
-        b = _sparse(rhs)
+        b = _fitted(rhs, self.height)
+        if b is None:
+            raise ValueError(f"the right-hand side does not fit the matrix's {self.height} rows")
         result = self._solve(b)
         if result.solution is not None:
-            if not check_solution(self.matrix, rhs, result.solution, self.ring):
+            if not check_solution(self.matrix, b, result.solution, self.ring):
                 raise VerificationError("solver returned a solution that fails substitution")
         else:
             assert result.certificate is not None
@@ -266,9 +250,7 @@ def factor(matrix: Matrix, ring: Ring, width: int | None = None) -> Factorizatio
     return _HermiteBasis(matrix, width)
 
 
-def solve_linear(
-    matrix: Matrix, rhs: Sequence[int], ring: Ring, width: int | None = None
-) -> SolveResult:
+def solve_linear(matrix: Matrix, rhs: Vector, ring: Ring, width: int | None = None) -> SolveResult:
     """Decide A x = b over the ring; result carries a verified witness or
     a verified certificate of unsolvability."""
     return factor(matrix, ring, width).solve(rhs)
@@ -378,7 +360,7 @@ class _GF2Echelon(Factorization):
             if (combo & bits).bit_count() & 1:
                 rows, reason = _ones(combo), "inconsistent equation combination"
                 ones = (1,) * len(rows)
-                certificate = Certificate.from_terms(Ring.Z2, rows, ones, self.height, reason)
+                certificate = Certificate(Ring.Z2, rows, ones, self.height, reason)
                 return SolveResult(None, certificate)
         solution = [0] * self.width  # free columns stay 0
         for col, combo in self._pivots:
@@ -549,12 +531,11 @@ def _integer_certificate(
             denominator *= d
         numerators[l] = acc
 
-    y = [Fraction(0)] * len(residual)
-    for j in range(k):
-        y[pivots[j]] = Fraction(numerators[j], denominator)
+    y = {pivots[j]: Fraction(n, denominator) for j, n in enumerate(numerators) if n}
     if star is not None:
         y[col] = star
         reason = "right-hand side outside the column span"
     else:
         reason = f"divisibility failure at pivot column {col}"
-    return Certificate(Ring.Z, tuple(y), reason)
+    rows = sorted(y)
+    return Certificate(Ring.Z, rows, [y[r] for r in rows], len(residual), reason)

@@ -47,9 +47,6 @@ class Section:
     def value_of(self, measurement: str) -> str:
         return self.values[self.domain.index(measurement)]
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.domain, self.values))
-
     def outcome_string(self) -> str:
         """Comma-joined outcome tuple, the external name of the section."""
         return ",".join(self.values)

@@ -89,6 +89,12 @@ def reference_check_certificate(matrix, rhs, certificate: Certificate) -> bool:
     return sum(Fraction(y[i]) * rhs[i] for i in range(len(y))).denominator != 1
 
 
+def dense_certificate(ring: Ring, y, reason: str) -> Certificate:
+    """The certificate whose dense multipliers are y, built from its terms."""
+    rows = [r for r, v in enumerate(y) if v]
+    return Certificate(ring, rows, [y[r] for r in rows], len(y), reason)
+
+
 def reference_hermite(matrix, width=None):
     """Dense Hermite reduction of the column lattice of a matrix: the
     reference for the library's sparse one, with the same pivot choice and

@@ -15,6 +15,10 @@ Core claims:
       byte, the golden output in tests/golden/<name>.json, and
       `obstruction <file> --all --witness` the one in
       tests/golden/<name>.obstruction.txt
+    - `report tests/golden/fano.scenario.json --ring both --json --witness`
+      (the one-hot Fano plane, lines {i, i+1, i+3} mod 7, whose 21 Z
+      certificates all come from the Hermite form) prints, byte for byte,
+      tests/golden/fano.json
     - in the golden JSON, every Z result whose Z/2 result does not vanish
       carries the halved Z/2 certificate over the same equations
     - a distribution document is checked for no-signalling exactly once,
@@ -324,6 +328,13 @@ def test_obstruction_all_matches_golden_output(name, corpus_file, capsys):
     golden = Path(__file__).parent / "golden" / f"{name}.obstruction.txt"
     assert main(["obstruction", corpus_file(name), "--all", "--witness"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_fano_plane_report_matches_golden_output(capsys):
+    golden = Path(__file__).parent / "golden"
+    document = str(golden / "fano.scenario.json")
+    assert main(["report", document, "--ring", "both", "--json", "--witness"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (golden / "fano.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

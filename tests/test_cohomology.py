@@ -58,9 +58,10 @@ Core claims:
       coboundary_matrix(model, ring, 0) and are built once per base
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
-      rebuilt from its dense multipliers equals it, and from_terms refuses
-      rows out of order, repeated or out of range, zero multipliers, and
-      rows and multipliers of different counts
+      rebuilt from its dense multipliers (helpers.dense_certificate) or
+      from its terms equals it, and the constructor refuses rows out of
+      order, repeated or out of range, zero multipliers, and rows and
+      multipliers of different counts
 """
 
 import copy
@@ -556,7 +557,7 @@ def _halved_mutations(certificate):
     y = certificate.multipliers
     i = next(i for i, v in enumerate(y) if v)
     out = [y[:i] + (Fraction(0),) + y[i + 1 :], tuple(2 * v for v in y)]
-    return [Certificate(Ring.Z, m, certificate.reason) for m in out]
+    return [helpers.dense_certificate(Ring.Z, m, certificate.reason) for m in out]
 
 
 def test_z_verdicts_match_per_section_integer_solve(corpus_supports):
@@ -691,7 +692,7 @@ def test_lattice_missing_cocycles_raises(monkeypatch):
 
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
     def unhalved(certificate):
-        return Certificate(Ring.Z, certificate.multipliers, certificate.reason)
+        return helpers.dense_certificate(Ring.Z, certificate.multipliers, certificate.reason)
 
     monkeypatch.setattr(cohomology, "halve_certificate", unhalved)
     with pytest.raises(VerificationError, match="Z/2 certificate failed"):
@@ -728,7 +729,8 @@ def test_cocycle_projection_matches_per_section_solves(corpus_supports):
             y = result.certificate.multipliers
             assert helpers.reference_check_certificate(system.matrix, system.rhs, result.certificate)
             for i in range(len(y)):
-                flipped = Certificate(Ring.Z2, y[:i] + (1 - y[i],) + y[i + 1 :], "flip")
+                changed = y[:i] + (1 - y[i],) + y[i + 1 :]
+                flipped = helpers.dense_certificate(Ring.Z2, changed, "flip")
                 assert not check_certificate(system.matrix, system.rhs, flipped)
             # Integer vanishing descends mod 2: over Z the section carries y/2.
             assert over_z[key].certificate.multipliers == tuple(Fraction(v, 2) for v in y)
@@ -815,17 +817,20 @@ def test_certificates_hold_their_nonzero_terms(ring, corpus_supports):
             multipliers = certificate.multipliers
             assert multipliers == tuple(dense)
             assert [type(v) for v in multipliers] == [type(v) for v in dense]
-            rebuilt = Certificate(certificate.ring, multipliers, certificate.reason)
+            rebuilt = helpers.dense_certificate(certificate.ring, multipliers, certificate.reason)
             assert rebuilt == certificate
             assert (rebuilt.rows, rebuilt.values) == (certificate.rows, certificate.values)
+            terms = (certificate.rows, certificate.values, certificate.length, certificate.reason)
+            assert Certificate(certificate.ring, *terms) == certificate
     assert seen > 0
 
 
 def test_term_built_certificates_are_validated():
-    good = Certificate.from_terms(Ring.Z2, [0, 3], [1, 1], 4, "t")
+    good = Certificate(Ring.Z2, [0, 3], [1, 1], 4, "t")
+    assert (good.rows, good.values) == ((0, 3), (1, 1))
     assert good.multipliers == (1, 0, 0, 1)
-    assert good == Certificate(Ring.Z2, (1, 0, 0, 1), "t")
-    assert Certificate.from_terms(Ring.Z, [], [], 3, "t").multipliers == (Fraction(0),) * 3
+    assert good == helpers.dense_certificate(Ring.Z2, (1, 0, 0, 1), "t")
+    assert Certificate(Ring.Z, [], [], 3, "t").multipliers == (Fraction(0),) * 3
     for rows, values in [
         ([3, 0], [1, 1]),  # out of order
         ([1, 1], [1, 1]),  # repeated row
@@ -835,4 +840,4 @@ def test_term_built_certificates_are_validated():
         ([0, 2], [1]),  # a row without a multiplier
     ]:
         with pytest.raises(ValueError):
-            Certificate.from_terms(Ring.Z2, rows, values, 4, "bad")
+            Certificate(Ring.Z2, rows, values, 4, "bad")

@@ -19,6 +19,10 @@ Core claims:
       1 (sympy; skipped without it)
     - a solution check rejects a right-hand side or a solution of the
       wrong length
+    - a right-hand side given as its nonzero {row: entry} terms solves and
+      checks as its dense form, on both rings; a key outside the rows is
+      refused by solve (ValueError), check_solution and check_certificate
+      (False)
     - a halved GF(2) certificate is an integer certificate of the same
       system, and only a GF(2) certificate halves
     - a matrix given as sparse {column: entry} rows factors exactly as its
@@ -115,10 +119,10 @@ def test_solution_check_rejects_wrong_lengths():
 
 def test_tampered_certificates_rejected():
     # y = 1/3 breaks integrality of y.A; y = 1 breaks non-integrality of y.b.
-    assert not check_certificate([[2]], [1], Certificate(Ring.Z, (Fraction(1, 3),), "bad"))
-    assert not check_certificate([[2]], [1], Certificate(Ring.Z, (Fraction(1),), "bad"))
+    assert not check_certificate([[2]], [1], Certificate(Ring.Z, [0], [Fraction(1, 3)], 1, "bad"))
+    assert not check_certificate([[2]], [1], Certificate(Ring.Z, [0], [Fraction(1)], 1, "bad"))
     gf2 = solve_linear([[1, 1], [1, 1]], [1, 0], Ring.Z2)
-    assert not check_certificate([[1, 1], [1, 1]], [1, 0], Certificate(Ring.Z2, (1, 0), "t"))
+    assert not check_certificate([[1, 1], [1, 1]], [1, 0], Certificate(Ring.Z2, [0], [1], 2, "t"))
 
 
 def _random_matrix(rng, m, n, bound=2):
@@ -229,6 +233,29 @@ def _small_systems(draw):
     return ring, a, b
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_systems())
+def test_sparse_right_hand_sides_solve_and_check_as_dense(system):
+    _, a, b = system
+    width = len(a[0])
+    sparse = {i: v for i, v in enumerate(b) if v}
+    for ring in Ring:
+        factored = factor(a, ring, width=width)
+        result = factored.solve(b)
+        assert factored.solve(sparse) == result
+        x = result.solution if result.solvable else [0] * width
+        for candidate in (x, [1] * width):
+            assert check_solution(a, sparse, candidate, ring) == check_solution(a, b, candidate, ring)
+        for key in (len(a), len(a) + 2, -1):
+            outside = {**sparse, key: 1}
+            with pytest.raises(ValueError):
+                factored.solve(outside)
+            assert not check_solution(a, outside, x, ring)
+            if not result.solvable:
+                assert check_certificate(a, sparse, result.certificate)
+                assert not check_certificate(a, outside, result.certificate)
+
+
 def _mutations(a, b, certificate):
     """Mutated copies of a valid certificate, each paired with whether it is
     certainly invalid: one multiplier changed, one dropped (zeroed, which
@@ -236,7 +263,7 @@ def _mutations(a, b, certificate):
     ring, y = certificate.ring, list(certificate.multipliers)
 
     def mutated(values):
-        return Certificate(ring, tuple(values), certificate.reason)
+        return helpers.dense_certificate(ring, tuple(values), certificate.reason)
 
     out = []
     for i, row in enumerate(a):

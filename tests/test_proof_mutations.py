@@ -14,8 +14,9 @@ Core claims, on the bundled models and on random consistent supports
       reject it against the result's system; Hermite certificates are left
       out, since adding an integer to a multiplier keeps them valid
     - a certificate built from its terms and one built from its dense
-      multipliers are equal and check the same, before and after every such
-      flip, against the dense system and against its sparse rows
+      multipliers (helpers.dense_certificate) are equal and check the same,
+      before and after every such flip, against the dense system and
+      against its sparse rows
 """
 
 from fractions import Fraction
@@ -59,7 +60,9 @@ def _bumped(witness, index, section, ring):
 def _flips(certificate):
     y = certificate.multipliers
     for r in range(len(y)):
-        yield Certificate(certificate.ring, y[:r] + (_FLIP[y[r]],) + y[r + 1 :], "flip")
+        yield helpers.dense_certificate(
+            certificate.ring, y[:r] + (_FLIP[y[r]],) + y[r + 1 :], "flip"
+        )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -116,10 +119,10 @@ def test_term_built_and_dense_certificates_check_alike(model):
             hermite = ring is Ring.Z and certificate.reason != HALVED
             mutations = [] if hermite else _flips(certificate)
             for dense in [certificate, *mutations]:
-                terms = Certificate.from_terms(
+                terms = Certificate(
                     dense.ring, dense.rows, dense.values, dense.length, dense.reason
                 )
-                rebuilt = Certificate(dense.ring, dense.multipliers, dense.reason)
+                rebuilt = helpers.dense_certificate(dense.ring, dense.multipliers, dense.reason)
                 assert terms == dense == rebuilt
                 verdict = check_certificate(system.matrix, system.rhs, dense)
                 assert verdict == (dense is certificate)
