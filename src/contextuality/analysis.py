@@ -1,16 +1,17 @@
 """Derived diagnostics: the degree-gcd divisibility condition, the witness
 coefficient-sum invariant on connected one-hot models, and detection of
-false positives (vanishing obstructions at non-extendable sections)."""
+false positives (vanishing obstructions at non-extendable sections), each
+re-checked from its own witness and a count of the model pinned to it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .cohomology import ObstructionResult, Ring, VerificationError, all_obstructions
-from .extendability import Classification, Verdict, classify, global_sections
+from .cohomology import ObstructionResult, Ring, VerificationError, all_obstructions, verify_witness
+from .extendability import Classification, Verdict, classify
 from .model import SupportModel, ks_support
-from .scenario import Scenario, Section, is_connected, restrict_section
+from .scenario import Scenario, Section, is_connected
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ def false_positives(
     """Join the obstruction verdicts with the extendability oracle.
 
     `obstructions` and `classification` may be passed in when already
-    computed for the model.  Every reported pair is re-verified directly
-    against both modules: one fresh batch of obstructions must find it
-    vanishing, and one fresh global-section search must restrict to none
-    of the pairs.  A disagreement raises :class:`VerificationError`.
+    computed for the model.  Every reported pair is re-verified from its own
+    proofs: its witness by :func:`verify_witness`, and a fresh search must
+    count no global section once the pair's context support is cut to the
+    one section.  A disagreement raises :class:`VerificationError`.
     """
     if obstructions is None:
         obstructions = all_obstructions(model, ring)
@@ -100,17 +101,15 @@ def false_positives(
         classification = classify(model)
     pairs: list[tuple[int, Section]] = []
     for (index, section), result in obstructions.items():
-        if result.vanishes and not classification.extendable[(index, section)]:
-            pairs.append((index, section))
-
-    fresh_sections = global_sections(model) if pairs else []
-    fresh_obstructions = all_obstructions(model, ring) if pairs else {}
-    for index, section in pairs:  # independent re-verification
-        members = model.scenario.contexts[index].members
-        if any(restrict_section(g, members) == section for g in fresh_sections):
+        if not result.vanishes or classification.extendable[(index, section)]:
+            continue
+        pinned = model.supports[:index] + (frozenset((section,)),) + model.supports[index + 1 :]
+        if classify(SupportModel(model.scenario, pinned)).count:
             raise VerificationError(f"oracle disagreement at context {index}, {section}")
-        if not fresh_obstructions[(index, section)].vanishes:
+        witness = result.witness
+        if witness is None or not verify_witness(model, index, section, witness, ring):
             raise VerificationError(f"obstruction disagreement at context {index}, {section}")
+        pairs.append((index, section))
 
     flag = classification.verdict is Verdict.STRONGLY_CONTEXTUAL and any(
         r.vanishes for r in obstructions.values()

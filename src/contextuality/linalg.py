@@ -148,12 +148,12 @@ def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
 def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) -> bool:
     rows = _sparse_rows(matrix, len(x))
     b = None if rows is None else _fitted(rhs, len(rows))
-    if b is None:
-        return False
-    got = mat_vec(rows, x)
-    if ring is Ring.Z2:
-        return all((g - b.get(i, 0)) % 2 == 0 for i, g in enumerate(got))
-    return all(g == b.get(i, 0) for i, g in enumerate(got))
+    return b is not None and _substitutes(rows, b, x, ring)
+
+
+def _substitutes(rows: Matrix, b: dict[int, int], x: Sequence[int], ring: Ring) -> bool:
+    """A x = b, for dict rows that fit x and a dict b that fits the rows."""
+    return not any(ring.reduce(g - b.get(i, 0)) for i, g in enumerate(mat_vec(rows, x)))
 
 
 def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> bool:
@@ -230,7 +230,8 @@ class Factorization:
             raise ValueError(f"the right-hand side does not fit the matrix's {self.height} rows")
         result = self._solve(b)
         if result.solution is not None:
-            if not check_solution(self.matrix, b, result.solution, self.ring):
+            x = result.solution
+            if len(x) != self.width or not _substitutes(self.matrix, b, x, self.ring):
                 raise VerificationError("solver returned a solution that fails substitution")
         else:
             assert result.certificate is not None

@@ -33,24 +33,18 @@ def witness_payload(result: ObstructionResult) -> list[dict]:
     return payload
 
 
-def _certificate_payload(result: ObstructionResult, equation_lists: dict[int, list]) -> dict:
-    """`equation_lists` maps id() of a `system.equations` tuple, kept alive by
-    the caller, to its payload, so that every certificate over one tuple
-    holds the same list."""
+def _certificate_payload(result: ObstructionResult, equations: list[dict]) -> dict:
+    """`equations` is the payload of `result.system.equations`, which every
+    certificate of one `all_obstructions` call shares."""
     certificate = result.certificate
     assert certificate is not None
-    equations = result.system.equations
-    if id(equations) not in equation_lists:
-        equation_lists[id(equations)] = [
-            {"first": i, "second": j, "section": s.outcome_string()} for i, j, s in equations
-        ]
     multipliers = ["0"] * certificate.length  # str(0) and str(Fraction(0)) alike
     for r, m in zip(certificate.rows, certificate.values):
         multipliers[r] = str(m)
     return {
         "reason": certificate.reason,
         "multipliers": multipliers,
-        "equations": equation_lists[id(equations)],
+        "equations": equations,
     }
 
 
@@ -114,7 +108,7 @@ def build_report(
     for ring in rings:
         results = all_obstructions(support, ring)
         entries = []
-        equation_lists: dict[int, list] = {}  # keyed on tuples that `results` holds
+        equations = None  # the ring's one equation payload, built for its first certificate
         for (index, section), result in results.items():
             entry = {
                 "context": index,
@@ -125,7 +119,12 @@ def build_report(
                 if result.vanishes:
                     entry["witness"] = witness_payload(result)
                 else:
-                    entry["certificate"] = _certificate_payload(result, equation_lists)
+                    if equations is None:
+                        equations = [
+                            {"first": i, "second": j, "section": s.outcome_string()}
+                            for i, j, s in result.system.equations
+                        ]
+                    entry["certificate"] = _certificate_payload(result, equations)
             entries.append(entry)
         vanishing = sum(1 for e in entries if e["vanishes"])
         report["obstructions"][ring.value] = {

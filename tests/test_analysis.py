@@ -10,28 +10,47 @@ Core claims:
     - false positives are exactly {vanishing} minus {extendable}: Hardy has
       exactly one over Z; the PR box none; the five-context cover triggers
       the strong-contextuality false-positive flag
-    - reported false positives are re-verified against one fresh
-      global-section search, which rejects a pair it finds extendable, and
-      one fresh batch of obstructions per ring, which rejects a pair it
-      finds non-vanishing
+    - reported false positives are re-verified from their own proofs: one
+      pinned count per pair (the model with that context's support cut to
+      the one section), which rejects a pair it finds extendable, and one
+      verify_witness of the pair's own witness, which rejects a changed or
+      missing witness; no obstruction batch is run and no global section is
+      listed
+    - Hardy beside the one-hot ring of 11 (81,190 global sections) has
+      exactly the one false positive (0, "0,0") on both rings, found with
+      the listing of global sections disabled
+    - on 200 random consistent models and both rings, the false positives
+      are exactly the vanishing sections that no global section of a
+      brute-force enumeration restricts to
 """
 
+import json
+import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from contextuality import (
     Ring,
+    VerificationError,
     all_obstructions,
     build_scenario,
     classify,
+    combination,
     false_positives,
     gcd_condition,
     is_ks_shaped,
     ks_support,
     ks_vanishing_implies_gcd_check,
+    parse_scenario,
+    restrict_section,
+    verify_witness,
     witness_context_sums,
 )
+from contextuality.corpus import example_text
+
+import helpers
 
 
 KSFP_VANISHING = {  # frozen from an integer sweep of all 15 sections
@@ -154,59 +173,143 @@ def test_false_positives_are_vanishing_minus_extendable(corpus_supports):
                 assert results[key].vanishes
 
 
-def test_false_positives_are_reverified_by_one_fresh_search(corpus_supports, monkeypatch):
-    from contextuality import Section, analysis
+def _pinned(model, index, section):
+    supports = list(model.supports)
+    supports[index] = frozenset((section,))
+    return supports
+
+
+def test_false_positives_are_reverified_by_one_pinned_count_per_pair(corpus_supports, monkeypatch):
+    from contextuality import analysis, extendability
 
     model = corpus_supports["ks-false-positive"]
+    results = all_obstructions(model, Ring.Z)
     classification = classify(model)
-    searches = []
+    counted = []
 
-    def counted(searched):
-        searches.append(searched)
-        return real(searched)
+    def counting(searched):
+        counted.append(searched)
+        return classify(searched)
 
-    real = analysis.global_sections
-    monkeypatch.setattr(analysis, "global_sections", counted)
-    report = false_positives(model, Ring.Z, classification=classification)
-    assert len(report.sections) == len(KSFP_VANISHING) and searches == [model]
+    def unused(*args):
+        raise AssertionError("false_positives must not run this")
 
-    # A search that extends one reported section is an oracle disagreement.
-    index, s = report.sections[-1]
-    measurements = model.scenario.measurements
-    extension = Section(
-        measurements, tuple(s.value_of(m) if m in s.domain else "0" for m in measurements)
-    )
-    monkeypatch.setattr(analysis, "global_sections", lambda searched: [extension])
-    with pytest.raises(RuntimeError, match="oracle disagreement"):
-        false_positives(model, Ring.Z, classification=classification)
+    monkeypatch.setattr(analysis, "classify", counting)
+    monkeypatch.setattr(analysis, "all_obstructions", unused)
+    monkeypatch.setattr(extendability, "global_sections", unused)
+    monkeypatch.setattr(extendability, "_enumerate", unused)
+    report = false_positives(model, Ring.Z, obstructions=results, classification=classification)
+    assert {(i, s.outcome_string()) for i, s in report.sections} == KSFP_VANISHING
+    assert [m.scenario for m in counted] == [model.scenario] * len(KSFP_VANISHING)
+    assert [list(m.supports) for m in counted] == [
+        _pinned(model, index, section) for index, section in report.sections
+    ]
+
+    # A pinned count that is not 0 is an oracle disagreement.
+    index, section = report.sections[0]
+    monkeypatch.setattr(analysis, "classify", lambda searched: replace(classify(searched), count=1))
+    message = re.escape(f"oracle disagreement at context {index}, {section}")
+    with pytest.raises(VerificationError, match=message):
+        false_positives(model, Ring.Z, obstructions=results, classification=classification)
+    monkeypatch.undo()
+
+    # So is a classification that calls an extendable vanishing section of
+    # Hardy non-extendable.
+    model = corpus_supports["hardy"]
+    results = all_obstructions(model, Ring.Z)
+    classification = classify(model)
+    key = next(k for k, r in results.items() if r.vanishes and classification.extendable[k])
+    wrong = replace(classification, extendable={**classification.extendable, key: False})
+    message = re.escape(f"oracle disagreement at context {key[0]}, {key[1]}")
+    with pytest.raises(VerificationError, match=message):
+        false_positives(model, Ring.Z, obstructions=results, classification=wrong)
 
 
 @pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
-def test_false_positives_are_reverified_by_one_fresh_batch(ring, corpus_supports, monkeypatch):
+def test_false_positives_are_reverified_from_their_own_witness(ring, corpus_supports, monkeypatch):
     from contextuality import analysis
 
     model = corpus_supports["ks-false-positive"]
     results = all_obstructions(model, ring)
     classification = classify(model)
-    batches = []
+    checked = []
 
-    def counted(searched, searched_ring):
-        batches.append((searched, searched_ring))
-        return all_obstructions(searched, searched_ring)
+    def counting(*args):
+        checked.append(args)
+        return verify_witness(*args)
 
-    monkeypatch.setattr(analysis, "all_obstructions", counted)
+    monkeypatch.setattr(analysis, "verify_witness", counting)
     report = false_positives(model, ring, obstructions=results, classification=classification)
-    assert report.sections and batches == [(model, ring)]
+    assert report.sections
+    assert checked == [
+        (model, index, section, results[(index, section)].witness, ring)
+        for index, section in report.sections
+    ]
+    monkeypatch.undo()
 
-    # A fresh batch that finds one reported section non-vanishing is an
-    # obstruction disagreement.
-    key = report.sections[0]
+    # A witness changed in one coefficient, or no witness, is an obstruction
+    # disagreement.  Every context of this cover overlaps another, so adding
+    # 1 to a term of a non-base entry breaks a fiber sum.
+    index, section = key = report.sections[0]
+    witness = results[key].witness
+    other = (index + 1) % len(witness)
+    combo = witness[other]
+    target = model.support_list(other)[0]
+    bumped = combination(
+        ring, combo.domain, {**combo.coefficients, target: combo.coefficients.get(target, 0) + 1}
+    )
+    changed = witness[:other] + (bumped,) + witness[other + 1 :]
+    message = re.escape(f"obstruction disagreement at context {index}, {section}")
+    for mutated in (changed, None):
+        wrong = {**results, key: replace(results[key], witness=mutated)}
+        with pytest.raises(VerificationError, match=message):
+            false_positives(model, ring, obstructions=wrong, classification=classification)
 
-    def disagreeing(searched, searched_ring):
-        fresh = dict(all_obstructions(searched, searched_ring))
-        fresh[key] = replace(fresh[key], vanishes=False)
-        return fresh
 
-    monkeypatch.setattr(analysis, "all_obstructions", disagreeing)
-    with pytest.raises(RuntimeError, match="obstruction disagreement"):
-        false_positives(model, ring, obstructions=results, classification=classification)
+def _hardy_beside_ring(k):
+    """Hardy's model beside a ring of k one-hot 4-sets on disjoint
+    measurements, the ring's consecutive contexts sharing one measurement."""
+    hardy = json.loads(example_text("hardy"))
+    ring = [f"r{j:03d}" for j in range(3 * k)]
+    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
+    contexts = [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)]
+    document = {
+        "name": f"hardy-ring{k}",
+        "measurements": hardy["measurements"] + ring,
+        "outcomes": ["0", "1"],
+        "contexts": hardy["contexts"] + contexts,
+        "model": {"support": hardy["model"]["support"] + [rows] * k},
+    }
+    return parse_scenario(json.dumps(document)).support_model()
+
+
+def test_hardy_beside_the_ring_of_11_lists_no_global_section(monkeypatch):
+    from contextuality import extendability
+
+    model = _hardy_beside_ring(11)
+    assert classify(model).count == 81190
+
+    def unused(*args):
+        raise AssertionError("false_positives must not list global sections")
+
+    monkeypatch.setattr(extendability, "_enumerate", unused)
+    for ring in (Ring.Z2, Ring.Z):
+        report = false_positives(model, ring)
+        assert [(i, s.outcome_string()) for i, s in report.sections] == [(0, "0,0")], ring
+        assert not report.strong_contextuality_false_positive
+
+
+def test_false_positives_match_exhaustive_global_sections():
+    rng = random.Random(171)
+    found = 0
+    for _ in range(200):
+        model = helpers.random_consistent_support(rng)
+        exhaustive = helpers.exhaustive_global_sections(model)
+        members = [ctx.members for ctx in model.scenario.contexts]
+        extended = {(i, restrict_section(g, m)) for g in exhaustive for i, m in enumerate(members)}
+        for ring in (Ring.Z2, Ring.Z):
+            results = all_obstructions(model, ring)
+            expected = tuple(k for k, r in results.items() if r.vanishes and k not in extended)
+            assert false_positives(model, ring, obstructions=results).sections == expected
+            found += len(expected)
+    assert found  # some models have false positives

@@ -38,6 +38,7 @@ Core claims:
 import json
 import random
 import runpy
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -52,7 +53,6 @@ from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
 from contextuality.report import RING_ORDER, build_report, emit_report
-from contextuality.scenario import Section
 
 
 @pytest.fixture()
@@ -287,20 +287,25 @@ def test_oracle_proof_failures_map_to_exit_3(corpus_file, monkeypatch, capsys):
     )
     monkeypatch.undo()
 
-    # A search that extends a reported false positive is an oracle
-    # disagreement, found while building the report.
+    # A pinned count that is not 0 is an oracle disagreement, and a witness
+    # that fails its re-check an obstruction disagreement, found while
+    # building the report.
     model = parse_scenario(example_text("ks-false-positive")).support_model()
     index, section = analysis.false_positives(model, RING_ORDER[0]).sections[0]
-    measurements = model.scenario.measurements
-    extension = Section(
-        measurements,
-        tuple(section.value_of(m) if m in section.domain else "0" for m in measurements),
-    )
-    monkeypatch.setattr(analysis, "global_sections", lambda searched: [extension])
+    classify = analysis.classify
+    monkeypatch.setattr(analysis, "classify", lambda searched: replace(classify(searched), count=1))
     assert main(["report", corpus_file("ks-false-positive")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"internal verification failure: oracle disagreement at context {index}")
-    assert err.count("\n") == 1
+    assert err == (
+        f"internal verification failure: oracle disagreement at context {index}, {section}\n"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis, "verify_witness", lambda *args: False)
+    assert main(["report", corpus_file("ks-false-positive")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"internal verification failure: obstruction disagreement at context {index}, {section}\n"
+    )
 
 
 def test_running_out_of_memory_maps_to_exit_4(corpus_file, monkeypatch, capsys):

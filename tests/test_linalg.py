@@ -19,6 +19,10 @@ Core claims:
       1 (sympy; skipped without it)
     - a solution check rejects a right-hand side or a solution of the
       wrong length
+    - a solve fits only its right-hand side, once, not the rows factored
+      before it (the certificate check fits it a second time), and still
+      rejects a solver's solution that fails substitution or has the wrong
+      length
     - a right-hand side given as its nonzero {row: entry} terms solves and
       checks as its dense form, on both rings; a key outside the rows is
       refused by solve (ValueError), check_solution and check_certificate
@@ -115,6 +119,30 @@ def test_solution_check_rejects_wrong_lengths():
     assert not check_solution(identity, [1, 5], [1], Ring.Z)  # second equation unchecked
     assert not check_solution(identity, [1, 5, 0], [1, 5], Ring.Z)
     assert not check_solution(identity, [1, 5], [1, 5, 7], Ring.Z2)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
+def test_solve_fits_only_its_right_hand_side(ring, monkeypatch):
+    from contextuality import linalg
+
+    fitted = []
+
+    def counting(vector, length):
+        fitted.append(length)
+        return real(vector, length)
+
+    real = linalg._fitted
+    factorization = factor([[1, 1, 0], [0, 1, 1], [1, 0, 1]], ring)
+    monkeypatch.setattr(linalg, "_fitted", counting)
+    assert factorization.solve([1, 1, 0]).solution == (0, 1, 0)
+    assert fitted == [3]
+    assert factorization.solve([1, 0, 0]).certificate is not None
+    assert fitted == [3, 3, 3]
+
+    for wrong in ((0, 1, 1), (0, 1), (0, 1, 0, 0)):
+        monkeypatch.setattr(factorization, "_solve", lambda b: linalg.SolveResult(wrong, None))
+        with pytest.raises(linalg.VerificationError, match="fails substitution"):
+            factorization.solve([1, 1, 0])
 
 
 def test_tampered_certificates_rejected():
