@@ -5,7 +5,7 @@ codes: 0 analysis completed, 1 usage error, 2 invalid or signalling model,
 3 internal verification failure (a witness, certificate or proof section
 failed its re-check, or the oracle and the obstructions disagree, which
 must never happen), 4 resource limit reached (the process ran out of
-memory).
+memory, or the search nested deeper than Python's recursion limit).
 """
 
 from __future__ import annotations
@@ -229,8 +229,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE
-    except MemoryError:
-        print("error: out of memory: the model is too large for this process", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        limit = "out of memory" if isinstance(exc, MemoryError) else "recursion limit reached"
+        print(f"error: {limit}: the model is too large for this process", file=sys.stderr)
         return RESOURCE_LIMIT
 
 

@@ -12,10 +12,10 @@ model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
-delta^0 is built once per call, sparse: its rows as {column: entry} dicts,
-and for the GF(2) echelon its columns as {row: entry} dicts.  The systems
-of one base context are cut out of the rows once, sparse, and the solver
-reads them so.  Each :class:`ObstructionSystem` is a view on the rows; its
+delta^0 is built once per call, sparse: its rows as {column: entry} dicts
+and, beside them, its columns as {row: entry} dicts.  The systems of one
+base context are cut out of both once, sparse, and the solver reads them
+so.  Each :class:`ObstructionSystem` is a view on the rows; its
 dense `matrix` and `rhs` are made by the same cut only when read, once
 per base context.
 
@@ -401,8 +401,9 @@ class _Coboundary:
     overlap table and never changed: the support sections of every context
     in context order (the basis, one block per context), the rows as sparse
     {column: entry} dicts (on the row of (i, j, section), +1 on the fiber in
-    i and -1 on the fiber in j), the equation labels (i, j, section) of the
-    rows, and per context the rows that meet its block.
+    i and -1 on the fiber in j), the columns as sparse {row: entry} dicts
+    (the transpose, which the GF(2) echelon factors), and the equation
+    labels (i, j, section) of the rows.
 
     :meth:`split` cuts out the systems of one base context; the solver reads
     them sparse, and :meth:`dense` makes the matrix and right-hand sides that
@@ -419,13 +420,13 @@ class _Coboundary:
         column = {entry: k for k, entry in enumerate(self.basis)}
         minus = ring.reduce(-1)
         self.rows: list[dict[int, int]] = []
-        self.meeting: list[list[int]] = [[] for _ in model.supports]
+        self.columns: list[dict[int, int]] = [{} for _ in self.basis]
         for r, (i, j, _, left, right) in enumerate(model.overlap_table):
             row = {column[i, s]: 1 for s in left}
             row.update((column[j, s], minus) for s in right)
             self.rows.append(row)
-            self.meeting[i].append(r)
-            self.meeting[j].append(r)
+            for k, a in row.items():
+                self.columns[k][r] = a
         self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
         self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
         self._dense: dict[int, tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]] = {}
@@ -440,17 +441,11 @@ class _Coboundary:
         own), and keyed by each column k of the block, minus column k: the
         right-hand side at k's section.  Columns keep their delta^0 numbers."""
         block = self.block(base)
+        rhs = {k: {r: self.ring.reduce(-a) for r, a in self.columns[k].items()} for k in block}
         rows = list(self.rows)
-        columns: dict[int, dict[int, int]] = {k: {} for k in block}
-        for r in self.meeting[base]:
-            kept = {}
-            for k, a in rows[r].items():
-                if k in block:
-                    columns[k][r] = self.ring.reduce(-a)
-                else:
-                    kept[k] = a
-            rows[r] = kept
-        return rows, columns
+        for r in set().union(*rhs.values()):  # the rows that meet the block
+            rows[r] = {k: a for k, a in rows[r].items() if k not in block}
+        return rows, rhs
 
     def system(self, base: int, section: Section) -> "ObstructionSystem":
         if base not in self._variables:
@@ -600,11 +595,7 @@ def _obstruction_solver(
     contexts = model.scenario.contexts
     delta = _Coboundary(model, ring)
     basis, rows = delta.basis, delta.rows
-    columns: list[dict[int, int]] = [{} for _ in basis]  # delta^0 transposed
-    for r, row in enumerate(rows):
-        for k, a in row.items():
-            columns[k][r] = a
-    cocycles = factor(columns, Ring.Z2, width=len(rows))
+    cocycles = factor(delta.columns, Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
 
     @cache

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -62,24 +62,11 @@ class ScenarioDocument:
     kind: str  # "support" or "distribution"
     support: SupportModel | None
     empirical: EmpiricalModel | None
-    # A distribution's support, filled on the first successful call of
-    # `support_model`; a declared field for the reason given at
-    # Scenario._overlaps.
-    _extracted: SupportModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def support_model(self) -> SupportModel:
-        """The support of the document's model.
-
-        For distribution documents this extracts the support once, rejecting
-        signalling models (whose restricted supports would be ambiguous) on
-        every call.
-        """
-        if self.support is not None:
-            return self.support
-        if self._extracted is None:
-            assert self.empirical is not None
-            object.__setattr__(self, "_extracted", support_of(self.empirical))
-        return self._extracted
+        """The support of the document's model: for a distribution, its
+        :func:`support_of`, found once and raised again if it signals."""
+        return self.support if self.support is not None else support_of(self.empirical)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

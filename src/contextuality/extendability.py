@@ -242,11 +242,31 @@ def _checked(model: SupportModel, found: list) -> tuple[list[tuple[int, ...]], l
     return found, restrictions
 
 
-def _proved(model: SupportModel) -> tuple[int, list[set[Section]], tuple[list, list, int]]:
-    """The global-section count, each context's support rows that some
-    re-checked proof section restricts to, and the search (steps, memo, width).
-    VerificationError unless the proofs cover exactly the rows the search
-    found live."""
+def global_sections(model: SupportModel) -> list[Section]:
+    """All assignments on the full measurement set whose restriction to every
+    context lies in its support, in canonical order, listed by :func:`classify`."""
+    return list(classify(model).global_sections)
+
+
+def is_extendable_at(model: SupportModel, context: Context, section: Section) -> bool:
+    """True iff some global section restricts to `section` on the context."""
+    if section not in model.supports[context.index]:
+        raise ValueError(
+            f"{section.outcome_string()} is not in the support of context {context.index}"
+        )
+    return classify(model).extendable[context.index, section]
+
+
+def classify(model: SupportModel) -> Classification:
+    """Verdict from the full extendability map.
+
+    All support sections extendable: not contextual at the possibilistic
+    level.  None extendable (equivalently: no global section): strongly
+    contextual.  Otherwise: contextual.
+
+    The oracle's one run.  VerificationError unless the re-checked proof
+    sections cover exactly the support rows the search found live.
+    """
     steps, width = _steps(model), len(model.scenario.measurements)
     count, memo, live = _search(steps, width)
     extendable = sum(map(len, live))
@@ -256,35 +276,6 @@ def _proved(model: SupportModel) -> tuple[int, list[set[Section]], tuple[list, l
         restrictions = [set() for _ in model.scenario.contexts]
     if sum(map(len, restrictions)) != extendable:
         raise VerificationError("proof sections do not cover exactly the extendable rows")
-    return count, restrictions, (steps, memo, width)
-
-
-def global_sections(model: SupportModel) -> list[Section]:
-    """All assignments on the full measurement set whose restriction to every
-    context lies in that context's support, in canonical order, from a
-    search of its own."""
-    steps, width = _steps(model), len(model.scenario.measurements)
-    count, memo, _ = _search(steps, width)
-    return list(_LazySections(model, count, (steps, memo, width)))
-
-
-def is_extendable_at(model: SupportModel, context: Context, section: Section) -> bool:
-    """True iff some global section restricts to `section` on the context."""
-    if section not in model.supports[context.index]:
-        raise ValueError(
-            f"{section.outcome_string()} is not in the support of context {context.index}"
-        )
-    return section in _proved(model)[1][context.index]
-
-
-def classify(model: SupportModel) -> Classification:
-    """Verdict from the full extendability map.
-
-    All support sections extendable: not contextual at the possibilistic
-    level.  None extendable (equivalently: no global section): strongly
-    contextual.  Otherwise: contextual.
-    """
-    count, restrictions, search = _proved(model)
     flags = {
         (ctx.index, s): s in restrictions[ctx.index]
         for ctx in model.scenario.contexts
@@ -296,4 +287,4 @@ def classify(model: SupportModel) -> Classification:
         verdict = Verdict.STRONGLY_CONTEXTUAL
     else:
         verdict = Verdict.CONTEXTUAL
-    return Classification(verdict, flags, _LazySections(model, count, search), count)
+    return Classification(verdict, flags, _LazySections(model, count, (steps, memo, width)), count)

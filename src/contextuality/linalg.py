@@ -167,7 +167,12 @@ def check_certificate(matrix: Matrix, rhs: Vector, certificate: Certificate) -> 
     must fit the rows.
     """
     b = _fitted(rhs, len(matrix))
-    if certificate.length != len(matrix) or b is None:
+    return b is not None and _refutes(matrix, b, certificate)
+
+
+def _refutes(matrix: Matrix, b: dict[int, int], certificate: Certificate) -> bool:
+    """:func:`check_certificate`, for a dict b that fits the rows."""
+    if certificate.length != len(matrix):
         return False
     scale = lcm(*(v.denominator for v in certificate.values))
     gf2 = certificate.ring is Ring.Z2
@@ -235,7 +240,7 @@ class Factorization:
                 raise VerificationError("solver returned a solution that fails substitution")
         else:
             assert result.certificate is not None
-            if not check_certificate(self.matrix, b, result.certificate):
+            if not _refutes(self.matrix, b, result.certificate):
                 raise VerificationError("solver returned a certificate that fails re-check")
         return result
 
@@ -375,8 +380,8 @@ def gf2_rank(matrix: Matrix) -> int:
 
 
 def gf2_nullity(matrix: Matrix, width: int | None = None) -> int:
-    n = width if width is not None else (len(matrix[0]) if matrix else 0)
-    return n - gf2_rank(matrix)
+    reduced = factor(matrix, Ring.Z2, width)
+    return reduced.width - reduced.rank
 
 
 # ---------------------------------------------------------------------------

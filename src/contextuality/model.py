@@ -54,8 +54,9 @@ class EmpiricalModel:
 
     scenario: Scenario
     tables: tuple[dict[Section, Fraction], ...]
-    # Filled by `check_no_signalling`, for the reason given at Scenario._overlaps.
-    _support: SupportModel | None = field(default=None, init=False, repr=False, compare=False)
+    # (nonzero support, violations), filled by the first `check_no_signalling`,
+    # for the reason given at Scenario._overlaps.
+    _no_signalling: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -192,31 +193,34 @@ def check_no_signalling(model: EmpiricalModel) -> list[SignallingViolation]:
     the marginals differ, in canonical order).
 
     Each marginal is an exact sum over one fiber of the nonzero support's
-    `overlap_table` (0 off its rows); empty means a compatible family.
+    `overlap_table` (0 off its rows); empty means a compatible family.  The
+    support and the violations are found once per model and kept.
     """
-    if model._support is None:
+    if model._no_signalling is None:
         supports = [frozenset(s for s, p in table.items() if p != 0) for table in model.tables]
-        object.__setattr__(model, "_support", support_model(model.scenario, supports))
-    violations: list[SignallingViolation] = []
-    for i, j, section, left, right in model._support.overlap_table:
-        if violations and (violations[-1].first, violations[-1].second) == (i, j):
-            continue
-        a = sum((model.tables[i][s] for s in left), Fraction(0))
-        b = sum((model.tables[j][s] for s in right), Fraction(0))
-        if a != b:
-            violations.append(SignallingViolation(i, j, section, a, b))
-    return violations
+        support = support_model(model.scenario, supports)
+        violations: list[SignallingViolation] = []
+        for i, j, section, left, right in support.overlap_table:
+            if violations and (violations[-1].first, violations[-1].second) == (i, j):
+                continue
+            a = sum((model.tables[i][s] for s in left), Fraction(0))
+            b = sum((model.tables[j][s] for s in right), Fraction(0))
+            if a != b:
+                violations.append(SignallingViolation(i, j, section, a, b))
+        object.__setattr__(model, "_no_signalling", (support, tuple(violations)))
+    return list(model._no_signalling[1])
 
 
 def support_of(model: EmpiricalModel) -> SupportModel:
     """Support sets of a no-signalling model; signalling models are rejected
-    because their restricted supports would depend on the context chosen."""
-    violations = check_no_signalling(model)
+    because their restricted supports would depend on the context chosen.
+    The model's first :func:`check_no_signalling` answers every call."""
+    violations = model._no_signalling[1] if model._no_signalling else check_no_signalling(model)
     if violations:
         raise SignallingError(
             f"model is signalling on {len(violations)} context pair(s)", violations
         )
-    return model._support
+    return model._no_signalling[0]
 
 
 def support_violations(model: SupportModel) -> list[SupportViolation]:

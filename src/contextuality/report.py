@@ -56,7 +56,7 @@ def build_report(
     """Run the full analysis and collect it into a JSON-compatible dict.
 
     Raises :class:`contextuality.model.SignallingError` for signalling
-    distribution documents or overlap-inconsistent supports.
+    distributions, and for overlap-inconsistent supports unless `rings=()`.
     """
     scenario = document.scenario
     report: dict = {

@@ -4,6 +4,8 @@ Core claims:
     - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model, 3 a
       failed re-check (also of the oracle's proof sections, and an oracle
       or obstruction disagreement), printed on one line, 4 out of memory
+      or past the recursion limit (classify and report on a one-hot ring of
+      200 contexts under a lowered limit), on one line, with no traceback
     - classify prints the verdict with the global-section count, exact past
       sys.maxsize: 92585104325562912980002 on the ring of 60 one-hot
       4-sets, in under a second
@@ -38,6 +40,7 @@ Core claims:
 import json
 import random
 import runpy
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -319,6 +322,31 @@ def test_running_out_of_memory_maps_to_exit_4(corpus_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory: the model is too large for this process\n"
+
+
+def test_a_search_past_the_recursion_limit_maps_to_exit_4(tmp_path, capsys):
+    k = 200  # one recursive call per context in the oracle's search
+    ring = [f"r{j:03d}" for j in range(3 * k)]
+    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
+    contexts = [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)]
+    path = tmp_path / "ring200.json"
+    model = {"support": [rows] * k}
+    document = {"name": "ring200", "measurements": ring, "outcomes": ["0", "1"]}
+    path.write_text(json.dumps({**document, "contexts": contexts, "model": model}))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        codes = [main([command, str(path)]) for command in ("classify", "report")]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert codes == [4, 4]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = "error: recursion limit reached: the model is too large for this process\n"
+    assert captured.err == 2 * line
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

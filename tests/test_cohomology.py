@@ -56,6 +56,9 @@ Core claims:
       right-hand side, and every result of a call shares one delta^0; once
       read, each result's matrix and rhs are the dense split of
       coboundary_matrix(model, ring, 0) and are built once per base
+    - delta^0 holds its columns beside its rows: they are the transpose of
+      the rows, and they are the very matrix the solver's GF(2) echelon
+      factors
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
       rebuilt from its dense multipliers (helpers.dense_certificate) or
@@ -782,6 +785,27 @@ def test_systems_are_views_built_only_when_read(ring, corpus_supports):
         for (base, s), result in results.items():  # cached: the same objects again
             assert result.system.matrix is delta._dense[base][0]
             assert result.system.rhs is delta._dense[base][1][s]
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, monkeypatch):
+    received = []
+
+    def recording_factor(matrix, ring_, width=None):
+        received.append(matrix)
+        return factor(matrix, ring_, width)
+
+    monkeypatch.setattr(cohomology, "factor", recording_factor)
+    for model in (ghz_parity(4), one_hot_ring(5), *corpus_supports.values()):
+        received.clear()
+        results = all_obstructions(model, ring)
+        delta = next(iter(results.values())).system._coboundary
+        transpose = [{} for _ in delta.basis]
+        for r, row in enumerate(delta.rows):
+            for k, a in row.items():
+                transpose[k][r] = a
+        assert delta.columns == transpose
+        assert received[0] is delta.columns
 
 
 def test_view_equality_is_the_systems_equality(corpus_supports):

@@ -22,6 +22,9 @@ Core claims:
       and is not built at all when the count is 0
     - a proof section outside a support, or proofs that miss an extendable
       row, raise RuntimeError
+    - classify, global_sections and is_extendable_at each run the oracle
+      once: one search and, where there is a global section, one proof
+      pass, both called from classify
     - the report lists the global sections from classify's own search, in
       global_sections' order, and builds a section only per distinct
       restriction, not per global section; a listed classification, once
@@ -30,6 +33,7 @@ Core claims:
 
 import gc
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -399,6 +403,29 @@ def test_proofs_that_miss_an_extendable_row_are_refused(corpus_supports, monkeyp
     monkeypatch.setattr(extendability, "_proofs", lambda *args: real(*args)[1:])
     with pytest.raises(RuntimeError, match="extendable rows"):
         classify(corpus_supports["hardy"])
+
+
+def test_every_entry_point_runs_one_search_from_classify(corpus_supports, monkeypatch):
+    calls = []
+    for name in ("_search", "_proofs"):
+        real = getattr(extendability, name)
+
+        def recorded(*args, real=real, name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        monkeypatch.setattr(extendability, name, recorded)
+    for model in (corpus_supports["hardy"], corpus_supports["prbox"], _ring_cover(5, None)):
+        ctx = model.scenario.contexts[-1]
+        proved = [("_proofs", "classify")] if classify(model).count else []  # none to re-check
+        for entry in (
+            classify,
+            global_sections,
+            lambda m: is_extendable_at(m, ctx, m.support_list(ctx.index)[0]),
+        ):
+            calls.clear()
+            entry(model)
+            assert calls == [("_search", "classify"), *proved]
 
 
 def _document(model):

@@ -20,9 +20,8 @@ Core claims:
     - a solution check rejects a right-hand side or a solution of the
       wrong length
     - a solve fits only its right-hand side, once, not the rows factored
-      before it (the certificate check fits it a second time), and still
-      rejects a solver's solution that fails substitution or has the wrong
-      length
+      before it, also when it re-checks a certificate, and still rejects a
+      solver's solution that fails substitution or has the wrong length
     - a right-hand side given as its nonzero {row: entry} terms solves and
       checks as its dense form, on both rings; a key outside the rows is
       refused by solve (ValueError), check_solution and check_certificate
@@ -31,7 +30,8 @@ Core claims:
       system, and only a GF(2) certificate halves
     - a matrix given as sparse {column: entry} rows factors exactly as its
       dense form: same rank, kernel, solutions and certificates; rows with a
-      column outside the declared width, or without a width, are refused
+      column outside the declared width, or without a width, are refused;
+      gf2_nullity reads them with their declared width
     - over GF(2), the unit solutions of the input rows add up (as
       symmetric differences) to the support of the solution of any
       consistent right-hand side, here ones that vanish outside a block
@@ -137,7 +137,7 @@ def test_solve_fits_only_its_right_hand_side(ring, monkeypatch):
     assert factorization.solve([1, 1, 0]).solution == (0, 1, 0)
     assert fitted == [3]
     assert factorization.solve([1, 0, 0]).certificate is not None
-    assert fitted == [3, 3, 3]
+    assert fitted == [3, 3]
 
     for wrong in ((0, 1, 1), (0, 1), (0, 1, 0, 0)):
         monkeypatch.setattr(factorization, "_solve", lambda b: linalg.SolveResult(wrong, None))
@@ -239,6 +239,17 @@ def test_gf2_rank_and_nullity():
     assert gf2_rank([[2, 4], [6, 8]]) == 0
     assert gf2_nullity([[1, 1, 0]], width=3) == 2
     assert gf2_nullity([], width=4) == 4
+
+
+def test_gf2_nullity_of_sparse_rows_is_that_of_the_dense_ones():
+    rng = random.Random(131)
+    for _ in range(200):
+        width = rng.randrange(1, 8)
+        dense = [[rng.randrange(3) for _ in range(width)] for _ in range(rng.randrange(6))]
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in dense]
+        assert gf2_nullity(sparse, width=width) == gf2_nullity(dense, width=width)
+        if dense:
+            assert gf2_nullity(dense) == gf2_nullity(dense, width=width)
 
 
 def test_solver_is_deterministic():

@@ -11,6 +11,9 @@ Core claims:
       tables with zero entries, signalling or not
     - a distribution document's overlap table is built once, by the check,
       and never from marginals or an enumeration of an overlap's sections
+    - a model's tables are summed once: a signalling document raises the
+      same SignallingError on a second support_model() without reading a
+      table again, and the violations a caller gets are its own list
     - the Hardy support has exactly 13 sections; PR has 2 per context
     - one-hot supports have one section per context member; parity supports
       hold the stated parity
@@ -23,7 +26,9 @@ Core claims:
       to a caller is the caller's own
 """
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,6 +271,33 @@ def test_distribution_overlap_table_is_built_once(monkeypatch):
     contexts = {ctx.members for ctx in document.scenario.contexts}
     assert set(enumerated) <= contexts
     assert not contexts & {carrier for *_, carrier in overlaps}
+
+
+def test_a_signalling_document_is_summed_once():
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    raw = json.loads(example_text("prbox"))
+    raw["model"]["distribution"][0] = {"0,0": "1"}  # a = 0 here, not in context 1
+    document = parse_scenario(json.dumps(raw))
+    tables = tuple(map(Counting, document.empirical.tables))
+    document = replace(document, empirical=replace(document.empirical, tables=tables))
+    with pytest.raises(SignallingError) as first:
+        document.support_model()
+    summed = len(reads)
+    assert summed > 0 and first.value.violations
+    with pytest.raises(SignallingError) as second:
+        document.support_model()
+    assert second.value.violations == first.value.violations
+    got = check_no_signalling(document.empirical)
+    assert got == list(first.value.violations)
+    got.clear()
+    assert check_no_signalling(document.empirical) == list(first.value.violations)
+    assert len(reads) == summed
 
 
 def test_hardy_support_has_13_sections(corpus):
