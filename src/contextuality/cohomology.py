@@ -15,9 +15,9 @@ as the right-hand side.
 delta^0 is built once per call, sparse: its rows as {column: entry} dicts
 and, beside them, its columns as {row: entry} dicts.  The systems of one
 base context are cut out of both once, sparse, and the solver reads them
-so.  Each :class:`ObstructionSystem` is a view on the rows; its
-dense `matrix` and `rhs` are made by the same cut only when read, once
-per base context.
+so.  Each :class:`ObstructionSystem` holds the call's rows, its base block
+and its right-hand side's nonzero terms; its dense `matrix` and `rhs` are
+built from them on each read and kept nowhere.
 
 Every section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
@@ -405,10 +405,9 @@ class _Coboundary:
     (the transpose, which the GF(2) echelon factors), and the equation
     labels (i, j, section) of the rows.
 
-    :meth:`split` cuts out the systems of one base context; the solver reads
-    them sparse, and :meth:`dense` makes the matrix and right-hand sides that
-    :class:`ObstructionSystem` exposes from the same cut, on first read, and
-    keeps them, once per base.
+    :meth:`split` cuts out the systems of one base context, sparse; the
+    solver reads them so, and each :class:`ObstructionSystem` holds the
+    rows, the base block and its own right-hand side.
     """
 
     def __init__(self, model: SupportModel, ring: Ring):
@@ -428,8 +427,6 @@ class _Coboundary:
             for k, a in row.items():
                 self.columns[k][r] = a
         self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
-        self._variables: dict[int, tuple[tuple[int, Section], ...]] = {}
-        self._dense: dict[int, tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]] = {}
 
     def block(self, base: int) -> range:
         """The columns of the base context's support sections."""
@@ -447,37 +444,17 @@ class _Coboundary:
             rows[r] = {k: a for k, a in rows[r].items() if k not in block}
         return rows, rhs
 
-    def system(self, base: int, section: Section) -> "ObstructionSystem":
-        if base not in self._variables:
-            block = self.block(base)
-            self._variables[base] = tuple(self.basis[: block.start] + self.basis[block.stop :])
-        return ObstructionSystem(
-            self.ring, base, section, self._variables[base], self.equations, self
-        )
-
-    def dense(self, base: int) -> tuple[tuple[tuple[int, ...], ...], dict[Section, tuple]]:
-        """The base context's matrix, with its columns numbered as the
-        variables, and its right-hand sides by section, dense."""
-        if base not in self._dense:
-            rows, rhs = self.split(base)
-            block = self.block(base)
-            width = len(self.basis) - len(block)
-            matrix = tuple(tuple(_dense(row, width)) for row in _in_variables(rows, block))
-            by_section = {self.basis[k][1]: tuple(_dense(c, len(rows))) for k, c in rhs.items()}
-            self._dense[base] = matrix, by_section
-        return self._dense[base]
-
 
 def _in_variables(rows: Sequence[dict[int, int]], block: range) -> list[dict[int, int]]:
     """Rows without entries in the block, their columns renumbered to close it."""
     return [{k - (k >= block.stop) * len(block): a for k, a in row.items()} for row in rows]
 
 
-def _dense(entries: Mapping[int, int], length: int) -> list[int]:
+def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
     out = [0] * length
     for k, a in entries.items():
         out[k] = a
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -492,11 +469,12 @@ class ObstructionSystem:
     base section as the right-hand side, since the base context's entry is
     fixed to 1*section.
 
-    A system is a view on the sparse delta^0 of the call that made it, which
-    all systems of that call share, with their `equations` tuple.  The dense
-    `matrix` and `rhs` are built on first read and kept, once per base
-    context: the solver never reads them.  Ring, base, section, variables
-    and equations determine every entry, so they alone are compared.
+    A system holds it sparse: delta^0's rows, one list that every system of
+    the call shares with its `equations` tuple, the base block, and its
+    right-hand side as its nonzero {row: entry} terms.  The dense `matrix`
+    and `rhs` are built from them on each read and kept nowhere: the solver
+    never reads them.  Ring, base, section, variables and equations
+    determine every entry, so they alone are compared.
     """
 
     ring: Ring
@@ -504,15 +482,19 @@ class ObstructionSystem:
     section: Section
     variables: tuple[tuple[int, Section], ...]
     equations: tuple[tuple[int, int, Section], ...]
-    _coboundary: _Coboundary = field(repr=False, compare=False)
+    _rows: Sequence[dict[int, int]] = field(repr=False, compare=False)
+    _block: range = field(repr=False, compare=False)
+    _rhs: Mapping[int, int] = field(repr=False, compare=False)
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self._coboundary.dense(self.base)[0]
+        start, stop = self._block.start, self._block.stop
+        rows = (_dense(row, len(self.variables) + stop - start) for row in self._rows)
+        return tuple(row[:start] + row[stop:] for row in rows)
 
     @property
     def rhs(self) -> tuple[int, ...]:
-        return self._coboundary.dense(self.base)[1][self.section]
+        return _dense(self._rhs, len(self._rows))
 
 
 @dataclass(frozen=True)
@@ -544,7 +526,12 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    return _Coboundary(model, ring).system(base, section)
+    delta = _Coboundary(model, ring)
+    block, t = delta.block(base), delta.basis.index((base, section))
+    variables = tuple(delta.basis[: block.start] + delta.basis[block.stop :])
+    _, rhs = delta.split(base)
+    equations, rows = delta.equations, delta.rows
+    return ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs[t])
 
 
 def verify_witness(
@@ -594,7 +581,7 @@ def _obstruction_solver(
     """
     contexts = model.scenario.contexts
     delta = _Coboundary(model, ring)
-    basis, rows = delta.basis, delta.rows
+    basis, rows, equations = delta.basis, delta.rows, delta.equations
     cocycles = factor(delta.columns, Ring.Z2, width=len(rows))
     kernel = cocycles.kernel()
 
@@ -608,6 +595,7 @@ def _obstruction_solver(
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
+        variables = tuple(basis[: block.start] + basis[block.stop :])
         system_rows, rhs_of = delta.split(base)
         projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
         projection = factor(projection_rows, Ring.Z2, len(kernel))
@@ -621,12 +609,12 @@ def _obstruction_solver(
 
         @cache
         def hermite() -> Factorization:
-            width = len(basis) - len(block)
-            return factor(_in_variables(system_rows, block), Ring.Z, width=width)
+            return factor(_in_variables(system_rows, block), Ring.Z, width=len(variables))
 
         def decide(section: Section) -> ObstructionResult:
             t = position[section]
-            system, rhs = delta.system(base, section), rhs_of[t]
+            rhs = rhs_of[t]
+            system = ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs)
             unit = {t - block.start: 1}
             found = projection.solve(unit)
             cocycle = certificate = None
@@ -704,11 +692,10 @@ def all_obstructions(
     delta^0 is factored mod 2 once for the whole call, and over Z at most
     once; each base context's cocycle projections are factored at most once
     per ring, and its Hermite system only for sections that vanish mod 2 but
-    not over Z.  All results of the call are views on one sparse delta^0 and
-    share one `system.equations` tuple; the results of one base context
-    share one `system.matrix`, built when first read.  Verdicts and proofs
-    are those of
-    :func:`obstruction`; `identify` has no effect there either.
+    not over Z.  All results of the call share delta^0's rows and one
+    `system.equations` tuple; each `system.matrix` is built on each read.
+    Verdicts and proofs are those of :func:`obstruction`; `identify` has no
+    effect there either.
     """
     require_overlap_consistent(model)
     solver = _obstruction_solver(model, ring)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .scenario import Scenario, Section, enumerate_sections, restrict_section
+from .scenario import _FILLED_ON_FIRST_USE, Scenario, Section, enumerate_sections, restrict_section
 
 # One row of SupportModel.overlap_table: a context pair i < j, a section of
 # their overlap, and the support sections of i and of j restricting to it.
@@ -54,9 +55,8 @@ class EmpiricalModel:
 
     scenario: Scenario
     tables: tuple[dict[Section, Fraction], ...]
-    # (nonzero support, violations), filled by the first `check_no_signalling`,
-    # for the reason given at Scenario._overlaps.
-    _no_signalling: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (nonzero support, violations), filled by the first `check_no_signalling`.
+    _no_signalling: tuple | None = field(**_FILLED_ON_FIRST_USE)
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,11 @@ class SupportModel:
 
     scenario: Scenario
     supports: tuple[frozenset[Section], ...]
-    # Filled on first use of `overlap_table`; a declared field for the
-    # reason given at Scenario._overlaps.
-    _overlap_table: tuple[OverlapFiber, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Filled on first use of `support_list`, for the same reason.
-    _support_lists: tuple[tuple[Section, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Filled on first use of `overlap_table`, `support_list` and
+    # `support_violations`.
+    _overlap_table: tuple[OverlapFiber, ...] | None = field(**_FILLED_ON_FIRST_USE)
+    _support_lists: tuple[tuple[Section, ...], ...] | None = field(**_FILLED_ON_FIRST_USE)
+    _support_violations: tuple[SupportViolation, ...] | None = field(**_FILLED_ON_FIRST_USE)
 
     def support_list(self, index: int) -> list[Section]:
         """Support of one context in canonical section order, sorted once."""
@@ -193,19 +189,26 @@ def check_no_signalling(model: EmpiricalModel) -> list[SignallingViolation]:
     the marginals differ, in canonical order).
 
     Each marginal is an exact sum over one fiber of the nonzero support's
-    `overlap_table` (0 off its rows); empty means a compatible family.  The
+    `overlap_table` (0 off its rows), summed as integer numerators over its
+    table's common denominator; empty means a compatible family.  The
     support and the violations are found once per model and kept.
     """
     if model._no_signalling is None:
         supports = [frozenset(s for s, p in table.items() if p != 0) for table in model.tables]
         support = support_model(model.scenario, supports)
+        scales = [lcm(*(p.denominator for p in table.values())) for table in model.tables]
+        numerators = [
+            {s: table[s].numerator * (scale // table[s].denominator) for s in nonzero}
+            for table, scale, nonzero in zip(model.tables, scales, supports)
+        ]
         violations: list[SignallingViolation] = []
         for i, j, section, left, right in support.overlap_table:
             if violations and (violations[-1].first, violations[-1].second) == (i, j):
                 continue
-            a = sum((model.tables[i][s] for s in left), Fraction(0))
-            b = sum((model.tables[j][s] for s in right), Fraction(0))
-            if a != b:
+            a = sum(numerators[i][s] for s in left)
+            b = sum(numerators[j][s] for s in right)
+            if a * scales[j] != b * scales[i]:
+                a, b = Fraction(a, scales[i]), Fraction(b, scales[j])
                 violations.append(SignallingViolation(i, j, section, a, b))
         object.__setattr__(model, "_no_signalling", (support, tuple(violations)))
     return list(model._no_signalling[1])
@@ -227,21 +230,25 @@ def support_violations(model: SupportModel) -> list[SupportViolation]:
     """Overlap-consistency failures of a support model.
 
     For each intersecting context pair, the two sets of restricted possible
-    sections must coincide; any one-sided section is reported.
+    sections must coincide; any one-sided section is reported.  The overlap
+    table is walked once per model; each call returns a fresh list.
     """
-    out: list[SupportViolation] = []
-    for i, j, section, left, right in model.overlap_table:
-        if not right:
-            out.append(SupportViolation(i, j, section, i))
-        elif not left:
-            out.append(SupportViolation(i, j, section, j))
-    return out
+    if model._support_violations is None:
+        found = [
+            SupportViolation(i, j, section, j if right else i)
+            for i, j, section, left, right in model.overlap_table
+            if not (left and right)
+        ]
+        object.__setattr__(model, "_support_violations", tuple(found))
+    return list(model._support_violations)
 
 
 def require_overlap_consistent(model: SupportModel) -> SupportModel:
     """Return the model, or raise :class:`SignallingError` listing its
-    :func:`support_violations`."""
-    violations = support_violations(model)
+    :func:`support_violations`, found once per model."""
+    violations = model._support_violations
+    if violations is None:
+        violations = support_violations(model)
     if violations:
         raise SignallingError(
             f"support is possibilistically signalling at {len(violations)} section(s)",

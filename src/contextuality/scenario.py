@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
+# A declared field that an instance fills on first use, not a
+# functools.cached_property: writing through __dict__ would turn the
+# instance's attribute storage into a plain dict and slow every attribute
+# read in the hot loops that use it.
+_FILLED_ON_FIRST_USE = dict(default=None, init=False, repr=False, compare=False)
+
 
 class CoverWarning(UserWarning):
     """Raised for legal but unusual covers, e.g. a context inside another."""
@@ -74,13 +80,8 @@ class Scenario:
     measurements: tuple[str, ...]
     outcomes: tuple[str, ...]
     contexts: tuple[Context, ...]
-    # Filled on first use of `overlaps`.  A declared field, not a
-    # functools.cached_property: writing through __dict__ would turn the
-    # instance's attribute storage into a plain dict and slow every
-    # attribute read in the hot loops that use the scenario.
-    _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Filled on first use of `overlaps`.
+    _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(**_FILLED_ON_FIRST_USE)
 
     def position(self, measurement: str) -> int:
         return self.measurements.index(measurement)

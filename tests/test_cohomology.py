@@ -51,11 +51,16 @@ Core claims:
       fails substitution and raises VerificationError
     - witnesses are re-checked on the overlap table: deciding Hardy and a
       one-hot ring calls no restrict_combination
-    - obstruction systems are views: all_obstructions on GHZ-4 and on the
-      bundled models, over both rings, builds no dense per-base matrix or
-      right-hand side, and every result of a call shares one delta^0; once
-      read, each result's matrix and rhs are the dense split of
-      coboundary_matrix(model, ring, 0) and are built once per base
+    - obstruction systems are views: on GHZ-4 and on the bundled models,
+      over both rings, every result of an all_obstructions call shares one
+      list of delta^0's rows, and a system holds only its declared fields,
+      sparse; each read of its matrix and rhs builds them anew as the dense
+      split of coboundary_matrix(model, ring, 0), and reading every
+      result's matrix and rhs (GHZ-4, ks18, the one-hot ring of 11) leaves
+      the memory that cohomology.py allocated unchanged
+    - no field of a result or of its system is the call's delta^0, its
+      columns list or one of its columns; systems of two calls hold
+      different rows and are equal, with equal hashes
     - delta^0 holds its columns beside its rows: they are the transpose of
       the rows, and they are the very matrix the solver's GF(2) echelon
       factors
@@ -68,7 +73,10 @@ Core claims:
 """
 
 import copy
+import dataclasses
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -773,18 +781,32 @@ def test_systems_are_views_built_only_when_read(ring, corpus_supports):
     models = [ghz_parity(4), *corpus_supports.values()]
     for model in models:
         results = all_obstructions(model, ring)
-        shared = {id(result.system._coboundary) for result in results.values()}
+        shared = {id(result.system._rows) for result in results.values()}
         assert len(shared) == 1
-        delta = next(iter(results.values())).system._coboundary
-        assert delta._dense == {}
         for (base, s), result in results.items():
+            system = result.system
+            assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}
+            assert all(isinstance(row, dict) for row in system._rows)
+            assert isinstance(system._rhs, dict) and all(system._rhs.values())
             matrix, rhs = _dense_split(model, ring, base, s)
-            assert result.system.matrix == matrix
-            assert result.system.rhs == rhs
-        assert set(delta._dense) == {base for base, _ in results}
-        for (base, s), result in results.items():  # cached: the same objects again
-            assert result.system.matrix is delta._dense[base][0]
-            assert result.system.rhs is delta._dense[base][1][s]
+            for _ in range(2):  # built again on each read, equal each time
+                assert system.matrix == matrix
+                assert system.rhs == rhs
+            assert system.matrix is not system.matrix and system.rhs is not system.rhs
+            assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}
+
+
+def _recording_coboundaries(monkeypatch):
+    """Every _Coboundary built from now on, in order."""
+    made = []
+
+    class Recording(cohomology._Coboundary):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cohomology, "_Coboundary", Recording)
+    return made
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
@@ -796,10 +818,13 @@ def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, 
         return factor(matrix, ring_, width)
 
     monkeypatch.setattr(cohomology, "factor", recording_factor)
+    made = _recording_coboundaries(monkeypatch)
     for model in (ghz_parity(4), one_hot_ring(5), *corpus_supports.values()):
         received.clear()
+        made.clear()
         results = all_obstructions(model, ring)
-        delta = next(iter(results.values())).system._coboundary
+        [delta] = made
+        assert all(result.system._rows is delta.rows for result in results.values())
         transpose = [{} for _ in delta.basis]
         for r, row in enumerate(delta.rows):
             for k, a in row.items():
@@ -814,11 +839,53 @@ def test_view_equality_is_the_systems_equality(corpus_supports):
     second = all_obstructions(model, Ring.Z)
     for key, result in first.items():
         other = second[key]
-        assert result.system._coboundary is not other.system._coboundary
+        assert result.system._rows is not other.system._rows
+        assert result.system._rhs is not other.system._rhs
         assert result.system == other.system and hash(result.system) == hash(other.system)
         assert result == other
     base, s = next(iter(first))
     assert first[(base, s)].system != all_obstructions(model, Ring.Z2)[(base, s)].system
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_results_hold_no_coboundary_and_no_columns(ring, corpus_supports, monkeypatch):
+    made = _recording_coboundaries(monkeypatch)
+    for model in (ghz_parity(4), fano_one_hot(), *corpus_supports.values()):
+        made.clear()
+        results = all_obstructions(model, ring)
+        [delta] = made
+        forbidden = {id(delta), id(delta.columns), *map(id, delta.columns)}
+        for result in results.values():
+            held = []
+            for owner in (result, result.system):
+                for f in dataclasses.fields(owner):
+                    value = getattr(owner, f.name)
+                    held.append(value)
+                    if isinstance(value, (tuple, list)):
+                        held.extend(value)
+            assert forbidden.isdisjoint(map(id, held))
+            assert not any(isinstance(value, cohomology._Coboundary) for value in held)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_reading_dense_systems_retains_no_memory(ring, corpus_supports):
+    def retained() -> int:  # bytes still held that cohomology.py allocated
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+        mine = snapshot.filter_traces([tracemalloc.Filter(True, cohomology.__file__)])
+        return sum(stat.size for stat in mine.statistics("filename"))
+
+    for model in (ghz_parity(4), corpus_supports["ks18"], one_hot_ring(11)):
+        tracemalloc.start()
+        try:
+            results = all_obstructions(model, ring)
+            before = retained()
+            for result in results.values():
+                assert result.system.matrix and result.system.rhs
+            after = retained()
+        finally:
+            tracemalloc.stop()
+        assert before > 0 and after == before
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])

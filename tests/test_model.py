@@ -14,6 +14,16 @@ Core claims:
     - a model's tables are summed once: a signalling document raises the
       same SignallingError on a second support_model() without reading a
       table again, and the violations a caller gets are its own list
+    - the check adds no Fraction: it sums integer numerators over each
+      table's common denominator and still reports what marginalize does,
+      with exact Fraction marginals, where 1/3 + 1/6 meets 1/2 and where
+      the two sides differ by 1/(2^89 - 1), and on random tables
+    - overlap consistency is decided once per model: a report over both
+      rings plus require_overlap_consistent walks the overlap table for
+      violations once (bundled models), as do repeated support_violations
+      and require_overlap_consistent calls on random arbitrary supports,
+      whose violations are the one-sided fibers in table order, each time
+      in the caller's own list and with the same SignallingError message
     - the Hardy support has exactly 13 sections; PR has 2 per context
     - one-hot supports have one section per context member; parity supports
       hold the stated parity
@@ -28,15 +38,19 @@ Core claims:
 
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from contextuality import (
+    Ring,
     Section,
     SignallingError,
     SignallingViolation,
+    SupportViolation,
+    build_report,
     build_scenario,
     check_no_signalling,
     empirical_model,
@@ -235,6 +249,48 @@ def test_no_signalling_on_overlap_fibers_matches_marginals():
             )
         zeros += any(p == 0 for table in model.tables for p in table.values())
     assert signalling >= 50 and compatible >= 50 and zeros >= 200
+
+
+def _forbid_fraction_sums(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Fraction was added")
+
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+
+
+def test_no_signalling_sums_integer_numerators(monkeypatch):
+    big = 2**89 - 1  # prime: the tables' common denominators differ by a factor of it
+    scen = build_scenario(["a", "b", "c"], "01", [("a", "b"), ("a", "c")])
+    second = {section(("a", "c"), "0,0"): Fraction(1, 2), section(("a", "c"), "1,1"): Fraction(1, 2)}
+    for gap in (0, Fraction(1, big), -Fraction(1, big)):
+        first = {
+            section(("a", "b"), "0,0"): Fraction(1, 3),
+            section(("a", "b"), "0,1"): Fraction(1, 6) + gap,  # a = 0: 1/3 + 1/6 + gap
+            section(("a", "b"), "1,1"): Fraction(1, 2) - gap,
+        }
+        model = empirical_model(scen, [first, second])
+        expected = _violations_by_marginals(model)
+        with monkeypatch.context() as patched:
+            _forbid_fraction_sums(patched)
+            got = check_no_signalling(model)
+        assert got == expected
+        if gap:
+            [violation] = got
+            assert violation.section == section(("a",), "0")
+            assert violation.first_marginal == Fraction(1, 2) + gap
+            assert violation.second_marginal == Fraction(1, 2)
+            assert type(violation.first_marginal) is Fraction
+        else:
+            assert got == []
+    rng = random.Random(115)
+    for _ in range(100):
+        model = _random_tables(rng, helpers.random_scenario(rng))
+        expected = _violations_by_marginals(model)
+        with monkeypatch.context() as patched:
+            _forbid_fraction_sums(patched)
+            got = check_no_signalling(model)
+        assert got == expected
 
 
 def test_distribution_overlap_table_is_built_once(monkeypatch):
@@ -467,6 +523,48 @@ def test_inconsistent_supports_are_reported():
     violations = support_violations(model)
     assert violations
     assert {v.present_in for v in violations} == {0, 1}
+
+
+def test_overlap_consistency_is_walked_once_per_model(monkeypatch):
+    walks = []
+    table = model_module.SupportModel.overlap_table
+
+    def counted(self):
+        walks.append(sys._getframe(1).f_code.co_name)
+        return table.fget(self)
+
+    monkeypatch.setattr(model_module.SupportModel, "overlap_table", property(counted))
+    for name in ("hardy", "prbox", "ks18"):
+        document = parse_scenario(example_text(name))
+        support = document.support_model()
+        walks.clear()
+        build_report(document, rings=(Ring.Z2, Ring.Z))
+        assert model_module.require_overlap_consistent(support) is support
+        assert support_violations(support) == []
+        assert walks.count("support_violations") == 1
+    rng = random.Random(116)
+    seen = 0
+    for _ in range(60):
+        model = helpers.random_any_support(rng, helpers.random_scenario(rng))
+        expected = [
+            SupportViolation(i, j, target, i if left else j)
+            for i, j, target, left, right in _fibers_by_restriction(model)
+            if not (left and right)
+        ]
+        walks.clear()
+        first = support_violations(model)
+        assert first == expected
+        first.append(None)  # the caller's own list
+        assert support_violations(model) == expected
+        if expected:
+            seen += 1
+            message = rf"^support is possibilistically signalling at {len(expected)} section\(s\)$"
+            for _ in range(2):
+                with pytest.raises(SignallingError, match=message) as raised:
+                    model_module.require_overlap_consistent(model)
+                assert list(raised.value.violations) == expected
+        assert walks.count("support_violations") == 1
+    assert seen >= 20
 
 
 def test_support_must_be_nonempty():
