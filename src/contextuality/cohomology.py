@@ -70,7 +70,6 @@ from .scenario import (
     Section,
     Simplex,
     canonical_subset,
-    enumerate_sections,
     face,
     nerve,
     restrict_section,
@@ -129,11 +128,7 @@ class LinearCombination:
         return combination(self.ring, self.domain, merged)
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
-        self._check_compatible(other)
-        merged = dict(self.coefficients)
-        for s, c in other.coefficients.items():
-            merged[s] = merged.get(s, 0) - c
-        return combination(self.ring, self.domain, merged)
+        return self + -other
 
     def __neg__(self) -> "LinearCombination":
         return combination(
@@ -219,7 +214,8 @@ def restrict_combination(
 
 def support_at(model: SupportModel, subset: Iterable[str]) -> list[Section]:
     """Possible sections on a measurement subset: restrictions of the support
-    of every context containing it, in canonical order.
+    of every context containing it, sorted into canonical order, so the
+    subset's sections are never enumerated.
 
     For overlap-consistent models every containing context gives the same
     set; the union is used so the function is total.
@@ -227,15 +223,11 @@ def support_at(model: SupportModel, subset: Iterable[str]) -> list[Section]:
     scenario = model.scenario
     target = canonical_subset(scenario, subset)
     wanted = set(target)
-    possible: set[Section] = set()
-    hit = False
-    for ctx in scenario.contexts:
-        if wanted <= set(ctx.members):
-            hit = True
-            possible.update(restrict_section(s, wanted) for s in model.supports[ctx.index])
-    if not hit:
+    containing = [ctx.index for ctx in scenario.contexts if wanted <= set(ctx.members)]
+    if not containing:
         raise ValueError(f"{target} is not contained in any context")
-    return [s for s in enumerate_sections(scenario, target) if s in possible]
+    possible = {restrict_section(s, wanted) for i in containing for s in model.supports[i]}
+    return sorted(possible, key=scenario.section_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +306,12 @@ def cochain_basis(model: SupportModel, degree: int) -> list[tuple[Simplex, Secti
 
 
 def cochain_to_vector(omega: Cochain) -> list[int]:
-    vector = []
-    checked: set[tuple[int, ...]] = set()
-    for simplex, section in cochain_basis(omega.model, omega.degree):
-        combo = omega.values[simplex.vertices]
-        if simplex.vertices not in checked:
-            checked.add(simplex.vertices)
-            basis = set(support_at(omega.model, simplex.carrier))
-            if any(key not in basis for key in combo.coefficients):
-                raise ValueError(
-                    f"cochain value at {simplex.vertices} leaves the support basis"
-                )
-        vector.append(combo.coefficients.get(section, 0))
-    return vector
+    basis = cochain_basis(omega.model, omega.degree)
+    known = {(simplex.vertices, section) for simplex, section in basis}
+    for vertices in sorted(omega.values):  # the nerve's order
+        if any((vertices, key) not in known for key in omega.values[vertices].coefficients):
+            raise ValueError(f"cochain value at {vertices} leaves the support basis")
+    return [omega.values[simplex.vertices].coefficients.get(s, 0) for simplex, s in basis]
 
 
 def cochain_from_vector(
@@ -335,22 +320,13 @@ def cochain_from_vector(
     basis = cochain_basis(model, degree)
     if len(vector) != len(basis):
         raise ValueError(f"vector length {len(vector)} != basis size {len(basis)}")
-    values: dict[tuple[int, ...], dict[Section, int]] = {
-        s.vertices: {} for s in nerve(model.scenario, degree)[degree]
-    }
+    simplices = nerve(model.scenario, degree)[degree]
+    values: dict[tuple[int, ...], dict[Section, int]] = {s.vertices: {} for s in simplices}
     for (simplex, section), coefficient in zip(basis, vector):
         if coefficient:
             values[simplex.vertices][section] = coefficient
-    carriers = {s.vertices: s.carrier for s in nerve(model.scenario, degree)[degree]}
-    return cochain(
-        model,
-        ring,
-        degree,
-        {
-            vertices: combination(ring, carriers[vertices], coeffs)
-            for vertices, coeffs in values.items()
-        },
-    )
+    combos = {s.vertices: combination(ring, s.carrier, values[s.vertices]) for s in simplices}
+    return cochain(model, ring, degree, combos)
 
 
 def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:

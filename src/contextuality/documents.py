@@ -227,14 +227,15 @@ def _parse_distribution(raw, scenario: Scenario, errors: list[str]) -> Empirical
         if not isinstance(entries, dict):
             errors.append(f"{here}: expected an object mapping sections to rationals")
             return None
-        table = {}
+        table, before = {}, len(errors)
         for key, value in entries.items():
             section = _parse_tuple(key, scenario, ctx.members, here, errors)
             probability = parse_rational(value, f"{here}[{key!r}]", errors)
             if section is not None and probability is not None:
                 table[section] = probability
         total = sum(table.values(), Fraction(0))
-        if not errors and total != 1:
+        # A bad entry is missing from `table`, so its table's sum means nothing.
+        if len(errors) == before and total != 1:
             errors.append(f"{here}: probabilities sum to {total}, expected 1")
         tables.append(table)
     if errors:

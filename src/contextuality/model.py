@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .scenario import _FILLED_ON_FIRST_USE, Scenario, Section, enumerate_sections, restrict_section
+from .scenario import _FILLED_ON_FIRST_USE, Context, Scenario, Section
+from .scenario import enumerate_sections, restrict_section
 
 # One row of SupportModel.overlap_table: a context pair i < j, a section of
 # their overlap, and the support sections of i and of j restricting to it.
@@ -119,15 +120,9 @@ def empirical_model(
         )
     full: list[dict[Section, Fraction]] = []
     for ctx, table in zip(scenario.contexts, tables):
-        sections = enumerate_sections(scenario, ctx.members)
-        allowed = set(sections)
-        for key in table:
-            if key not in allowed:
-                raise ValueError(
-                    f"context {ctx.index}: {key} is not a section of {ctx.members}"
-                )
+        _require_sections(scenario, ctx, table)
         filled = {}
-        for s in sections:
+        for s in enumerate_sections(scenario, ctx.members):
             p = Fraction(table.get(s, 0))
             if p < 0:
                 raise ValueError(
@@ -144,24 +139,30 @@ def empirical_model(
 def support_model(
     scenario: Scenario, supports: Sequence[Iterable[Section]]
 ) -> SupportModel:
-    """Validate per-context support sets: nonempty subsets of E(C)."""
+    """Validate per-context support sets: nonempty subsets of E(C), each
+    section checked by its labels; E(C) itself is never enumerated."""
     if len(supports) != len(scenario.contexts):
         raise ValueError(
             f"expected {len(scenario.contexts)} support sets, got {len(supports)}"
         )
     frozen: list[frozenset[Section]] = []
     for ctx, support in zip(scenario.contexts, supports):
-        allowed = set(enumerate_sections(scenario, ctx.members))
         sections = frozenset(support)
         if not sections:
             raise ValueError(f"context {ctx.index}: support must be nonempty")
-        for s in sections:
-            if s not in allowed:
-                raise ValueError(
-                    f"context {ctx.index}: {s} is not a section of {ctx.members}"
-                )
+        _require_sections(scenario, ctx, sections)
         frozen.append(sections)
     return SupportModel(scenario, tuple(frozen))
+
+
+def _require_sections(scenario: Scenario, ctx: Context, entries: Iterable) -> None:
+    """Raise unless every entry lies in E(C): a `Section` on the context's
+    members whose values are a tuple of declared outcome labels."""
+    labels = set(scenario.outcomes)
+    for s in entries:
+        typed = type(s) is Section and s.domain == ctx.members and type(s.values) is tuple
+        if not (typed and labels.issuperset(s.values)):
+            raise ValueError(f"context {ctx.index}: {s} is not a section of {ctx.members}")
 
 
 def marginalize(
@@ -246,9 +247,7 @@ def support_violations(model: SupportModel) -> list[SupportViolation]:
 def require_overlap_consistent(model: SupportModel) -> SupportModel:
     """Return the model, or raise :class:`SignallingError` listing its
     :func:`support_violations`, found once per model."""
-    violations = model._support_violations
-    if violations is None:
-        violations = support_violations(model)
+    violations = support_violations(model)
     if violations:
         raise SignallingError(
             f"support is possibilistically signalling at {len(violations)} section(s)",

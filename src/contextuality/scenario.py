@@ -163,16 +163,16 @@ def build_scenario(
     if missing:
         raise ValueError(f"cover does not reach measurements {missing}")
 
-    for a in canonical:
-        for b in canonical:
-            if a.index != b.index and set(a.members) < set(b.members):
-                warnings.warn(
-                    f"context {a.members} is contained in context {b.members}",
-                    CoverWarning,
-                    stacklevel=2,
-                )
-
-    return Scenario(measurements, outcomes, tuple(canonical))
+    scenario = Scenario(measurements, outcomes, tuple(canonical))
+    # The contexts are distinct, so one lies inside another exactly when
+    # their overlap is all of its members.
+    nested = []
+    for i, j, common in scenario.overlaps:
+        nested += [(a, b) for a, b in ((i, j), (j, i)) if canonical[a].members == common]
+    for a, b in sorted(nested):
+        message = f"context {canonical[a].members} is contained in context {canonical[b].members}"
+        warnings.warn(message, CoverWarning, stacklevel=2)
+    return scenario
 
 
 def restrict_section(section: Section, target: Iterable[str]) -> Section:

@@ -1,4 +1,5 @@
-"""Shared test machinery: independent oracles and random model generators.
+"""Shared test machinery: independent oracles, the generated one-hot ring
+and one-section covers, and random model generators.
 
 The oracles here deliberately avoid the library's search and solver paths:
 global sections are enumerated by brute force over the full assignment
@@ -21,6 +22,7 @@ from contextuality import (
     build_scenario,
     combination,
     enumerate_sections,
+    ks_support,
     restrict_combination,
     restrict_section,
     support_at,
@@ -185,6 +187,54 @@ def connected_by_union_find(scenario: Scenario) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Generated covers
+
+
+def _ring(k: int) -> tuple[list[str], list[list[str]]]:
+    """Measurements and contexts of the ring of k 4-sets, context i holding
+    measurements 3i to 3i + 3 (mod 3k): consecutive contexts share one.
+    The names are as wide as the last index, so they sort in ring order."""
+    width = len(str(3 * k - 1))
+    ring = [f"r{j:0{width}d}" for j in range(3 * k)]
+    return ring, [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)]
+
+
+def ring_cover_document(k: int) -> dict:
+    """The one-hot ring of k 4-sets as a support document."""
+    ring, contexts = _ring(k)
+    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
+    return {
+        "name": f"ring{k}",
+        "measurements": ring,
+        "outcomes": ["0", "1"],
+        "contexts": contexts,
+        "model": {"support": [rows] * k},
+    }
+
+
+def ring_cover(k: int, rng: random.Random | None = None) -> SupportModel:
+    """The one-hot ring of k 4-sets as a model, its measurements declared
+    in ring order, or shuffled by `rng`."""
+    ring, contexts = _ring(k)
+    if rng is not None:
+        rng.shuffle(ring)
+    return ks_support(build_scenario(ring, BINARY, contexts))
+
+
+def one_section_document(width: int) -> dict:
+    """One context of `width` binary measurements whose support is the
+    all-0 section alone: E(C) has 2**width sections, the support one."""
+    measurements = [f"m{j:0{len(str(width - 1))}d}" for j in range(width)]
+    return {
+        "name": f"one-section{width}",
+        "measurements": measurements,
+        "outcomes": ["0", "1"],
+        "contexts": [measurements],
+        "model": {"support": [[",".join("0" * width)]]},
+    }
+
+
+# ---------------------------------------------------------------------------
 # Random generators
 
 
@@ -242,7 +292,7 @@ def random_consistent_support(rng: random.Random) -> SupportModel:
     """A consistent random model: restriction images of global sets on any
     cover, or one-hot / parity supports on antichain covers (the latter two
     are frequently contextual)."""
-    from contextuality import ks_support, parity_support
+    from contextuality import parity_support
 
     kind = rng.randrange(3)
     if kind == 0:

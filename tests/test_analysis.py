@@ -269,16 +269,12 @@ def test_false_positives_are_reverified_from_their_own_witness(ring, corpus_supp
 def _hardy_beside_ring(k):
     """Hardy's model beside a ring of k one-hot 4-sets on disjoint
     measurements, the ring's consecutive contexts sharing one measurement."""
-    hardy = json.loads(example_text("hardy"))
-    ring = [f"r{j:03d}" for j in range(3 * k)]
-    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
-    contexts = [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)]
+    hardy, ring = json.loads(example_text("hardy")), helpers.ring_cover_document(k)
     document = {
         "name": f"hardy-ring{k}",
-        "measurements": hardy["measurements"] + ring,
         "outcomes": ["0", "1"],
-        "contexts": hardy["contexts"] + contexts,
-        "model": {"support": hardy["model"]["support"] + [rows] * k},
+        **{key: hardy[key] + ring[key] for key in ("measurements", "contexts")},
+        "model": {"support": hardy["model"]["support"] + ring["model"]["support"]},
     }
     return parse_scenario(json.dumps(document)).support_model()
 

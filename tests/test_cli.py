@@ -9,6 +9,8 @@ Core claims:
     - classify prints the verdict with the global-section count, exact past
       sys.maxsize: 92585104325562912980002 on the ring of 60 one-hot
       4-sets, in under a second
+    - one context of 40 measurements with one support section validates,
+      classifies and reports (--ring both --json) in under a second
     - `examples run ghz --ring z2` reports 16/16 non-vanishing
     - the Hardy obstruction witness prints a -1 term
     - --json output is byte-deterministic and reparses to the built report
@@ -56,6 +58,8 @@ from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
 from contextuality.report import RING_ORDER, build_report, emit_report
+
+import helpers
 
 
 @pytest.fixture()
@@ -146,23 +150,32 @@ def test_classify_hardy(corpus_file, capsys):
 
 
 def test_classify_prints_an_exact_count_past_maxsize(tmp_path, capsys):
-    k = 60
-    ring = [f"r{j:03d}" for j in range(3 * k)]  # names that sort in ring order
-    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
-    document = {
-        "name": f"ring{k}",
-        "measurements": ring,
-        "outcomes": ["0", "1"],
-        "contexts": [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)],
-        "model": {"support": [rows] * k},
-    }
     path = tmp_path / "ring60.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
+    path.write_text(json.dumps(helpers.ring_cover_document(60)), encoding="utf-8")
     start = perf_counter()
     assert main(["classify", str(path)]) == 0
     assert perf_counter() - start < 1
     out = capsys.readouterr().out
     assert out == "non contextual possibilistic; 92585104325562912980002 global sections\n"
+
+
+def test_a_forty_measurement_context_with_one_section(tmp_path, capsys):
+    path = tmp_path / "one-section40.json"
+    path.write_text(json.dumps(helpers.one_section_document(40)), encoding="utf-8")
+    start = perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "one-section40: valid support model\n"
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == "non contextual possibilistic; 1 global section\n"
+    assert main(["report", str(path), "--ring", "both", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert perf_counter() - start < 1
+    zeros = ",".join("0" * 40)
+    assert report["classification"]["global_sections"] == [zeros]
+    for ring in ("z2", "z"):
+        obstructions = report["obstructions"][ring]
+        assert (obstructions["total"], obstructions["vanishing"]) == (1, 1)
+        assert obstructions["results"] == [{"context": 0, "section": zeros, "vanishes": True}]
 
 
 def test_obstruction_single_section_with_witness(corpus_file, capsys):
@@ -325,14 +338,8 @@ def test_running_out_of_memory_maps_to_exit_4(corpus_file, monkeypatch, capsys):
 
 
 def test_a_search_past_the_recursion_limit_maps_to_exit_4(tmp_path, capsys):
-    k = 200  # one recursive call per context in the oracle's search
-    ring = [f"r{j:03d}" for j in range(3 * k)]
-    rows = [",".join("1" if d == c else "0" for d in range(4)) for c in range(4)]
-    contexts = [sorted(ring[(3 * i + d) % (3 * k)] for d in range(4)) for i in range(k)]
-    path = tmp_path / "ring200.json"
-    model = {"support": [rows] * k}
-    document = {"name": "ring200", "measurements": ring, "outcomes": ["0", "1"]}
-    path.write_text(json.dumps({**document, "contexts": contexts, "model": model}))
+    path = tmp_path / "ring200.json"  # one recursive call per context in the oracle's search
+    path.write_text(json.dumps(helpers.ring_cover_document(200)))
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back

@@ -21,6 +21,10 @@ Core claims:
     - obstruction verdicts: Hardy (a,b)->(0,0) vanishes over Z with a
       verified witness; PR box, triangle, GHZ sections do not vanish
     - inconsistent supports and non-support sections are rejected
+    - support_at sorts the restricted supports: it lists exactly what
+      filtering the subset's enumerated sections did, on every subset of
+      every context of the bundled and 60 random models, half of them with
+      three outcomes declared out of string order
     - the batch path gives exactly the per-section results, refuses
       signalling supports before solving, and factorizations carry no state
       from one solve to the next
@@ -78,7 +82,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -91,6 +95,7 @@ from contextuality import (
     all_obstructions,
     build_obstruction_system,
     build_scenario,
+    canonical_subset,
     coboundary,
     coboundary_matrix,
     cochain,
@@ -99,6 +104,7 @@ from contextuality import (
     cochain_to_vector,
     combination,
     embed,
+    enumerate_sections,
     gf2_cohomology_dimensions,
     ks_support,
     obstruction,
@@ -455,6 +461,37 @@ def test_support_at_matches_any_containing_context(corpus_supports):
         support_at(model, ("A", "A'"))
 
 
+def _support_at_by_enumeration(model, subset):
+    """support_at as it was: the subset's sections, enumerated, filtered by
+    the restrictions of every containing context's support."""
+    scenario = model.scenario
+    target = canonical_subset(scenario, subset)
+    possible = {
+        restrict_section(s, target)
+        for ctx in scenario.contexts
+        if set(target) <= set(ctx.members)
+        for s in model.supports[ctx.index]
+    }
+    return [s for s in enumerate_sections(scenario, target) if s in possible]
+
+
+def test_support_at_is_the_enumeration_filter(corpus_supports):
+    rng = random.Random(20)
+    models = list(corpus_supports.values())
+    for k in range(60):
+        scen = helpers.random_scenario(rng)
+        if k % 2:  # three outcomes, declared out of string order
+            contexts = [ctx.members for ctx in scen.contexts]
+            scen = build_scenario(scen.measurements, rng.sample("012", 3), contexts)
+        models.append(helpers.random_any_support(rng, scen))
+    for model in models:
+        for ctx in model.scenario.contexts:
+            for size in range(1, len(ctx.members) + 1):
+                for subset in combinations(ctx.members, size):
+                    expected = _support_at_by_enumeration(model, subset)
+                    assert support_at(model, subset[::-1]) == expected
+
+
 @pytest.mark.parametrize("identify", [True, False])
 @pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])
 def test_batch_matches_per_section(ring, identify, corpus_supports):
@@ -623,20 +660,12 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
         assert equations not in sections
 
 
-def one_hot_ring(k):
-    """Ring of k one-hot 4-sets, consecutive contexts sharing one
-    measurement: every section vanishes, over Z and mod 2."""
-    points = [f"r{j:02d}" for j in range(3 * k)]
-    lines = [[points[(3 * i + d) % (3 * k)] for d in range(4)] for i in range(k)]
-    return ks_support(build_scenario(points, "01", lines))
-
-
 @pytest.mark.parametrize("name", ["ring5", "ring6", "ring7", "ring8", "ring9", "hardy", "fano"])
 def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkeypatch):
     if name == "hardy":
         model = corpus_supports["hardy"]
     else:
-        model = fano_one_hot() if name == "fano" else one_hot_ring(int(name[4:]))
+        model = fano_one_hot() if name == "fano" else helpers.ring_cover(int(name[4:]))
     factored: list[tuple[int, int]] = []
 
     def recording_factor(matrix, ring, width=None):
@@ -675,7 +704,7 @@ def test_corrupted_lattice_cocycle_raises(monkeypatch):
 
     monkeypatch.setattr(linalg._HermiteBasis, "kernel", corrupted)
     with pytest.raises(VerificationError, match="cocycle fails substitution"):
-        all_obstructions(one_hot_ring(5), Ring.Z)
+        all_obstructions(helpers.ring_cover(5), Ring.Z)
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
@@ -686,7 +715,7 @@ def test_witnesses_are_checked_on_the_overlap_table(ring, corpus_supports, monke
         raise AssertionError("restrict_combination called while deciding")
 
     monkeypatch.setattr(cohomology, "restrict_combination", forbidden)
-    for model in (corpus_supports["hardy"], one_hot_ring(5)):
+    for model in (corpus_supports["hardy"], helpers.ring_cover(5)):
         results = all_obstructions(model, ring)
         assert any(result.vanishes for result in results.values())
 
@@ -698,7 +727,7 @@ def test_lattice_missing_cocycles_raises(monkeypatch):
     real = linalg._HermiteBasis.kernel
     monkeypatch.setattr(linalg._HermiteBasis, "kernel", lambda self: real(self)[:1])
     with pytest.raises(VerificationError, match="Hermite form solves what the lattice"):
-        all_obstructions(one_hot_ring(5), Ring.Z)
+        all_obstructions(helpers.ring_cover(5), Ring.Z)
 
 
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):
@@ -819,7 +848,7 @@ def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, 
 
     monkeypatch.setattr(cohomology, "factor", recording_factor)
     made = _recording_coboundaries(monkeypatch)
-    for model in (ghz_parity(4), one_hot_ring(5), *corpus_supports.values()):
+    for model in (ghz_parity(4), helpers.ring_cover(5), *corpus_supports.values()):
         received.clear()
         made.clear()
         results = all_obstructions(model, ring)
@@ -875,7 +904,7 @@ def test_reading_dense_systems_retains_no_memory(ring, corpus_supports):
         mine = snapshot.filter_traces([tracemalloc.Filter(True, cohomology.__file__)])
         return sum(stat.size for stat in mine.statistics("filename"))
 
-    for model in (ghz_parity(4), corpus_supports["ks18"], one_hot_ring(11)):
+    for model in (ghz_parity(4), corpus_supports["ks18"], helpers.ring_cover(11)):
         tracemalloc.start()
         try:
             results = all_obstructions(model, ring)

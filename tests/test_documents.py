@@ -8,7 +8,8 @@ Core claims:
     - structural problems are rejected with the offending path: missing
       keys, cover violations, arity mismatches, bad rationals (decimals, a
       trailing newline, non-ASCII digits), boolean outcomes, distributions
-      that do not sum to 1 (reported with the context index); errors of the
+      that do not sum to 1 (reported with the context index, for every table
+      without a bad entry, after an earlier table's error too); errors of the
       scenario as a whole (duplicate measurements, bad outcome labels) are
       tagged `scenario:`
     - a key repeated in any JSON object (a section of a table, a top-level
@@ -188,6 +189,21 @@ def test_distribution_sum_checked_with_context_index():
     )
     with pytest.raises(DocumentError, match=r"distribution\[3\].*sum to 99/100"):
         parse_scenario(text)
+
+
+def test_every_table_without_a_bad_entry_is_summed():
+    document = json.loads(example_text("prbox"))
+    tables = document["model"]["distribution"]
+    tables[0]["0,0"] = "1/x"
+    tables[1]["0,0"] = "1/4"
+    tables[2]["0,0"] = "0.5"
+    with pytest.raises(DocumentError) as caught:
+        parse_scenario(json.dumps(document))
+    assert caught.value.errors == (
+        "model.distribution[0]['0,0']: bad rational '1/x' (expected nonnegative p or p/q)",
+        "model.distribution[1]: probabilities sum to 3/4, expected 1",
+        "model.distribution[2]['0,0']: bad rational '0.5' (expected nonnegative p or p/q)",
+    )
 
 
 def test_model_requires_exactly_one_kind():

@@ -48,7 +48,6 @@ from contextuality import (
     global_sections,
     is_connected,
     is_extendable_at,
-    ks_support,
     restrict_section,
     support_model,
 )
@@ -241,17 +240,6 @@ def test_oracle_matches_exhaustive_in_any_declaration_order():
     assert min(shapes.values()) >= 20, shapes
 
 
-def _ring_cover(k: int, rng: random.Random | None):
-    """One-hot ring of k 4-sets, consecutive ones sharing a measurement;
-    declared in ring order, or shuffled by `rng`."""
-    ring = [f"r{j:02d}" for j in range(3 * k)]
-    contexts = [[ring[(3 * i + d) % (3 * k)] for d in range(4)] for i in range(k)]
-    declared = list(ring)
-    if rng is not None:
-        rng.shuffle(declared)
-    return ks_support(build_scenario(declared, "01", contexts))
-
-
 def _trace_of_power(k: int) -> int:
     t = [[2, 1], [1, 0]]
     power = [[1, 0], [0, 1]]
@@ -263,7 +251,7 @@ def _trace_of_power(k: int) -> int:
 @pytest.mark.parametrize("k", range(3, 9))
 def test_one_hot_rings_have_trace_of_transfer_power_global_sections(k):
     rng = random.Random(117 + k)
-    for model in (_ring_cover(k, None), _ring_cover(k, rng), _ring_cover(k, rng)):
+    for model in (helpers.ring_cover(k), helpers.ring_cover(k, rng), helpers.ring_cover(k, rng)):
         sections = global_sections(model)
         assert len(sections) == _trace_of_power(k)
         keys = [model.scenario.section_sort_key(g) for g in sections]
@@ -344,7 +332,7 @@ def _refuse(*args):
 def test_classify_counts_and_proves_the_ring_of_20_without_listing(monkeypatch):
     monkeypatch.setattr(extendability, "global_sections", _refuse)
     monkeypatch.setattr(extendability, "_enumerate", _refuse)
-    model = _ring_cover(20, None)
+    model = helpers.ring_cover(20)
     cls = classify(model)
     assert cls.verdict is Verdict.NON_CONTEXTUAL
     assert cls.count == 45_239_074 == _trace_of_power(20)
@@ -391,7 +379,7 @@ def test_a_proof_section_outside_a_support_is_refused(monkeypatch):
         return steps
 
     monkeypatch.setattr(extendability, "_steps", corrupted)
-    model = _ring_cover(5, None)
+    model = helpers.ring_cover(5)
     with pytest.raises(RuntimeError, match="non-global section"):
         classify(model)
     with pytest.raises(RuntimeError, match="non-global section"):
@@ -415,7 +403,7 @@ def test_every_entry_point_runs_one_search_from_classify(corpus_supports, monkey
             return real(*args)
 
         monkeypatch.setattr(extendability, name, recorded)
-    for model in (corpus_supports["hardy"], corpus_supports["prbox"], _ring_cover(5, None)):
+    for model in (corpus_supports["hardy"], corpus_supports["prbox"], helpers.ring_cover(5)):
         ctx = model.scenario.contexts[-1]
         proved = [("_proofs", "classify")] if classify(model).count else []  # none to re-check
         for entry in (
@@ -434,7 +422,7 @@ def _document(model):
 
 def test_report_lists_the_global_sections_of_classify_s_own_search(monkeypatch):
     rng = random.Random(120)
-    models = [_ring_cover(k, order) for k in range(3, 12) for order in (None, rng)]
+    models = [helpers.ring_cover(k, order) for k in range(3, 12) for order in (None, rng)]
     for trial in range(200):
         scen = helpers.random_scenario(rng)
         if trial % 2:
@@ -459,12 +447,12 @@ def test_report_builds_fewer_sections_than_it_lists(monkeypatch):
         return Section(*args)
 
     monkeypatch.setattr(extendability, "Section", counted)
-    listed = build_report(_document(_ring_cover(11, None)))["classification"]["global_sections"]
+    listed = build_report(_document(helpers.ring_cover(11)))["classification"]["global_sections"]
     assert len(listed) == _trace_of_power(11) and 0 < len(built) < len(listed)
 
 
 def test_a_listed_classification_leaves_nothing_behind():
-    model = _ring_cover(11, None)
+    model = helpers.ring_cover(11)
     model.support_list(0)  # the model's own cache
     gc.collect()
     gc.disable()

@@ -34,6 +34,11 @@ Core claims:
       with rows and fibers in enumeration order
     - support_list is the support in canonical order, and a list returned
       to a caller is the caller's own
+    - support_model checks each section by its labels, never enumerating a
+      context (bundled models, one context of 40 measurements); an entry
+      outside E(C) (not a Section, a wrong domain, an unknown label, values
+      not a tuple) raises, from support_model and empirical_model, exactly
+      where membership in the enumerated E(C) did, with its message
 """
 
 import json
@@ -327,6 +332,59 @@ def test_distribution_overlap_table_is_built_once(monkeypatch):
     contexts = {ctx.members for ctx in document.scenario.contexts}
     assert set(enumerated) <= contexts
     assert not contexts & {carrier for *_, carrier in overlaps}
+
+
+def test_support_model_never_enumerates_a_context(corpus_supports, monkeypatch):
+    enumerated = []
+
+    def counted(scenario, members):
+        enumerated.append(tuple(members))
+        return enumerate_sections(scenario, members)
+
+    monkeypatch.setattr(model_module, "enumerate_sections", counted)
+    for model in corpus_supports.values():
+        assert support_model(model.scenario, model.supports).supports == model.supports
+    wide = parse_scenario(json.dumps(helpers.one_section_document(40))).support_model()
+    assert [len(s) for s in wide.supports] == [1]
+    assert enumerated == []
+
+
+class _TaggedSection(Section):
+    """Equal to no Section, so never a member of an enumerated E(C)."""
+
+
+def test_entries_outside_e_c_raise_the_enumerated_checks_message():
+    scen = build_scenario("abc", ["1", "0", "2"], [("a", "b"), ("b", "c")])
+    other = Section(("b", "c"), ("0", "0"))
+    entries = [
+        Section(("a", "b"), ("0", "2")),
+        Section(("a", "b"), ("2", "1")),
+        ("a", "b"),
+        "0,2",
+        None,
+        Section(("b", "a"), ("0", "2")),
+        Section(("a",), ("0",)),
+        Section(("a", "c"), ("0", "2")),
+        Section(("a", "b"), ("0", "3")),
+        Section(("a", "b"), (0, "2")),
+        Section(("a", "b"), "02"),
+        _TaggedSection(("a", "b"), ("0", "2")),
+    ]
+    # The reference: membership in the enumerated E(C), as the check was.
+    allowed = set(enumerate_sections(scen, ("a", "b")))
+    assert sum(entry in allowed for entry in entries) == 2
+    for entry in entries:
+        builds = [
+            lambda: support_model(scen, [{entry}, {other}]),
+            lambda: empirical_model(scen, [{entry: 1}, {other: 1}]),
+        ]
+        for build in builds:
+            if entry in allowed:
+                build()
+                continue
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == f"context 0: {entry} is not a section of ('a', 'b')"
 
 
 def test_a_signalling_document_is_summed_once():

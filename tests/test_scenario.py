@@ -2,6 +2,9 @@
 
 Core claims:
     - contexts are canonicalized to global measurement order; duplicates rejected
+    - a context inside another warns once per such pair, with the messages
+      and order of the loop over ordered context pairs (a fixed cover and
+      200 random ones, each declared in both index orders)
     - section restriction is function restriction and is transitive
     - enumeration order is lexicographic with the last measurement fastest
     - the nerve's simplices are injective index tuples with nonempty carrier
@@ -10,6 +13,7 @@ Core claims:
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -52,6 +56,37 @@ def test_subset_context_warns_but_is_allowed():
     with pytest.warns(CoverWarning):
         scen = build_scenario("ABC", "01", [("A", "B", "C"), ("A", "B")])
     assert len(scen.contexts) == 2
+
+
+def _containment_messages_by_pairs(scenario):
+    """The containment warnings as the loop over ordered context pairs gave
+    them, in its order."""
+    members = [ctx.members for ctx in scenario.contexts]
+    return [
+        f"context {a} is contained in context {b}"
+        for a in members
+        for b in members
+        if a != b and set(a) < set(b)
+    ]
+
+
+def test_nested_contexts_warn_as_the_ordered_pair_loop_did():
+    rng = random.Random(11)
+    fixed = [("A", "B", "C"), ("A", "B"), ("B", "C"), ("A",), ("C", "D")]
+    covers = [("ABCD", fixed)]
+    for _ in range(200):
+        scen = helpers.random_scenario(rng)
+        covers.append((scen.measurements, [ctx.members for ctx in scen.contexts]))
+    counts = []
+    for measurements, contexts in covers:
+        for declared in (contexts, contexts[::-1]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                scen = build_scenario(measurements, "01", declared)
+            assert all(w.category is CoverWarning and w.filename == __file__ for w in caught)
+            assert [str(w.message) for w in caught] == _containment_messages_by_pairs(scen)
+            counts.append(len(caught))
+    assert counts[:2] == [4, 4] and sum(count > 1 for count in counts) >= 20
 
 
 def test_outcome_labels_validated():
