@@ -90,15 +90,16 @@ def false_positives(
     """Join the obstruction verdicts with the extendability oracle.
 
     `obstructions` and `classification` may be passed in when already
-    computed for the model.  Every reported pair is re-verified from its own
+    computed for the model; the classification is computed first, and the
+    obstructions read it.  Every reported pair is re-verified from its own
     proofs: its witness by :func:`verify_witness`, and a fresh search must
     count no global section once the pair's context support is cut to the
     one section.  A disagreement raises :class:`VerificationError`.
     """
-    if obstructions is None:
-        obstructions = all_obstructions(model, ring)
     if classification is None:
         classification = classify(model)
+    if obstructions is None:
+        obstructions = all_obstructions(model, ring, classification=classification)
     pairs: list[tuple[int, Section]] = []
     for (index, section), result in obstructions.items():
         if not result.vanishes or classification.extendable[(index, section)]:

@@ -118,8 +118,9 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
             _print_obstruction(result, args.witness)
         return 0
 
+    classification = classify(support)  # once, for both rings
     for ring in rings:
-        results = all_obstructions(support, ring).values()
+        results = all_obstructions(support, ring, classification=classification).values()
         for result in results:
             _print_obstruction(result, args.witness)
         non_vanishing = sum(1 for result in results if not result.vanishes)

@@ -19,7 +19,20 @@ so.  Each :class:`ObstructionSystem` holds the call's rows, its base block
 and its right-hand side's nonzero terms; its dense `matrix` and `rhs` are
 built from them on each read and kept nowhere.
 
-Every section is decided mod 2 first, by cocycle projection: one GF(2)
+The obstruction vanishes if the family has a global section: if g is one
+and g|C_b = t, the family (1*g|C_i)_i agrees on every overlap and is 1*t on
+b.  The proof sections of :func:`classify` pass through every extendable
+section, so an extendable section takes the family of one of them as its
+witness.  Each family is built and re-checked once per call, whatever its
+base; a section it serves has only its base term checked, and reaches no
+cocycle, lattice or Hermite form.  The proofs come from the classification
+the caller passes in; without one, :func:`classify` runs once, when the
+first section vanishes mod 2, so a model none of whose sections vanishes
+mod 2 never runs the search.  Once the proofs are at hand, an extendable
+section is answered before anything is factored: given the classification
+of a model whose every section extends, delta^0 is never factored.
+
+Every other section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
 columns, gives a basis K of the cocycles and turns any vector of its row
 space into the combination of rows that makes it.  Per base context only
@@ -30,15 +43,16 @@ of the rows of delta^0, and z refutes the system.  The echelon's solution
 is linear in g, so z is the sum of the solutions for the unit vectors g
 holds, each computed once per call, and a certificate keeps only its
 nonzero terms.  Integer vanishing descends mod 2, so over Z that z,
-halved, is the proof.  A section that vanishes mod 2 is decided over Z the
-same way, from the lattice of integer cocycles: one Hermite form of
-delta^0 per call gives a saturated basis K_Z of it, and per base context
-only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
-witness; if not, the section vanishes mod 2 only, and the Hermite form of
-its base context's system gives the certificate, which must agree with the
-lattice that there is no solution.  Vanishing results carry a witness
-family, built straight from the cocycle and re-verified, not by the solver,
-on the fibers of restriction to each overlap; non-vanishing results carry a
+halved, is the proof.  A section that vanishes mod 2 and does not extend
+is decided over Z the same way, from the lattice of integer cocycles: one
+Hermite form of delta^0 per call gives a saturated basis K_Z of it, and per
+base context only pi_b(K_Z) is factored.  If it reaches the section, the
+cocycle is the witness; if not, the section vanishes mod 2 only, and the
+Hermite form of its base context's system gives the certificate, which must
+agree with the lattice that there is no solution.  Vanishing results carry
+a witness family, a proof's or one built straight from the cocycle, and
+re-verified, not by the solver, on the fibers of restriction to each
+overlap; non-vanishing results carry a
 certificate re-verified, in scaled integers, against the untouched system:
 on its terms' rows of delta^0, less the base block.
 """
@@ -51,6 +65,7 @@ from itertools import accumulate, compress
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .extendability import Classification, classify
 from .linalg import (
     Certificate,
     Factorization,
@@ -540,16 +555,39 @@ def verify_witness(
     return True
 
 
+def _proof_families(
+    model: SupportModel, ring: Ring, proofs: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, Section], tuple[LinearCombination, ...]]:
+    """The family (1*g|C_i)_i of each global section g among `proofs`,
+    re-checked once, keyed by every (context, section) g passes through; the
+    first proof through a section wins."""
+    scenario = model.scenario
+    contexts, outcomes, position = scenario.contexts, scenario.outcomes, scenario.positions
+    families: dict[tuple[int, Section], tuple[LinearCombination, ...]] = {}
+    for g in proofs:
+        restrictions = [
+            Section(c.members, tuple([outcomes[g[position[m]]] for m in c.members]))
+            for c in contexts
+        ]
+        family = tuple(embed(ring, s) for s in restrictions)
+        if not verify_witness(model, 0, restrictions[0], family, ring):
+            raise VerificationError("proof section fails its re-check as a witness family")
+        for c, s in zip(contexts, restrictions):
+            families.setdefault((c.index, s), family)
+    return families
+
+
 def _obstruction_solver(
-    model: SupportModel, ring: Ring
+    model: SupportModel, ring: Ring, classification: Classification | None = None
 ) -> Callable[[int], Callable[[Section], ObstructionResult]]:
-    """Factor delta^0 once mod 2 and return, per base context, the verdict
-    function of its support sections (the algorithm of the module
-    docstring).  A cocycle, grouped by context into a witness family, is
-    re-checked once, by :func:`verify_witness`; a combination z of rows, or
-    z/2 over Z, against the system's sparse rows: those of delta^0, less the
-    base block on the rows that meet it.  Over Z, a section that vanishes
-    mod 2 is decided by the integer cocycle lattice, built at most once per
+    """Return, per base context, the verdict function of its support
+    sections (the algorithm of the module docstring).  delta^0 is factored
+    mod 2 at most once, and each base's cocycle projection at most once.  A
+    cocycle, grouped by context into a witness family, is re-checked by
+    :func:`verify_witness`; a combination z of rows, or z/2 over Z, against
+    the system's sparse rows: those of delta^0, less the base block on the
+    rows that meet it.  Over Z, a section that vanishes mod 2 and does not
+    extend is decided by the integer cocycle lattice, built at most once per
     call, and its projection onto the base context, factored at most once
     per base; where that projection does not reach the section, the Hermite
     form of the system, factored at most once per base, gives the
@@ -558,24 +596,36 @@ def _obstruction_solver(
     contexts = model.scenario.contexts
     delta = _Coboundary(model, ring)
     basis, rows, equations = delta.basis, delta.rows, delta.equations
-    cocycles = factor(delta.columns, Ring.Z2, width=len(rows))
-    kernel = cocycles.kernel()
+
+    @cache
+    def cocycles() -> Factorization:  # delta^0 transposed, mod 2
+        return factor(delta.columns, Ring.Z2, width=len(rows))
 
     @cache
     def reach() -> list[list[int]]:  # per column v: the z solved for e_v
-        return cocycles.unit_solutions()
+        return cocycles().unit_solutions()
 
     @cache
     def lattice() -> tuple[dict[int, int], ...]:
         return factor(rows, Ring.Z, width=len(basis)).kernel()
 
+    @cache
+    def proved() -> dict[tuple[int, Section], tuple[LinearCombination, ...]]:
+        nonlocal classification
+        classification = classification or classify(model)
+        return _proof_families(model, ring, classification.proofs)
+
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
         variables = tuple(basis[: block.start] + basis[block.stop :])
         system_rows, rhs_of = delta.split(base)
-        projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
-        projection = factor(projection_rows, Ring.Z2, len(kernel))
         position = {basis[t][1]: t for t in block}
+
+        @cache
+        def projection() -> Factorization:
+            kernel = cocycles().kernel()
+            projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
+            return factor(projection_rows, Ring.Z2, len(kernel))
 
         @cache
         def integer_projection() -> Factorization:
@@ -592,7 +642,18 @@ def _obstruction_solver(
             rhs = rhs_of[t]
             system = ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs)
             unit = {t - block.start: 1}
-            found = projection.solve(unit)
+            # Mod 2 first, unless the proofs are at hand: an extendable
+            # section vanishes, and the search runs only once one does.
+            found = None if classification is not None else projection().solve(unit)
+            if found is None or found.solvable:
+                families = proved()  # sets `classification`
+                if classification.extendable[base, section]:
+                    family = families.get((base, section))
+                    if family is None or family[base] != embed(ring, section):
+                        raise VerificationError("no proof passes through an extendable section")
+                    return ObstructionResult(ring, base, section, True, family, None, system)
+                if found is None:
+                    found = projection().solve(unit)
             cocycle = certificate = None
             if found.certificate is not None:
                 # z.delta^0 = g for g, padded with zeros, summed from the unit
@@ -608,7 +669,7 @@ def _obstruction_solver(
                 if not check_certificate(system_rows, rhs, certificate):
                     raise VerificationError("Z/2 certificate failed its re-check")
             elif ring is Ring.Z2:
-                bits = reduce(xor, compress(kernel, found.solution), 0)  # K.y
+                bits = reduce(xor, compress(cocycles().kernel(), found.solution), 0)  # K.y
                 cocycle = [(bits >> v) & 1 for v in range(len(basis))]
             elif (lifted := integer_projection().solve(unit)).solution is not None:
                 cocycle = [0] * len(basis)  # K_Z.y
@@ -642,14 +703,18 @@ def obstruction(
     section: Section,
     ring: Ring,
     identify: bool = True,
+    classification: Classification | None = None,
 ) -> ObstructionResult:
     """Decide whether the obstruction at one support section vanishes.
 
-    The section is decided mod 2 by cocycle projection, from one GF(2)
-    factorization of delta^0 (see the module docstring), and, where it
-    vanishes mod 2, over Z by projecting the integer cocycle lattice.
-    `base` may be a context or its cover index.  `identify` has no effect;
-    it is kept so that existing callers still work.
+    An extendable section takes as its witness the family of a proof of
+    `classification`, the model's (:func:`classify` runs if none is passed
+    and the section vanishes mod 2).  Any other section is decided mod 2 by
+    cocycle projection, from one GF(2) factorization of delta^0 (see the
+    module docstring), and, where it vanishes mod 2, over Z by projecting
+    the integer cocycle lattice.  `base` may be a context or its cover
+    index.  `identify` has no effect; it is kept so that existing
+    callers still work.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
@@ -657,24 +722,28 @@ def obstruction(
     if isinstance(base, Context):
         base = base.index
     _check_base(model, base, section)
-    return _obstruction_solver(model, ring)(base)(section)
+    return _obstruction_solver(model, ring, classification)(base)(section)
 
 
 def all_obstructions(
-    model: SupportModel, ring: Ring, identify: bool = True
+    model: SupportModel,
+    ring: Ring,
+    identify: bool = True,
+    classification: Classification | None = None,
 ) -> dict[tuple[int, Section], ObstructionResult]:
     """The obstruction verdict for every support section of every context.
 
-    delta^0 is factored mod 2 once for the whole call, and over Z at most
-    once; each base context's cocycle projections are factored at most once
-    per ring, and its Hermite system only for sections that vanish mod 2 but
-    not over Z.  All results of the call share delta^0's rows and one
-    `system.equations` tuple; each `system.matrix` is built on each read.
-    Verdicts and proofs are those of :func:`obstruction`; `identify` has no
-    effect there either.
+    Each proof family of `classification` is built and re-checked at most
+    once for the whole call, and :func:`classify` runs at most once, if none
+    is passed.  delta^0 is factored mod 2 and over Z at most once for the
+    whole call; each base context's cocycle projections are factored at most
+    once per ring, and its Hermite system only for sections that vanish mod 2
+    but not over Z.  All results of the call share delta^0's rows and one
+    `system.equations` tuple; each `system.matrix` is built on each read.  Verdicts and proofs are those of
+    :func:`obstruction`; `identify` has no effect there either.
     """
     require_overlap_consistent(model)
-    solver = _obstruction_solver(model, ring)
+    solver = _obstruction_solver(model, ring, classification)
     out: dict[tuple[int, Section], ObstructionResult] = {}
     for ctx in model.scenario.contexts:
         sections = model.support_list(ctx.index)

@@ -12,14 +12,17 @@ measurements already assigned that this step or a later one reads, so one
 depth-first search memoizes the number of completions on the frontier at
 every step (bucket elimination along the context order: Dechter, AIJ 113,
 1999).  A support row is extendable iff the search meets it with a nonzero
-count.  Each extendable row is proved by one global section, completed from
-the first place the search met it along memo entries with nonzero counts;
-outside the search, each context's distinct restrictions of these proofs
-are re-checked as sections against the untouched supports, and they give
-every extendability flag.  The list of global sections is built only on
-demand, by walking the live memo entries of the search that counted them,
-so it never backtracks out of a dead branch.  It is kept as sorted tuples
-of outcome indices, and a `Section` is built only where one is read.
+count.  Each extendable row is proved by a global section, completed from
+the first place the search met it along memo entries with nonzero counts,
+preferring rows no proof has passed through yet, so that few proofs cover
+all the rows; outside the search, each context's distinct restrictions of
+these proofs are re-checked as sections against the untouched supports, and
+they give every extendability flag.  The proofs are kept: each also
+witnesses that the obstruction of every section it passes through vanishes.
+The list of global sections is built only on demand, by walking the live
+memo entries of the search that counted them, so it never backtracks out of
+a dead branch.  It is kept as sorted tuples of outcome indices, and a
+`Section` is built only where one is read.
 """
 
 from __future__ import annotations
@@ -87,14 +90,17 @@ class _LazySections(Sequence):
 
 @dataclass(frozen=True)
 class Classification:
-    """Model verdict, the full per-support-section extendability map, and
-    the exact number of global sections, which `global_sections` lists only
-    when read (its `indices()` are the outcome-index tuples)."""
+    """Model verdict, the full per-support-section extendability map, the
+    exact number of global sections, which `global_sections` lists only
+    when read (its `indices()` are the outcome-index tuples), and the
+    re-checked proof sections, sorted outcome-index tuples that together pass
+    through every extendable support section."""
 
     verdict: Verdict
     extendable: dict[tuple[int, Section], bool]
     global_sections: Sequence[Section]
     count: int
+    proofs: tuple[tuple[int, ...], ...]
 
 
 def _plan(model: SupportModel) -> list[Context]:
@@ -120,9 +126,9 @@ def _steps(model: SupportModel) -> list[tuple]:
     members, table from that key to its support rows' values on those, in
     canonical order, key of its frontier, key of all its members).  The
     frontier is what earlier steps assigned and this or a later step reads."""
-    scenario = model.scenario
+    scenario, position = model.scenario, model.scenario.positions
     index = {o: i for i, o in enumerate(scenario.outcomes)}
-    plan = [(ctx, [scenario.position(m) for m in ctx.members]) for ctx in _plan(model)]
+    plan = [(ctx, [position[m] for m in ctx.members]) for ctx in _plan(model)]
     last = {p: k for k, (_, members) in enumerate(plan) for p in members}  # last reader
     values = [0] * len(scenario.measurements)  # scratch for the keys
     steps, frontier = [], []
@@ -181,21 +187,30 @@ def _search(steps: list[tuple], width: int) -> tuple[int, list[dict], list[dict]
 
 
 def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tuple[int, ...]]:
-    """One global section through every live row, emptying `live`: the first
+    """A global section through every live row, emptying `live`: the first
     row left is completed from the assignment it was met in, taking at every
-    later step the first row whose completion count is nonzero, and the rows
+    later step the first row whose completion count is nonzero and that is
+    still live, or else the first row whose count is nonzero, and the rows
     the completion passes through are removed."""
     proofs: list[tuple[int, ...]] = []
+    last = len(steps) - 1
     for k, rows in enumerate(live):
         while rows:
             values = rows.pop(next(iter(rows)))
             for j in range(k + 1, len(steps)):
                 key, new, table, _, row = steps[j]
+                fallback = None
                 for candidate in table[key(values)]:
                     for p, v in zip(new, candidate):
                         values[p] = v
-                    if j == len(steps) - 1 or memo[j + 1].get(steps[j + 1][3](values)):
-                        break
+                    if j == last or memo[j + 1].get(steps[j + 1][3](values)):
+                        if row(values) in live[j]:
+                            break
+                        if fallback is None:
+                            fallback = candidate
+                else:
+                    for p, v in zip(new, fallback):
+                        values[p] = v
                 live[j].pop(row(values), None)
             proofs.append(tuple(values))
     return proofs
@@ -234,7 +249,7 @@ def _checked(model: SupportModel, found: list) -> tuple[list[tuple[int, ...]], l
     found.sort()
     restrictions = []
     for ctx in scenario.contexts:
-        columns = [map(itemgetter(scenario.position(m)), found) for m in ctx.members]
+        columns = [map(itemgetter(scenario.positions[m]), found) for m in ctx.members]
         seen = {Section(ctx.members, tuple([outcomes[v] for v in k])) for k in set(zip(*columns))}
         if not seen <= model.supports[ctx.index]:
             raise VerificationError(f"search produced a non-global section (context {ctx.index})")
@@ -271,9 +286,9 @@ def classify(model: SupportModel) -> Classification:
     count, memo, live = _search(steps, width)
     extendable = sum(map(len, live))
     if count:
-        restrictions = _checked(model, _proofs(steps, memo, live))[1]
+        proofs, restrictions = _checked(model, _proofs(steps, memo, live))
     else:  # no proof to re-check
-        restrictions = [set() for _ in model.scenario.contexts]
+        proofs, restrictions = [], [set() for _ in model.scenario.contexts]
     if sum(map(len, restrictions)) != extendable:
         raise VerificationError("proof sections do not cover exactly the extendable rows")
     flags = {
@@ -287,4 +302,5 @@ def classify(model: SupportModel) -> Classification:
         verdict = Verdict.STRONGLY_CONTEXTUAL
     else:
         verdict = Verdict.CONTEXTUAL
-    return Classification(verdict, flags, _LazySections(model, count, (steps, memo, width)), count)
+    sections = _LazySections(model, count, (steps, memo, width))
+    return Classification(verdict, flags, sections, count, tuple(proofs))

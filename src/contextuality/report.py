@@ -106,7 +106,7 @@ def build_report(
     report["obstructions"] = {}
     report["false_positives"] = {}
     for ring in rings:
-        results = all_obstructions(support, ring)
+        results = all_obstructions(support, ring, classification=classification)
         entries = []
         equations = None  # the ring's one equation payload, built for its first certificate
         for (index, section), result in results.items():

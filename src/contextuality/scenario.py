@@ -82,9 +82,14 @@ class Scenario:
     contexts: tuple[Context, ...]
     # Filled on first use of `overlaps`.
     _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(**_FILLED_ON_FIRST_USE)
+    # Each measurement's index in `measurements`, built once.
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", {m: k for k, m in enumerate(self.measurements)})
 
     def position(self, measurement: str) -> int:
-        return self.measurements.index(measurement)
+        return self.positions[measurement]
 
     def outcome_index(self, outcome: str) -> int:
         return self.outcomes.index(outcome)

@@ -47,12 +47,14 @@ Core claims:
       21 sections vanish over Z/2 (verified witnesses) and all 21 are
       non-vanishing over Z, with Hermite certificates whose denominators do
       not divide 2
-    - integer cocycle lattice: over Z, delta^0 is factored once per call
-      and each base context factors at most one lattice projection; on the
-      one-hot rings of 5 to 9 contexts and on Hardy no per-base system is
-      factored, while on the Fano plane every base context factors exactly
-      one Hermite system; a lattice cocycle with one coordinate changed
-      fails substitution and raises VerificationError
+    - integer cocycle lattice: over Z, delta^0 is factored at most once per
+      call and each base context factors at most one lattice projection; on
+      Hardy and ks-false-positive no per-base system is factored, while on
+      the Fano plane every base context factors exactly one Hermite system;
+      on the one-hot rings of 5 to 9 contexts every section extends, so
+      nothing is factored over Z, with or without the classification passed
+      in; on ks-false-positive, a lattice cocycle with one coordinate
+      changed fails substitution and raises VerificationError
     - witnesses are re-checked on the overlap table: deciding Hardy and a
       one-hot ring calls no restrict_combination
     - obstruction systems are views: on GHZ-4 and on the bundled models,
@@ -119,7 +121,7 @@ from contextuality import (
     zero_cochain,
     zero_combination,
 )
-from contextuality import cohomology, linalg
+from contextuality import Verdict, classify, cohomology, linalg
 from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
 from contextuality.scenario import nerve
 
@@ -660,10 +662,13 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
         assert equations not in sections
 
 
-@pytest.mark.parametrize("name", ["ring5", "ring6", "ring7", "ring8", "ring9", "hardy", "fano"])
+_RINGS = ["ring5", "ring6", "ring7", "ring8", "ring9"]
+
+
+@pytest.mark.parametrize("name", _RINGS + ["hardy", "fano", "ks-false-positive"])
 def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkeypatch):
-    if name == "hardy":
-        model = corpus_supports["hardy"]
+    if name in corpus_supports:
+        model = corpus_supports[name]
     else:
         model = fano_one_hot() if name == "fano" else helpers.ring_cover(int(name[4:]))
     factored: list[tuple[int, int]] = []
@@ -678,6 +683,10 @@ def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkey
     equations = len(model.overlap_table)
     assert equations not in sections
     results = all_obstructions(model, Ring.Z)
+    if name in _RINGS:  # every section extends: its proof is the witness
+        assert all(result.vanishes for result in results.values())
+        assert factored == []
+        return
     # delta^0 over Z, once per call, then per base context at most one
     # lattice projection (|S_b| rows); a system with one row per equation is
     # a per-base Hermite factorization.
@@ -693,7 +702,27 @@ def test_integer_lattice_is_factored_once_per_call(name, corpus_supports, monkey
         assert not per_base
 
 
-def test_corrupted_lattice_cocycle_raises(monkeypatch):
+@pytest.mark.parametrize("name", _RINGS)
+def test_ring_cover_given_its_classification_factors_nothing_over_z(name, monkeypatch):
+    model = helpers.ring_cover(int(name[4:]))
+    classification = classify(model)
+    assert classification.verdict is Verdict.NON_CONTEXTUAL
+
+    def guarded_factor(matrix, ring, width=None):
+        if ring is Ring.Z:
+            raise AssertionError("factored over Z")
+        return factor(matrix, ring, width)
+
+    monkeypatch.setattr(cohomology, "factor", guarded_factor)
+    monkeypatch.setattr(cohomology, "classify", lambda model: pytest.fail("classified again"))
+    results = all_obstructions(model, Ring.Z, classification=classification)
+    assert len(results) == sum(map(len, model.supports))
+    for (base, s), result in results.items():
+        assert result.vanishes and result.certificate is None
+        assert verify_witness(model, base, s, result.witness, Ring.Z)
+
+
+def test_corrupted_lattice_cocycle_raises(corpus_supports, monkeypatch):
     real = linalg._HermiteBasis.kernel
 
     def corrupted(self):
@@ -704,7 +733,7 @@ def test_corrupted_lattice_cocycle_raises(monkeypatch):
 
     monkeypatch.setattr(linalg._HermiteBasis, "kernel", corrupted)
     with pytest.raises(VerificationError, match="cocycle fails substitution"):
-        all_obstructions(helpers.ring_cover(5), Ring.Z)
+        all_obstructions(corpus_supports["ks-false-positive"], Ring.Z)
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
@@ -720,14 +749,14 @@ def test_witnesses_are_checked_on_the_overlap_table(ring, corpus_supports, monke
         assert any(result.vanishes for result in results.values())
 
 
-def test_lattice_missing_cocycles_raises(monkeypatch):
-    # With only the first lattice vector, the projection reaches too few
-    # sections of the one-hot ring, and the Hermite form of the untouched
-    # system solves what the lattice does not.
+def test_lattice_missing_cocycles_raises(corpus_supports, monkeypatch):
+    # With only the first lattice vector, the projection reaches too few of
+    # ks-false-positive's vanishing sections, none of which extends, and the
+    # Hermite form of the untouched system solves what the lattice does not.
     real = linalg._HermiteBasis.kernel
     monkeypatch.setattr(linalg._HermiteBasis, "kernel", lambda self: real(self)[:1])
     with pytest.raises(VerificationError, match="Hermite form solves what the lattice"):
-        all_obstructions(helpers.ring_cover(5), Ring.Z)
+        all_obstructions(corpus_supports["ks-false-positive"], Ring.Z)
 
 
 def test_unhalved_certificate_over_z_raises(corpus_supports, monkeypatch):

@@ -17,22 +17,33 @@ Core claims, on the bundled models and on random consistent supports
       multipliers (helpers.dense_certificate) are equal and check the same,
       before and after every such flip, against the dense system and
       against its sparse rows
+    - every extendable section's witness is a proof family: one term per
+      context, each with coefficient 1, and it passes verify_witness; the
+      results are the same whether the classification is passed in or not
+    - on the one-hot rings, a classification whose proof has one outcome
+      flipped, or whose proofs miss an extendable section, makes the
+      obstruction raise VerificationError on both rings
 """
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextuality import (
     EXAMPLE_NAMES,
     Ring,
+    VerificationError,
     all_obstructions,
+    classify,
     coboundary,
     cochain,
     combination,
     enumerate_sections,
     load_example,
+    obstruction,
     verify_witness,
 )
 from contextuality.linalg import Certificate, check_certificate
@@ -129,3 +140,57 @@ def test_term_built_and_dense_certificates_check_alike(model):
                 assert check_certificate(system.matrix, system.rhs, terms) == verdict
                 assert check_certificate(rows, rhs, terms) == verdict
                 assert check_certificate(rows, list(system.rhs), dense) == verdict
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False).map(helpers.random_consistent_support))
+def test_extendable_sections_take_a_proof_family(model):
+    classification = classify(model)
+    for ring in (Ring.Z2, Ring.Z):
+        results = all_obstructions(model, ring, classification=classification)
+        assert results == all_obstructions(model, ring)
+        for (base, s), result in results.items():
+            if not classification.extendable[base, s]:
+                continue
+            witness = result.witness
+            assert result.vanishes and result.certificate is None
+            assert [list(combo.coefficients.values()) for combo in witness] == [[1]] * len(witness)
+            assert verify_witness(model, base, s, witness, ring)
+
+
+def _forged(classification, proofs):
+    return dataclasses.replace(classification, proofs=tuple(proofs))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_proof_with_a_flipped_outcome_is_rejected(k):
+    # One-hot supports: flipping any outcome of a global section leaves the
+    # support of every context holding that measurement.
+    model = helpers.ring_cover(k)
+    classification = classify(model)
+    for n, g in enumerate(classification.proofs):
+        for p in range(len(g)):
+            flipped = g[:p] + (1 - g[p],) + g[p + 1 :]
+            proofs = classification.proofs[:n] + (flipped,) + classification.proofs[n + 1 :]
+            for ring in (Ring.Z2, Ring.Z):
+                with pytest.raises(VerificationError, match="proof section fails"):
+                    all_obstructions(model, ring, classification=_forged(classification, proofs))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_proofs_that_miss_the_section_are_rejected(k):
+    model = helpers.ring_cover(k)
+    classification = classify(model)
+    position = model.scenario.positions
+    for (base, s), extendable in classification.extendable.items():
+        assert extendable
+        members = model.scenario.contexts[base].members
+        values = tuple(model.scenario.outcome_index(v) for v in s.values)
+        missing = [
+            g for g in classification.proofs if tuple(g[position[m]] for m in members) != values
+        ]
+        assert len(missing) < len(classification.proofs)
+        for ring in (Ring.Z2, Ring.Z):
+            forged = _forged(classification, missing)
+            with pytest.raises(VerificationError, match="no proof passes through"):
+                obstruction(model, base, s, ring, classification=forged)
