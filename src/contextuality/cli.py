@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .cohomology import Ring, VerificationError, all_obstructions, obstruction
+from .cohomology import Ring, VerificationError, all_obstructions, classify_in_reach, obstruction
 from .corpus import EXAMPLE_NAMES, example_text, load_example
 from .documents import DocumentError, ScenarioDocument, parse_scenario
 from .extendability import classify
@@ -111,16 +112,17 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
     if args.all and args.context is not None:
         _usage_error(args, "--all cannot be combined with --context")
 
+    # Searched at most once, for both rings, once a section vanishes mod 2.
+    proofs = cache(partial(classify_in_reach, support))
     if args.context is not None:
         section = _parse_section_flag(document, args.context, args.section)
         for ring in rings:
-            result = obstruction(support, args.context, section, ring)
+            result = obstruction(support, args.context, section, ring, classification=proofs)
             _print_obstruction(result, args.witness)
         return 0
 
-    classification = classify(support)  # once, for both rings
     for ring in rings:
-        results = all_obstructions(support, ring, classification=classification).values()
+        results = all_obstructions(support, ring, classification=proofs).values()
         for result in results:
             _print_obstruction(result, args.witness)
         non_vanishing = sum(1 for result in results if not result.vanishes)

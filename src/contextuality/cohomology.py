@@ -25,12 +25,13 @@ b.  The proof sections of :func:`classify` pass through every extendable
 section, so an extendable section takes the family of one of them as its
 witness.  Each family is built and re-checked once per call, whatever its
 base; a section it serves has only its base term checked, and reaches no
-cocycle, lattice or Hermite form.  The proofs come from the classification
-the caller passes in; without one, :func:`classify` runs once, when the
-first section vanishes mod 2, so a model none of whose sections vanishes
-mod 2 never runs the search.  Once the proofs are at hand, an extendable
-section is answered before anything is factored: given the classification
-of a model whose every section extends, delta^0 is never factored.
+cocycle, lattice or Hermite form.  Given the classification of a model
+whose every section extends, delta^0 is never factored.  Without one,
+every section is decided mod 2 first, and :func:`classify_in_reach` runs
+once, when the first section vanishes mod 2, so a model none of whose
+sections vanishes mod 2 never runs the search.  The search is only an
+accelerator: where it nests past the recursion limit or outgrows delta^0,
+every section is decided as below, as if no proof were at hand.
 
 Every other section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
@@ -60,12 +61,12 @@ on its terms' rows of delta^0, less the base block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, compress
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .extendability import Classification, classify
+from .extendability import Classification, SearchLimit, classify
 from .linalg import (
     Certificate,
     Factorization,
@@ -577,8 +578,25 @@ def _proof_families(
     return families
 
 
+def classify_in_reach(model: SupportModel) -> Classification | None:
+    """:func:`classify`, or None where its search is out of reach: where it
+    nests deeper than the recursion limit, or memoizes more frontier states
+    than delta^0 has entries, besides one per context.  The cocycle path
+    decides every section without it, in time polynomial in delta^0."""
+    entries = sum(map(len, model.supports)) * len(model.overlap_table)
+    try:
+        return classify(model, limit=len(model.scenario.contexts) + entries)
+    except (RecursionError, SearchLimit):
+        return None
+
+
+# A model's classification, or a function called at most once, when the
+# first section vanishes mod 2, that returns it or None.
+ClassificationSource = Classification | Callable[[], Classification | None]
+
+
 def _obstruction_solver(
-    model: SupportModel, ring: Ring, classification: Classification | None = None
+    model: SupportModel, ring: Ring, classification: ClassificationSource | None = None
 ) -> Callable[[int], Callable[[Section], ObstructionResult]]:
     """Return, per base context, the verdict function of its support
     sections (the algorithm of the module docstring).  delta^0 is factored
@@ -596,6 +614,12 @@ def _obstruction_solver(
     contexts = model.scenario.contexts
     delta = _Coboundary(model, ring)
     basis, rows, equations = delta.basis, delta.rows, delta.equations
+    given = isinstance(classification, Classification)
+    search = classification or partial(classify_in_reach, model)
+    # Until the proofs are at hand, each section is decided mod 2 first, so
+    # the search runs only once a section vanishes mod 2; after that, an
+    # extendable section needs no mod-2 solve.
+    at_hand = given
 
     @cache
     def cocycles() -> Factorization:  # delta^0 transposed, mod 2
@@ -610,10 +634,9 @@ def _obstruction_solver(
         return factor(rows, Ring.Z, width=len(basis)).kernel()
 
     @cache
-    def proved() -> dict[tuple[int, Section], tuple[LinearCombination, ...]]:
-        nonlocal classification
-        classification = classification or classify(model)
-        return _proof_families(model, ring, classification.proofs)
+    def proved() -> tuple[dict, dict] | None:  # (extendability flags, proof families)
+        found = classification if given else search()
+        return found and (found.extendable, _proof_families(model, ring, found.proofs))
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
@@ -638,22 +661,21 @@ def _obstruction_solver(
             return factor(_in_variables(system_rows, block), Ring.Z, width=len(variables))
 
         def decide(section: Section) -> ObstructionResult:
+            nonlocal at_hand
             t = position[section]
             rhs = rhs_of[t]
             system = ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs)
             unit = {t - block.start: 1}
-            # Mod 2 first, unless the proofs are at hand: an extendable
-            # section vanishes, and the search runs only once one does.
-            found = None if classification is not None else projection().solve(unit)
-            if found is None or found.solvable:
-                families = proved()  # sets `classification`
-                if classification.extendable[base, section]:
-                    family = families.get((base, section))
+            found = None  # an extendable section takes a proof's family as its witness
+            if at_hand or (found := projection().solve(unit)).solvable:
+                at_hand, proofs = True, proved()
+                if proofs and proofs[0][base, section]:
+                    family = proofs[1].get((base, section))
                     if family is None or family[base] != embed(ring, section):
                         raise VerificationError("no proof passes through an extendable section")
                     return ObstructionResult(ring, base, section, True, family, None, system)
-                if found is None:
-                    found = projection().solve(unit)
+            if found is None:
+                found = projection().solve(unit)
             cocycle = certificate = None
             if found.certificate is not None:
                 # z.delta^0 = g for g, padded with zeros, summed from the unit
@@ -703,13 +725,15 @@ def obstruction(
     section: Section,
     ring: Ring,
     identify: bool = True,
-    classification: Classification | None = None,
+    classification: ClassificationSource | None = None,
 ) -> ObstructionResult:
     """Decide whether the obstruction at one support section vanishes.
 
     An extendable section takes as its witness the family of a proof of
-    `classification`, the model's (:func:`classify` runs if none is passed
-    and the section vanishes mod 2).  Any other section is decided mod 2 by
+    `classification`: the model's, or a function that returns it or None
+    and is called only if the section vanishes mod 2; without one,
+    :func:`classify_in_reach` is that function.  Any other section, and
+    every section where the search is out of reach, is decided mod 2 by
     cocycle projection, from one GF(2) factorization of delta^0 (see the
     module docstring), and, where it vanishes mod 2, over Z by projecting
     the integer cocycle lattice.  `base` may be a context or its cover
@@ -729,17 +753,19 @@ def all_obstructions(
     model: SupportModel,
     ring: Ring,
     identify: bool = True,
-    classification: Classification | None = None,
+    classification: ClassificationSource | None = None,
 ) -> dict[tuple[int, Section], ObstructionResult]:
     """The obstruction verdict for every support section of every context.
 
     Each proof family of `classification` is built and re-checked at most
-    once for the whole call, and :func:`classify` runs at most once, if none
-    is passed.  delta^0 is factored mod 2 and over Z at most once for the
-    whole call; each base context's cocycle projections are factored at most
-    once per ring, and its Hermite system only for sections that vanish mod 2
-    but not over Z.  All results of the call share delta^0's rows and one
-    `system.equations` tuple; each `system.matrix` is built on each read.  Verdicts and proofs are those of
+    once for the whole call; a function passed as `classification`, or
+    :func:`classify_in_reach` if none is, runs at most once, when the first
+    section vanishes mod 2.  delta^0 is factored mod 2 and over Z at most
+    once for the whole call; each base context's cocycle projections are
+    factored at most once per ring, and its Hermite system only for sections
+    that vanish mod 2 but not over Z.  All results of the call share
+    delta^0's rows and one `system.equations` tuple; each `system.matrix` is
+    built on each read.  Verdicts and proofs are those of
     :func:`obstruction`; `identify` has no effect there either.
     """
     require_overlap_consistent(model)

@@ -27,6 +27,7 @@ a dead branch.  It is kept as sorted tuples of outcome indices, and a
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +43,10 @@ class Verdict(Enum):
     NON_CONTEXTUAL = "non_contextual_possibilistic"
     CONTEXTUAL = "contextual"
     STRONGLY_CONTEXTUAL = "strongly_contextual"
+
+
+class SearchLimit(Exception):
+    """The search memoized more frontier states than its limit allows."""
 
 
 class _LazySections(Sequence):
@@ -145,17 +150,25 @@ def _steps(model: SupportModel) -> list[tuple]:
     return steps
 
 
-def _search(steps: list[tuple], width: int) -> tuple[int, list[dict], list[dict]]:
+def _search(
+    steps: list[tuple], width: int, limit: int | None = None
+) -> tuple[int, list[dict], list[dict]]:
     """The number of global sections, by a depth-first search memoized on
     the frontier.  Also returns the memo (per step, frontier values to
     completions; a state with no table row is left out) and the live rows
     (per step, the values of each row met with a nonzero count, to a copy
-    of the assignment it was first met in)."""
+    of the assignment it was first met in).  SearchLimit once the memo
+    holds more than `limit` states."""
     memo: list[dict] = [{} for _ in steps]
     live: list[dict] = [{} for _ in steps]
     values, last = [0] * width, len(steps) - 1
+    room = sys.maxsize if limit is None else limit  # states the memo may still take
 
     def completions(k: int, state, rows: list) -> int:  # noqa: ANN001
+        nonlocal room
+        room -= 1
+        if room < 0:
+            raise SearchLimit(f"the search memoized more than {limit} frontier states")
         _, new, _, _, row = steps[k]
         first, total = live[k], 0
         if k < last:
@@ -181,8 +194,10 @@ def _search(steps: list[tuple], width: int) -> tuple[int, list[dict], list[dict]
         memo[k][state] = total
         return total
 
-    count = completions(0, (), steps[0][2][()])
-    del completions  # it refers to itself: free it and its cells without the cycle collector
+    try:
+        count = completions(0, (), steps[0][2][()])
+    finally:
+        del completions  # it refers to itself: free it and its cells without the cycle collector
     return count, memo, live
 
 
@@ -272,7 +287,7 @@ def is_extendable_at(model: SupportModel, context: Context, section: Section) ->
     return classify(model).extendable[context.index, section]
 
 
-def classify(model: SupportModel) -> Classification:
+def classify(model: SupportModel, limit: int | None = None) -> Classification:
     """Verdict from the full extendability map.
 
     All support sections extendable: not contextual at the possibilistic
@@ -280,10 +295,11 @@ def classify(model: SupportModel) -> Classification:
     contextual.  Otherwise: contextual.
 
     The oracle's one run.  VerificationError unless the re-checked proof
-    sections cover exactly the support rows the search found live.
+    sections cover exactly the support rows the search found live;
+    SearchLimit if the search memoizes more than `limit` frontier states.
     """
     steps, width = _steps(model), len(model.scenario.measurements)
-    count, memo, live = _search(steps, width)
+    count, memo, live = _search(steps, width, limit)
     extendable = sum(map(len, live))
     if count:
         proofs, restrictions = _checked(model, _proofs(steps, memo, live))

@@ -88,9 +88,6 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "positions", {m: k for k, m in enumerate(self.measurements)})
 
-    def position(self, measurement: str) -> int:
-        return self.positions[measurement]
-
     def outcome_index(self, outcome: str) -> int:
         return self.outcomes.index(outcome)
 
@@ -197,7 +194,7 @@ def canonical_subset(scenario: Scenario, subset: Iterable[str]) -> tuple[str, ..
     for m in unique:
         if m not in scenario.measurements:
             raise ValueError(f"{m!r} is not a measurement of the scenario")
-    return tuple(sorted(unique, key=scenario.position))
+    return tuple(sorted(unique, key=scenario.positions.__getitem__))
 
 
 def enumerate_sections(scenario: Scenario, subset: Iterable[str]) -> list[Section]:

@@ -221,6 +221,21 @@ def ring_cover(k: int, rng: random.Random | None = None) -> SupportModel:
     return ks_support(build_scenario(ring, BINARY, contexts))
 
 
+def grid_cover(n: int) -> SupportModel:
+    """The one-hot n x n torus grid: a context per vertex, on its four
+    edges, whose support picks exactly one of them.  Its global sections
+    are the perfect matchings, and the oracle's frontier is about 2n wide."""
+    def edge(kind: str, i: int, j: int) -> str:
+        return f"{kind}{i % n:02d}{j % n:02d}"
+
+    contexts = [
+        sorted([edge("h", i, j), edge("h", i, j - 1), edge("v", i, j), edge("v", i - 1, j)])
+        for i in range(n)
+        for j in range(n)
+    ]
+    return ks_support(build_scenario(sorted({m for c in contexts for m in c}), BINARY, contexts))
+
+
 def one_section_document(width: int) -> dict:
     """One context of `width` binary measurements whose support is the
     all-0 section alone: E(C) has 2**width sections, the support one."""

@@ -12,6 +12,9 @@ Core claims:
     - one context of 40 measurements with one support section validates,
       classifies and reports (--ring both --json) in under a second
     - `examples run ghz --ring z2` reports 16/16 non-vanishing
+    - `obstruction --ring both` runs the search at most once for both
+      rings, and only once a section vanishes mod 2: never for the PR box
+      or GHZ, once for Hardy, with --all or one section
     - the Hardy obstruction witness prints a -1 term
     - --json output is byte-deterministic and reparses to the built report
     - the Peres-Mermin report carries the 24/24 and gcd lines
@@ -53,6 +56,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality import SignallingError, model as model_module, report as report_module
+from contextuality import extendability as extendability_module
 from contextuality.cli import main
 from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
@@ -202,6 +206,30 @@ def test_obstruction_all_sections_summary(corpus_file, capsys):
     assert main(["obstruction", corpus_file("prbox"), "--ring", "z2"]) == 0
     out = capsys.readouterr().out
     assert "8/8 non-vanishing over Z/2" in out
+
+
+@pytest.mark.parametrize(
+    "name, argv, searches",
+    [
+        ("prbox", ["--all"], 0),  # all-vs-nothing: nothing vanishes mod 2
+        ("ghz", ["--all"], 0),
+        ("hardy", ["--all"], 1),
+        ("hardy", ["--context", "0", "--section", "0,0"], 1),
+    ],
+)
+def test_obstruction_searches_at_most_once_for_both_rings(
+    name, argv, searches, corpus_file, capsys, monkeypatch
+):
+    calls = []
+    search = extendability_module._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(extendability_module, "_search", counted)
+    assert main(["obstruction", corpus_file(name), *argv, "--ring", "both"]) == 0
+    assert len(calls) == searches
 
 
 def test_examples_list_and_show(capsys):

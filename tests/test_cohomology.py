@@ -55,6 +55,12 @@ Core claims:
       nothing is factored over Z, with or without the classification passed
       in; on ks-false-positive, a lattice cocycle with one coordinate
       changed fails substitution and raises VerificationError
+    - the search is only an accelerator: where it memoizes more frontier
+      states than delta^0 has entries (the one-hot 6 x 6 torus grid) or
+      nests past the recursion limit (the one-hot ring of 60 under a
+      lowered limit), classify_in_reach gives None, no proof family is
+      built, and all_obstructions and obstruction decide every section by
+      its cocycle, with the verdicts the proofs give
     - witnesses are re-checked on the overlap table: deciding Hardy and a
       one-hot ring calls no restrict_combination
     - obstruction systems are views: on GHZ-4 and on the bundled models,
@@ -82,6 +88,7 @@ import copy
 import dataclasses
 import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -122,6 +129,8 @@ from contextuality import (
     zero_combination,
 )
 from contextuality import Verdict, classify, cohomology, linalg
+from contextuality.cohomology import classify_in_reach
+from contextuality.extendability import SearchLimit
 from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
 from contextuality.scenario import nerve
 
@@ -720,6 +729,52 @@ def test_ring_cover_given_its_classification_factors_nothing_over_z(name, monkey
     for (base, s), result in results.items():
         assert result.vanishes and result.certificate is None
         assert verify_witness(model, base, s, result.witness, Ring.Z)
+
+
+def _by_cocycles(model, ring, monkeypatch):
+    """Every verdict of the model, decided with no proof family built, and
+    each witness re-checked."""
+    monkeypatch.setattr(cohomology, "_proof_families", lambda *_: pytest.fail("proofs built"))
+    results = all_obstructions(model, ring)
+    base, section = next(iter(results))
+    assert obstruction(model, base, section, ring) == results[base, section]
+    for (base, section), result in results.items():
+        if result.vanishes:
+            assert verify_witness(model, base, section, result.witness, ring)
+    return {key: result.vanishes for key, result in results.items()}
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_a_search_past_its_state_limit_leaves_the_cocycle_path(ring, monkeypatch):
+    model = helpers.grid_cover(6)  # frontier about 12 wide; delta^0 144 x 144
+    classification = classify(model)
+    assert classification.verdict is Verdict.NON_CONTEXTUAL
+    with pytest.raises(SearchLimit):
+        classify(model, limit=len(classification.extendable) ** 2)
+    assert classify_in_reach(model) is None
+    expected = all_obstructions(model, ring, classification=classification)
+    assert _by_cocycles(model, ring, monkeypatch) == {key: True for key in expected}
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_a_search_past_the_recursion_limit_leaves_the_cocycle_path(ring, monkeypatch):
+    model = helpers.ring_cover(60)  # one nested call per context in the search
+    classification = classify(model)
+    expected = all_obstructions(model, ring, classification=classification)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        with pytest.raises(RecursionError):
+            classify(model)
+        assert classify_in_reach(model) is None
+        verdicts = _by_cocycles(model, ring, monkeypatch)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == {key: result.vanishes for key, result in expected.items()}
+    assert all(verdicts.values())
 
 
 def test_corrupted_lattice_cocycle_raises(corpus_supports, monkeypatch):

@@ -166,7 +166,7 @@ def test_returned_sections_hit_every_support():
 
 def _relabel_section(s: Section, mapping: dict, target) -> Section:
     inverse = {new: old for old, new in mapping.items()}
-    domain = tuple(sorted((mapping[m] for m in s.domain), key=target.position))
+    domain = tuple(sorted((mapping[m] for m in s.domain), key=target.positions.__getitem__))
     return Section(domain, tuple(s.value_of(inverse[m]) for m in domain))
 
 
