@@ -13,11 +13,12 @@ per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
 delta^0 is built once per call, sparse: its rows as {column: entry} dicts
-and, beside them, its columns as {row: entry} dicts.  The systems of one
-base context are cut out of both once, sparse, and the solver reads them
-so.  Each :class:`ObstructionSystem` holds the call's rows, its base block
-and its right-hand side's nonzero terms; its dense `matrix` and `rhs` are
-built from them on each read and kept nowhere.
+and, beside them, its columns as {row: entry} dicts.  The right-hand sides
+of one base context are cut out of the columns once, sparse, and the solver
+reads them so.  Each :class:`ObstructionSystem` holds the call's rows and
+basis, its base block and its right-hand side's nonzero terms; its
+`variables`, dense `matrix` and `rhs` are built from them on each read and
+kept nowhere.
 
 The obstruction vanishes if the family has a global section: if g is one
 and g|C_b = t, the family (1*g|C_i)_i agrees on every overlap and is 1*t on
@@ -37,24 +38,32 @@ Every other section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
 columns, gives a basis K of the cocycles and turns any vector of its row
 space into the combination of rows that makes it.  Per base context only
-the small projection pi_b(K) is factored.  A section whose unit vector it
-reaches vanishes mod 2, with the cocycle as witness; otherwise a vector g
-orthogonal to pi_b(K) with g_t = 1 is, padded with zeros, a combination z
-of the rows of delta^0, and z refutes the system.  The echelon's solution
-is linear in g, so z is the sum of the solutions for the unit vectors g
-holds, each computed once per call, and a certificate keeps only its
-nonzero terms.  Integer vanishing descends mod 2, so over Z that z,
-halved, is the proof.  A section that vanishes mod 2 and does not extend
-is decided over Z the same way, from the lattice of integer cocycles: one
-Hermite form of delta^0 per call gives a saturated basis K_Z of it, and per
-base context only pi_b(K_Z) is factored.  If it reaches the section, the
-cocycle is the witness; if not, the section vanishes mod 2 only, and the
-Hermite form of its base context's system gives the certificate, which must
-agree with the lattice that there is no solution.  Vanishing results carry
-a witness family, a proof's or one built straight from the cocycle, and
-re-verified, not by the solver, on the fibers of restriction to each
-overlap; non-vanishing results carry a
-certificate re-verified, in scaled integers, against the untouched system:
+the small projection pi_b(K) is factored, and its left kernel decides every
+section of the block in one pass: a section t that no kernel combination
+holds vanishes mod 2, its unit vector is solved for, and the cocycle is the
+witness; otherwise the first combination g that holds t (the one a solve
+for e_t would give), re-checked once per base context, is orthogonal to
+pi_b(K) with g_t = 1, so g, padded with zeros, is a combination z of the
+rows of delta^0, and z refutes the system.  The echelon's solution is
+linear in g, so z is the sum of the solutions for the unit vectors g holds,
+each computed once per call, and a certificate keeps only its nonzero
+terms.  Integer vanishing descends mod 2, so over Z that z, halved, is the
+proof.  A section that vanishes mod 2 and does not extend is decided over Z
+the same way, from the lattice of integer cocycles: one Hermite form of
+delta^0 per call gives a saturated basis K_Z of it, and per base context
+only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
+witness; if not, the section vanishes mod 2 only, and the Hermite form of
+its base context's system gives the certificate, which must agree with the
+lattice that there is no solution.
+
+Every proof is re-checked outside the solver that found it.  A witness
+family, a proof's or one built straight from the cocycle, is re-verified on
+the fibers of restriction to each overlap.  A certificate z, with 0/1
+multipliers over Z/2 or halves over Z, is re-checked by parity on its rows
+of delta^0, whose every entry is +-1: the columns that an odd number of its
+rows meet must all lie in the base block and include t, so that y.A is even
+(integral, halved) off the block and y.b odd (not integral).  A Hermite
+certificate is re-checked in scaled integers against the untouched system:
 on its terms' rows of delta^0, less the base block.
 """
 
@@ -73,6 +82,7 @@ from .linalg import (
     Ring,
     SolveResult,
     VerificationError,
+    _HALF,
     check_certificate,
     factor,
     gf2_nullity,
@@ -397,17 +407,19 @@ class _Coboundary:
     (the transpose, which the GF(2) echelon factors), and the equation
     labels (i, j, section) of the rows.
 
-    :meth:`split` cuts out the systems of one base context, sparse; the
-    solver reads them so, and each :class:`ObstructionSystem` holds the
-    rows, the base block and its own right-hand side.
+    :meth:`right_hand_sides` gives those of one base context's systems,
+    sparse, and :meth:`split` also their rows, less the base block, which
+    only a Hermite form reads.  Each :class:`ObstructionSystem` holds the
+    rows, the basis, the base block and its own right-hand side, and
+    :meth:`refutes` re-checks its certificates.
     """
 
     def __init__(self, model: SupportModel, ring: Ring):
         self.ring = ring
         self.offsets = list(accumulate((len(support) for support in model.supports), initial=0))
-        self.basis = [
+        self.basis = tuple(
             (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
-        ]
+        )
         column = {entry: k for k, entry in enumerate(self.basis)}
         minus = ring.reduce(-1)
         self.rows: list[dict[int, int]] = []
@@ -424,17 +436,41 @@ class _Coboundary:
         """The columns of the base context's support sections."""
         return range(self.offsets[base], self.offsets[base + 1])
 
+    def right_hand_sides(self, base: int) -> dict[int, dict[int, int]]:
+        """Keyed by each column k of the base block, minus column k: the
+        right-hand side of the system at k's section, sparse."""
+        ring, columns = self.ring, self.columns
+        return {k: {r: ring.reduce(-a) for r, a in columns[k].items()} for k in self.block(base)}
+
     def split(self, base: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
         """The systems at the base context's sections, sparse: the rows of
         delta^0 less the base block (a row that does not meet it is delta^0's
-        own), and keyed by each column k of the block, minus column k: the
-        right-hand side at k's section.  Columns keep their delta^0 numbers."""
-        block = self.block(base)
-        rhs = {k: {r: self.ring.reduce(-a) for r, a in self.columns[k].items()} for k in block}
+        own), and their :meth:`right_hand_sides`.  Columns keep their delta^0
+        numbers."""
+        block, rhs = self.block(base), self.right_hand_sides(base)
         rows = list(self.rows)
         for r in set().union(*rhs.values()):  # the rows that meet the block
             rows[r] = {k: a for k, a in rows[r].items() if k not in block}
         return rows, rhs
+
+    def refutes(self, base: int, t: int, certificate: Certificate) -> bool:
+        """Re-check a certificate of the system at column t of the base block
+        (:meth:`split`).  Every entry of delta^0 is +-1, so a 0/1 certificate
+        over Z/2, or one of halves over Z, on a set R of rows refutes it iff
+        the columns met by an odd number of the rows of R all lie in the
+        block and include t: y.A is then even (integral, halved) off the
+        block, and y.b odd (not integral).  Any other certificate is
+        re-checked by :func:`check_certificate`."""
+        n = len(certificate.rows)
+        ones = (1,) * n if certificate.ring is Ring.Z2 else (_HALF,) * n
+        if certificate.length != len(self.rows) or certificate.values != ones:
+            rows, rhs = self.split(base)
+            return check_certificate(rows, rhs[t], certificate)
+        odd: set[int] = set()
+        for r in certificate.rows:
+            odd.symmetric_difference_update(self.rows[r])
+        block = self.block(base)
+        return t in odd and block.start <= min(odd) and max(odd) < block.stop
 
 
 def _in_variables(rows: Sequence[dict[int, int]], block: range) -> list[dict[int, int]]:
@@ -449,7 +485,7 @@ def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionSystem:
     """The linear system deciding the obstruction at one base section.
 
@@ -461,27 +497,41 @@ class ObstructionSystem:
     base section as the right-hand side, since the base context's entry is
     fixed to 1*section.
 
-    A system holds it sparse: delta^0's rows, one list that every system of
-    the call shares with its `equations` tuple, the base block, and its
-    right-hand side as its nonzero {row: entry} terms.  The dense `matrix`
-    and `rhs` are built from them on each read and kept nowhere: the solver
-    never reads them.  Ring, base, section, variables and equations
-    determine every entry, so they alone are compared.
+    A system holds it sparse: delta^0's rows and its basis, which every
+    system of the call shares with its `equations` tuple, the base block,
+    and its right-hand side as its nonzero {row: entry} terms.  The
+    `variables` (the basis less the block), the dense `matrix` and `rhs` are
+    built from them on each read and kept nowhere: the solver never reads
+    them.  Ring, base, section, variables and equations determine every
+    entry, so they alone are compared and hashed.
     """
 
     ring: Ring
     base: int
     section: Section
-    variables: tuple[tuple[int, Section], ...]
     equations: tuple[tuple[int, int, Section], ...]
-    _rows: Sequence[dict[int, int]] = field(repr=False, compare=False)
-    _block: range = field(repr=False, compare=False)
-    _rhs: Mapping[int, int] = field(repr=False, compare=False)
+    _basis: tuple[tuple[int, Section], ...] = field(repr=False)
+    _rows: Sequence[dict[int, int]] = field(repr=False)
+    _block: range = field(repr=False)
+    _rhs: Mapping[int, int] = field(repr=False)
+
+    @property
+    def variables(self) -> tuple[tuple[int, Section], ...]:
+        return self._basis[: self._block.start] + self._basis[self._block.stop :]
+
+    def _facts(self) -> tuple:
+        return self.ring, self.base, self.section, self.variables, self.equations
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ObstructionSystem) and self._facts() == other._facts()
+
+    def __hash__(self) -> int:
+        return hash(self._facts())
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         start, stop = self._block.start, self._block.stop
-        rows = (_dense(row, len(self.variables) + stop - start) for row in self._rows)
+        rows = (_dense(row, len(self._basis)) for row in self._rows)
         return tuple(row[:start] + row[stop:] for row in rows)
 
     @property
@@ -520,10 +570,10 @@ def build_obstruction_system(
     _check_base(model, base, section)
     delta = _Coboundary(model, ring)
     block, t = delta.block(base), delta.basis.index((base, section))
-    variables = tuple(delta.basis[: block.start] + delta.basis[block.stop :])
-    _, rhs = delta.split(base)
-    equations, rows = delta.equations, delta.rows
-    return ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs[t])
+    rhs = delta.right_hand_sides(base)[t]
+    return ObstructionSystem(
+        ring, base, section, delta.equations, delta.basis, delta.rows, block, rhs
+    )
 
 
 def verify_witness(
@@ -602,9 +652,10 @@ def _obstruction_solver(
     sections (the algorithm of the module docstring).  delta^0 is factored
     mod 2 at most once, and each base's cocycle projection at most once.  A
     cocycle, grouped by context into a witness family, is re-checked by
-    :func:`verify_witness`; a combination z of rows, or z/2 over Z, against
-    the system's sparse rows: those of delta^0, less the base block on the
-    rows that meet it.  Over Z, a section that vanishes mod 2 and does not
+    :func:`verify_witness`; a combination z of rows, or z/2 over Z, by
+    parity on its rows of delta^0 (:meth:`_Coboundary.refutes`).  The
+    projection's left kernel gives, once per base, the combination g that
+    refutes each section it holds.  Over Z, a section that vanishes mod 2 and does not
     extend is decided by the integer cocycle lattice, built at most once per
     call, and its projection onto the base context, factored at most once
     per base; where that projection does not reach the section, the Hermite
@@ -640,8 +691,7 @@ def _obstruction_solver(
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
-        variables = tuple(basis[: block.start] + basis[block.stop :])
-        system_rows, rhs_of = delta.split(base)
+        rhs_of = delta.right_hand_sides(base)
         position = {basis[t][1]: t for t in block}
 
         @cache
@@ -651,6 +701,10 @@ def _obstruction_solver(
             return factor(projection_rows, Ring.Z2, len(kernel))
 
         @cache
+        def refutations() -> list[tuple[int, ...] | None]:  # per section: g, or None
+            return projection().unit_certificates()
+
+        @cache
         def integer_projection() -> Factorization:
             basis_z = lattice()
             rows_z = [{c: k[v] for c, k in enumerate(basis_z) if v in k} for v in block]
@@ -658,42 +712,41 @@ def _obstruction_solver(
 
         @cache
         def hermite() -> Factorization:
-            return factor(_in_variables(system_rows, block), Ring.Z, width=len(variables))
+            system_rows, _ = delta.split(base)
+            return factor(_in_variables(system_rows, block), Ring.Z, len(basis) - len(block))
 
         def decide(section: Section) -> ObstructionResult:
             nonlocal at_hand
             t = position[section]
-            rhs = rhs_of[t]
-            system = ObstructionSystem(ring, base, section, variables, equations, rows, block, rhs)
-            unit = {t - block.start: 1}
-            found = None  # an extendable section takes a proof's family as its witness
-            if at_hand or (found := projection().solve(unit)).solvable:
+            i, rhs = t - block.start, rhs_of[t]  # i: the section's row of the projection
+            system = ObstructionSystem(ring, base, section, equations, basis, rows, block, rhs)
+            # An extendable section takes a proof's family as its witness.
+            if at_hand or refutations()[i] is None:
                 at_hand, proofs = True, proved()
                 if proofs and proofs[0][base, section]:
                     family = proofs[1].get((base, section))
                     if family is None or family[base] != embed(ring, section):
                         raise VerificationError("no proof passes through an extendable section")
                     return ObstructionResult(ring, base, section, True, family, None, system)
-            if found is None:
-                found = projection().solve(unit)
             cocycle = certificate = None
-            if found.certificate is not None:
-                # z.delta^0 = g for g, padded with zeros, summed from the unit
+            if (g := refutations()[i]) is not None:
+                # z.delta^0 = g, padded with zeros, summed from the unit
                 # vectors g holds.  Unchecked: z is re-checked below as a
                 # certificate of the system (a g outside the row space fails).
                 z: set[int] = set()
-                for k in found.certificate.rows:
+                for k in g:
                     z.symmetric_difference_update(reach()[block.start + k])
                 reason = "inconsistent equation combination"
                 certificate = Certificate(Ring.Z2, sorted(z), (1,) * len(z), len(rows), reason)
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)
-                if not check_certificate(system_rows, rhs, certificate):
+                if not delta.refutes(base, t, certificate):
                     raise VerificationError("Z/2 certificate failed its re-check")
             elif ring is Ring.Z2:
+                found = projection().solve({i: 1})
                 bits = reduce(xor, compress(cocycles().kernel(), found.solution), 0)  # K.y
                 cocycle = [(bits >> v) & 1 for v in range(len(basis))]
-            elif (lifted := integer_projection().solve(unit)).solution is not None:
+            elif (lifted := integer_projection().solve({i: 1})).solvable:
                 cocycle = [0] * len(basis)  # K_Z.y
                 for k, y in zip(lattice(), lifted.solution):
                     for v, c in k.items():

@@ -31,6 +31,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable
 
@@ -110,13 +111,28 @@ class Classification:
 
 def _plan(model: SupportModel) -> list[Context]:
     """The contexts in search order: most already-assigned members first,
-    then smallest support, then lowest index."""
-    order, remaining, assigned = [], list(model.scenario.contexts), set()
-    while remaining:
-        order.append(min(remaining, key=lambda c: (
-            -len(assigned.intersection(c.members)), len(model.supports[c.index]), c.index)))
-        remaining.remove(order[-1])
-        assigned.update(order[-1].members)
+    then smallest support, then lowest index.  Each context's count of
+    assigned members is kept up to date through the `holders` of each
+    measurement, and the minimum is taken from a heap whose stale entries
+    (a count since raised) are skipped."""
+    contexts, holders = model.scenario.contexts, model.scenario.holders
+    count, done, assigned = [0] * len(contexts), [False] * len(contexts), set()
+    heap = [(0, len(model.supports[c.index]), c.index) for c in contexts]
+    heapify(heap)
+    order = []
+    while heap:
+        negated, _, i = heappop(heap)
+        if done[i] or -negated != count[i]:
+            continue
+        done[i] = True
+        order.append(contexts[i])
+        for m in contexts[i].members:
+            if m not in assigned:
+                assigned.add(m)
+                for j in holders[m]:
+                    if not done[j]:
+                        count[j] += 1
+                        heappush(heap, (-count[j], len(model.supports[j]), j))
     return order
 
 

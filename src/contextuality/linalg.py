@@ -24,9 +24,16 @@ An integer solution reduces to a GF(2) one, so a GF(2) certificate y also
 refutes the system over the integers: y.A even and y.b odd make y/2 an
 integer certificate (:func:`halve_certificate`).
 
-The check works in scaled integers: with L the common denominator of y it
-tests L*y.A = 0 and L*y.b != 0 modulo L (modulo 2L over GF(2)), reading
-only the rows of the terms and their nonzero entries.
+The general check works in scaled integers: with L the common denominator
+of y it tests L*y.A = 0 and L*y.b != 0 modulo L (modulo 2L over GF(2)),
+reading only the rows of the terms and their nonzero entries.  Over GF(2),
+where one factorization answers every unit right-hand side e_i at once
+(:meth:`_GF2Echelon.unit_certificates`), y.b = 1 holds by the choice of a
+combination that holds i, and y.A = 0 is checked once per combination, as
+the XOR of its bit-packed rows.  A caller that knows every entry of its
+matrix is +-1 may re-check a 0/1 or halved certificate by parity alone
+(:mod:`.cohomology` does); any other certificate goes through
+:func:`check_certificate`.
 
 The GF(2) factorization is a bit-packed reduced echelon form: each row is a
 pair of Python integers, its coefficient bits and the bits of the input
@@ -47,8 +54,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import lt
+from operator import lt, xor
 from typing import Sequence
 
 Vector = Sequence[int] | dict[int, int]  # dense, or {index: nonzero entry}
@@ -356,6 +364,23 @@ class _GF2Echelon(Factorization):
         for col, combo in self._pivots:
             for i in _ones(combo):
                 out[i].append(col)
+        return out
+
+    def unit_certificates(self) -> list[tuple[int, ...] | None]:
+        """For each input row i, the rows of the certificate :meth:`solve`
+        gives for the unit right-hand side e_i, or None where e_i is
+        consistent: the first left-kernel combination that holds i, as in
+        :meth:`solve`.  Each combination is re-checked once, packed, before
+        it is given for the rows it holds: the XOR of its input rows must be
+        0 (y.A = 0, and y.e_i = 1 for each such i).  VerificationError if not."""
+        out: list[tuple[int, ...] | None] = [None] * self.height
+        for combo in self._dependent:
+            rows = tuple(_ones(combo))
+            if reduce(xor, [_bits(self.matrix[r]) for r in rows], 0):
+                raise VerificationError("a left-kernel combination fails its re-check")
+            for i in rows:
+                if out[i] is None:
+                    out[i] = rows
         return out
 
     def _solve(self, rhs: dict[int, int]) -> SolveResult:

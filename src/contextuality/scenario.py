@@ -84,9 +84,16 @@ class Scenario:
     _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(**_FILLED_ON_FIRST_USE)
     # Each measurement's index in `measurements`, built once.
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    # The indices of the contexts holding each measurement, ascending, built once.
+    holders: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "positions", {m: k for k, m in enumerate(self.measurements)})
+        holders: dict[str, list[int]] = {m: [] for m in self.measurements}
+        for c in self.contexts:
+            for m in c.members:
+                holders[m].append(c.index)
+        object.__setattr__(self, "holders", holders)
 
     def outcome_index(self, outcome: str) -> int:
         return self.outcomes.index(outcome)
@@ -97,15 +104,18 @@ class Scenario:
     @property
     def overlaps(self) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
         """Every intersecting context pair (i, j), i < j, in lexicographic
-        order, with its common measurements in global order; computed once."""
+        order, with its common measurements in global order; computed once,
+        from the `holders` of each measurement, so only intersecting pairs
+        are visited."""
         if self._overlaps is None:
-            out = []
-            for a in self.contexts:
-                for b in self.contexts[a.index + 1 :]:
-                    common = tuple(m for m in a.members if m in b.members)
-                    if common:
-                        out.append((a.index, b.index, common))
-            object.__setattr__(self, "_overlaps", tuple(out))
+            common: dict[tuple[int, int], list[str]] = {}
+            for m in self.measurements:
+                owners = self.holders[m]
+                for k, i in enumerate(owners):
+                    for j in owners[k + 1 :]:
+                        common.setdefault((i, j), []).append(m)
+            out = tuple((i, j, tuple(members)) for (i, j), members in sorted(common.items()))
+            object.__setattr__(self, "_overlaps", out)
         return self._overlaps
 
 

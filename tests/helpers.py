@@ -169,6 +169,32 @@ def reference_coboundary_matrix(model: SupportModel, ring: Ring, degree: int) ->
     return rows
 
 
+def reference_overlaps(scenario: Scenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+    """Every intersecting context pair (i, j), i < j, in lexicographic
+    order, with its common measurements in global order, by visiting every
+    pair: the reference for `Scenario.overlaps`."""
+    out = []
+    for a in scenario.contexts:
+        for b in scenario.contexts[a.index + 1 :]:
+            common = tuple(m for m in a.members if m in b.members)
+            if common:
+                out.append((a.index, b.index, common))
+    return tuple(out)
+
+
+def reference_plan(model: SupportModel) -> list:
+    """The search order, by a minimum over every remaining context at every
+    step (most already-assigned members, then smallest support, then lowest
+    index): the reference for `extendability._plan`."""
+    order, remaining, assigned = [], list(model.scenario.contexts), set()
+    while remaining:
+        order.append(min(remaining, key=lambda c: (
+            -len(assigned.intersection(c.members)), len(model.supports[c.index]), c.index)))
+        remaining.remove(order[-1])
+        assigned.update(order[-1].members)
+    return order
+
+
 def connected_by_union_find(scenario: Scenario) -> bool:
     n = len(scenario.contexts)
     parent = list(range(n))

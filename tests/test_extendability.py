@@ -12,7 +12,10 @@ Core claims:
       the order measurements and outcomes are declared in: nested,
       disconnected and one-measurement covers, one-hot rings with
       trace(T^k) global sections
-    - the search visits the most-constrained context first
+    - the search visits the most-constrained context first, in the order
+      a minimum over every remaining context at every step gives
+      (helpers.reference_plan), on the bundled models, 200 random ones,
+      shuffled one-hot rings and a torus grid
     - the soundness re-check rejects an assignment outside one support
     - classify counts global sections without listing them: on 200 random
       models the count and the lazily listed sections equal
@@ -289,6 +292,16 @@ def test_plan_takes_most_assigned_then_smallest_support_then_lowest_index():
     )
     # Two assigned members beat one, whatever the support sizes.
     assert [ctx.index for ctx in _plan(model)] == [0, 1, 2]
+
+
+def test_plan_is_that_of_the_minimum_over_remaining_contexts(corpus_supports):
+    rng = random.Random(137)
+    models = list(corpus_supports.values())
+    models += [helpers.random_consistent_support(rng) for _ in range(200)]
+    models += [helpers.ring_cover(k, random.Random(k)) for k in (5, 12)]
+    models.append(helpers.grid_cover(4))
+    for model in models:
+        assert _plan(model) == helpers.reference_plan(model)
 
 
 def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supports):

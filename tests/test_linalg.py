@@ -35,6 +35,10 @@ Core claims:
     - over GF(2), the unit solutions of the input rows add up (as
       symmetric differences) to the support of the solution of any
       consistent right-hand side, here ones that vanish outside a block
+    - over GF(2), the unit certificates of the input rows are, row for row,
+      the rows of the certificate a solve for the unit right-hand side
+      gives (None where it is solvable), on random matrices; a left-kernel
+      combination with one term dropped makes them raise VerificationError
 """
 
 import random
@@ -48,6 +52,7 @@ from contextuality import build_obstruction_system
 from contextuality.linalg import (
     Certificate,
     Ring,
+    VerificationError,
     check_certificate,
     check_solution,
     factor,
@@ -232,6 +237,50 @@ def test_gf2_unit_solutions_add_up_to_the_solution():
             assert support == {j for j, v in enumerate(solution) if v}
             checked += 1
     assert checked > 500
+
+
+def _random_gf2_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 9), rng.randint(1, 6)
+        yield [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+
+
+def test_gf2_unit_certificates_are_those_of_the_unit_solves():
+    refuted = 0
+    for a in _random_gf2_matrices(134, 300):
+        echelon = factor(a, Ring.Z2)
+        certificates = echelon.unit_certificates()
+        assert len(certificates) == len(a)
+        for i, rows in enumerate(certificates):
+            unit = [int(r == i) for r in range(len(a))]
+            result = echelon.solve(unit)
+            if rows is None:
+                assert result.solvable
+                continue
+            refuted += 1
+            assert rows == result.certificate.rows
+            assert helpers.reference_check_certificate(a, unit, result.certificate)
+    assert refuted > 300
+
+
+def test_gf2_unit_certificate_with_a_dropped_term_raises():
+    dropped = 0
+    for a in _random_gf2_matrices(135, 300):
+        echelon = factor(a, Ring.Z2)
+        kernel = echelon.kernel()
+        for k, combo in enumerate(kernel):
+            if combo.bit_count() < 2:
+                continue  # a zero row: dropping it leaves no combination
+            for i in range(len(a)):
+                if combo >> i & 1:
+                    echelon._dependent = kernel[:k] + (combo ^ 1 << i,) + kernel[k + 1 :]
+                    with pytest.raises(VerificationError, match="left-kernel combination"):
+                        echelon.unit_certificates()
+                    dropped += 1
+        echelon._dependent = kernel
+        echelon.unit_certificates()
+    assert dropped > 100
 
 
 def test_gf2_rank_and_nullity():

@@ -23,6 +23,15 @@ Core claims, on the bundled models and on random consistent supports
     - on the one-hot rings, a classification whose proof has one outcome
       flipped, or whose proofs miss an extendable section, makes the
       obstruction raise VerificationError on both rings
+    - the parity re-check of delta^0 (_Coboundary.refutes) accepts exactly
+      what helpers.reference_check_certificate accepts against the dense
+      system, on random consistent models over both rings, for 0/1 and
+      halved certificates on the solver's row sets, their pairwise sums and
+      random row sets, and for their mutations: a row flipped or dropped,
+      unhalved, one row too long, or on the wrong ring
+    - one corrupted unit solution of delta^0's echelon (the z the
+      certificates are summed from) makes all_obstructions raise
+      VerificationError on both rings
 """
 
 import dataclasses
@@ -46,6 +55,7 @@ from contextuality import (
     obstruction,
     verify_witness,
 )
+from contextuality import cohomology, linalg
 from contextuality.linalg import Certificate, check_certificate
 
 import helpers
@@ -194,3 +204,60 @@ def test_proofs_that_miss_the_section_are_rejected(k):
             forged = _forged(classification, missing)
             with pytest.raises(VerificationError, match="no proof passes through"):
                 obstruction(model, base, s, ring, classification=forged)
+
+
+def _parity_candidates(rng, row_sets, length):
+    """0/1 and halved certificates on each row set, and their mutations."""
+    for rows in row_sets:
+        for ring, value in ((Ring.Z2, 1), (Ring.Z, Fraction(1, 2))):
+            yield Certificate(ring, sorted(rows), [value] * len(rows), length, "t")
+            if rows:
+                r = rng.choice(sorted(rows))
+                yield Certificate(ring, sorted(rows - {r}), [value] * (len(rows) - 1), length, "t")
+            if length:
+                flipped = rows ^ {rng.randrange(length)}
+                yield Certificate(ring, sorted(flipped), [value] * len(flipped), length, "t")
+            yield Certificate(ring, sorted(rows), [value] * len(rows), length + 1, "t")
+        if rows:
+            yield Certificate(Ring.Z, sorted(rows), [1] * len(rows), length, "unhalved")
+            yield Certificate(Ring.Z2, sorted(rows), [Fraction(1, 2)] * len(rows), length, "ring")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_parity_recheck_accepts_what_the_dense_reference_accepts(rng):
+    model = helpers.random_consistent_support(rng)
+    for ring in (Ring.Z2, Ring.Z):
+        delta = cohomology._Coboundary(model, ring)
+        results = all_obstructions(model, ring)
+        length = len(delta.rows)
+        for (base, s), result in results.items():
+            t = delta.basis.index((base, s))
+            system = result.system
+            solved = [
+                set(other.certificate.rows)
+                for (b, _), other in results.items()
+                if b == base and other.certificate is not None
+            ]
+            if result.certificate is not None:
+                assert delta.refutes(base, t, result.certificate)
+            row_sets = solved + [a ^ b for a in solved for b in solved]
+            row_sets += [{r for r in range(length) if rng.random() < 0.3} for _ in range(3)]
+            for certificate in _parity_candidates(rng, row_sets, length):
+                expected = helpers.reference_check_certificate(system.matrix, system.rhs, certificate)
+                assert delta.refutes(base, t, certificate) == expected
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_a_corrupted_unit_solution_is_rejected(ring, monkeypatch):
+    real = linalg._GF2Echelon.unit_solutions
+
+    def corrupted(self):
+        reach = real(self)
+        reach[0] = sorted(set(reach[0]) ^ {0})
+        return reach
+
+    monkeypatch.setattr(linalg._GF2Echelon, "unit_solutions", corrupted)
+    for name in ("prbox", "ghz"):
+        with pytest.raises(VerificationError, match="Z/2 certificate failed"):
+            all_obstructions(load_example(name).support_model(), ring)

@@ -10,6 +10,10 @@ Core claims:
     - the nerve's simplices are injective index tuples with nonempty carrier
     - carriers grow along faces
     - connectivity matches an independent union-find computation
+    - the overlaps found from the contexts holding each measurement are
+      those of the loop over every context pair (helpers.reference_overlaps),
+      pairs and common members in the same order, on the bundled covers,
+      200 random ones, shuffled one-hot rings and a torus grid
 """
 
 import random
@@ -214,3 +218,13 @@ def test_connectivity_matches_union_find():
     for _ in range(200):
         scen = helpers.random_scenario(rng)
         assert is_connected(scen) == helpers.connected_by_union_find(scen)
+
+
+def test_overlaps_are_those_of_the_loop_over_every_pair(corpus):
+    rng = random.Random(136)
+    scenarios = [document.scenario for document in corpus.values()]
+    scenarios += [helpers.random_scenario(rng, 8, 8) for _ in range(200)]
+    scenarios += [helpers.ring_cover(k, random.Random(k)).scenario for k in (3, 12)]
+    scenarios.append(helpers.grid_cover(4).scenario)
+    for scenario in scenarios:
+        assert scenario.overlaps == helpers.reference_overlaps(scenario)
