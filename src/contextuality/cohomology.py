@@ -70,7 +70,7 @@ on its terms' rows of delta^0, less the base block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, compress
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
@@ -640,6 +640,12 @@ def classify_in_reach(model: SupportModel) -> Classification | None:
         return None
 
 
+def _once(build: Callable) -> Callable:
+    """`build`, run on the first call only; every call returns its value."""
+    kept: list = []
+    return lambda: kept[0] if kept else kept.append(build()) or kept[0]
+
+
 # A model's classification, or a function called at most once, when the
 # first section vanishes mod 2, that returns it or None.
 ClassificationSource = Classification | Callable[[], Classification | None]
@@ -672,19 +678,19 @@ def _obstruction_solver(
     # extendable section needs no mod-2 solve.
     at_hand = given
 
-    @cache
+    @_once
     def cocycles() -> Factorization:  # delta^0 transposed, mod 2
         return factor(delta.columns, Ring.Z2, width=len(rows))
 
-    @cache
+    @_once
     def reach() -> list[list[int]]:  # per column v: the z solved for e_v
         return cocycles().unit_solutions()
 
-    @cache
+    @_once
     def lattice() -> tuple[dict[int, int], ...]:
         return factor(rows, Ring.Z, width=len(basis)).kernel()
 
-    @cache
+    @_once
     def proved() -> tuple[dict, dict] | None:  # (extendability flags, proof families)
         found = classification if given else search()
         return found and (found.extendable, _proof_families(model, ring, found.proofs))
@@ -694,23 +700,23 @@ def _obstruction_solver(
         rhs_of = delta.right_hand_sides(base)
         position = {basis[t][1]: t for t in block}
 
-        @cache
+        @_once
         def projection() -> Factorization:
             kernel = cocycles().kernel()
             projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
             return factor(projection_rows, Ring.Z2, len(kernel))
 
-        @cache
+        @_once
         def refutations() -> list[tuple[int, ...] | None]:  # per section: g, or None
             return projection().unit_certificates()
 
-        @cache
+        @_once
         def integer_projection() -> Factorization:
             basis_z = lattice()
             rows_z = [{c: k[v] for c, k in enumerate(basis_z) if v in k} for v in block]
             return factor(rows_z, Ring.Z, len(basis_z))
 
-        @cache
+        @_once
         def hermite() -> Factorization:
             system_rows, _ = delta.split(base)
             return factor(_in_variables(system_rows, block), Ring.Z, len(basis) - len(block))

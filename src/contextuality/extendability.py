@@ -19,10 +19,12 @@ all the rows; outside the search, each context's distinct restrictions of
 these proofs are re-checked as sections against the untouched supports, and
 they give every extendability flag.  The proofs are kept: each also
 witnesses that the obstruction of every section it passes through vanishes.
-The list of global sections is built only on demand, by walking the live
-memo entries of the search that counted them, so it never backtracks out of
-a dead branch.  It is kept as sorted tuples of outcome indices, and a
-`Section` is built only where one is read.
+The list of global sections is built only on demand, from the live memo
+entries of the search that counted them, each listing its completions once,
+so it never backtracks out of a dead branch.  They are packed rows (`bytes`
+of outcome indices, which sort as the index tuples do), re-checked in bulk
+by the function that re-checks the proofs, and kept as sorted outcome
+strings; a `Section` is built only where one is read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from functools import cache, reduce
+from itertools import repeat
+from operator import and_, itemgetter, or_
+from struct import iter_unpack
 from typing import Callable
 
 from .linalg import VerificationError
@@ -52,26 +57,29 @@ class SearchLimit(Exception):
 
 class _LazySections(Sequence):
     """A model's global sections as a read-only tuple.  They are listed once,
-    on first use, from a finished search (`_steps`, memo, width) and kept as
-    sorted tuples of outcome indices; a `Section` is built for each element
-    read.  Its length is the count, and `len` and `bool` list nothing."""
+    on first use, from a finished search (`_steps` and memo), and kept as
+    their outcome strings in canonical order; a `Section` is built for each
+    element read.  Its length is the count, and `len` and `bool` list nothing."""
 
     __slots__ = ("_model", "_count", "_search", "_found")
 
-    def __init__(self, model: SupportModel, count: int, search: tuple[list, list, int]):
+    def __init__(self, model: SupportModel, count: int, search: tuple[list, list]):
         self._model, self._count, self._found = model, count, None
         self._search = search if count else None  # held until listed
 
-    def indices(self) -> list[tuple[int, ...]]:
-        """The global sections as outcome-index tuples, in canonical order."""
+    def _listed(self) -> list[str]:
         if self._found is None:
-            found = _checked(self._model, _enumerate(*self._search))[0] if self._count else []
-            self._found, self._search = found, None
+            blob = _listing(self._model, *self._search) if self._count else b""
+            _recheck(self._model, blob)
+            self._found, self._search = _outcome_strings(self._model, blob), None
         return self._found
 
-    def _section(self, values: tuple[int, ...]) -> Section:
-        scenario = self._model.scenario
-        return Section(scenario.measurements, tuple([scenario.outcomes[v] for v in values]))
+    def outcome_strings(self) -> list[str]:
+        """Each global section's `outcome_string()`, in canonical order."""
+        return self._listed()[:]
+
+    def _section(self, text: str) -> Section:
+        return Section(self._model.scenario.measurements, tuple(text.split(",")))
 
     def __len__(self) -> int:
         return self._count
@@ -80,12 +88,11 @@ class _LazySections(Sequence):
         return self._count > 0
 
     def __getitem__(self, index):  # noqa: ANN001
-        if isinstance(index, slice):
-            return tuple(map(self._section, self.indices()[index]))
-        return self._section(self.indices()[index])
+        found = self._listed()[index]
+        return tuple(map(self._section, found)) if isinstance(index, slice) else self._section(found)
 
     def __iter__(self):
-        return map(self._section, self.indices())
+        return map(self._section, self._listed())
 
     def __eq__(self, other) -> bool:  # noqa: ANN001
         return tuple(self) == other
@@ -98,9 +105,9 @@ class _LazySections(Sequence):
 class Classification:
     """Model verdict, the full per-support-section extendability map, the
     exact number of global sections, which `global_sections` lists only
-    when read (its `indices()` are the outcome-index tuples), and the
-    re-checked proof sections, sorted outcome-index tuples that together pass
-    through every extendable support section."""
+    when read (and names by `outcome_strings()` without building a
+    `Section`), and the re-checked proof sections, sorted outcome-index
+    tuples that together pass through every extendable support section."""
 
     verdict: Verdict
     extendable: dict[tuple[int, Section], bool]
@@ -145,8 +152,9 @@ def _steps(model: SupportModel) -> list[tuple]:
     """One step per context of `_plan`, on tuples of outcome indices: (key
     of its members that earlier steps assigned, the positions of its other
     members, table from that key to its support rows' values on those, in
-    canonical order, key of its frontier, key of all its members).  The
-    frontier is what earlier steps assigned and this or a later step reads."""
+    canonical order, key of its frontier, key of all its members, and the
+    positions of the frontier and of the first key).  The frontier is what
+    earlier steps assigned and this or a later step reads."""
     scenario, position = model.scenario, model.scenario.positions
     index = {o: i for i, o in enumerate(scenario.outcomes)}
     plan = [(ctx, [position[m] for m in ctx.members]) for ctx in _plan(model)]
@@ -161,7 +169,7 @@ def _steps(model: SupportModel) -> list[tuple]:
             for p, v in zip(members, s.values):
                 values[p] = index[v]
             table.setdefault(key(values), []).append(tuple([values[p] for p in new]))
-        steps.append((key, new, table, _key(frontier), _key(members)))
+        steps.append((key, new, table, _key(frontier), _key(members), frontier, bound))
         frontier = [p for p in frontier + new if last[p] > k]
     return steps
 
@@ -185,10 +193,10 @@ def _search(
         room -= 1
         if room < 0:
             raise SearchLimit(f"the search memoized more than {limit} frontier states")
-        _, new, _, _, row = steps[k]
+        _, new, _, _, row, _, _ = steps[k]
         first, total = live[k], 0
         if k < last:
-            child_key, _, child_table, child_frontier, _ = steps[k + 1]
+            child_key, _, child_table, child_frontier, _, _, _ = steps[k + 1]
             child_memo = memo[k + 1]
         for candidate in rows:
             for p, v in zip(new, candidate):
@@ -229,7 +237,7 @@ def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tupl
         while rows:
             values = rows.pop(next(iter(rows)))
             for j in range(k + 1, len(steps)):
-                key, new, table, _, row = steps[j]
+                key, new, table, _, row, _, _ = steps[j]
                 fallback = None
                 for candidate in table[key(values)]:
                     for p, v in zip(new, candidate):
@@ -247,45 +255,99 @@ def _proofs(steps: list[tuple], memo: list[dict], live: list[dict]) -> list[tupl
     return proofs
 
 
-def _enumerate(steps: list[tuple], memo: list[dict], width: int) -> list[tuple[int, ...]]:
-    """Every global section as a tuple of outcome indices, unordered, walking
-    only rows whose completion count is nonzero: each step reads its child's
-    memo on the child's frontier, and every row of the last step completes."""
-    found, values, last = [], [0] * width, len(steps) - 1
-    walk = [
-        (key, new, table) + ((steps[k + 1][3], memo[k + 1]) if k < last else (None, None))
-        for k, (key, new, table, _, _) in enumerate(steps)
-    ]
-
-    def extend(k: int) -> None:
-        key, new, table, child, child_memo = walk[k]
-        for candidate in table[key(values)]:
-            for p, v in zip(new, candidate):
-                values[p] = v
-            if k == last:
-                found.append(tuple(values))
-            elif child_memo.get(child(values)):
-                extend(k + 1)
-
-    extend(0)
-    del extend  # as in `_search`: no cycle keeps `found` alive
-    return found
+def _code_size(model: SupportModel) -> int:
+    """Bytes per outcome index in a packed row, big-endian, so that packed
+    rows sort as the index tuples do."""
+    return ((len(model.scenario.outcomes) - 1).bit_length() + 7) // 8
 
 
-def _checked(model: SupportModel, found: list) -> tuple[list[tuple[int, ...]], list[set[Section]]]:
-    """Sort the index tuples `found` in place and return them with each
-    context's distinct restrictions of them, as sections.  VerificationError
-    unless every restriction lies in its context's support."""
-    scenario, outcomes = model.scenario, model.scenario.outcomes
-    found.sort()
-    restrictions = []
+def _packer(size: int) -> Callable[[Sequence[int]], bytes]:
+    return bytes if size == 1 else lambda row: b"".join([v.to_bytes(size, "big") for v in row])
+
+
+def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytes:
+    """Every global section as a packed row in measurement order, unsorted,
+    in one blob.  Last step first, each memo state with a nonzero count
+    lists its completions as integers: each row of its table, shifted to its
+    measurements' bytes, ORed into each completion of the state it leads to."""
+    size, n = _code_size(model), len(model.scenario.measurements)
+    level: dict = {(): [0]}  # past the last step: one empty completion
+    for k in range(len(steps) - 1, -1, -1):
+        _, new, table, _, _, frontier, bound = steps[k]
+        # The table's key, and the next step's frontier, on the frontier's values and a row's.
+        here, after = frontier + new, steps[k + 1][5] if k + 1 < len(steps) else []
+        bound_of, child_of = _key(list(map(here.index, bound))), _key(list(map(here.index, after)))
+        below, level = level, {}
+        for state, count in memo[k].items():
+            if count:
+                prefix = state if type(state) is tuple else (state,)  # a bare value: one position
+                level[state] = built = []
+                for row in table[bound_of(prefix)]:
+                    if tail := below.get(child_of(prefix + row)):
+                        placed = sum(v << 8 * size * (n - 1 - p) for p, v in zip(new, row))
+                        built += map(placed.__or__, tail)
+    del below  # the second step's completions, before the rows are joined
+    return b"".join(map(int.to_bytes, level.pop(()), repeat(size * n), repeat("big")))
+
+
+_IS = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]  # `translate`: v to 1, else 0
+
+
+def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
+    """Each context's distinct restrictions of the packed rows of `blob`
+    (measurement order), read off the rows and `model.supports` alone;
+    VerificationError unless each lies in its context's support.  A support
+    small against the rows has each section s matched against every row at
+    once: byte i of the AND over s's members of `column.translate(is s's
+    value)`, as an integer, is 1 iff row i restricts to s, and the OR over
+    the support must set every row.  Otherwise each row is looked up."""
+    scenario, size = model.scenario, _code_size(model)
+    width, pack = size * len(scenario.measurements), _packer(size)
+    rows, index = len(blob) // width, {o: i for i, o in enumerate(scenario.outcomes)}
+    every, restrictions = int.from_bytes(b"\1" * rows, "big"), []
     for ctx in scenario.contexts:
-        columns = [map(itemgetter(scenario.positions[m]), found) for m in ctx.members]
-        seen = {Section(ctx.members, tuple([outcomes[v] for v in k])) for k in set(zip(*columns))}
-        if not seen <= model.supports[ctx.index]:
+        offsets = [scenario.positions[m] * size + b for m in ctx.members for b in range(size)]
+        coded = {pack([index[v] for v in s.values]): s for s in model.supports[ctx.index]}
+        # Per member, matching a section against every row costs about what
+        # looking up 1/256 of the rows does, plus 16 rows' worth.
+        if len(coded) * (rows // 256 + 16) <= rows:
+            equal = cache(lambda q, v: int.from_bytes(blob[q::width].translate(_IS[v]), "big"))
+            match = {s: reduce(and_, map(equal, offsets, code), every) for code, s in coded.items()}
+            seen = {s for s, m in match.items() if m}
+            if reduce(or_, match.values(), 0) != every:
+                seen.add(None)  # a row restricts to no section of the support
+        else:
+            seen = {coded.get(bytes(key)) for key in set(zip(*[blob[q::width] for q in offsets]))}
+        if None in seen:
             raise VerificationError(f"search produced a non-global section (context {ctx.index})")
         restrictions.append(seen)
-    return found, restrictions
+    return restrictions
+
+
+def _outcome_strings(model: SupportModel, blob: bytes) -> list[str]:
+    """The outcome strings of the packed rows of `blob`, sorted, from UTF-8
+    text written one byte of one measurement's labels at a time: each label
+    is padded with 0xFF (never in UTF-8, deleted after) and followed by a
+    comma, and each row by one more comma, so that ",," ends the rows (labels
+    are nonempty and comma-free)."""
+    n, size = len(model.scenario.measurements), _code_size(model)
+    blob = b"".join(sorted(map(itemgetter(0), iter_unpack(f"{size * n}s", blob))))
+    codes = map(itemgetter(0), iter_unpack(f"{size}s", blob))
+    values = blob if size == 1 else list(map(int.from_bytes, codes, repeat("big")))
+    labels = [o.encode("utf-8", "surrogatepass") for o in model.scenario.outcomes]
+    longest = max(map(len, labels))
+    stride = n * (longest + 1) + 1
+    text = bytearray(b"," * (len(blob) // (size * n) * stride))
+    for j in range(longest):
+        table = bytes([label.ljust(longest, b"\xff")[j] for label in labels]).ljust(256)
+        for p in range(n):
+            column = values[p::n]
+            piece = column.translate(table) if size == 1 else bytes(map(table.__getitem__, column))
+            text[p * (longest + 1) + j :: stride] = piece
+    del blob, values  # and each step below drops the text it was given
+    text = text.translate(None, b"\xff")
+    text = text.decode("utf-8", "surrogatepass")
+    return text.split(",,")[:-1]
 
 
 def global_sections(model: SupportModel) -> list[Section]:
@@ -318,7 +380,8 @@ def classify(model: SupportModel, limit: int | None = None) -> Classification:
     count, memo, live = _search(steps, width, limit)
     extendable = sum(map(len, live))
     if count:
-        proofs, restrictions = _checked(model, _proofs(steps, memo, live))
+        proofs = sorted(_proofs(steps, memo, live))
+        restrictions = _recheck(model, b"".join(map(_packer(_code_size(model)), proofs)))
     else:  # no proof to re-check
         proofs, restrictions = [], [set() for _ in model.scenario.contexts]
     if sum(map(len, restrictions)) != extendable:
@@ -334,5 +397,5 @@ def classify(model: SupportModel, limit: int | None = None) -> Classification:
         verdict = Verdict.STRONGLY_CONTEXTUAL
     else:
         verdict = Verdict.CONTEXTUAL
-    sections = _LazySections(model, count, (steps, memo, width))
+    sections = _LazySections(model, count, (steps, memo))
     return Classification(verdict, flags, sections, count, tuple(proofs))

@@ -78,12 +78,9 @@ def build_report(
     ]
 
     classification = classify(support)
-    outcomes = scenario.outcomes
     report["classification"] = {
         "verdict": classification.verdict.value,
-        "global_sections": [
-            ",".join([outcomes[v] for v in g]) for g in classification.global_sections.indices()
-        ],
+        "global_sections": classification.global_sections.outcome_strings(),
         "extendable": [
             {
                 "context": index,
@@ -143,15 +140,20 @@ def build_report(
     return report
 
 
+# A support table wider than this many columns is listed one line per context.
+MAX_TABLE_COLUMNS = 256
+
+
 def _support_table(report: dict) -> list[str]:
-    """The support rendered as rows of 0/1 columns when all contexts share
-    an arity, one listing line per context otherwise."""
+    """The support rendered as rows of 0/1 columns, one per section of E(C),
+    when all contexts share an arity and E(C) has at most
+    `MAX_TABLE_COLUMNS` sections; one listing line per context otherwise."""
     contexts = report["contexts"]
     support = report["support"]
+    outcomes = report["outcomes"]
     arities = {len(ctx) for ctx in contexts}
     lines = ["support:"]
-    if len(arities) == 1:
-        outcomes = report["outcomes"]
+    if len(arities) == 1 and len(outcomes) ** min(arities) <= MAX_TABLE_COLUMNS:
         width = arities.pop()
         columns = [",".join(vals) for vals in product(outcomes, repeat=width)]
         label_width = max(len(f"[{i}] {' '.join(ctx)}") for i, ctx in enumerate(contexts))

@@ -197,7 +197,7 @@ def test_false_positives_are_reverified_by_one_pinned_count_per_pair(corpus_supp
     monkeypatch.setattr(analysis, "classify", counting)
     monkeypatch.setattr(analysis, "all_obstructions", unused)
     monkeypatch.setattr(extendability, "global_sections", unused)
-    monkeypatch.setattr(extendability, "_enumerate", unused)
+    monkeypatch.setattr(extendability, "_listing", unused)
     report = false_positives(model, Ring.Z, obstructions=results, classification=classification)
     assert {(i, s.outcome_string()) for i, s in report.sections} == KSFP_VANISHING
     assert [m.scenario for m in counted] == [model.scenario] * len(KSFP_VANISHING)
@@ -288,7 +288,7 @@ def test_hardy_beside_the_ring_of_11_lists_no_global_section(monkeypatch):
     def unused(*args):
         raise AssertionError("false_positives must not list global sections")
 
-    monkeypatch.setattr(extendability, "_enumerate", unused)
+    monkeypatch.setattr(extendability, "_listing", unused)
     for ring in (Ring.Z2, Ring.Z):
         report = false_positives(model, ring)
         assert [(i, s.outcome_string()) for i, s in report.sections] == [(0, "0,0")], ring

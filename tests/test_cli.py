@@ -11,6 +11,10 @@ Core claims:
       4-sets, in under a second
     - one context of 40 measurements with one support section validates,
       classifies and reports (--ring both --json) in under a second
+    - the text report draws the support as a 0/1 table of E(C)'s sections
+      up to MAX_TABLE_COLUMNS of them (one context of 8 binary
+      measurements), and past that lists each context's support on one line
+      (9 and 40 measurements, the latter in under a second)
     - `examples run ghz --ring z2` reports 16/16 non-vanishing
     - `obstruction --ring both` runs the search at most once for both
       rings, and only once a section vanishes mod 2: never for the PR box
@@ -48,6 +52,7 @@ import runpy
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
@@ -61,7 +66,7 @@ from contextuality.cli import main
 from contextuality.cohomology import all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
-from contextuality.report import RING_ORDER, build_report, emit_report
+from contextuality.report import MAX_TABLE_COLUMNS, RING_ORDER, build_report, emit_report
 
 import helpers
 
@@ -180,6 +185,27 @@ def test_a_forty_measurement_context_with_one_section(tmp_path, capsys):
         obstructions = report["obstructions"][ring]
         assert (obstructions["total"], obstructions["vanishing"]) == (1, 1)
         assert obstructions["results"] == [{"context": 0, "section": zeros, "vanishes": True}]
+
+
+@pytest.mark.parametrize("width", [8, 9, 40])
+def test_a_support_table_past_its_column_cap_is_listed_per_context(width, tmp_path, capsys):
+    path = tmp_path / "one-section.json"
+    document = helpers.one_section_document(width)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    start = perf_counter()
+    assert main(["report", str(path), "--ring", "both"]) == 0
+    assert perf_counter() - start < 1
+    lines = capsys.readouterr().out.splitlines()
+    support = lines[lines.index("support:") + 1 :][:2]
+    label = f"[0] {' '.join(document['measurements'])}"
+    zeros = ",".join("0" * width)
+    if 2**width <= MAX_TABLE_COLUMNS:  # a header, then one 0/1 column per section of E(C)
+        columns = [",".join(v) for v in product("01", repeat=width)]
+        assert support[0].split() == columns
+        assert support[1].split() == [*label.split(), "1"] + ["0"] * (len(columns) - 1)
+    else:
+        assert support[0] == f"  {label}: {zeros}"
+        assert support[1].startswith("classification: non contextual possibilistic; 1 global")
 
 
 def test_obstruction_single_section_with_witness(corpus_file, capsys):

@@ -29,9 +29,16 @@ Core claims:
       once: one search and, where there is a global section, one proof
       pass, both called from classify
     - the report lists the global sections from classify's own search, in
-      global_sections' order, and builds a section only per distinct
-      restriction, not per global section; a listed classification, once
-      dropped, leaves nothing behind without the cycle collector
+      global_sections' order, and builds no section to do so, only one per
+      element read; a listed classification, once dropped, leaves nothing
+      behind without the cycle collector
+    - listed sections equal the exhaustive ones in canonical order, as
+      sections and as the report's strings, whatever the order of the
+      outcome labels' strings (hypothesis), and with more than 256 outcomes
+      (two bytes per outcome index); the bulk re-check gives each context's
+      restrictions and rejects a row outside one support both where it
+      matches whole supports against all rows and where it looks up each
+      row, for the listing and for the proofs
 """
 
 import gc
@@ -41,10 +48,13 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     Section,
     Verdict,
+    VerificationError,
     build_scenario,
     classify,
     enumerate_sections,
@@ -56,7 +66,7 @@ from contextuality import (
 )
 from contextuality import extendability
 from contextuality.documents import ScenarioDocument
-from contextuality.extendability import _checked, _plan
+from contextuality.extendability import _code_size, _outcome_strings, _plan, _recheck
 from contextuality.report import build_report
 
 import helpers
@@ -314,14 +324,15 @@ def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supp
         for values in product(range(len(scen.outcomes)), repeat=len(scen.measurements))
         if Section(scen.measurements, tuple(scen.outcomes[v] for v in values)) not in exhaustive
     )
-    indices, restrictions = _checked(model, list(reversed(good)))
-    assert indices == good  # sorted back into canonical order
+    restrictions = _recheck(model, b"".join(map(bytes, reversed(good))))
+    listed = _outcome_strings(model, b"".join(map(bytes, reversed(good))))
+    assert listed == [g.outcome_string() for g in global_sections(model)]  # sorted back
     assert restrictions == [
         {restrict_section(g, ctx.members) for g in global_sections(model)}
         for ctx in scen.contexts
     ]
     with pytest.raises(RuntimeError, match="non-global section"):
-        _checked(model, good + [bad])
+        _recheck(model, b"".join(map(bytes, good + [bad])))
 
 
 def test_count_and_lazy_list_agree_with_global_sections():
@@ -344,7 +355,7 @@ def _refuse(*args):
 
 def test_classify_counts_and_proves_the_ring_of_20_without_listing(monkeypatch):
     monkeypatch.setattr(extendability, "global_sections", _refuse)
-    monkeypatch.setattr(extendability, "_enumerate", _refuse)
+    monkeypatch.setattr(extendability, "_listing", _refuse)
     model = helpers.ring_cover(20)
     cls = classify(model)
     assert cls.verdict is Verdict.NON_CONTEXTUAL
@@ -359,8 +370,8 @@ def test_lazy_list_behaves_as_the_tuple_and_is_built_once(corpus_supports, monke
     model = corpus_supports["hardy"]
     expected = tuple(global_sections(model))
     calls = []
-    real = extendability._enumerate
-    monkeypatch.setattr(extendability, "_enumerate", lambda *a: calls.append(a) or real(*a))
+    real = extendability._listing
+    monkeypatch.setattr(extendability, "_listing", lambda *a: calls.append(a) or real(*a))
     sections = classify(model).global_sections
     # Listed from classify's own search, never a second one.
     monkeypatch.setattr(extendability, "_search", lambda *a: pytest.fail("searched again"))
@@ -387,7 +398,7 @@ def test_a_proof_section_outside_a_support_is_refused(monkeypatch):
 
     def corrupted(model):
         steps = real(model)
-        _, new, table, _, _ = steps[-1]  # every reached row of the last step is live
+        _, new, table, *_ = steps[-1]  # every reached row of the last step is live
         table[next(iter(table))] = [tuple(1 for _ in new)]
         return steps
 
@@ -460,8 +471,12 @@ def test_report_builds_fewer_sections_than_it_lists(monkeypatch):
         return Section(*args)
 
     monkeypatch.setattr(extendability, "Section", counted)
-    listed = build_report(_document(helpers.ring_cover(11)))["classification"]["global_sections"]
-    assert len(listed) == _trace_of_power(11) and 0 < len(built) < len(listed)
+    model = helpers.ring_cover(11)
+    listed = build_report(_document(model))["classification"]["global_sections"]
+    # The re-checks look restrictions up by their packed rows: none is built.
+    assert len(listed) == _trace_of_power(11) and 0 == len(built) < len(listed)
+    assert classify(model).global_sections[-1].outcome_string() == listed[-1]
+    assert len(built) == 1  # one per element read
 
 
 def test_a_listed_classification_leaves_nothing_behind():
@@ -480,3 +495,97 @@ def test_a_listed_classification_leaves_nothing_behind():
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+# Outcome labels whose string order is not the order they are declared in.
+LABELS = ("10", "2", "0", "ab", "-1", "x9", "1")
+
+
+def _packed(model, sections):
+    scenario = model.scenario
+    return b"".join(
+        b"".join(scenario.outcome_index(v).to_bytes(_code_size(model), "big") for v in g.values)
+        for g in sections
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    outcomes=st.lists(st.sampled_from(LABELS), min_size=2, max_size=3, unique=True),
+)
+def test_listed_sections_are_the_exhaustive_ones_whatever_the_labels(seed, outcomes):
+    rng = random.Random(seed)
+    cover = helpers.random_scenario(rng, max_measurements=4, max_contexts=4)
+    scen = build_scenario(cover.measurements, outcomes, [c.members for c in cover.contexts])
+    if rng.randrange(2):
+        model = helpers.random_image_support(rng, scen)
+    else:
+        model = helpers.random_any_support(rng, scen)
+    expected = sorted(helpers.exhaustive_global_sections(model), key=scen.section_sort_key)
+    cls = classify(model)
+    assert list(cls.global_sections) == expected == global_sections(model)
+    listed = build_report(_document(model), rings=())["classification"]["global_sections"]
+    assert listed == [g.outcome_string() for g in expected]
+    # Each row 256 times over: every support is small against the rows, so
+    # the re-check matches it against all of them at once.
+    bad = [
+        g
+        for values in product(scen.outcomes, repeat=len(scen.measurements))
+        if (g := Section(scen.measurements, values)) not in expected
+    ][:1]
+    for copies in (1, 256):
+        restrictions = _recheck(model, _packed(model, expected) * copies)
+        listed = _outcome_strings(model, _packed(model, expected[::-1]) * copies)
+        assert listed == [g.outcome_string() for g in expected for _ in range(copies)]
+        assert restrictions == [
+            {restrict_section(g, ctx.members) for g in expected} for ctx in scen.contexts
+        ]
+        if bad:
+            with pytest.raises(VerificationError, match="non-global section"):
+                _recheck(model, _packed(model, expected + bad) * copies)
+
+
+def test_more_than_256_outcomes_take_two_bytes_each():
+    labels = [str(i) for i in reversed(range(300))]  # "299" has index 0
+    scen = build_scenario("abc", labels, ["ab", "bc"])
+    first = ["299,7", "256,7", "3,255", "3,298"]
+    second = ["7,0", "7,299", "255,257"]
+    model = support_model(
+        scen, [{section("ab", s) for s in first}, {section("bc", s) for s in second}]
+    )
+    expected = [
+        section("abc", f"{a},{b},{c}")
+        for a, b in (s.split(",") for s in first)
+        for bb, c in (s.split(",") for s in second)
+        if b == bb
+    ]
+    expected.sort(key=scen.section_sort_key)
+    assert [g.outcome_string() for g in expected][:2] == ["299,7,299", "299,7,0"]
+    assert _code_size(model) == 2
+    cls = classify(model)
+    assert cls.verdict is Verdict.CONTEXTUAL and cls.count == 5
+    assert [s.outcome_string() for (_, s), flag in cls.extendable.items() if not flag] == ["3,298"]
+    assert list(cls.global_sections) == expected and cls.global_sections[-1] == expected[-1]
+    assert cls.global_sections.outcome_strings() == [g.outcome_string() for g in expected]
+    assert all(max(p) >= 256 for p in cls.proofs)
+    listed = build_report(_document(model), rings=())["classification"]["global_sections"]
+    assert listed == [g.outcome_string() for g in expected]
+    for copies in (1, 256):
+        restrictions = _recheck(model, _packed(model, expected) * copies)
+        assert restrictions == [
+            {restrict_section(g, ctx.members) for g in expected} for ctx in scen.contexts
+        ]
+        bad = _packed(model, [section("abc", "3,298,0")])
+        with pytest.raises(VerificationError, match="non-global section"):
+            _recheck(model, (_packed(model, expected) + bad) * copies)
+
+
+@pytest.mark.parametrize("k", [3, 11])
+def test_a_listed_row_outside_a_support_is_refused(k, monkeypatch):
+    real = extendability._listing
+    # An all-0 row: no one-hot support holds its restrictions.
+    monkeypatch.setattr(extendability, "_listing", lambda *a: real(*a) + bytes(4 * k - k))
+    cls = classify(helpers.ring_cover(k))
+    with pytest.raises(VerificationError, match="non-global section"):
+        cls.global_sections.outcome_strings()
