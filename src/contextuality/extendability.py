@@ -34,8 +34,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from functools import cache, reduce
-from itertools import repeat
+from functools import reduce
+from itertools import compress, repeat
 from operator import and_, itemgetter, or_
 from struct import iter_unpack
 from typing import Callable
@@ -266,10 +266,11 @@ def _packer(size: int) -> Callable[[Sequence[int]], bytes]:
 
 
 def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytes:
-    """Every global section as a packed row in measurement order, unsorted,
-    in one blob.  Last step first, each memo state with a nonzero count
+    """Every global section as a packed row in measurement order, in one
+    blob, sorted.  Last step first, each memo state with a nonzero count
     lists its completions as integers: each row of its table, shifted to its
-    measurements' bytes, ORed into each completion of the state it leads to."""
+    measurements' bytes, ORed into each completion of the state it leads to.
+    Integers of one width sort as their big-endian bytes do."""
     size, n = _code_size(model), len(model.scenario.measurements)
     level: dict = {(): [0]}  # past the last step: one empty completion
     for k in range(len(steps) - 1, -1, -1):
@@ -287,7 +288,9 @@ def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytes
                         placed = sum(v << 8 * size * (n - 1 - p) for p, v in zip(new, row))
                         built += map(placed.__or__, tail)
     del below  # the second step's completions, before the rows are joined
-    return b"".join(map(int.to_bytes, level.pop(()), repeat(size * n), repeat("big")))
+    rows = level.pop(())
+    rows.sort()
+    return b"".join(map(int.to_bytes, rows, repeat(size * n), repeat("big")))
 
 
 _IS = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]  # `translate`: v to 1, else 0
@@ -311,10 +314,13 @@ def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
         # Per member, matching a section against every row costs about what
         # looking up 1/256 of the rows does, plus 16 rows' worth.
         if len(coded) * (rows // 256 + 16) <= rows:
-            equal = cache(lambda q, v: int.from_bytes(blob[q::width].translate(_IS[v]), "big"))
-            match = {s: reduce(and_, map(equal, offsets, code), every) for code, s in coded.items()}
-            seen = {s for s, m in match.items() if m}
-            if reduce(or_, match.values(), 0) != every:
+            cells = {cell for code in coded for cell in zip(offsets, code)}
+            equal = {
+                (q, v): int.from_bytes(blob[q::width].translate(_IS[v]), "big") for q, v in cells
+            }
+            match = [reduce(and_, map(equal.get, zip(offsets, code)), every) for code in coded]
+            seen = set(compress(coded.values(), match))
+            if reduce(or_, match, 0) != every:
                 seen.add(None)  # a row restricts to no section of the support
         else:
             seen = {coded.get(bytes(key)) for key in set(zip(*[blob[q::width] for q in offsets]))}
@@ -325,13 +331,12 @@ def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
 
 
 def _outcome_strings(model: SupportModel, blob: bytes) -> list[str]:
-    """The outcome strings of the packed rows of `blob`, sorted, from UTF-8
+    """The outcome strings of the packed rows of `blob`, in order, from UTF-8
     text written one byte of one measurement's labels at a time: each label
     is padded with 0xFF (never in UTF-8, deleted after) and followed by a
     comma, and each row by one more comma, so that ",," ends the rows (labels
     are nonempty and comma-free)."""
     n, size = len(model.scenario.measurements), _code_size(model)
-    blob = b"".join(sorted(map(itemgetter(0), iter_unpack(f"{size * n}s", blob))))
     codes = map(itemgetter(0), iter_unpack(f"{size}s", blob))
     values = blob if size == 1 else list(map(int.from_bytes, codes, repeat("big")))
     labels = [o.encode("utf-8", "surrogatepass") for o in model.scenario.outcomes]

@@ -38,7 +38,8 @@ Core claims:
       (two bytes per outcome index); the bulk re-check gives each context's
       restrictions and rejects a row outside one support both where it
       matches whole supports against all rows and where it looks up each
-      row, for the listing and for the proofs
+      row, for the listing and for the proofs, and it matches whole
+      supports only where they are small against the rows
 """
 
 import gc
@@ -66,7 +67,15 @@ from contextuality import (
 )
 from contextuality import extendability
 from contextuality.documents import ScenarioDocument
-from contextuality.extendability import _code_size, _outcome_strings, _plan, _recheck
+from contextuality.extendability import (
+    _code_size,
+    _listing,
+    _outcome_strings,
+    _plan,
+    _recheck,
+    _search,
+    _steps,
+)
 from contextuality.report import build_report
 
 import helpers
@@ -324,9 +333,12 @@ def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supp
         for values in product(range(len(scen.outcomes)), repeat=len(scen.measurements))
         if Section(scen.measurements, tuple(scen.outcomes[v] for v in values)) not in exhaustive
     )
+    steps = _steps(model)
+    blob = _listing(model, steps, _search(steps, len(scen.measurements))[1])
+    assert blob == b"".join(map(bytes, good))  # listed in canonical order
     restrictions = _recheck(model, b"".join(map(bytes, reversed(good))))
-    listed = _outcome_strings(model, b"".join(map(bytes, reversed(good))))
-    assert listed == [g.outcome_string() for g in global_sections(model)]  # sorted back
+    listed = _outcome_strings(model, blob)
+    assert listed == [g.outcome_string() for g in global_sections(model)]
     assert restrictions == [
         {restrict_section(g, ctx.members) for g in global_sections(model)}
         for ctx in scen.contexts
@@ -534,9 +546,13 @@ def test_listed_sections_are_the_exhaustive_ones_whatever_the_labels(seed, outco
         for values in product(scen.outcomes, repeat=len(scen.measurements))
         if (g := Section(scen.measurements, values)) not in expected
     ][:1]
+    if expected:
+        steps = _steps(model)
+        blob = _listing(model, steps, _search(steps, len(scen.measurements))[1])
+        assert blob == _packed(model, expected)  # listed in canonical order
     for copies in (1, 256):
         restrictions = _recheck(model, _packed(model, expected) * copies)
-        listed = _outcome_strings(model, _packed(model, expected[::-1]) * copies)
+        listed = _outcome_strings(model, _packed(model, [g for g in expected for _ in range(copies)]))
         assert listed == [g.outcome_string() for g in expected for _ in range(copies)]
         assert restrictions == [
             {restrict_section(g, ctx.members) for g in expected} for ctx in scen.contexts
@@ -579,6 +595,25 @@ def test_more_than_256_outcomes_take_two_bytes_each():
         bad = _packed(model, [section("abc", "3,298,0")])
         with pytest.raises(VerificationError, match="non-global section"):
             _recheck(model, (_packed(model, expected) + bad) * copies)
+
+
+def test_the_recheck_takes_bitsets_only_for_supports_small_against_the_rows(monkeypatch):
+    read = []
+
+    class Spy(list):
+        def __getitem__(self, value):
+            read.append(value)
+            return super().__getitem__(value)
+
+    monkeypatch.setattr(extendability, "_IS", Spy(extendability._IS))
+    model = helpers.ring_cover(3)
+    steps = _steps(model)
+    blob = _listing(model, steps, _search(steps, len(model.scenario.measurements))[1])
+    assert len(blob) // 9 < 4 * 16  # each support has 4 sections
+    restrictions = _recheck(model, blob)
+    assert read == []  # looked up per row
+    assert _recheck(model, blob * 256) == restrictions
+    assert sorted(set(read)) == [0, 1]  # matched by bitsets
 
 
 @pytest.mark.parametrize("k", [3, 11])
