@@ -265,12 +265,19 @@ def _packer(size: int) -> Callable[[Sequence[int]], bytes]:
     return bytes if size == 1 else lambda row: b"".join([v.to_bytes(size, "big") for v in row])
 
 
-def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytes:
+# Rows joined at a time into the listing's blob: bounds the per-row `bytes`
+# alive beside it.
+_CHUNK = 1 << 14
+
+
+def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytearray:
     """Every global section as a packed row in measurement order, in one
     blob, sorted.  Last step first, each memo state with a nonzero count
     lists its completions as integers: each row of its table, shifted to its
     measurements' bytes, ORed into each completion of the state it leads to.
-    Integers of one width sort as their big-endian bytes do."""
+    Integers of one width sort as their big-endian bytes do; they are
+    written into the blob `_CHUNK` at a time from the end, and each chunk is
+    dropped once written."""
     size, n = _code_size(model), len(model.scenario.measurements)
     level: dict = {(): [0]}  # past the last step: one empty completion
     for k in range(len(steps) - 1, -1, -1):
@@ -287,10 +294,18 @@ def _listing(model: SupportModel, steps: list[tuple], memo: list[dict]) -> bytes
                     if tail := below.get(child_of(prefix + row)):
                         placed = sum(v << 8 * size * (n - 1 - p) for p, v in zip(new, row))
                         built += map(placed.__or__, tail)
-    del below  # the second step's completions, before the rows are joined
+    del below  # the second step's completions, before the rows are written
     rows = level.pop(())
     rows.sort()
-    return b"".join(map(int.to_bytes, rows, repeat(size * n), repeat("big")))
+    width = size * n
+    blob = bytearray(len(rows) * width)
+    while rows:
+        chunk, end = rows[-_CHUNK:], len(rows) * width
+        del rows[-_CHUNK:]
+        blob[end - len(chunk) * width : end] = b"".join(
+            map(int.to_bytes, chunk, repeat(width), repeat("big"))
+        )
+    return blob
 
 
 _IS = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]  # `translate`: v to 1, else 0

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import json
 from itertools import product
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .analysis import false_positives, gcd_condition
 from .cohomology import ObstructionResult, Ring, all_obstructions
@@ -33,18 +32,16 @@ def witness_payload(result: ObstructionResult) -> list[dict]:
     return payload
 
 
-def _certificate_payload(result: ObstructionResult, equations: list[dict]) -> dict:
-    """`equations` is the payload of `result.system.equations`, which every
-    certificate of one `all_obstructions` call shares."""
+def _certificate_payload(result: ObstructionResult) -> dict:
+    """The certificate as its nonzero terms: ascending indices into the
+    report's top-level `equations` (the rows of delta^0) and their
+    multipliers as exact strings."""
     certificate = result.certificate
     assert certificate is not None
-    multipliers = ["0"] * certificate.length  # str(0) and str(Fraction(0)) alike
-    for r, m in zip(certificate.rows, certificate.values):
-        multipliers[r] = str(m)
     return {
         "reason": certificate.reason,
-        "multipliers": multipliers,
-        "equations": equations,
+        "rows": list(certificate.rows),
+        "values": list(map(str, certificate.values)),
     }
 
 
@@ -60,6 +57,7 @@ def build_report(
     """
     scenario = document.scenario
     report: dict = {
+        "schema": 2,
         "name": document.name,
         "measurements": list(scenario.measurements),
         "outcomes": list(scenario.outcomes),
@@ -100,12 +98,17 @@ def build_report(
         "holds": gcd_report.holds,
     }
 
+    if include_witnesses:
+        # The rows of delta^0, which certificates over either ring index.
+        report["equations"] = [
+            {"first": i, "second": j, "section": s.outcome_string()}
+            for i, j, s, _, _ in support.overlap_table
+        ]
     report["obstructions"] = {}
     report["false_positives"] = {}
     for ring in rings:
         results = all_obstructions(support, ring, classification=classification)
         entries = []
-        equations = None  # the ring's one equation payload, built for its first certificate
         for (index, section), result in results.items():
             entry = {
                 "context": index,
@@ -116,12 +119,7 @@ def build_report(
                 if result.vanishes:
                     entry["witness"] = witness_payload(result)
                 else:
-                    if equations is None:
-                        equations = [
-                            {"first": i, "second": j, "section": s.outcome_string()}
-                            for i, j, s in result.system.equations
-                        ]
-                    entry["certificate"] = _certificate_payload(result, equations)
+                    entry["certificate"] = _certificate_payload(result)
             entries.append(entry)
         vanishing = sum(1 for e in entries if e["vanishes"])
         report["obstructions"][ring.value] = {
@@ -253,70 +251,11 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_indented(value: object) -> str:
-    """`json.dumps(value, indent=2)` for a tree with string keys, in one pass
-    over the tree and one generator frame per open container.  Strings go
-    through the C encoder of :mod:`json`; None, booleans and ints are
-    written directly, and any other scalar by `json.dumps`.  A container met
-    a second time at the same indent (the equation list every certificate
-    of a ring shares) is rendered to text then, and that text is reused from
-    the third time on."""
-    seen: set[tuple[int, str]] = set()
-    texts: dict[tuple[int, str], str] = {}
-
-    def render(value: object, indent: str) -> Iterable[str]:
-        if isinstance(value, str):
-            return (encode_basestring_ascii(value),)
-        if value is None:
-            return ("null",)
-        if value is True:
-            return ("true",)
-        if value is False:
-            return ("false",)
-        if type(value) is int:
-            return (int.__repr__(value),)
-        if not isinstance(value, (dict, list, tuple)):
-            return (json.dumps(value),)
-        if not value:
-            return ("{}" if isinstance(value, dict) else "[]",)
-        key = (id(value), indent)
-        if key in texts:
-            return (texts[key],)
-        if key in seen:
-            texts[key] = "".join(container(value, indent))
-            return (texts[key],)
-        seen.add(key)
-        return container(value, indent)
-
-    def container(value: dict | list | tuple, indent: str) -> Iterator[str]:
-        inner = indent + "  "
-        separator = "\n" + inner
-        if isinstance(value, dict):
-            yield "{"
-            for name, item in value.items():
-                yield separator + encode_basestring_ascii(name) + ": "
-                yield from render(item, inner)
-                separator = ",\n" + inner
-            yield "\n" + indent + "}"
-        else:
-            yield "["
-            for item in value:
-                yield separator
-                yield from render(item, inner)
-                separator = ",\n" + inner
-            yield "\n" + indent + "]"
-
-    return "".join(render(value, ""))
-
-
 def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) -> str:
-    """Render a report for output.  The JSON form is byte-identical to
-    `json.dumps(report, indent=2)` plus a newline, and reparses to the same
-    dict.  A subtree that several entries share, such as the equation list
-    of a ring's certificates, is rendered at most twice, however often it
-    recurs."""
+    """Render a report for output: `json.dumps(report, indent=2)` plus a
+    newline, or the text rendering."""
     if as_json:
-        return _json_indented(report) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     return render_text(report, include_witnesses=include_witnesses)
 
 

@@ -31,19 +31,23 @@ Core claims:
       certificates all come from the Hermite form) prints, byte for byte,
       tests/golden/fano.json
     - in the golden JSON, every Z result whose Z/2 result does not vanish
-      carries the halved Z/2 certificate over the same equations
+      carries the halved Z/2 certificate: the same rows, each value 1/2
+      where the Z/2 value is 1
+    - every certificate of every golden report re-checks from the report
+      alone: each equation's row of delta^0 rebuilt from `contexts`,
+      `support` and `equations`, the base block dropped, and the dense
+      reference check run; dropping one row of a certificate fails it
     - a distribution document is checked for no-signalling exactly once,
       however many times build_report or `report` reads its support, and a
       signalling one raises the same SignallingError as support_of
     - emit_report(r, True) is byte-identical to json.dumps(r, indent=2) plus
       a newline for every report of the bundled models and of the generated
       GHZ-3, GHZ-4, chain16, ring11 and cover11, with and without
-      witnesses, and for random JSON trees (escapes in keys and values,
-      bool beside int, big ints, nan/inf, empty containers, one list object
-      at two depths and three times at one depth)
+      witnesses
     - every result of one all_obstructions call holds the same
-      system.equations tuple, and every certificate of one ring in a report
-      holds the same equations list
+      system.equations tuple, and a report with witnesses (schema 2) writes
+      one top-level equation list, a row per row of the overlap table,
+      which the certificates of both rings index
 """
 
 import json
@@ -57,15 +61,14 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from contextuality import SignallingError, model as model_module, report as report_module
 from contextuality import extendability as extendability_module
 from contextuality.cli import main
-from contextuality.cohomology import all_obstructions
+from contextuality.cohomology import Ring, all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
+from contextuality.linalg import Certificate
 from contextuality.report import MAX_TABLE_COLUMNS, RING_ORDER, build_report, emit_report
 
 import helpers
@@ -322,7 +325,11 @@ def test_certificate_payload_present_for_non_vanishing(capsys):
     entries = data["obstructions"]["z"]["results"]
     assert entries and all("certificate" in e for e in entries)
     first = entries[0]["certificate"]
-    assert first["multipliers"] and first["equations"]
+    assert data["schema"] == 2 and data["equations"]
+    assert first["rows"] and len(first["values"]) == len(first["rows"])
+    assert first["rows"] == sorted(set(first["rows"]))
+    assert 0 <= first["rows"][0] and first["rows"][-1] < len(data["equations"])
+    assert all(Fraction(v) for v in first["values"])
 
 
 def test_text_report_is_deterministic(capsys):
@@ -440,12 +447,65 @@ def test_golden_z_certificates_are_halved_z2_certificates(name):
         if mod2["vanishes"]:
             continue
         assert not over_z["vanishes"]
+        assert set(mod2["certificate"]["values"]) == {"1"}
         expected = dict(
             mod2["certificate"],
             reason="Z/2 certificate halved: y.A even, y.b odd",
-            multipliers=[str(Fraction(m) / 2) for m in mod2["certificate"]["multipliers"]],
+            values=["1/2"] * len(mod2["certificate"]["rows"]),
         )
         assert over_z["certificate"] == expected
+
+
+def _system_from_report(report: dict, base: int, section: str):
+    """The obstruction system at one base section, from the report alone:
+    each equation's row of delta^0 (+1 on each section of `first` restricting
+    to its section, -1 on each of `second`'s), the base block dropped, and
+    minus the base section's column as the right-hand side."""
+    order = {m: k for k, m in enumerate(report["measurements"])}
+    columns = [(c, s) for c, support in enumerate(report["support"]) for s in support]
+    matrix, rhs = [], []
+    for equation in report["equations"]:
+        first, second = (report["contexts"][equation[side]] for side in ("first", "second"))
+        carrier = sorted(set(first) & set(second), key=order.__getitem__)
+        row = dict.fromkeys(columns, 0)
+        for index, members, sign in ((equation["first"], first, 1), (equation["second"], second, -1)):
+            at = [members.index(m) for m in carrier]
+            for s in report["support"][index]:
+                values = s.split(",")
+                if ",".join(values[p] for p in at) == equation["section"]:
+                    row[index, s] += sign
+        matrix.append([a for (c, _), a in row.items() if c != base])
+        rhs.append(-row[base, section])
+    return matrix, rhs
+
+
+def _certificate_from_report(ring: Ring, payload: dict, length: int) -> Certificate:
+    parse = int if ring is Ring.Z2 else Fraction
+    values = [parse(v) for v in payload["values"]]
+    return Certificate(ring, payload["rows"], values, length, payload["reason"])
+
+
+@pytest.mark.parametrize("name", [*EXAMPLE_NAMES, "fano"])
+def test_golden_certificates_recheck_from_the_report_alone(name):
+    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    length = len(report["equations"])
+    checked = 0
+    for ring in RING_ORDER:
+        for entry in report["obstructions"][ring.value]["results"]:
+            if entry["vanishes"]:
+                continue
+            matrix, rhs = _system_from_report(report, entry["context"], entry["section"])
+            payload = entry["certificate"]
+            certificate = _certificate_from_report(ring, payload, length)
+            assert helpers.reference_check_certificate(matrix, rhs, certificate)
+            flipped = dict(payload, rows=payload["rows"][1:], values=payload["values"][1:])
+            mutant = _certificate_from_report(ring, flipped, length)
+            assert not helpers.reference_check_certificate(matrix, rhs, mutant)
+            checked += 1
+    non_vanishing = sum(
+        data["total"] - data["vanishing"] for data in report["obstructions"].values()
+    )
+    assert checked == non_vanishing
 
 
 def _ghz3_distribution_text():
@@ -525,54 +585,19 @@ def test_json_emission_is_byte_identical_to_json_dumps(name, witnesses):
     assert emit_report(report, True) == json.dumps(report, indent=2) + "\n"
 
 
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(),
-)
-_TREES = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=20,
-)
-
-
-@st.composite
-def _trees_with_shared_lists(draw):
-    shared = draw(st.lists(_TREES, max_size=4))
-    return {
-        "tree": draw(_TREES),
-        "shared": shared,
-        "deeper": [draw(_TREES), {draw(st.text()): shared}],
-        "thrice": [shared, shared, shared],
-    }
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_trees_with_shared_lists())
-@example(
-    {
-        "\u00e9\"\\\x00\n\u2603\U0001f600": ["\u00e9\"\\\x00\x1f\ud800", True, 1, False, 0],
-        "numbers": [-(2**70), 2**70, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
-        "empty": [{}, [], {"": {}}, [[]], ()],
-        "tuple": ("a", (1, None)),
-    }
-)
-def test_json_emission_matches_json_dumps_on_random_trees(tree):
-    assert emit_report(tree, True) == json.dumps(tree, indent=2) + "\n"
-
-
 def test_report_shares_one_equation_list_per_ring():
     document = GENERATED["ghz4"]
     for ring in RING_ORDER:
         results = all_obstructions(document.support_model(), ring).values()
         assert len({id(result.system.equations) for result in results}) == 1
     report = build_report(document, include_witnesses=True)
+    table = document.support_model().overlap_table
+    assert report["equations"] == [
+        {"first": i, "second": j, "section": s.outcome_string()} for i, j, s, _, _ in table
+    ]
+    assert list(report).index("equations") + 1 == list(report).index("obstructions")
     for ring in RING_ORDER:
         entries = report["obstructions"][ring.value]["results"]
         assert entries and all("certificate" in e for e in entries)
-        assert len({id(e["certificate"]["equations"]) for e in entries}) == 1
+        assert all(e["certificate"]["rows"][-1] < len(table) for e in entries)
+        assert "equations" not in entries[0]["certificate"]
