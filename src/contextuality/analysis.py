@@ -36,10 +36,7 @@ class FalsePositiveReport:
 
 
 def gcd_condition(scenario: Scenario) -> GcdReport:
-    degrees = {
-        m: sum(1 for ctx in scenario.contexts if m in ctx.members)
-        for m in scenario.measurements
-    }
+    degrees = {m: len(holders) for m, holders in scenario.holders.items()}
     g = gcd(*degrees.values()) if degrees else 1
     size = len(scenario.contexts)
     return GcdReport(degrees, g, size, size % g == 0)

@@ -12,13 +12,12 @@ model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
-delta^0 is built once per call, sparse: its rows as {column: entry} dicts
-and, beside them, its columns as {row: entry} dicts.  The right-hand sides
-of one base context are cut out of the columns once, sparse, and the solver
-reads them so.  Each :class:`ObstructionSystem` holds the call's rows and
-basis, its base block and its right-hand side's nonzero terms; its
-`variables`, dense `matrix` and `rhs` are built from them on each read and
-kept nowhere.
+delta^0 is built once per call, sparse, and is the same on both rings: every
+entry is +-1, and GF(2) reads it mod 2.  Its rows are {column: entry} dicts
+and, beside them, its columns {row: entry} dicts.  Each
+:class:`ObstructionSystem` holds the call's rows and basis, its base block
+and its section's column; its `variables`, dense `matrix` and `rhs` are
+built from them, reduced by its ring, on each read and kept nowhere.
 
 The obstruction vanishes if the family has a global section: if g is one
 and g|C_b = t, the family (1*g|C_i)_i agrees on every overlap and is 1*t on
@@ -400,33 +399,32 @@ def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, in
 
 class _Coboundary:
     """delta^0 on the context pairs i < j, built once per call from the
-    overlap table and never changed: the support sections of every context
-    in context order (the basis, one block per context), the rows as sparse
-    {column: entry} dicts (on the row of (i, j, section), +1 on the fiber in
-    i and -1 on the fiber in j), the columns as sparse {row: entry} dicts
-    (the transpose, which the GF(2) echelon factors), and the equation
-    labels (i, j, section) of the rows.
+    overlap table and never changed, the same on both rings: the support
+    sections of every context in context order (the basis, one block per
+    context), the `column` of each (context, section) in it, the rows as
+    sparse {column: entry} dicts (on the row of (i, j, section), +1 on the
+    fiber in i and -1 on the fiber in j), the columns as sparse {row: entry}
+    dicts (the transpose, which the GF(2) echelon factors, reading entries
+    mod 2), and the equation labels (i, j, section) of the rows.
 
-    :meth:`right_hand_sides` gives those of one base context's systems,
-    sparse, and :meth:`split` also their rows, less the base block, which
-    only a Hermite form reads.  Each :class:`ObstructionSystem` holds the
-    rows, the basis, the base block and its own right-hand side, and
-    :meth:`refutes` re-checks its certificates.
+    The system at the section of column t is the rows less t's block, with
+    minus column t as its right-hand side.  :meth:`split` gives those rows
+    renumbered, which only a Hermite form reads; each
+    :class:`ObstructionSystem` holds the rows, the basis, the block and t,
+    and :meth:`refutes` re-checks its certificates.
     """
 
-    def __init__(self, model: SupportModel, ring: Ring):
-        self.ring = ring
+    def __init__(self, model: SupportModel):
         self.offsets = list(accumulate((len(support) for support in model.supports), initial=0))
         self.basis = tuple(
             (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
         )
-        column = {entry: k for k, entry in enumerate(self.basis)}
-        minus = ring.reduce(-1)
+        self.column = column = {entry: k for k, entry in enumerate(self.basis)}
         self.rows: list[dict[int, int]] = []
         self.columns: list[dict[int, int]] = [{} for _ in self.basis]
         for r, (i, j, _, left, right) in enumerate(model.overlap_table):
             row = {column[i, s]: 1 for s in left}
-            row.update((column[j, s], minus) for s in right)
+            row.update((column[j, s], -1) for s in right)
             self.rows.append(row)
             for k, a in row.items():
                 self.columns[k][r] = a
@@ -436,46 +434,33 @@ class _Coboundary:
         """The columns of the base context's support sections."""
         return range(self.offsets[base], self.offsets[base + 1])
 
-    def right_hand_sides(self, base: int) -> dict[int, dict[int, int]]:
-        """Keyed by each column k of the base block, minus column k: the
-        right-hand side of the system at k's section, sparse."""
-        ring, columns = self.ring, self.columns
-        return {k: {r: ring.reduce(-a) for r, a in columns[k].items()} for k in self.block(base)}
-
-    def split(self, base: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-        """The systems at the base context's sections, sparse: the rows of
-        delta^0 less the base block (a row that does not meet it is delta^0's
-        own), and their :meth:`right_hand_sides`.  Columns keep their delta^0
-        numbers."""
-        block, rhs = self.block(base), self.right_hand_sides(base)
-        rows = list(self.rows)
-        for r in set().union(*rhs.values()):  # the rows that meet the block
-            rows[r] = {k: a for k, a in rows[r].items() if k not in block}
-        return rows, rhs
+    def split(self, base: int) -> list[dict[int, int]]:
+        """The rows of delta^0 less the base block, their columns renumbered
+        to close it: the matrix of the systems at the block's sections."""
+        block = self.block(base)
+        return [
+            {k - (k >= block.stop) * len(block): a for k, a in row.items() if k not in block}
+            for row in self.rows
+        ]
 
     def refutes(self, base: int, t: int, certificate: Certificate) -> bool:
-        """Re-check a certificate of the system at column t of the base block
-        (:meth:`split`).  Every entry of delta^0 is +-1, so a 0/1 certificate
-        over Z/2, or one of halves over Z, on a set R of rows refutes it iff
-        the columns met by an odd number of the rows of R all lie in the
-        block and include t: y.A is then even (integral, halved) off the
-        block, and y.b odd (not integral).  Any other certificate is
-        re-checked by :func:`check_certificate`."""
+        """Re-check a certificate of the system at column t of the base block.
+        Every entry of delta^0 is +-1, so a 0/1 certificate over Z/2, or one
+        of halves over Z, on a set R of rows refutes it iff the columns met
+        by an odd number of the rows of R all lie in the block and include t:
+        y.A is then even (integral, halved) off the block, and y.b odd (not
+        integral).  Any other certificate is re-checked by
+        :func:`check_certificate`."""
         n = len(certificate.rows)
         ones = (1,) * n if certificate.ring is Ring.Z2 else (_HALF,) * n
         if certificate.length != len(self.rows) or certificate.values != ones:
-            rows, rhs = self.split(base)
-            return check_certificate(rows, rhs[t], certificate)
+            rhs = {r: -a for r, a in self.columns[t].items()}
+            return check_certificate(self.split(base), rhs, certificate)
         odd: set[int] = set()
         for r in certificate.rows:
             odd.symmetric_difference_update(self.rows[r])
         block = self.block(base)
         return t in odd and block.start <= min(odd) and max(odd) < block.stop
-
-
-def _in_variables(rows: Sequence[dict[int, int]], block: range) -> list[dict[int, int]]:
-    """Rows without entries in the block, their columns renumbered to close it."""
-    return [{k - (k >= block.stop) * len(block): a for k, a in row.items()} for row in rows]
 
 
 def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
@@ -485,7 +470,7 @@ def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObstructionSystem:
     """The linear system deciding the obstruction at one base section.
 
@@ -497,13 +482,13 @@ class ObstructionSystem:
     base section as the right-hand side, since the base context's entry is
     fixed to 1*section.
 
-    A system holds it sparse: delta^0's rows and its basis, which every
-    system of the call shares with its `equations` tuple, the base block,
-    and its right-hand side as its nonzero {row: entry} terms.  The
-    `variables` (the basis less the block), the dense `matrix` and `rhs` are
-    built from them on each read and kept nowhere: the solver never reads
-    them.  Ring, base, section, variables and equations determine every
-    entry, so they alone are compared and hashed.
+    A system holds delta^0 itself, which is the same on both rings: its
+    rows and its basis, which every system of the call shares with its
+    `equations` tuple, the base block, and the section's column.  The
+    `variables` (the basis less the block), the dense `matrix` and `rhs`,
+    reduced by the ring, are built from them on each read and kept nowhere:
+    the solver never reads them.  Every field but the rows is compared and
+    hashed; with the equations, they determine every entry.
     """
 
     ring: Ring
@@ -511,32 +496,24 @@ class ObstructionSystem:
     section: Section
     equations: tuple[tuple[int, int, Section], ...]
     _basis: tuple[tuple[int, Section], ...] = field(repr=False)
-    _rows: Sequence[dict[int, int]] = field(repr=False)
+    _rows: Sequence[dict[int, int]] = field(repr=False, compare=False)
     _block: range = field(repr=False)
-    _rhs: Mapping[int, int] = field(repr=False)
+    _t: int = field(repr=False)
 
     @property
     def variables(self) -> tuple[tuple[int, Section], ...]:
         return self._basis[: self._block.start] + self._basis[self._block.stop :]
 
-    def _facts(self) -> tuple:
-        return self.ring, self.base, self.section, self.variables, self.equations
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ObstructionSystem) and self._facts() == other._facts()
-
-    def __hash__(self) -> int:
-        return hash(self._facts())
-
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        start, stop = self._block.start, self._block.stop
-        rows = (_dense(row, len(self._basis)) for row in self._rows)
+        start, stop, reduce = self._block.start, self._block.stop, self.ring.reduce
+        width = len(self._basis)
+        rows = (_dense({k: reduce(a) for k, a in row.items()}, width) for row in self._rows)
         return tuple(row[:start] + row[stop:] for row in rows)
 
     @property
     def rhs(self) -> tuple[int, ...]:
-        return _dense(self._rhs, len(self._rows))
+        return tuple(self.ring.reduce(-row.get(self._t, 0)) for row in self._rows)
 
 
 @dataclass(frozen=True)
@@ -568,12 +545,10 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    delta = _Coboundary(model, ring)
-    block, t = delta.block(base), delta.basis.index((base, section))
-    rhs = delta.right_hand_sides(base)[t]
-    return ObstructionSystem(
-        ring, base, section, delta.equations, delta.basis, delta.rows, block, rhs
-    )
+    delta = _Coboundary(model)
+    block, t = delta.block(base), delta.column[base, section]
+    basis, rows = delta.basis, delta.rows
+    return ObstructionSystem(ring, base, section, delta.equations, basis, rows, block, t)
 
 
 def verify_witness(
@@ -669,7 +644,7 @@ def _obstruction_solver(
     certificate.
     """
     contexts = model.scenario.contexts
-    delta = _Coboundary(model, ring)
+    delta = _Coboundary(model)
     basis, rows, equations = delta.basis, delta.rows, delta.equations
     given = isinstance(classification, Classification)
     search = classification or partial(classify_in_reach, model)
@@ -697,8 +672,6 @@ def _obstruction_solver(
 
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
         block = delta.block(base)
-        rhs_of = delta.right_hand_sides(base)
-        position = {basis[t][1]: t for t in block}
 
         @_once
         def projection() -> Factorization:
@@ -718,14 +691,13 @@ def _obstruction_solver(
 
         @_once
         def hermite() -> Factorization:
-            system_rows, _ = delta.split(base)
-            return factor(_in_variables(system_rows, block), Ring.Z, len(basis) - len(block))
+            return factor(delta.split(base), Ring.Z, len(basis) - len(block))
 
         def decide(section: Section) -> ObstructionResult:
             nonlocal at_hand
-            t = position[section]
-            i, rhs = t - block.start, rhs_of[t]  # i: the section's row of the projection
-            system = ObstructionSystem(ring, base, section, equations, basis, rows, block, rhs)
+            t = delta.column[base, section]
+            i = t - block.start  # the section's row of the projection
+            system = ObstructionSystem(ring, base, section, equations, basis, rows, block, t)
             # An extendable section takes a proof's family as its witness.
             if at_hand or refutations()[i] is None:
                 at_hand, proofs = True, proved()
@@ -758,7 +730,7 @@ def _obstruction_solver(
                     for v, c in k.items():
                         cocycle[v] += y * c
             else:  # vanishes mod 2 only: the Hermite form refutes the system
-                result = hermite().solve(rhs)
+                result = hermite().solve({r: -a for r, a in delta.columns[t].items()})
                 if result.solvable:
                     raise VerificationError("Hermite form solves what the lattice does not")
                 certificate = result.certificate

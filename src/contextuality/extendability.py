@@ -156,7 +156,7 @@ def _steps(model: SupportModel) -> list[tuple]:
     positions of the frontier and of the first key).  The frontier is what
     earlier steps assigned and this or a later step reads."""
     scenario, position = model.scenario, model.scenario.positions
-    index = {o: i for i, o in enumerate(scenario.outcomes)}
+    index = scenario.outcome_indices
     plan = [(ctx, [position[m] for m in ctx.members]) for ctx in _plan(model)]
     last = {p: k for k, (_, members) in enumerate(plan) for p in members}  # last reader
     values = [0] * len(scenario.measurements)  # scratch for the keys
@@ -321,7 +321,7 @@ def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
     the support must set every row.  Otherwise each row is looked up."""
     scenario, size = model.scenario, _code_size(model)
     width, pack = size * len(scenario.measurements), _packer(size)
-    rows, index = len(blob) // width, {o: i for i, o in enumerate(scenario.outcomes)}
+    rows, index = len(blob) // width, scenario.outcome_indices
     every, restrictions = int.from_bytes(b"\1" * rows, "big"), []
     for ctx in scenario.contexts:
         offsets = [scenario.positions[m] * size + b for m in ctx.members for b in range(size)]

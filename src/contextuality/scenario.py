@@ -84,11 +84,14 @@ class Scenario:
     _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(**_FILLED_ON_FIRST_USE)
     # Each measurement's index in `measurements`, built once.
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    # Each outcome label's index in `outcomes`, built once.
+    outcome_indices: dict[str, int] = field(init=False, repr=False, compare=False)
     # The indices of the contexts holding each measurement, ascending, built once.
     holders: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "positions", {m: k for k, m in enumerate(self.measurements)})
+        object.__setattr__(self, "outcome_indices", {o: k for k, o in enumerate(self.outcomes)})
         holders: dict[str, list[int]] = {m: [] for m in self.measurements}
         for c in self.contexts:
             for m in c.members:
@@ -96,10 +99,12 @@ class Scenario:
         object.__setattr__(self, "holders", holders)
 
     def outcome_index(self, outcome: str) -> int:
-        return self.outcomes.index(outcome)
+        if (index := self.outcome_indices.get(outcome)) is None:
+            raise ValueError(f"{outcome!r} is not an outcome")
+        return index
 
     def section_sort_key(self, section: Section) -> tuple[int, ...]:
-        return tuple(self.outcome_index(v) for v in section.values)
+        return tuple(map(self.outcome_indices.__getitem__, section.values))
 
     @property
     def overlaps(self) -> tuple[tuple[int, int, tuple[str, ...]], ...]:

@@ -5,6 +5,9 @@ Core claims:
     - the five-context cover has degrees A:3 B:2 C:2 D:3 E:3 F:1 G:1,
       gcd 1 divides 5
     - the parity square has all degrees 2 and gcd 2 divides 6
+    - the degrees are each measurement's count of the contexts holding it,
+      in measurement order, on the bundled covers, 200 random ones and the
+      one-hot ring of 3,000
     - on connected one-hot models, integer witness coefficient sums are 1
       in every context and vanishing implies the gcd condition
     - false positives are exactly {vanishing} minus {extendable}: Hardy has
@@ -27,6 +30,7 @@ Core claims:
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -95,6 +99,17 @@ def test_gcd_ks18(corpus):
     report = gcd_condition(corpus["ks18"].scenario)
     assert all(d == 2 for d in report.degrees.values())
     assert (report.gcd, report.cover_size, report.holds) == (2, 9, False)
+
+
+def test_gcd_degrees_count_the_contexts_holding_each_measurement(corpus):
+    rng = random.Random(25)
+    scenarios = [document.scenario for document in corpus.values()]
+    scenarios += [helpers.random_scenario(rng, 8, 8) for _ in range(200)]
+    scenarios.append(helpers.ring_cover(3000).scenario)
+    for scenario in scenarios:
+        counts = Counter(m for ctx in scenario.contexts for m in ctx.members)
+        report = gcd_condition(scenario)
+        assert list(report.degrees.items()) == [(m, counts[m]) for m in scenario.measurements]
 
 
 def test_ks_shape_detection(corpus_supports):

@@ -29,7 +29,9 @@ Core claims:
     - `report tests/golden/fano.scenario.json --ring both --json --witness`
       (the one-hot Fano plane, lines {i, i+1, i+3} mod 7, whose 21 Z
       certificates all come from the Hermite form) prints, byte for byte,
-      tests/golden/fano.json
+      tests/golden/fano.json, and `obstruction` on it `--all --witness`,
+      with the Hermite reasons and their pivot columns,
+      tests/golden/fano.obstruction.txt
     - in the golden JSON, every Z result whose Z/2 result does not vanish
       carries the halved Z/2 certificate: the same rows, each value 1/2
       where the Z/2 value is 1
@@ -43,7 +45,9 @@ Core claims:
     - emit_report(r, True) is byte-identical to json.dumps(r, indent=2) plus
       a newline for every report of the bundled models and of the generated
       GHZ-3, GHZ-4, chain16, ring11 and cover11, with and without
-      witnesses
+      witnesses; the text reparses to the report, and with witnesses every
+      certificate in it re-checks from the text alone, as the goldens' do
+      (without, it holds no certificate and no equation list)
     - every result of one all_obstructions call holds the same
       system.equations tuple, and a report with witnesses (schema 2) writes
       one top-level equation list, a row per row of the overlap table,
@@ -431,6 +435,13 @@ def test_obstruction_all_matches_golden_output(name, corpus_file, capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
+def test_fano_plane_obstructions_match_golden_output(capsys):
+    golden = Path(__file__).parent / "golden"
+    assert main(["obstruction", str(golden / "fano.scenario.json"), "--all", "--witness"]) == 0
+    expected = (golden / "fano.obstruction.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 def test_fano_plane_report_matches_golden_output(capsys):
     golden = Path(__file__).parent / "golden"
     document = str(golden / "fano.scenario.json")
@@ -456,14 +467,13 @@ def test_golden_z_certificates_are_halved_z2_certificates(name):
         assert over_z["certificate"] == expected
 
 
-def _system_from_report(report: dict, base: int, section: str):
-    """The obstruction system at one base section, from the report alone:
-    each equation's row of delta^0 (+1 on each section of `first` restricting
-    to its section, -1 on each of `second`'s), the base block dropped, and
-    minus the base section's column as the right-hand side."""
+def _coboundary_from_report(report: dict):
+    """delta^0 from the report alone: its columns (context, section), and per
+    equation its dense row, +1 on each section of `first` restricting to the
+    equation's section and -1 on each of `second`'s."""
     order = {m: k for k, m in enumerate(report["measurements"])}
     columns = [(c, s) for c, support in enumerate(report["support"]) for s in support]
-    matrix, rhs = [], []
+    rows = []
     for equation in report["equations"]:
         first, second = (report["contexts"][equation[side]] for side in ("first", "second"))
         carrier = sorted(set(first) & set(second), key=order.__getitem__)
@@ -474,9 +484,8 @@ def _system_from_report(report: dict, base: int, section: str):
                 values = s.split(",")
                 if ",".join(values[p] for p in at) == equation["section"]:
                     row[index, s] += sign
-        matrix.append([a for (c, _), a in row.items() if c != base])
-        rhs.append(-row[base, section])
-    return matrix, rhs
+        rows.append(list(row.values()))
+    return columns, rows
 
 
 def _certificate_from_report(ring: Ring, payload: dict, length: int) -> Certificate:
@@ -485,27 +494,38 @@ def _certificate_from_report(ring: Ring, payload: dict, length: int) -> Certific
     return Certificate(ring, payload["rows"], values, length, payload["reason"])
 
 
-@pytest.mark.parametrize("name", [*EXAMPLE_NAMES, "fano"])
-def test_golden_certificates_recheck_from_the_report_alone(name):
-    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
-    length = len(report["equations"])
+def _recheck_certificates_from_the_report_alone(report: dict) -> None:
+    """Re-check every certificate of a report (with witnesses) against its
+    system built from the report alone: delta^0's rows, built once, the base
+    block dropped, and minus the base section's column as the right-hand
+    side, by the dense reference check; dropping one row of a certificate
+    must fail it."""
+    columns, rows = _coboundary_from_report(report)
     checked = 0
     for ring in RING_ORDER:
         for entry in report["obstructions"][ring.value]["results"]:
             if entry["vanishes"]:
                 continue
-            matrix, rhs = _system_from_report(report, entry["context"], entry["section"])
+            base, t = entry["context"], columns.index((entry["context"], entry["section"]))
+            matrix = [[a for (c, _), a in zip(columns, row) if c != base] for row in rows]
+            rhs = [-row[t] for row in rows]
             payload = entry["certificate"]
-            certificate = _certificate_from_report(ring, payload, length)
+            certificate = _certificate_from_report(ring, payload, len(rows))
             assert helpers.reference_check_certificate(matrix, rhs, certificate)
             flipped = dict(payload, rows=payload["rows"][1:], values=payload["values"][1:])
-            mutant = _certificate_from_report(ring, flipped, length)
+            mutant = _certificate_from_report(ring, flipped, len(rows))
             assert not helpers.reference_check_certificate(matrix, rhs, mutant)
             checked += 1
     non_vanishing = sum(
         data["total"] - data["vanishing"] for data in report["obstructions"].values()
     )
     assert checked == non_vanishing
+
+
+@pytest.mark.parametrize("name", [*EXAMPLE_NAMES, "fano"])
+def test_golden_certificates_recheck_from_the_report_alone(name):
+    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    _recheck_certificates_from_the_report_alone(report)
 
 
 def _ghz3_distribution_text():
@@ -582,7 +602,15 @@ GENERATED = _generated_documents()
 def test_json_emission_is_byte_identical_to_json_dumps(name, witnesses):
     document = GENERATED[name] if name in GENERATED else parse_scenario(example_text(name))
     report = build_report(document, include_witnesses=witnesses)
-    assert emit_report(report, True) == json.dumps(report, indent=2) + "\n"
+    text = emit_report(report, True)
+    assert text == json.dumps(report, indent=2) + "\n"
+    parsed = json.loads(text)
+    assert parsed == report
+    if witnesses:
+        _recheck_certificates_from_the_report_alone(parsed)
+    else:
+        entries = [e for data in parsed["obstructions"].values() for e in data["results"]]
+        assert "equations" not in parsed and not any("certificate" in e for e in entries)
 
 
 def test_report_shares_one_equation_list_per_ring():

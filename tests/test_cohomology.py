@@ -66,13 +66,14 @@ Core claims:
     - obstruction systems are views: on GHZ-4 and on the bundled models,
       over both rings, every result of an all_obstructions call shares one
       list of delta^0's rows, and a system holds only its declared fields,
-      sparse; each read of its matrix and rhs builds them anew as the dense
+      sparse, with its section's column in its base block; each read of
+      its matrix and rhs builds them anew as the dense
       split of coboundary_matrix(model, ring, 0), and reading every
       result's matrix and rhs (GHZ-4, ks18, the one-hot ring of 11) leaves
       the memory that cohomology.py allocated unchanged
     - no field of a result or of its system is the call's delta^0, its
       columns list or one of its columns; systems of two calls hold
-      different rows and are equal, with equal hashes
+      different rows and bases and are equal, with equal hashes
     - delta^0 holds its columns beside its rows: they are the transpose of
       the rows, and they are the very matrix the solver's GF(2) echelon
       factors
@@ -900,7 +901,7 @@ def test_systems_are_views_built_only_when_read(ring, corpus_supports):
             system = result.system
             assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}
             assert all(isinstance(row, dict) for row in system._rows)
-            assert isinstance(system._rhs, dict) and all(system._rhs.values())
+            assert system._t in system._block and system._basis[system._t] == (base, s)
             matrix, rhs = _dense_split(model, ring, base, s)
             for _ in range(2):  # built again on each read, equal each time
                 assert system.matrix == matrix
@@ -953,7 +954,7 @@ def test_view_equality_is_the_systems_equality(corpus_supports):
     for key, result in first.items():
         other = second[key]
         assert result.system._rows is not other.system._rows
-        assert result.system._rhs is not other.system._rhs
+        assert result.system._basis is not other.system._basis
         assert result.system == other.system and hash(result.system) == hash(other.system)
         assert result == other
     base, s = next(iter(first))

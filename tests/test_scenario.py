@@ -5,6 +5,8 @@ Core claims:
     - a context inside another warns once per such pair, with the messages
       and order of the loop over ordered context pairs (a fixed cover and
       200 random ones, each declared in both index orders)
+    - outcome_index and section_sort_key read the outcomes' declared order
+      off one map; outcome_index raises ValueError on an unknown label
     - section restriction is function restriction and is transitive
     - enumeration order is lexicographic with the last measurement fastest
     - the nerve's simplices are injective index tuples with nonempty carrier
@@ -98,6 +100,18 @@ def test_outcome_labels_validated():
         build_scenario("AB", ["0"], [("A", "B")])
     with pytest.raises(ValueError, match="no commas"):
         build_scenario("AB", ["0", "1,2"], [("A", "B")])
+
+
+@pytest.mark.parametrize("outcomes", [("0", "1"), ("b", "a", "c"), tuple(map(str, range(12)))])
+def test_outcome_indices_follow_the_declared_order(outcomes):
+    scen = build_scenario("AB", outcomes, [("A", "B")])
+    assert scen.outcome_indices == {o: k for k, o in enumerate(outcomes)}
+    assert [scen.outcome_index(o) for o in outcomes] == list(range(len(outcomes)))
+    for s in enumerate_sections(scen, ("A", "B")):
+        assert scen.section_sort_key(s) == tuple(outcomes.index(v) for v in s.values)
+    for unknown in ("x", "", "0,1"):
+        with pytest.raises(ValueError, match="is not an outcome"):
+            scen.outcome_index(unknown)
 
 
 def test_restrict_section_examples():
