@@ -18,7 +18,7 @@ from typing import NoReturn, Sequence
 
 from .cohomology import Ring, VerificationError, all_obstructions, classify_in_reach, obstruction
 from .corpus import EXAMPLE_NAMES, example_text, load_example
-from .documents import DocumentError, ScenarioDocument, parse_scenario
+from .documents import DocumentError, ScenarioDocument, parse_scenario, parse_section
 from .extendability import classify
 from .model import SignallingError, require_overlap_consistent
 from .report import RING_ORDER, build_report, emit_report, format_witness, witness_payload
@@ -76,16 +76,11 @@ def _parse_section_flag(document: ScenarioDocument, context: int, text: str) -> 
     scenario = document.scenario
     if not 0 <= context < len(scenario.contexts):
         raise DocumentError([f"--context: no context with index {context}"])
-    members = scenario.contexts[context].members
-    values = tuple(text.split(","))
-    if len(values) != len(members):
-        raise DocumentError(
-            [f"--section: {text!r} has {len(values)} outcomes, context has {len(members)}"]
-        )
-    unknown = [v for v in values if v not in scenario.outcomes]
-    if unknown:
-        raise DocumentError([f"--section: unknown outcome(s) {unknown}"])
-    return Section(members, values)
+    errors: list[str] = []
+    section = parse_section(text, scenario, scenario.contexts[context].members, "--section", errors)
+    if section is None:
+        raise DocumentError(errors)
+    return section
 
 
 def _print_obstruction(result, show_witness: bool) -> None:  # noqa: ANN001
@@ -189,19 +184,21 @@ def make_parser() -> argparse.ArgumentParser:
     p_obstruction.add_argument("--witness", action="store_true", default=False)
     p_obstruction.set_defaults(handler=_cmd_obstruction, parser=p_obstruction)
 
-    p_report = sub.add_parser("report", help="full analysis report")
+    # The flags of the two commands that print a report.
+    rendering = argparse.ArgumentParser(add_help=False)
+    rendering.add_argument("--ring", choices=("z2", "z", "both"), default="both")
+    rendering.add_argument("--json", action="store_true", default=False)
+    rendering.add_argument("--witness", action="store_true", default=False)
+
+    p_report = sub.add_parser("report", parents=[rendering], help="full analysis report")
     p_report.add_argument("file")
-    p_report.add_argument("--ring", choices=("z2", "z", "both"), default="both")
-    p_report.add_argument("--json", action="store_true", default=False)
-    p_report.add_argument("--witness", action="store_true", default=False)
     p_report.set_defaults(handler=_cmd_report)
 
-    p_examples = sub.add_parser("examples", help="list, show, or analyze bundled models")
+    p_examples = sub.add_parser(
+        "examples", parents=[rendering], help="list, show, or analyze bundled models"
+    )
     p_examples.add_argument("action", choices=("list", "show", "run"))
     p_examples.add_argument("name", nargs="?", default=None)
-    p_examples.add_argument("--ring", choices=("z2", "z", "both"), default="both")
-    p_examples.add_argument("--json", action="store_true", default=False)
-    p_examples.add_argument("--witness", action="store_true", default=False)
     p_examples.set_defaults(handler=_cmd_examples, parser=p_examples)
 
     return parser

@@ -240,18 +240,20 @@ def restrict_combination(
 def support_at(model: SupportModel, subset: Iterable[str]) -> list[Section]:
     """Possible sections on a measurement subset: restrictions of the support
     of every context containing it, sorted into canonical order, so the
-    subset's sections are never enumerated.
+    subset's sections are never enumerated.  The containing contexts are
+    those holding every measurement of the subset (`Scenario.holders`); all
+    of them contain the empty subset.
 
     For overlap-consistent models every containing context gives the same
     set; the union is used so the function is total.
     """
     scenario = model.scenario
     target = canonical_subset(scenario, subset)
-    wanted = set(target)
-    containing = [ctx.index for ctx in scenario.contexts if wanted <= set(ctx.members)]
+    held = (scenario.holders[m] for m in target)
+    containing = set(range(len(scenario.contexts))).intersection(*held)
     if not containing:
         raise ValueError(f"{target} is not contained in any context")
-    possible = {restrict_section(s, wanted) for i in containing for s in model.supports[i]}
+    possible = {restrict_section(s, target) for i in containing for s in model.supports[i]}
     return sorted(possible, key=scenario.section_sort_key)
 
 

@@ -90,16 +90,11 @@ def parse_rational(text: str, where: str, errors: list[str]) -> Fraction | None:
     return Fraction(int(p), int(q) if q else 1)
 
 
-def _string_list(raw, where: str, errors: list[str]) -> list[str] | None:  # noqa: ANN001
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        errors.append(f"{where}: expected a list of strings")
-        return None
-    return raw
-
-
-def _parse_tuple(
+def parse_section(
     text: str, scenario: Scenario, members: tuple[str, ...], where: str, errors: list[str]
 ) -> Section | None:
+    """The section of a context with `members` named by a comma-joined
+    outcome string; None, with an error tagged `where`, if it names none."""
     if not isinstance(text, str):
         errors.append(f"{where}: section must be a comma-joined outcome string")
         return None
@@ -114,6 +109,13 @@ def _parse_tuple(
         errors.append(f"{where}: unknown outcome(s) {bad} in section {text!r}")
         return None
     return Section(members, values)
+
+
+def _string_list(raw, where: str, errors: list[str]) -> list[str] | None:  # noqa: ANN001
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        errors.append(f"{where}: expected a list of strings")
+        return None
+    return raw
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -205,7 +207,7 @@ def _parse_support(raw, scenario: Scenario, errors: list[str]) -> SupportModel |
             return None
         sections = []
         for entry in entries:
-            section = _parse_tuple(entry, scenario, ctx.members, here, errors)
+            section = parse_section(entry, scenario, ctx.members, here, errors)
             if section is not None:
                 sections.append(section)
         if len(set(sections)) != len(sections):
@@ -229,7 +231,7 @@ def _parse_distribution(raw, scenario: Scenario, errors: list[str]) -> Empirical
             return None
         table, before = {}, len(errors)
         for key, value in entries.items():
-            section = _parse_tuple(key, scenario, ctx.members, here, errors)
+            section = parse_section(key, scenario, ctx.members, here, errors)
             probability = parse_rational(value, f"{here}[{key!r}]", errors)
             if section is not None and probability is not None:
                 table[section] = probability

@@ -13,8 +13,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .scenario import _FILLED_ON_FIRST_USE, Context, Scenario, Section
-from .scenario import enumerate_sections, restrict_section
+from .scenario import Context, Scenario, Section, enumerate_sections, restrict_section
+
+# A declared field that an instance fills on first use, not a
+# functools.cached_property: writing through __dict__ would turn the
+# instance's attribute storage into a plain dict and slow every attribute
+# read in the hot loops that use it.
+_FILLED_ON_FIRST_USE = dict(default=None, init=False, repr=False, compare=False)
 
 # One row of SupportModel.overlap_table: a context pair i < j, a section of
 # their overlap, and the support sections of i and of j restricting to it.

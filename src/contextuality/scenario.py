@@ -12,14 +12,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
-
-# A declared field that an instance fills on first use, not a
-# functools.cached_property: writing through __dict__ would turn the
-# instance's attribute storage into a plain dict and slow every attribute
-# read in the hot loops that use it.
-_FILLED_ON_FIRST_USE = dict(default=None, init=False, repr=False, compare=False)
 
 
 class CoverWarning(UserWarning):
@@ -80,14 +74,18 @@ class Scenario:
     measurements: tuple[str, ...]
     outcomes: tuple[str, ...]
     contexts: tuple[Context, ...]
-    # Filled on first use of `overlaps`.
-    _overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] | None = field(**_FILLED_ON_FIRST_USE)
     # Each measurement's index in `measurements`, built once.
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
     # Each outcome label's index in `outcomes`, built once.
     outcome_indices: dict[str, int] = field(init=False, repr=False, compare=False)
     # The indices of the contexts holding each measurement, ascending, built once.
     holders: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    # Every intersecting context pair (i, j), i < j, in lexicographic order,
+    # with its common measurements in global order, built once. The pairs
+    # are read off `holders`, so only intersecting pairs are visited.
+    overlaps: tuple[tuple[int, int, tuple[str, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "positions", {m: k for k, m in enumerate(self.measurements)})
@@ -97,6 +95,8 @@ class Scenario:
             for m in c.members:
                 holders[m].append(c.index)
         object.__setattr__(self, "holders", holders)
+        pairs = sorted({pair for owners in holders.values() for pair in combinations(owners, 2)})
+        object.__setattr__(self, "overlaps", tuple((*p, _carrier(self, p)) for p in pairs))
 
     def outcome_index(self, outcome: str) -> int:
         if (index := self.outcome_indices.get(outcome)) is None:
@@ -105,23 +105,6 @@ class Scenario:
 
     def section_sort_key(self, section: Section) -> tuple[int, ...]:
         return tuple(map(self.outcome_indices.__getitem__, section.values))
-
-    @property
-    def overlaps(self) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
-        """Every intersecting context pair (i, j), i < j, in lexicographic
-        order, with its common measurements in global order; computed once,
-        from the `holders` of each measurement, so only intersecting pairs
-        are visited."""
-        if self._overlaps is None:
-            common: dict[tuple[int, int], list[str]] = {}
-            for m in self.measurements:
-                owners = self.holders[m]
-                for k, i in enumerate(owners):
-                    for j in owners[k + 1 :]:
-                        common.setdefault((i, j), []).append(m)
-            out = tuple((i, j, tuple(members)) for (i, j), members in sorted(common.items()))
-            object.__setattr__(self, "_overlaps", out)
-        return self._overlaps
 
 
 def build_scenario(
@@ -229,24 +212,22 @@ def _carrier(scenario: Scenario, vertices: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def nerve(scenario: Scenario, max_q: int) -> list[list[Simplex]]:
-    """Simplices of the cover's nerve, per dimension 0..max_q.
+    """Simplices of the cover's nerve, per dimension 0..max_q, each in
+    lexicographic vertex order.
 
     A q-simplex is an ordered tuple of q+1 distinct cover indices whose
     contexts have a common measurement.  Dimension 0 is exactly the cover.
+    The tuples are read off `Scenario.holders`: every one is an ordering of
+    q+1 contexts holding one measurement, so no other tuple is visited.
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
     dims: list[list[Simplex]] = [
         [Simplex((c.index,), c.members) for c in scenario.contexts]
     ]
-    n = len(scenario.contexts)
     for q in range(1, max_q + 1):
-        layer = []
-        for vertices in permutations(range(n), q + 1):
-            carrier = _carrier(scenario, vertices)
-            if carrier:
-                layer.append(Simplex(vertices, carrier))
-        dims.append(layer)
+        tuples = {t for held in scenario.holders.values() for t in permutations(held, q + 1)}
+        dims.append([Simplex(t, _carrier(scenario, t)) for t in sorted(tuples)])
     return dims
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from contextuality import (
     Ring,
     Scenario,
     Section,
+    Simplex,
     SupportModel,
     build_scenario,
     combination,
@@ -74,21 +75,23 @@ def pairwise_compatible(omega: Cochain) -> bool:
 
 def reference_check_certificate(matrix, rhs, certificate: Certificate) -> bool:
     """Dense re-check of a certificate in exact rationals: every column of
-    y.A and y.b computed as a full Fraction dot product.  The reference for
-    the library's scaled-integer check."""
+    y.A and y.b computed as a Fraction dot product over the rows whose
+    multiplier is nonzero (a zero multiplier adds nothing).  The reference
+    for the library's scaled-integer check."""
     y = certificate.multipliers
     if len(y) != len(rhs):
         return False
+    used = [i for i, v in enumerate(y) if v]
     n = len(matrix[0]) if matrix else 0
     if certificate.ring is Ring.Z2:
         for j in range(n):
-            if sum(y[i] * matrix[i][j] for i in range(len(y))) % 2 != 0:
+            if sum(y[i] * matrix[i][j] for i in used) % 2 != 0:
                 return False
-        return sum(y[i] * rhs[i] for i in range(len(y))) % 2 == 1
-    combo = [sum(Fraction(y[i]) * matrix[i][j] for i in range(len(y))) for j in range(n)]
+        return sum(y[i] * rhs[i] for i in used) % 2 == 1
+    combo = [sum(Fraction(y[i]) * matrix[i][j] for i in used) for j in range(n)]
     if any(c.denominator != 1 for c in combo):
         return False
-    return sum(Fraction(y[i]) * rhs[i] for i in range(len(y))).denominator != 1
+    return sum(Fraction(y[i]) * rhs[i] for i in used).denominator != 1
 
 
 def dense_certificate(ring: Ring, y, reason: str) -> Certificate:
@@ -182,6 +185,24 @@ def reference_overlaps(scenario: Scenario) -> tuple[tuple[int, int, tuple[str, .
     return tuple(out)
 
 
+def reference_nerve(scenario: Scenario, max_q: int) -> list[list[Simplex]]:
+    """The nerve by its definition: per dimension q, every ordered tuple of
+    q+1 distinct context indices, in lexicographic order, whose contexts
+    have a common measurement, with the common measurements in global order.
+    The reference for `nerve`."""
+    contexts = scenario.contexts
+    dims = []
+    for q in range(max_q + 1):
+        layer = []
+        for vertices in permutations(range(len(contexts)), q + 1):
+            common = set.intersection(*(set(contexts[v].members) for v in vertices))
+            if common:
+                carrier = tuple(m for m in scenario.measurements if m in common)
+                layer.append(Simplex(vertices, carrier))
+        dims.append(layer)
+    return dims
+
+
 def reference_plan(model: SupportModel) -> list:
     """The search order, by a minimum over every remaining context at every
     step (most already-assigned members, then smallest support, then lowest
@@ -260,6 +281,18 @@ def grid_cover(n: int) -> SupportModel:
         for j in range(n)
     ]
     return ks_support(build_scenario(sorted({m for c in contexts for m in c}), BINARY, contexts))
+
+
+def ghz_scenario(parties: int) -> Scenario:
+    """The n-party GHZ cover: measurements X and Y per party, and a context
+    per choice of axes with an even number of Y's."""
+    measurements = [f"{axis}{p}" for p in range(1, parties + 1) for axis in "XY"]
+    contexts = [
+        [f"{a}{p}" for p, a in enumerate(axes, start=1)]
+        for axes in product("XY", repeat=parties)
+        if axes.count("Y") % 2 == 0
+    ]
+    return build_scenario(measurements, BINARY, contexts)
 
 
 def one_section_document(width: int) -> dict:

@@ -1,7 +1,9 @@
 """The command-line front end: commands, exit codes, and output shape.
 
 Core claims:
-    - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model, 3 a
+    - exit codes: 0 analysis, 1 usage, 2 invalid/signalling model (also a
+      --section with an unknown outcome or the wrong arity, in the document
+      parser's words, and a --context out of range), 3 a
       failed re-check (also of the oracle's proof sections, and an oracle
       or obstruction disagreement), printed on one line, 4 out of memory
       or past the recursion limit (classify and report on a one-hot ring of
@@ -107,6 +109,20 @@ def test_context_and_section_must_come_together(corpus_file, capsys):
         usage, reason = err.splitlines()[0], err.splitlines()[-1]
         assert usage.startswith("usage: contextuality obstruction"), flags
         assert reason.startswith("contextuality obstruction: error: --"), flags
+
+
+@pytest.mark.parametrize(
+    "context, section, message",
+    [
+        ("0", "0,x", "--section: unknown outcome(s) ['x'] in section '0,x'"),
+        ("0", "0,0,0", "--section: section '0,0,0' has 3 outcomes, context has 2"),
+        ("4", "0,0", "--context: no context with index 4"),
+    ],
+)
+def test_a_bad_section_flag_is_a_model_error(corpus_file, capsys, context, section, message):
+    flags = ["--context", context, "--section", section]
+    assert main(["obstruction", corpus_file("prbox"), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_examples_without_a_name_says_why(capsys):

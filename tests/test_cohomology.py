@@ -24,7 +24,8 @@ Core claims:
     - support_at sorts the restricted supports: it lists exactly what
       filtering the subset's enumerated sections did, on every subset of
       every context of the bundled and 60 random models, half of them with
-      three outcomes declared out of string order
+      three outcomes declared out of string order, the empty subset
+      included (one empty section); a subset no context holds raises
     - the batch path gives exactly the per-section results, refuses
       signalling supports before solving, and factorizations carry no state
       from one solve to the next
@@ -469,8 +470,13 @@ def test_support_at_matches_any_containing_context(corpus_supports):
     model = corpus_supports["ghz"]
     got = {s.outcome_string() for s in support_at(model, ("A",))}
     assert got == {"0", "1"}
+    assert support_at(model, ()) == [Section((), ())]
     with pytest.raises(ValueError, match="not contained"):
         support_at(model, ("A", "A'"))
+    # Every pair of A, B, C lies in a context, but no context holds all three.
+    triangle = ks_support(build_scenario("ABC", "01", [("A", "B"), ("B", "C"), ("A", "C")]))
+    with pytest.raises(ValueError, match="not contained"):
+        support_at(triangle, "ABC")
 
 
 def _support_at_by_enumeration(model, subset):
@@ -498,7 +504,7 @@ def test_support_at_is_the_enumeration_filter(corpus_supports):
         models.append(helpers.random_any_support(rng, scen))
     for model in models:
         for ctx in model.scenario.contexts:
-            for size in range(1, len(ctx.members) + 1):
+            for size in range(len(ctx.members) + 1):
                 for subset in combinations(ctx.members, size):
                     expected = _support_at_by_enumeration(model, subset)
                     assert support_at(model, subset[::-1]) == expected
@@ -578,14 +584,11 @@ def fano_one_hot():
 
 def ghz_parity(parties):
     """n-party GHZ parity supports on the contexts with an even number of Y
-    measurements; a context with 2j Y's has outcome parity j mod 2."""
-    measurements = [f"{axis}{p}" for p in range(1, parties + 1) for axis in "XY"]
-    contexts, bits = [], []
-    for axes in product("XY", repeat=parties):
-        if axes.count("Y") % 2 == 0:
-            contexts.append([f"{a}{p}" for p, a in enumerate(axes, start=1)])
-            bits.append(axes.count("Y") // 2 % 2)
-    return parity_support(build_scenario(measurements, "01", contexts), bits)
+    measurements (helpers.ghz_scenario); a context with 2j Y's has outcome
+    parity j mod 2."""
+    scenario = helpers.ghz_scenario(parties)
+    bits = [sum(m[0] == "Y" for m in c.members) // 2 % 2 for c in scenario.contexts]
+    return parity_support(scenario, bits)
 
 
 @pytest.mark.parametrize("identify", [True, False])

@@ -15,7 +15,13 @@ Core claims:
     - the overlaps found from the contexts holding each measurement are
       those of the loop over every context pair (helpers.reference_overlaps),
       pairs and common members in the same order, on the bundled covers,
-      200 random ones, shuffled one-hot rings and a torus grid
+      200 random ones, shuffled one-hot rings and a torus grid, and on a
+      Scenario built directly, which equals and hashes as build_scenario's
+    - the nerve up to degree 3 is its definition (helpers.reference_nerve:
+      every ordered tuple of distinct contexts with a common measurement),
+      simplices and carriers in the same order, on the bundled covers,
+      GHZ-3 and GHZ-4, shuffled one-hot rings, the 3 x 3 torus grid and 100
+      random covers
 """
 
 import random
@@ -24,7 +30,9 @@ import warnings
 import pytest
 
 from contextuality import (
+    Context,
     CoverWarning,
+    Scenario,
     Section,
     build_scenario,
     canonical_subset,
@@ -242,3 +250,24 @@ def test_overlaps_are_those_of_the_loop_over_every_pair(corpus):
     scenarios.append(helpers.grid_cover(4).scenario)
     for scenario in scenarios:
         assert scenario.overlaps == helpers.reference_overlaps(scenario)
+
+
+def test_overlaps_of_a_scenario_built_directly():
+    members = [("A", "B", "C"), ("B", "C", "D"), ("A", "D"), ("E",)]
+    contexts = tuple(Context(i, m) for i, m in enumerate(members))
+    scenario = Scenario(tuple("ABCDE"), ("0", "1"), contexts)
+    assert scenario.overlaps == helpers.reference_overlaps(scenario)
+    assert scenario.overlaps == ((0, 1, ("B", "C")), (0, 2, ("A",)), (1, 2, ("D",)))
+    built = build_scenario("ABCDE", "01", members)
+    assert scenario == built and hash(scenario) == hash(built)
+
+
+def test_nerve_is_its_definition(corpus):
+    rng = random.Random(137)
+    scenarios = [document.scenario for document in corpus.values()]
+    scenarios += [helpers.ghz_scenario(parties) for parties in (3, 4)]
+    scenarios += [helpers.ring_cover(k, random.Random(k)).scenario for k in (3, 7)]
+    scenarios.append(helpers.grid_cover(3).scenario)
+    scenarios += [helpers.random_scenario(rng, 6, 7) for _ in range(100)]
+    for scenario in scenarios:
+        assert nerve(scenario, 3) == helpers.reference_nerve(scenario, 3)
