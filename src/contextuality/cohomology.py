@@ -33,6 +33,19 @@ sections vanishes mod 2 never runs the search.  The search is only an
 accelerator: where it nests past the recursion limit or outgrows delta^0,
 every section is decided as below, as if no proof were at hand.
 
+A connected component of the overlap graph is all-vs-nothing when the
+GF(2) equations holding on its contexts' supports, in the one-hot
+coordinates of their sections, sum to 0 = 1 (Abramsky, Barbosa, Kishida,
+Lal & Mansfield, "Contextuality, Cohomology and Paradox", CSL 2015): then
+no section of it vanishes, on either ring.  Before anything is factored,
+one pass over the supports and one small elimination per component decide
+this, and the combination gives, per base context, rows z of delta^0 with
+z.delta^0 = 1 on the base block and 0 elsewhere, mod 2
+(:func:`_all_vs_nothing`).  That one certificate, re-checked once, refutes
+every section of the block; over Z it is halved.  Such a component factors
+nothing.  A classification that counts a global section rules every
+component out, so the test is skipped.
+
 Every other section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per call, packed straight from its
 columns, gives a basis K of the cocycles and turns any vector of its row
@@ -41,13 +54,13 @@ the small projection pi_b(K) is factored, and its left kernel decides every
 section of the block in one pass: a section t that no kernel combination
 holds vanishes mod 2, its unit vector is solved for, and the cocycle is the
 witness; otherwise the first combination g that holds t (the one a solve
-for e_t would give), re-checked once per base context, is orthogonal to
-pi_b(K) with g_t = 1, so g, padded with zeros, is a combination z of the
-rows of delta^0, and z refutes the system.  The echelon's solution is
-linear in g, so z is the sum of the solutions for the unit vectors g holds,
-each computed once per call, and a certificate keeps only its nonzero
-terms.  Integer vanishing descends mod 2, so over Z that z, halved, is the
-proof.  A section that vanishes mod 2 and does not extend is decided over Z
+for e_t would give) is orthogonal to pi_b(K) with g_t = 1, so g, padded
+with zeros, is a combination z of the rows of delta^0, and z refutes the
+system.  The echelon's solution is linear in g, so z is the sum of the
+solutions for the unit vectors g holds, each computed once per call, and a
+certificate keeps only its nonzero terms; the sections of a block that
+share g share its certificate.  Integer vanishing descends mod 2, so over
+Z that z, halved, is the proof.  A section that vanishes mod 2 and does not extend is decided over Z
 the same way, from the lattice of integer cocycles: one Hermite form of
 delta^0 per call gives a saturated basis K_Z of it, and per base context
 only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
@@ -58,9 +71,10 @@ lattice that there is no solution.
 Every proof is re-checked outside the solver that found it.  A witness
 family, a proof's or one built straight from the cocycle, is re-verified on
 the fibers of restriction to each overlap.  A certificate z, with 0/1
-multipliers over Z/2 or halves over Z, is re-checked by parity on its rows
-of delta^0, whose every entry is +-1: the columns that an odd number of its
-rows meet must all lie in the base block and include t, so that y.A is even
+multipliers over Z/2 or halves over Z, is re-checked once for its whole
+block, by parity on its rows of delta^0, whose every entry is +-1: the
+columns that an odd number of its rows meet must all lie in the base block
+and include each section t it refutes, so that y.A is even
 (integral, halved) off the block and y.b odd (not integral).  A Hermite
 certificate is re-checked in scaled integers against the untouched system:
 on its terms' rows of delta^0, less the base block.
@@ -445,24 +459,32 @@ class _Coboundary:
             for row in self.rows
         ]
 
-    def refutes(self, base: int, t: int, certificate: Certificate) -> bool:
-        """Re-check a certificate of the system at column t of the base block.
-        Every entry of delta^0 is +-1, so a 0/1 certificate over Z/2, or one
-        of halves over Z, on a set R of rows refutes it iff the columns met
-        by an odd number of the rows of R all lie in the block and include t:
-        y.A is then even (integral, halved) off the block, and y.b odd (not
+    def refuted(self, base: int, certificate: Certificate) -> Callable[[int], bool]:
+        """Re-check a certificate once for the whole base block: the test of
+        whether it refutes the system at column t of the block.  Every entry
+        of delta^0 is +-1, so a 0/1 certificate over Z/2, or one of halves
+        over Z, on a set R of rows refutes it iff the columns met by an odd
+        number of the rows of R all lie in the block and include t: y.A is
+        then even (integral, halved) off the block, and y.b odd (not
         integral).  Any other certificate is re-checked by
-        :func:`check_certificate`."""
+        :func:`check_certificate` at each t."""
         n = len(certificate.rows)
         ones = (1,) * n if certificate.ring is Ring.Z2 else (_HALF,) * n
         if certificate.length != len(self.rows) or certificate.values != ones:
-            rhs = {r: -a for r, a in self.columns[t].items()}
-            return check_certificate(self.split(base), rhs, certificate)
+            split = self.split(base)
+            return lambda t: check_certificate(
+                split, {r: -a for r, a in self.columns[t].items()}, certificate
+            )
         odd: set[int] = set()
         for r in certificate.rows:
             odd.symmetric_difference_update(self.rows[r])
         block = self.block(base)
-        return t in odd and block.start <= min(odd) and max(odd) < block.stop
+        inside = bool(odd) and block.start <= min(odd) and max(odd) < block.stop
+        return lambda t: inside and t in odd
+
+    def refutes(self, base: int, t: int, certificate: Certificate) -> bool:
+        """:meth:`refuted` at the one column t of the base block."""
+        return self.refuted(base, certificate)(t)
 
 
 def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
@@ -617,11 +639,138 @@ def classify_in_reach(model: SupportModel) -> Classification | None:
         return None
 
 
+def _annihilator(points: Iterable[int], coordinates: Iterable[int]) -> list[int]:
+    """A basis of the masks F over `coordinates` that meet every point in an
+    even number of bits, over GF(2): the kernel of the points' reduced row
+    echelon form (one pivot per row, its top bit, in no other row), one
+    vector per coordinate that is no pivot."""
+    pivots: dict[int, int] = {}
+    for p in points:
+        for bit, row in pivots.items():
+            if p >> bit & 1:
+                p ^= row
+        if p:
+            top = p.bit_length() - 1
+            for bit, row in pivots.items():
+                if row >> top & 1:
+                    pivots[bit] = row ^ p
+            pivots[top] = p
+    return [
+        sum((1 << bit for bit, row in pivots.items() if row >> free & 1), 1 << free)
+        for free in coordinates
+        if free not in pivots
+    ]
+
+
+def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], list[int] | None]:
+    """Per base context, the rows z of delta^0 with z.delta^0 = 1 on the base
+    block and 0 elsewhere, mod 2, or None where the base's connected
+    component of the overlap graph is not all-vs-nothing.
+
+    A section is its one-hot vector x, x_{m,o} = 1 iff it gives m outcome o,
+    less the coordinates of the first outcome (sum_o x_{m,o} = 1 on every
+    section makes them redundant).  The GF(2) equations a.x = b holding on a
+    context's support form the annihilator of its affine span: bit 0 of
+    each mask is b.  One elimination per component, carrying b, finds a
+    combination of them with sum a = 0 and sum b = 1 if there is one: the
+    component is all-vs-nothing.  On context C's block, a.x = b is the
+    identity sum_{(m,o) in a} f_{C,m,o} = b 1_C, f_{C,m,o} summing C's
+    sections that give m outcome o; and f_{i,m,o} - f_{j,m,o} is the sum of
+    delta^0's rows on the overlap (i, j) whose section gives m outcome o.
+    Each coordinate lies in the combined a of an even number of contexts;
+    paired up, their rows sum to the 1_C of the contexts C with b odd, an
+    odd number of them.  The rows of a spanning-tree edge (c, parent) sum
+    to 1_c - 1_parent: moving each odd 1_C up the tree leaves 1_root, and
+    the path from the base up to the root moves it to the base.
+    """
+    scenario, equations = model.scenario, delta.equations
+    contexts, holders, position = scenario.contexts, scenario.holders, scenario.positions
+    index = scenario.outcome_indices
+    width = len(index) - 1  # x_{m,o} is bit position(m) * width + index(o)
+    parent, root = [-1] * len(contexts), [-1] * len(contexts)
+    spans: dict[tuple[int, int], list[int]] = {}  # the rows on each overlap, either way round
+    found: dict[int, set[int]] = {}  # per all-vs-nothing root: rows summing to 1_root
+
+    for start in range(len(contexts)):
+        if root[start] >= 0:
+            continue
+        root[start], order = start, [start]
+        for c in order:  # breadth first, through the holders of each member
+            for m in contexts[c].members:
+                for j in holders[m]:
+                    if root[j] < 0:
+                        root[j], parent[j] = start, c
+                        order.append(j)
+        theory = []  # (context, a.x = b as a mask)
+        for c in order:
+            offsets = [position[m] * width for m in contexts[c].members]
+            points = [
+                sum((1 << (at + index[o]) for at, o in zip(offsets, s.values) if index[o]), 1)
+                for s in model.supports[c]
+            ]
+            coordinates = [0, *(at + k for at in offsets for k in range(1, width + 1))]
+            theory += [(c, f) for f in _annihilator(points, coordinates)]
+        basis: dict[int, tuple[int, int]] = {}  # top bit: (mask, equations combined)
+        for k, (_, f) in enumerate(theory):
+            combined = 1 << k
+            while f > 1 and (top := f.bit_length() - 1) in basis:
+                f, combined = f ^ basis[top][0], combined ^ basis[top][1]
+            if f == 1:
+                break
+            if f:
+                basis[f.bit_length() - 1] = f, combined
+        else:
+            continue
+        if not spans:
+            for r, (i, j, _) in enumerate(equations):
+                spans[j, i] = spans.setdefault((i, j), [])
+                spans[i, j].append(r)
+        a: dict[int, int] = {}
+        for k, (c, f) in enumerate(theory):
+            if combined >> k & 1:
+                a[c] = a.get(c, 0) ^ f
+        holding: dict[int, list[int]] = {}
+        for c in order:
+            bits = a.get(c, 0)
+            while bits > 1:
+                top = bits.bit_length() - 1
+                holding.setdefault(top, []).append(c)
+                bits ^= 1 << top
+        z: set[int] = set()
+        for bit, held in holding.items():
+            m = scenario.measurements[(bit - 1) // width]
+            o = scenario.outcomes[(bit - 1) % width + 1]
+            for i, j in zip(held[::2], held[1::2]):
+                z.symmetric_difference_update(
+                    r for r in spans[i, j] if equations[r][2].value_of(m) == o
+                )
+        odd = {c for c, f in a.items() if f & 1}
+        for c in reversed(order[1:]):  # children before their parents
+            if c in odd:
+                odd ^= {c, parent[c]}
+                z.symmetric_difference_update(spans[c, parent[c]])
+        found[start] = z
+
+    def rows(base: int) -> list[int] | None:
+        if root[base] not in found:
+            return None
+        z, c = set(found[root[base]]), base
+        while parent[c] >= 0:
+            z.symmetric_difference_update(spans[c, parent[c]])
+            c = parent[c]
+        return sorted(z)
+
+    return rows
+
+
 def _once(build: Callable) -> Callable:
     """`build`, run on the first call only; every call returns its value."""
     kept: list = []
     return lambda: kept[0] if kept else kept.append(build()) or kept[0]
 
+
+# The reason of an all-vs-nothing base context's Z/2 certificate.
+ALL_VS_NOTHING = "all-vs-nothing: y.A even, y.b odd at every section of the base context"
 
 # A model's classification, or a function called at most once, when the
 # first section vanishes mod 2, that returns it or None.
@@ -632,18 +781,19 @@ def _obstruction_solver(
     model: SupportModel, ring: Ring, classification: ClassificationSource | None = None
 ) -> Callable[[int], Callable[[Section], ObstructionResult]]:
     """Return, per base context, the verdict function of its support
-    sections (the algorithm of the module docstring).  delta^0 is factored
+    sections (the algorithm of the module docstring).  An all-vs-nothing
+    base context takes its one certificate; elsewhere delta^0 is factored
     mod 2 at most once, and each base's cocycle projection at most once.  A
     cocycle, grouped by context into a witness family, is re-checked by
     :func:`verify_witness`; a combination z of rows, or z/2 over Z, by
-    parity on its rows of delta^0 (:meth:`_Coboundary.refutes`).  The
-    projection's left kernel gives, once per base, the combination g that
-    refutes each section it holds.  Over Z, a section that vanishes mod 2 and does not
-    extend is decided by the integer cocycle lattice, built at most once per
-    call, and its projection onto the base context, factored at most once
-    per base; where that projection does not reach the section, the Hermite
-    form of the system, factored at most once per base, gives the
-    certificate.
+    parity on its rows of delta^0, once per certificate
+    (:meth:`_Coboundary.refuted`).  The projection's left kernel gives, once
+    per base, the combination g that refutes each section it holds.  Over
+    Z, a section that vanishes mod 2 and does not extend is decided by the
+    integer cocycle lattice, built at most once per call, and its
+    projection onto the base context, factored at most once per base; where
+    that projection does not reach the section, the Hermite form of the
+    system, factored at most once per base, gives the certificate.
     """
     contexts = model.scenario.contexts
     delta = _Coboundary(model)
@@ -672,8 +822,15 @@ def _obstruction_solver(
         found = classification if given else search()
         return found and (found.extendable, _proof_families(model, ring, found.proofs))
 
+    @_once
+    def parity() -> Callable[[int], list[int] | None]:  # per base: all-vs-nothing rows, or None
+        if given and classification.count:  # a global section rules out every component
+            return lambda base: None
+        return _all_vs_nothing(model, delta)
+
     def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
-        block = delta.block(base)
+        block, avn = delta.block(base), parity()(base)
+        checked: dict = {}  # per key: a certificate and its re-check at each column
 
         @_once
         def projection() -> Factorization:
@@ -695,11 +852,30 @@ def _obstruction_solver(
         def hermite() -> Factorization:
             return factor(delta.split(base), Ring.Z, len(basis) - len(block))
 
+        def certified(key, t: int, z: Callable[[], Iterable[int]], reason: str) -> Certificate:
+            """The certificate on the rows z() of delta^0, halved over Z,
+            built and re-checked once per key for the whole block; it must
+            refute the system at column t."""
+            if key not in checked:
+                terms = sorted(z())
+                certificate = Certificate(Ring.Z2, terms, (1,) * len(terms), len(rows), reason)
+                if ring is Ring.Z:
+                    certificate = halve_certificate(certificate)
+                checked[key] = certificate, delta.refuted(base, certificate)
+            certificate, refutes = checked[key]
+            if not refutes(t):
+                raise VerificationError("Z/2 certificate failed its re-check")
+            return certificate
+
         def decide(section: Section) -> ObstructionResult:
             nonlocal at_hand
             t = delta.column[base, section]
             i = t - block.start  # the section's row of the projection
             system = ObstructionSystem(ring, base, section, equations, basis, rows, block, t)
+            # An all-vs-nothing base context has one certificate for its block.
+            if avn is not None:
+                certificate = certified(None, t, lambda: avn, ALL_VS_NOTHING)
+                return ObstructionResult(ring, base, section, False, None, certificate, system)
             # An extendable section takes a proof's family as its witness.
             if at_hand or refutations()[i] is None:
                 at_hand, proofs = True, proved()
@@ -710,18 +886,14 @@ def _obstruction_solver(
                     return ObstructionResult(ring, base, section, True, family, None, system)
             cocycle = certificate = None
             if (g := refutations()[i]) is not None:
-                # z.delta^0 = g, padded with zeros, summed from the unit
-                # vectors g holds.  Unchecked: z is re-checked below as a
-                # certificate of the system (a g outside the row space fails).
-                z: set[int] = set()
-                for k in g:
-                    z.symmetric_difference_update(reach()[block.start + k])
-                reason = "inconsistent equation combination"
-                certificate = Certificate(Ring.Z2, sorted(z), (1,) * len(z), len(rows), reason)
-                if ring is Ring.Z:
-                    certificate = halve_certificate(certificate)
-                if not delta.refutes(base, t, certificate):
-                    raise VerificationError("Z/2 certificate failed its re-check")
+
+                def z() -> set[int]:
+                    # z.delta^0 = g, padded with zeros, summed from the unit
+                    # vectors g holds.  Unchecked: z is re-checked as a
+                    # certificate of the system (a g outside the row space fails).
+                    return reduce(xor, (set(reach()[block.start + k]) for k in g), set())
+
+                certificate = certified(g, t, z, "inconsistent equation combination")
             elif ring is Ring.Z2:
                 found = projection().solve({i: 1})
                 bits = reduce(xor, compress(cocycles().kernel(), found.solution), 0)  # K.y

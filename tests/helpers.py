@@ -31,6 +31,7 @@ from contextuality import (
     support_violations,
     zero_cochain,
 )
+from contextuality import cohomology
 from contextuality.cohomology import Cochain, cochain, cochain_basis
 from contextuality.linalg import Certificate
 from contextuality.scenario import face, nerve
@@ -233,6 +234,12 @@ def connected_by_union_find(scenario: Scenario) -> bool:
     return len({find(v) for v in range(n)}) == 1
 
 
+def echelon_only(monkeypatch) -> None:  # noqa: ANN001
+    """Make the obstruction solver find no all-vs-nothing component, so that
+    every section goes through the cocycle echelon."""
+    monkeypatch.setattr(cohomology, "_all_vs_nothing", lambda model, delta: lambda base: None)
+
+
 # ---------------------------------------------------------------------------
 # Generated covers
 
@@ -283,17 +290,43 @@ def grid_cover(n: int) -> SupportModel:
     return ks_support(build_scenario(sorted({m for c in contexts for m in c}), BINARY, contexts))
 
 
-def ghz_scenario(parties: int) -> Scenario:
-    """The n-party GHZ cover: measurements X and Y per party, and a context
-    per choice of axes with an even number of Y's."""
+def _ghz(parties: int) -> tuple[list[str], list[list[str]]]:
+    """Measurements X and Y per party, and a context per choice of axes with
+    an even number of Y's."""
     measurements = [f"{axis}{p}" for p in range(1, parties + 1) for axis in "XY"]
     contexts = [
         [f"{a}{p}" for p, a in enumerate(axes, start=1)]
         for axes in product("XY", repeat=parties)
         if axes.count("Y") % 2 == 0
     ]
+    return measurements, contexts
+
+
+def ghz_scenario(parties: int) -> Scenario:
+    """The n-party GHZ cover."""
+    measurements, contexts = _ghz(parties)
     return build_scenario(measurements, BINARY, contexts)
 
+
+def ghz_document(parties: int) -> dict:
+    """The n-party GHZ parity model as a support document: a context with 2j
+    Y's has the outcome tuples whose number of 1s is j mod 2."""
+    measurements, contexts = _ghz(parties)
+    support = [
+        [
+            ",".join(values)
+            for values in product(BINARY, repeat=parties)
+            if values.count("1") % 2 == sum(m[0] == "Y" for m in c) // 2 % 2
+        ]
+        for c in contexts
+    ]
+    return {
+        "name": f"ghz{parties}",
+        "measurements": measurements,
+        "outcomes": list(BINARY),
+        "contexts": contexts,
+        "model": {"support": support},
+    }
 
 def one_section_document(width: int) -> dict:
     """One context of `width` binary measurements whose support is the

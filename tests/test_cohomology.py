@@ -32,10 +32,22 @@ Core claims:
     - Z/2 first: every Z verdict equals a per-section integer solve of the
       untouched system (bundled, random and Fano models); halved Z/2
       certificates pass the dense reference check and fail it with one 1/2
-      zeroed or the vector doubled; where every section is non-vanishing
-      mod 2 (PR box, GHZ-4) delta^0 is factored once per call, each base
-      context factors only its cocycle projection and nothing is factored
-      over Z
+      zeroed or the vector doubled; with the echelon path forced, where
+      every section is non-vanishing mod 2 (PR box, GHZ-4) delta^0 is
+      factored once per call, each base context factors only its cocycle
+      projection and nothing is factored over Z
+    - all-vs-nothing components: on the PR box and GHZ-4 nothing is
+      factored on either ring; the test runs once per call, unless the
+      classification passed in counts a global section (Hardy); on the bundled all-vs-nothing models, GHZ-4
+      and chain16 every section of a base context shares one certificate,
+      with the all-vs-nothing reason (halved over Z), at most as many terms
+      as the largest certificate before, and passing the dense reference
+      check; on random models side by side with a parity graph and a lone
+      context, over two or three outcome labels in either order, a
+      component is all-vs-nothing exactly when brute force finds no point
+      in every context's affine hull, its sections are refuted by the
+      finder's rows on both rings, and every other component's results
+      equal those of the forced echelon path
     - cocycle projection: on the bundled, 60 random, Fano, GHZ-3/4 and
       chain16 models every Z/2 verdict equals a per-section GF(2) solve,
       every certificate passes the dense reference check, every
@@ -77,7 +89,7 @@ Core claims:
       different rows and bases and are equal, with equal hashes
     - delta^0 holds its columns beside its rows: they are the transpose of
       the rows, and they are the very matrix the solver's GF(2) echelon
-      factors
+      factors (with the echelon path forced)
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
       rebuilt from its dense multipliers (helpers.dense_certificate) or
@@ -97,6 +109,8 @@ from itertools import combinations, product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     Ring,
@@ -650,6 +664,7 @@ def test_no_integer_or_identified_factorization_when_mod_2_decides(
     name, corpus_supports, monkeypatch
 ):
     model = corpus_supports["prbox"] if name == "prbox" else ghz_parity(4)
+    helpers.echelon_only(monkeypatch)
     factored: list[tuple[int, int]] = []
 
     def guarded_factor(matrix, ring, width=None):
@@ -872,6 +887,163 @@ def test_cocycle_projection_matches_per_section_solves(corpus_supports):
 
 
 # ---------------------------------------------------------------------------
+# All-vs-nothing components: one certificate per base context
+
+# The largest certificate of each all-vs-nothing model before its base
+# contexts took one certificate each.
+_AVN_TERMS = {"prbox": 4, "ghz": 6, "triangle": 3, "ks18": 18, "peres-mermin": 9, "ghz4": 22}
+
+
+def _avn_models(corpus_supports):
+    models = {name: corpus_supports[name] for name in _AVN_TERMS if name in corpus_supports}
+    return {**models, "ghz4": ghz_parity(4), "chain16": parity_chain(16)}
+
+
+@pytest.mark.parametrize("name", ["prbox", "ghz4"])
+def test_all_vs_nothing_models_factor_nothing(name, corpus_supports, monkeypatch):
+    def forbidden(matrix, ring, width=None):
+        raise AssertionError("factored on an all-vs-nothing model")
+
+    monkeypatch.setattr(cohomology, "factor", forbidden)
+    model = corpus_supports["prbox"] if name == "prbox" else ghz_parity(4)
+    for ring in (Ring.Z, Ring.Z2):
+        results = all_obstructions(model, ring)
+        assert len(results) == sum(map(len, model.supports))
+        assert not any(result.vanishes for result in results.values())
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_all_vs_nothing_certificates_pass_the_reference_check(ring, corpus_supports):
+    reason = cohomology.ALL_VS_NOTHING if ring is Ring.Z2 else HALVED
+    for name, model in _avn_models(corpus_supports).items():
+        results = all_obstructions(model, ring)
+        per_base: dict[int, set[int]] = {}
+        for (base, _), result in results.items():
+            certificate = result.certificate
+            assert not result.vanishes and certificate.reason == reason
+            per_base.setdefault(base, set()).add(id(certificate))
+            assert len(certificate.rows) <= _AVN_TERMS.get(name, len(certificate.rows))
+            assert helpers.reference_check_certificate(
+                result.system.matrix, result.system.rhs, certificate
+            )
+        assert all(len(ids) == 1 for ids in per_base.values())
+
+
+def test_a_counted_global_section_skips_the_all_vs_nothing_test(corpus_supports, monkeypatch):
+    calls = []
+    real = cohomology._all_vs_nothing
+    monkeypatch.setattr(
+        cohomology, "_all_vs_nothing", lambda model, delta: calls.append(model) or real(model, delta)
+    )
+    for name in ("hardy", "prbox"):
+        model = corpus_supports[name]
+        classification = classify(model)
+        for ring in (Ring.Z2, Ring.Z):
+            all_obstructions(model, ring, classification=classification)
+            assert calls == ([] if classification.count else [model])
+            calls.clear()
+            all_obstructions(model, ring)
+            assert calls == [model]
+            calls.clear()
+
+
+def _beside(outcomes, models):
+    """The models side by side on disjoint copies of their measurements (the
+    k-th model's m renamed m_k), over the given outcome labels."""
+    measurements, contexts, supports = [], [], []
+    for k, model in enumerate(models):
+        measurements += [f"{m}_{k}" for m in model.scenario.measurements]
+        for c in model.scenario.contexts:
+            members = tuple(f"{m}_{k}" for m in c.members)
+            contexts.append(members)
+            supports.append({Section(members, s.values) for s in model.supports[c.index]})
+    return support_model(build_scenario(measurements, outcomes, contexts), supports)
+
+
+def _components(scenario):
+    """Each context's component of the overlap graph, as the frozenset of its
+    contexts, re-derived from the members by flooding."""
+    contexts = scenario.contexts
+    out = {}
+    for start in range(len(contexts)):
+        if start in out:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j, other in enumerate(contexts):
+                if j not in component and set(contexts[i].members) & set(other.members):
+                    component.add(j)
+                    frontier.append(j)
+        out.update(dict.fromkeys(component, frozenset(component)))
+    return out
+
+
+def _parity_consistent(model, component) -> bool:
+    """Brute force: whether some x, over the coordinates x_{m,o} of the
+    component's measurements and every outcome but the first, lies on every
+    context in the affine hull (closed under p + q + r) of its support's
+    one-hot vectors.  If none does, the component is all-vs-nothing."""
+    scenario = model.scenario
+    first, rest = scenario.outcomes[0], scenario.outcomes[1:]
+    members = sorted({m for c in component for m in scenario.contexts[c].members})
+    bit = {(m, o): k for k, (m, o) in enumerate(product(members, rest))}
+    hulls = []
+    for c in component:
+        hull = {
+            sum(1 << bit[m, o] for m, o in zip(s.domain, s.values) if o != first)
+            for s in model.supports[c]
+        }
+        while new := {p ^ q ^ r for p in hull for q in hull for r in hull} - hull:
+            hull |= new
+        mask = sum(1 << bit[m, o] for m in scenario.contexts[c].members for o in rest)
+        hulls.append((mask, hull))
+    return any(all(x & mask in hull for mask, hull in hulls) for x in range(1 << len(bit)))
+
+
+def _parity_graph(rng):
+    """Parity supports with random bits on the edges of a random graph: a
+    cycle through 3 to 6 measurements and up to two chords.  The component
+    is all-vs-nothing iff some cycle has odd parity."""
+    names = [f"g{i}" for i in range(rng.randint(3, 6))]
+    edges = {tuple(sorted((a, b))) for a, b in zip(names, names[1:] + names[:1])}
+    edges |= {tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(0, 2))}
+    scenario = build_scenario(names, "01", sorted(edges))
+    return parity_support(scenario, [rng.randint(0, 1) for _ in scenario.contexts])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_all_vs_nothing_path_agrees_with_the_echelon_per_component(rng):
+    lone = helpers.random_image_support(rng, helpers.random_scenario(rng, max_contexts=1))
+    parts = [helpers.random_consistent_support(rng), _parity_graph(rng), lone]
+    rng.shuffle(parts)
+    outcomes = rng.choice([("0", "1"), ("1", "0"), ("0", "1", "2"), ("2", "1", "0")])
+    model = _beside(outcomes, parts)
+    finder = cohomology._all_vs_nothing(model, cohomology._Coboundary(model))
+    components = _components(model.scenario)
+    avn = {c: not _parity_consistent(model, c) for c in set(components.values())}
+    for ring in (Ring.Z2, Ring.Z):
+        fast = all_obstructions(model, ring)
+        with pytest.MonkeyPatch.context() as patch:
+            helpers.echelon_only(patch)
+            slow = all_obstructions(model, ring)
+        assert fast.keys() == slow.keys()
+        for (base, s), result in fast.items():
+            rows = finder(base)
+            assert (rows is not None) == avn[components[base]]
+            if rows is None:
+                assert result == slow[base, s]
+                continue
+            assert not result.vanishes and not slow[base, s].vanishes
+            assert result.certificate.rows == tuple(rows)
+            assert helpers.reference_check_certificate(
+                result.system.matrix, result.system.rhs, result.certificate
+            )
+
+
+# ---------------------------------------------------------------------------
 # Systems as views on one sparse delta^0, certificates as their terms
 
 
@@ -935,6 +1107,7 @@ def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, 
         return factor(matrix, ring_, width)
 
     monkeypatch.setattr(cohomology, "factor", recording_factor)
+    helpers.echelon_only(monkeypatch)
     made = _recording_coboundaries(monkeypatch)
     for model in (ghz_parity(4), helpers.ring_cover(5), *corpus_supports.values()):
         received.clear()

@@ -30,8 +30,12 @@ Core claims, on the bundled models and on random consistent supports
       random row sets, and for their mutations: a row flipped or dropped,
       unhalved, one row too long, or on the wrong ring
     - one corrupted unit solution of delta^0's echelon (the z the
-      certificates are summed from) makes all_obstructions raise
-      VerificationError on both rings
+      certificates are summed from), with the echelon path forced, makes
+      all_obstructions raise VerificationError on both rings
+    - an all-vs-nothing certificate with a row dropped, with the rows of
+      one of its base's overlaps added, or taken from another base context
+      makes all_obstructions raise VerificationError on both rings (PR box,
+      GHZ, Peres-Mermin)
 """
 
 import dataclasses
@@ -258,6 +262,39 @@ def test_a_corrupted_unit_solution_is_rejected(ring, monkeypatch):
         return reach
 
     monkeypatch.setattr(linalg._GF2Echelon, "unit_solutions", corrupted)
+    helpers.echelon_only(monkeypatch)
     for name in ("prbox", "ghz"):
+        with pytest.raises(VerificationError, match="Z/2 certificate failed"):
+            all_obstructions(load_example(name).support_model(), ring)
+
+
+def _edge_rows(model, base):
+    """The rows of delta^0 on one overlap of the base context."""
+    i, j, _ = next(pair for pair in model.scenario.overlaps if base in pair[:2])
+    return {r for r, row in enumerate(model.overlap_table) if row[:2] == (i, j)}
+
+
+_AVN_MUTATIONS = {
+    "a dropped row": lambda model, find, base: find(base)[1:],
+    "one edge's rows added": lambda model, find, base: sorted(
+        set(find(base)) ^ _edge_rows(model, base)
+    ),
+    "the certificate of another base": lambda model, find, base: find(
+        (base + 1) % len(model.scenario.contexts)
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_AVN_MUTATIONS))
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_a_mutated_all_vs_nothing_certificate_is_rejected(mutation, ring, monkeypatch):
+    real = cohomology._all_vs_nothing
+
+    def mutated(model, delta):
+        find = real(model, delta)
+        return lambda base: _AVN_MUTATIONS[mutation](model, find, base)
+
+    monkeypatch.setattr(cohomology, "_all_vs_nothing", mutated)
+    for name in ("prbox", "ghz", "peres-mermin"):
         with pytest.raises(VerificationError, match="Z/2 certificate failed"):
             all_obstructions(load_example(name).support_model(), ring)
