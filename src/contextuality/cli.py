@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .cohomology import Ring, VerificationError, all_obstructions, classify_in_reach, obstruction
+from .cohomology import Ring, VerificationError, _obstructions
 from .corpus import EXAMPLE_NAMES, example_text, load_example
 from .documents import DocumentError, ScenarioDocument, parse_scenario, parse_section
 from .extendability import classify
@@ -107,20 +106,17 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
     if args.all and args.context is not None:
         _usage_error(args, "--all cannot be combined with --context")
 
-    # Searched at most once, for both rings, once a section vanishes mod 2.
-    proofs = cache(partial(classify_in_reach, support))
+    # One pass for both rings: the search runs at most once.
     if args.context is not None:
-        section = _parse_section_flag(document, args.context, args.section)
-        for ring in rings:
-            result = obstruction(support, args.context, section, ring, classification=proofs)
-            _print_obstruction(result, args.witness)
+        key = (args.context, _parse_section_flag(document, args.context, args.section))
+        for results in _obstructions(support, rings, only=key).values():
+            _print_obstruction(results[key], args.witness)
         return 0
 
-    for ring in rings:
-        results = all_obstructions(support, ring, classification=proofs).values()
-        for result in results:
+    for ring, results in _obstructions(support, rings).items():
+        for result in results.values():
             _print_obstruction(result, args.witness)
-        non_vanishing = sum(1 for result in results if not result.vanishes)
+        non_vanishing = sum(1 for result in results.values() if not result.vanishes)
         print(f"{non_vanishing}/{len(results)} non-vanishing over {ring.describe()}")
     return 0
 

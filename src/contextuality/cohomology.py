@@ -12,10 +12,14 @@ model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
 as the right-hand side.
 
-delta^0 is built once per call, sparse, and is the same on both rings: every
-entry is +-1, and GF(2) reads it mod 2.  Its rows are {column: entry} dicts
-and, beside them, its columns {row: entry} dicts.  Each
-:class:`ObstructionSystem` holds the call's rows and basis, its base block
+One pass decides the sections asked for on every ring asked for, base
+context by base context, and computes what does not depend on the ring at
+most once for all of them: delta^0, the all-vs-nothing test, the search,
+the factorizations below and each base's mod-2 decisions.  delta^0 is
+sparse and the same on both rings: every entry is +-1, and GF(2) reads it
+mod 2.  Its rows are {column: entry} dicts; its columns, {row: entry}
+dicts, are built only once the echelon or a Hermite form reads them.  Each
+:class:`ObstructionSystem` holds the pass's rows and basis, its base block
 and its section's column; its `variables`, dense `matrix` and `rhs` are
 built from them, reduced by its ring, on each read and kept nowhere.
 
@@ -23,12 +27,12 @@ The obstruction vanishes if the family has a global section: if g is one
 and g|C_b = t, the family (1*g|C_i)_i agrees on every overlap and is 1*t on
 b.  The proof sections of :func:`classify` pass through every extendable
 section, so an extendable section takes the family of one of them as its
-witness.  Each family is built and re-checked once per call, whatever its
-base; a section it serves has only its base term checked, and reaches no
-cocycle, lattice or Hermite form.  Given the classification of a model
-whose every section extends, delta^0 is never factored.  Without one,
-every section is decided mod 2 first, and :func:`classify_in_reach` runs
-once, when the first section vanishes mod 2, so a model none of whose
+witness.  Each family is built and re-checked once per pass and ring,
+whatever its base; a section it serves has only its base term checked, and
+reaches no cocycle, lattice or Hermite form.  Given the classification of
+a model whose every section extends, delta^0 is never factored.  Without
+one, every section is decided mod 2 first, and :func:`classify_in_reach`
+runs once, when the first section vanishes mod 2, so a model none of whose
 sections vanishes mod 2 never runs the search.  The search is only an
 accelerator: where it nests past the recursion limit or outgrows delta^0,
 every section is decided as below, as if no proof were at hand.
@@ -38,7 +42,7 @@ GF(2) equations holding on its contexts' supports, in the one-hot
 coordinates of their sections, sum to 0 = 1 (Abramsky, Barbosa, Kishida,
 Lal & Mansfield, "Contextuality, Cohomology and Paradox", CSL 2015): then
 no section of it vanishes, on either ring.  Before anything is factored,
-one pass over the supports and one small elimination per component decide
+one walk over the supports and one small elimination per component decide
 this, and the combination gives, per base context, rows z of delta^0 with
 z.delta^0 = 1 on the base block and 0 elsewhere, mod 2
 (:func:`_all_vs_nothing`).  That one certificate, re-checked once, refutes
@@ -47,7 +51,7 @@ nothing.  A classification that counts a global section rules every
 component out, so the test is skipped.
 
 Every other section is decided mod 2 first, by cocycle projection: one GF(2)
-echelon of the transpose of delta^0 per call, packed straight from its
+echelon of the transpose of delta^0 per pass, packed straight from its
 columns, gives a basis K of the cocycles and turns any vector of its row
 space into the combination of rows that makes it.  Per base context only
 the small projection pi_b(K) is factored, and its left kernel decides every
@@ -57,16 +61,16 @@ witness; otherwise the first combination g that holds t (the one a solve
 for e_t would give) is orthogonal to pi_b(K) with g_t = 1, so g, padded
 with zeros, is a combination z of the rows of delta^0, and z refutes the
 system.  The echelon's solution is linear in g, so z is the sum of the
-solutions for the unit vectors g holds, each computed once per call, and a
+solutions for the unit vectors g holds, each computed once per pass, and a
 certificate keeps only its nonzero terms; the sections of a block that
 share g share its certificate.  Integer vanishing descends mod 2, so over
-Z that z, halved, is the proof.  A section that vanishes mod 2 and does not extend is decided over Z
-the same way, from the lattice of integer cocycles: one Hermite form of
-delta^0 per call gives a saturated basis K_Z of it, and per base context
-only pi_b(K_Z) is factored.  If it reaches the section, the cocycle is the
-witness; if not, the section vanishes mod 2 only, and the Hermite form of
-its base context's system gives the certificate, which must agree with the
-lattice that there is no solution.
+Z that z, halved, is the proof.  A section that vanishes mod 2 and does
+not extend is decided over Z the same way, from the lattice of integer
+cocycles: one Hermite form of delta^0 per pass gives a saturated basis K_Z
+of it, and per base context only pi_b(K_Z) is factored.  If it reaches the
+section, the cocycle is the witness; if not, the section vanishes mod 2
+only, and the Hermite form of its base context's system gives the
+certificate, which must agree with the lattice that there is no solution.
 
 Every proof is re-checked outside the solver that found it.  A witness
 family, a proof's or one built straight from the cocycle, is re-verified on
@@ -83,7 +87,7 @@ on its terms' rows of delta^0, less the base block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
@@ -414,14 +418,15 @@ def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, in
 
 
 class _Coboundary:
-    """delta^0 on the context pairs i < j, built once per call from the
+    """delta^0 on the context pairs i < j, built once per pass from the
     overlap table and never changed, the same on both rings: the support
     sections of every context in context order (the basis, one block per
     context), the `column` of each (context, section) in it, the rows as
     sparse {column: entry} dicts (on the row of (i, j, section), +1 on the
-    fiber in i and -1 on the fiber in j), the columns as sparse {row: entry}
-    dicts (the transpose, which the GF(2) echelon factors, reading entries
-    mod 2), and the equation labels (i, j, section) of the rows.
+    fiber in i and -1 on the fiber in j), and the equation labels
+    (i, j, section) of the rows.  The columns, sparse {row: entry} dicts
+    (the transpose, which the GF(2) echelon factors, reading entries mod 2),
+    are built on first read: only the echelon and Hermite paths read them.
 
     The system at the section of column t is the rows less t's block, with
     minus column t as its right-hand side.  :meth:`split` gives those rows
@@ -436,15 +441,19 @@ class _Coboundary:
             (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
         )
         self.column = column = {entry: k for k, entry in enumerate(self.basis)}
-        self.rows: list[dict[int, int]] = []
-        self.columns: list[dict[int, int]] = [{} for _ in self.basis]
-        for r, (i, j, _, left, right) in enumerate(model.overlap_table):
-            row = {column[i, s]: 1 for s in left}
-            row.update((column[j, s], -1) for s in right)
-            self.rows.append(row)
-            for k, a in row.items():
-                self.columns[k][r] = a
+        self.rows = [
+            {column[i, s]: 1 for s in left} | {column[j, s]: -1 for s in right}
+            for i, j, _, left, right in model.overlap_table
+        ]
         self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
+
+    @cached_property
+    def columns(self) -> list[dict[int, int]]:
+        columns: list[dict[int, int]] = [{} for _ in self.basis]
+        for r, row in enumerate(self.rows):
+            for k, a in row.items():
+                columns[k][r] = a
+        return columns
 
     def block(self, base: int) -> range:
         """The columns of the base context's support sections."""
@@ -764,46 +773,32 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
 
 
 def _once(build: Callable) -> Callable:
-    """`build`, run on the first call only; every call returns its value."""
-    kept: list = []
-    return lambda: kept[0] if kept else kept.append(build()) or kept[0]
+    """`build`, run once per tuple of arguments; every call returns its value."""
+    kept: dict = {}
+    return lambda *args: kept[args] if args in kept else kept.setdefault(args, build(*args))
 
 
 # The reason of an all-vs-nothing base context's Z/2 certificate.
 ALL_VS_NOTHING = "all-vs-nothing: y.A even, y.b odd at every section of the base context"
 
-# A model's classification, or a function called at most once, when the
-# first section vanishes mod 2, that returns it or None.
-ClassificationSource = Classification | Callable[[], Classification | None]
-
 
 def _obstruction_solver(
-    model: SupportModel, ring: Ring, classification: ClassificationSource | None = None
-) -> Callable[[int], Callable[[Section], ObstructionResult]]:
+    model: SupportModel, classification: Classification | None = None
+) -> Callable[[int], Callable[[Section, Ring], ObstructionResult]]:
     """Return, per base context, the verdict function of its support
-    sections (the algorithm of the module docstring).  An all-vs-nothing
-    base context takes its one certificate; elsewhere delta^0 is factored
-    mod 2 at most once, and each base's cocycle projection at most once.  A
-    cocycle, grouped by context into a witness family, is re-checked by
-    :func:`verify_witness`; a combination z of rows, or z/2 over Z, by
-    parity on its rows of delta^0, once per certificate
-    (:meth:`_Coboundary.refuted`).  The projection's left kernel gives, once
-    per base, the combination g that refutes each section it holds.  Over
-    Z, a section that vanishes mod 2 and does not extend is decided by the
-    integer cocycle lattice, built at most once per call, and its
-    projection onto the base context, factored at most once per base; where
-    that projection does not reach the section, the Hermite form of the
-    system, factored at most once per base, gives the certificate.
-    """
+    sections on either ring (the algorithm of the module docstring).  Each
+    factorization is made at most once, a base's for that base only, and a
+    verdict renders only its ring's proof."""
     contexts = model.scenario.contexts
     delta = _Coboundary(model)
     basis, rows, equations = delta.basis, delta.rows, delta.equations
-    given = isinstance(classification, Classification)
-    search = classification or partial(classify_in_reach, model)
+    # A global section rules out every all-vs-nothing component.
+    counted = classification is not None and classification.count
+    parity = (lambda base: None) if counted else _all_vs_nothing(model, delta)
     # Until the proofs are at hand, each section is decided mod 2 first, so
     # the search runs only once a section vanishes mod 2; after that, an
     # extendable section needs no mod-2 solve.
-    at_hand = given
+    at_hand = classification is not None
 
     @_once
     def cocycles() -> Factorization:  # delta^0 transposed, mod 2
@@ -818,19 +813,17 @@ def _obstruction_solver(
         return factor(rows, Ring.Z, width=len(basis)).kernel()
 
     @_once
-    def proved() -> tuple[dict, dict] | None:  # (extendability flags, proof families)
-        found = classification if given else search()
-        return found and (found.extendable, _proof_families(model, ring, found.proofs))
+    def search() -> Classification | None:
+        return classification or classify_in_reach(model)
 
     @_once
-    def parity() -> Callable[[int], list[int] | None]:  # per base: all-vs-nothing rows, or None
-        if given and classification.count:  # a global section rules out every component
-            return lambda base: None
-        return _all_vs_nothing(model, delta)
+    def proved(ring: Ring) -> tuple[dict, dict] | None:  # (extendability flags, proof families)
+        found = search()
+        return found and (found.extendable, _proof_families(model, ring, found.proofs))
 
-    def base_solver(base: int) -> Callable[[Section], ObstructionResult]:
-        block, avn = delta.block(base), parity()(base)
-        checked: dict = {}  # per key: a certificate and its re-check at each column
+    def base_solver(base: int) -> Callable[[Section, Ring], ObstructionResult]:
+        block, avn = delta.block(base), parity(base)
+        checked: dict = {}  # per (ring, g): a certificate and its re-check at each column
 
         @_once
         def projection() -> Factorization:
@@ -852,33 +845,39 @@ def _obstruction_solver(
         def hermite() -> Factorization:
             return factor(delta.split(base), Ring.Z, len(basis) - len(block))
 
-        def certified(key, t: int, z: Callable[[], Iterable[int]], reason: str) -> Certificate:
-            """The certificate on the rows z() of delta^0, halved over Z,
-            built and re-checked once per key for the whole block; it must
-            refute the system at column t."""
-            if key not in checked:
-                terms = sorted(z())
+        def certified(ring: Ring, g: tuple[int, ...] | None, t: int) -> Certificate:
+            """The certificate refuting the system at column t: rows z of
+            delta^0, the block's all-vs-nothing rows or, unchecked, those with
+            z.delta^0 = g summed from the unit vectors g holds; halved over Z,
+            built and re-checked once per ring and g for the block."""
+            if (ring, g) not in checked:
+                if g is None:
+                    z, reason = avn, ALL_VS_NOTHING
+                else:
+                    z = reduce(xor, (set(reach()[block.start + k]) for k in g), set())
+                    reason = "inconsistent equation combination"
+                terms = sorted(z)
                 certificate = Certificate(Ring.Z2, terms, (1,) * len(terms), len(rows), reason)
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)
-                checked[key] = certificate, delta.refuted(base, certificate)
-            certificate, refutes = checked[key]
+                checked[ring, g] = certificate, delta.refuted(base, certificate)
+            certificate, refutes = checked[ring, g]
             if not refutes(t):
                 raise VerificationError("Z/2 certificate failed its re-check")
             return certificate
 
-        def decide(section: Section) -> ObstructionResult:
+        def decide(section: Section, ring: Ring) -> ObstructionResult:
             nonlocal at_hand
             t = delta.column[base, section]
             i = t - block.start  # the section's row of the projection
             system = ObstructionSystem(ring, base, section, equations, basis, rows, block, t)
             # An all-vs-nothing base context has one certificate for its block.
             if avn is not None:
-                certificate = certified(None, t, lambda: avn, ALL_VS_NOTHING)
+                certificate = certified(ring, None, t)
                 return ObstructionResult(ring, base, section, False, None, certificate, system)
             # An extendable section takes a proof's family as its witness.
             if at_hand or refutations()[i] is None:
-                at_hand, proofs = True, proved()
+                at_hand, proofs = True, proved(ring)
                 if proofs and proofs[0][base, section]:
                     family = proofs[1].get((base, section))
                     if family is None or family[base] != embed(ring, section):
@@ -886,14 +885,7 @@ def _obstruction_solver(
                     return ObstructionResult(ring, base, section, True, family, None, system)
             cocycle = certificate = None
             if (g := refutations()[i]) is not None:
-
-                def z() -> set[int]:
-                    # z.delta^0 = g, padded with zeros, summed from the unit
-                    # vectors g holds.  Unchecked: z is re-checked as a
-                    # certificate of the system (a g outside the row space fails).
-                    return reduce(xor, (set(reach()[block.start + k]) for k in g), set())
-
-                certificate = certified(g, t, z, "inconsistent equation combination")
+                certificate = certified(ring, g, t)
             elif ring is Ring.Z2:
                 found = projection().solve({i: 1})
                 bits = reduce(xor, compress(cocycles().kernel(), found.solution), 0)  # K.y
@@ -924,63 +916,76 @@ def _obstruction_solver(
     return base_solver
 
 
+def _obstructions(
+    model: SupportModel,
+    rings: Sequence[Ring],
+    classification: Classification | None = None,
+    only: tuple[int, Section] | None = None,
+) -> dict[Ring, dict[tuple[int, Section], ObstructionResult]]:
+    """The verdicts of every support section, or only of the pair `only`,
+    on each of `rings`, from one solver, base context by base context, so
+    a base's factorizations are dropped after it.  Inputs are checked as by
+    :func:`obstruction`; given no ring, nothing is checked or built."""
+    out: dict[Ring, dict] = {ring: {} for ring in rings}
+    if not rings:
+        return out
+    require_overlap_consistent(model)
+    if only is None:
+        wanted = {c.index: s for c in model.scenario.contexts if (s := model.support_list(c.index))}
+    else:
+        _check_base(model, *only)
+        wanted = {only[0]: [only[1]]}
+    solver = _obstruction_solver(model, classification)
+    for base, sections in wanted.items():
+        decide = solver(base)
+        for section in sections:
+            for ring, results in out.items():
+                results[base, section] = decide(section, ring)
+    return out
+
+
 def obstruction(
     model: SupportModel,
     base: int | Context,
     section: Section,
     ring: Ring,
     identify: bool = True,
-    classification: ClassificationSource | None = None,
+    classification: Classification | None = None,
 ) -> ObstructionResult:
     """Decide whether the obstruction at one support section vanishes.
 
     An extendable section takes as its witness the family of a proof of
-    `classification`: the model's, or a function that returns it or None
-    and is called only if the section vanishes mod 2; without one,
-    :func:`classify_in_reach` is that function.  Any other section, and
-    every section where the search is out of reach, is decided mod 2 by
-    cocycle projection, from one GF(2) factorization of delta^0 (see the
-    module docstring), and, where it vanishes mod 2, over Z by projecting
-    the integer cocycle lattice.  `base` may be a context or its cover
-    index.  `identify` has no effect; it is kept so that existing
-    callers still work.
+    the model's `classification`; without one, :func:`classify_in_reach`
+    runs if the section vanishes mod 2.  Any other section, and every
+    section where the search is out of reach, is decided mod 2 by cocycle
+    projection, from one GF(2) factorization of delta^0 (see the module
+    docstring), and, where it vanishes mod 2, over Z by projecting the
+    integer cocycle lattice.  `base` may be a context or its cover index.
+    `identify` has no effect; it is kept so that existing callers still
+    work.
     Raises :class:`SignallingError` if the supports are not
     overlap-consistent, since the restricted supports the system is built
     from would then be ambiguous.
     """
     if isinstance(base, Context):
         base = base.index
-    _check_base(model, base, section)
-    return _obstruction_solver(model, ring, classification)(base)(section)
+    return _obstructions(model, (ring,), classification, (base, section))[ring][base, section]
 
 
 def all_obstructions(
     model: SupportModel,
     ring: Ring,
     identify: bool = True,
-    classification: ClassificationSource | None = None,
+    classification: Classification | None = None,
 ) -> dict[tuple[int, Section], ObstructionResult]:
     """The obstruction verdict for every support section of every context.
 
-    Each proof family of `classification` is built and re-checked at most
-    once for the whole call; a function passed as `classification`, or
-    :func:`classify_in_reach` if none is, runs at most once, when the first
-    section vanishes mod 2.  delta^0 is factored mod 2 and over Z at most
-    once for the whole call; each base context's cocycle projections are
-    factored at most once per ring, and its Hermite system only for sections
-    that vanish mod 2 but not over Z.  All results of the call share
-    delta^0's rows and one `system.equations` tuple; each `system.matrix` is
-    built on each read.  Verdicts and proofs are those of
-    :func:`obstruction`; `identify` has no effect there either.
+    One pass on one ring (see the module docstring): each proof family of
+    `classification`, or of :func:`classify_in_reach`'s if none is passed,
+    is built and re-checked at most once, and the Hermite system of a base
+    context only for sections that vanish mod 2 but not over Z.  All
+    results share delta^0's rows and one `system.equations` tuple; each
+    `system.matrix` is built on each read.  Verdicts and proofs are those
+    of :func:`obstruction`; `identify` has no effect there either.
     """
-    require_overlap_consistent(model)
-    solver = _obstruction_solver(model, ring, classification)
-    out: dict[tuple[int, Section], ObstructionResult] = {}
-    for ctx in model.scenario.contexts:
-        sections = model.support_list(ctx.index)
-        if not sections:
-            continue
-        decide = solver(ctx.index)
-        for s in sections:
-            out[(ctx.index, s)] = decide(s)
-    return out
+    return _obstructions(model, (ring,), classification)[ring]

@@ -8,7 +8,7 @@ from itertools import product
 from typing import Sequence
 
 from .analysis import false_positives, gcd_condition
-from .cohomology import ObstructionResult, Ring, all_obstructions
+from .cohomology import ObstructionResult, Ring, _obstructions
 from .documents import ScenarioDocument
 from .extendability import classify
 from .scenario import is_connected
@@ -106,8 +106,7 @@ def build_report(
         ]
     report["obstructions"] = {}
     report["false_positives"] = {}
-    for ring in rings:
-        results = all_obstructions(support, ring, classification=classification)
+    for ring, results in _obstructions(support, rings, classification).items():
         entries = []
         for (index, section), result in results.items():
             entry = {

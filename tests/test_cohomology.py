@@ -87,8 +87,8 @@ Core claims:
     - no field of a result or of its system is the call's delta^0, its
       columns list or one of its columns; systems of two calls hold
       different rows and bases and are equal, with equal hashes
-    - delta^0 holds its columns beside its rows: they are the transpose of
-      the rows, and they are the very matrix the solver's GF(2) echelon
+    - delta^0's columns, built on first read, are the transpose of its
+      rows, and they are the very matrix the solver's GF(2) echelon
       factors (with the echelon path forced)
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
@@ -96,6 +96,22 @@ Core claims:
       from its terms equals it, and the constructor refuses rows out of
       order, repeated or out of range, zero multipliers, and rows and
       multipliers of different counts
+    - one pass serves both rings: `report`, `obstruction --all` and
+      `obstruction --context/--section` with `--ring both` (Hardy, PR box,
+      ks-false-positive, Fano) each build one _Coboundary, run the
+      all-vs-nothing test once (never for the report on Hardy, whose
+      classification counts a global section), factor delta^0's transpose
+      mod 2 once (never on the PR box) and search at most once (never for
+      the report, which passes its classification)
+    - each ring's results from a both-rings pass equal a lone
+      all_obstructions on that ring (verdict, witness, certificate and
+      system), with and without the classification passed, on the bundled
+      models, the one-hot Fano plane, GHZ-4 and 50 random models, and the
+      one-section form gives the same results
+    - delta^0's transpose is never built on the PR box or GHZ-4, nor on the
+      one-hot ring of 5 given its classification, on one ring or both; it
+      is built exactly once per pass where the echelon runs (Hardy, and
+      the PR box and GHZ-4 with the echelon path forced)
 """
 
 import copy
@@ -105,8 +121,10 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,9 +163,13 @@ from contextuality import (
     zero_combination,
 )
 from contextuality import Verdict, classify, cohomology, linalg
+from contextuality.cli import main
 from contextuality.cohomology import classify_in_reach
+from contextuality.corpus import example_text
+from contextuality.documents import parse_scenario
 from contextuality.extendability import SearchLimit
 from contextuality.linalg import Certificate, check_certificate, factor, mat_vec, solve_linear
+from contextuality.report import RING_ORDER
 from contextuality.scenario import nerve
 
 import helpers
@@ -1222,3 +1244,123 @@ def test_term_built_certificates_are_validated():
     ]:
         with pytest.raises(ValueError):
             Certificate(Ring.Z2, rows, values, 4, "bad")
+
+
+# ---------------------------------------------------------------------------
+# One pass for both rings
+
+
+def _counted_columns(monkeypatch):
+    """Every _Coboundary whose transpose is built from now on, once per build."""
+    built = []
+    real = cohomology._Coboundary.columns.func
+
+    def columns(self):
+        built.append(self)
+        return real(self)
+
+    counted = cached_property(columns)
+    counted.__set_name__(cohomology._Coboundary, "columns")
+    monkeypatch.setattr(cohomology._Coboundary, "columns", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["hardy", "prbox", "ks-false-positive", "fano"])
+@pytest.mark.parametrize("command", ["report", "all", "one"])
+def test_one_pass_serves_both_rings(name, command, tmp_path, monkeypatch, capsys):
+    if name == "fano":
+        path = Path(__file__).parent / "golden" / "fano.scenario.json"
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(example_text(name), encoding="utf-8")
+    first = parse_scenario(path.read_text("utf-8")).support_model().support_list(0)[0]
+    argv = {
+        "report": ["report", str(path)],
+        "all": ["obstruction", str(path), "--all"],
+        "one": ["obstruction", str(path), "--context", "0", "--section", first.outcome_string()],
+    }[command]
+    made = _recording_coboundaries(monkeypatch)
+    tests, echelons, searches = [], [], []
+    real_test, real_search = cohomology._all_vs_nothing, cohomology.classify_in_reach
+
+    def recording_test(model, delta):
+        tests.append(model)
+        return real_test(model, delta)
+
+    def recording_factor(matrix, ring, width=None):
+        if matrix is vars(made[-1]).get("columns"):  # delta^0 transposed
+            echelons.append(ring)
+        return factor(matrix, ring, width)
+
+    def recording_search(model):
+        searches.append(model)
+        return real_search(model)
+
+    monkeypatch.setattr(cohomology, "_all_vs_nothing", recording_test)
+    monkeypatch.setattr(cohomology, "factor", recording_factor)
+    monkeypatch.setattr(cohomology, "classify_in_reach", recording_search)
+    assert main([*argv, "--ring", "both"]) == 0
+    out = capsys.readouterr().out
+    marks = {"report": "obstructions over {}: ", "all": "non-vanishing over {}\n", "one": "over {}\n"}
+    assert all(marks[command].format(ring.describe()) in out for ring in RING_ORDER)
+    assert len(made) == 1
+    assert len(tests) == (0 if command == "report" and name == "hardy" else 1)
+    assert echelons == ([] if name == "prbox" else [Ring.Z2])
+    # build_report passes its classification; the obstruction command's
+    # pass searches at most once, once a section vanishes mod 2.
+    assert len(searches) <= (command != "report" and name != "prbox")
+    if command == "all":  # every model but the PR box has a section vanishing mod 2
+        assert len(searches) == (name != "prbox")
+
+
+def test_a_both_rings_pass_equals_each_ring_alone(corpus_supports):
+    rng = random.Random(128)
+    models = [*corpus_supports.values(), fano_one_hot(), ghz_parity(4)]
+    models += [helpers.random_consistent_support(rng) for _ in range(50)]
+    for model in models:
+        for classification in (None, classify(model)):
+            both = cohomology._obstructions(model, RING_ORDER, classification)
+            assert list(both) == list(RING_ORDER)
+            for ring, results in both.items():
+                alone = all_obstructions(model, ring, classification=classification)
+                assert results.keys() == alone.keys()
+                for key, result in results.items():
+                    other = alone[key]
+                    assert result.vanishes == other.vanishes
+                    assert result.witness == other.witness
+                    assert result.certificate == other.certificate
+                    assert result.system == other.system
+                    assert result == other
+            # The one-section form, on the first section of each base.
+            firsts = {}
+            for key in both[Ring.Z2]:
+                firsts.setdefault(key[0], key)
+            for key in firsts.values():
+                one = cohomology._obstructions(model, RING_ORDER, classification, key)
+                assert {ring: list(results) for ring, results in one.items()} == {
+                    ring: [key] for ring in RING_ORDER
+                }
+                assert all(one[ring][key] == both[ring][key] for ring in RING_ORDER)
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_the_transpose_is_built_only_where_the_echelon_runs(ring, corpus_supports, monkeypatch):
+    built = _counted_columns(monkeypatch)
+    made = _recording_coboundaries(monkeypatch)
+    ring5 = helpers.ring_cover(5)
+    given = [(corpus_supports["prbox"], None), (ghz_parity(4), None), (ring5, classify(ring5))]
+    for model, classification in given:
+        for rings in ((ring,), RING_ORDER):
+            made.clear()
+            cohomology._obstructions(model, rings, classification)
+            assert len(made) == 1 and built == []
+    hardy, prbox = corpus_supports["hardy"], corpus_supports["prbox"]
+    for model, forced in ((hardy, False), (prbox, True), (ghz_parity(4), True)):
+        with pytest.MonkeyPatch.context() as patch:
+            if forced:
+                helpers.echelon_only(patch)
+            for rings in ((ring,), RING_ORDER):
+                made.clear()
+                built.clear()
+                cohomology._obstructions(model, rings)
+                assert len(made) == 1 and built == made
