@@ -97,19 +97,35 @@ def false_positives(
         classification = classify(model)
     if obstructions is None:
         obstructions = all_obstructions(model, ring, classification=classification)
-    pairs: list[tuple[int, Section]] = []
-    for (index, section), result in obstructions.items():
-        if not result.vanishes or classification.extendable[(index, section)]:
-            continue
-        pinned = model.supports[:index] + (frozenset((section,)),) + model.supports[index + 1 :]
-        if classify(SupportModel(model.scenario, pinned)).count:
-            raise VerificationError(f"oracle disagreement at context {index}, {section}")
-        witness = result.witness
-        if witness is None or not verify_witness(model, index, section, witness, ring):
-            raise VerificationError(f"obstruction disagreement at context {index}, {section}")
-        pairs.append((index, section))
+    return _false_positives(model, {ring: obstructions}, classification)[ring]
 
-    flag = classification.verdict is Verdict.STRONGLY_CONTEXTUAL and any(
-        r.vanishes for r in obstructions.values()
-    )
-    return FalsePositiveReport(ring, tuple(pairs), flag)
+
+def _false_positives(
+    model: SupportModel,
+    verdicts: dict[Ring, dict[tuple[int, Section], ObstructionResult]],
+    classification: Classification,
+) -> dict[Ring, FalsePositiveReport]:
+    """:func:`false_positives` on each ring of `verdicts`.  A pair's pinned
+    search does not depend on the ring, so it runs once for all of them."""
+    pinned: set[tuple[int, Section]] = set()  # the pairs whose search counted nothing
+    reports: dict[Ring, FalsePositiveReport] = {}
+    for ring, obstructions in verdicts.items():
+        pairs: list[tuple[int, Section]] = []
+        for (index, section), result in obstructions.items():
+            if not result.vanishes or classification.extendable[(index, section)]:
+                continue
+            if (index, section) not in pinned:
+                cut = list(model.supports)
+                cut[index] = frozenset((section,))
+                if classify(SupportModel(model.scenario, tuple(cut))).count:
+                    raise VerificationError(f"oracle disagreement at context {index}, {section}")
+                pinned.add((index, section))
+            witness = result.witness
+            if witness is None or not verify_witness(model, index, section, witness, ring):
+                raise VerificationError(f"obstruction disagreement at context {index}, {section}")
+            pairs.append((index, section))
+        flag = classification.verdict is Verdict.STRONGLY_CONTEXTUAL and any(
+            r.vanishes for r in obstructions.values()
+        )
+        reports[ring] = FalsePositiveReport(ring, tuple(pairs), flag)
+    return reports

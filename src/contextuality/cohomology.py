@@ -10,7 +10,10 @@ projection of the cocycles onto b, and its system is delta^0 with the base
 block moved right: the rows on the context pairs i < j, read off the
 model's overlap table (:attr:`SupportModel.overlap_table`, computed once
 per model), the non-base columns as the matrix and minus the column of t
-as the right-hand side.
+as the right-hand side.  The table's fibers are positions in each
+context's sorted support (`support_list`), and a context's block lists its
+support in that order, so a fiber's columns are its block's offset plus
+its positions and no `Section` is looked up by hash.
 
 One pass decides the sections asked for on every ring asked for, base
 context by base context, and computes what does not depend on the ring at
@@ -74,7 +77,9 @@ certificate, which must agree with the lattice that there is no solution.
 
 Every proof is re-checked outside the solver that found it.  A witness
 family, a proof's or one built straight from the cocycle, is re-verified on
-the fibers of restriction to each overlap.  A certificate z, with 0/1
+the fibers of restriction to each overlap: each entry is read once into a
+vector over its context's support positions, and each fiber is summed by
+position.  A certificate z, with 0/1
 multipliers over Z/2 or halves over Z, is re-checked once for its whole
 block, by parity on its rows of delta^0, whose every entry is +-1: the
 columns that an odd number of its rows meet must all lie in the base block
@@ -88,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, groupby
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -267,8 +272,8 @@ def support_at(model: SupportModel, subset: Iterable[str]) -> list[Section]:
     """
     scenario = model.scenario
     target = canonical_subset(scenario, subset)
-    held = (scenario.holders[m] for m in target)
-    containing = set(range(len(scenario.contexts))).intersection(*held)
+    held = [scenario.holders[m] for m in target]
+    containing = set(held[0]).intersection(*held[1:]) if held else range(len(scenario.contexts))
     if not containing:
         raise ValueError(f"{target} is not contained in any context")
     possible = {restrict_section(s, target) for i in containing for s in model.supports[i]}
@@ -374,13 +379,15 @@ def cochain_from_vector(
     return cochain(model, ring, degree, combos)
 
 
-def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:
-    """Matrix of the coboundary from degree q to q+1 in the canonical bases.
+def _coboundary_rows(model: SupportModel, degree: int) -> tuple[list[dict[int, int]], int]:
+    """The coboundary from degree q to q+1 in the canonical bases, as sparse
+    {column: entry} rows, and the width of the source basis.
 
     On each (q+1)-simplex every basis section of each face is restricted
-    once and adds its face sign to the row of its image; rows follow
-    :func:`support_at`, zero rows included.  Entries lie in {-1, 0, 1}
-    before ring reduction; the matrix agrees with :func:`coboundary`.
+    once and puts its face sign in the row of its image; rows follow
+    :func:`support_at`, zero rows included.  The faces of a simplex are
+    distinct, so a row meets each column at most once: every entry is -1
+    or 1.
     """
     if degree not in (0, 1):
         raise ValueError("coboundary matrices are built for degrees 0 and 1 only")
@@ -389,27 +396,40 @@ def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list
     source_index = {
         (simplex.vertices, section): k for k, (simplex, section) in enumerate(source)
     }
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for simplex in nerve(scenario, degree + 1)[degree + 1]:
-        block = {section: [0] * len(source) for section in support_at(model, simplex.carrier)}
+        block: dict[Section, dict[int, int]] = {
+            section: {} for section in support_at(model, simplex.carrier)
+        }
         for j in range(degree + 2):
             facet = face(scenario, simplex, j)
             sign = -1 if j % 2 == 0 else 1
             for section in support_at(model, facet.carrier):
                 image = restrict_section(section, simplex.carrier)
-                block[image][source_index[(facet.vertices, section)]] += sign
-        rows.extend([ring.reduce(v) for v in row] for row in block.values())
-    return rows
+                block[image][source_index[(facet.vertices, section)]] = sign
+        rows.extend(block.values())
+    return rows, len(source)
+
+
+def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:
+    """Matrix of the coboundary from degree q to q+1 in the canonical bases:
+    the rows of the sparse coboundary, dense and reduced by the ring.
+    Entries lie in {-1, 0, 1} before ring reduction; the matrix agrees with
+    :func:`coboundary`."""
+    rows, width = _coboundary_rows(model, degree)
+    return [list(_dense({k: ring.reduce(a) for k, a in row.items()}, width)) for row in rows]
 
 
 def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, int, int]:
-    """(cocycle, coboundary, quotient) dimensions over GF(2) at a degree."""
-    delta_q = coboundary_matrix(model, Ring.Z2, degree)
-    z_dim = gf2_nullity(delta_q, width=len(cochain_basis(model, degree)))
+    """(cocycle, coboundary, quotient) dimensions over GF(2) at a degree,
+    each rank taken from the sparse coboundary rows."""
+    rows, width = _coboundary_rows(model, degree)
+    z_dim = gf2_nullity(rows, width=width)
     if degree == 0:
         b_dim = 0
     else:
-        b_dim = gf2_rank(coboundary_matrix(model, Ring.Z2, degree - 1))
+        previous, source = _coboundary_rows(model, degree - 1)
+        b_dim = factor(previous, Ring.Z2, source).rank
     return z_dim, b_dim, z_dim - b_dim
 
 
@@ -421,12 +441,16 @@ class _Coboundary:
     """delta^0 on the context pairs i < j, built once per pass from the
     overlap table and never changed, the same on both rings: the support
     sections of every context in context order (the basis, one block per
-    context), the `column` of each (context, section) in it, the rows as
-    sparse {column: entry} dicts (on the row of (i, j, section), +1 on the
-    fiber in i and -1 on the fiber in j), and the equation labels
-    (i, j, section) of the rows.  The columns, sparse {row: entry} dicts
-    (the transpose, which the GF(2) echelon factors, reading entries mod 2),
-    are built on first read: only the echelon and Hermite paths read them.
+    context, each in `support_list` order), `column_at[c][p]`, the column of
+    position p of context c's block (one shared int per column), the rows
+    as sparse {column: entry} dicts (on the row of (i, j, section), +1 on
+    the fiber in i and -1 on the fiber in j, each fiber's positions read
+    through `column_at`), and the equation labels (i, j, section) of the
+    rows.  The columns, sparse {row: entry} dicts (the transpose, which the
+    GF(2) echelon factors, reading entries mod 2), are built on first read:
+    only the echelon and Hermite paths read them; so is the `column` of
+    each (context, section), which only :func:`build_obstruction_system`
+    reads.
 
     The system at the section of column t is the rows less t's block, with
     minus column t as its right-hand side.  :meth:`split` gives those rows
@@ -440,12 +464,17 @@ class _Coboundary:
         self.basis = tuple(
             (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
         )
-        self.column = column = {entry: k for k, entry in enumerate(self.basis)}
+        shared = list(range(len(self.basis)))
+        self.column_at = at = [shared[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
         self.rows = [
-            {column[i, s]: 1 for s in left} | {column[j, s]: -1 for s in right}
+            {at[i][p]: 1 for p in left} | {at[j][p]: -1 for p in right}
             for i, j, _, left, right in model.overlap_table
         ]
         self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
+
+    @cached_property
+    def column(self) -> dict[tuple[int, Section], int]:
+        return {entry: k for k, entry in enumerate(self.basis)}
 
     @cached_property
     def columns(self) -> list[dict[int, int]]:
@@ -594,7 +623,9 @@ def verify_witness(
     """Re-check of a witness family on the fibers of restriction, independent
     of the solver: the base entry is 1*section, every entry is supported on
     its context's support, and on every row of the overlap table the two
-    fiber sums agree.  Every term lies in a support, so it falls in some
+    fiber sums agree.  Each entry is read once into a vector over its
+    context's support positions (`support_list` order), and each fiber is
+    summed by position.  Every term lies in a support, so it falls in some
     fiber of each overlap of its context: this is the push-forward condition
     on every overlap."""
     contexts = model.scenario.contexts
@@ -602,14 +633,17 @@ def verify_witness(
         return False
     if witness[base] != embed(ring, section):
         return False
+    vectors: list[list[int]] = []
     for ctx, combo in zip(contexts, witness):
+        coefficients = combo.coefficients
         if combo.ring is not ring or combo.domain != ctx.members:
             return False
-        if not model.supports[ctx.index].issuperset(combo.coefficients):
+        if not model.supports[ctx.index].issuperset(coefficients):
             return False
+        vectors.append([coefficients.get(s, 0) for s in model.support_list(ctx.index)])
     for i, j, _, left, right in model.overlap_table:
-        first, second = witness[i].coefficients, witness[j].coefficients
-        if ring.reduce(sum(first.get(s, 0) for s in left) - sum(second.get(s, 0) for s in right)):
+        first, second = vectors[i], vectors[j]
+        if ring.reduce(sum([first[p] for p in left]) - sum([second[p] for p in right])):
             return False
     return True
 
@@ -697,7 +731,7 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
     index = scenario.outcome_indices
     width = len(index) - 1  # x_{m,o} is bit position(m) * width + index(o)
     parent, root = [-1] * len(contexts), [-1] * len(contexts)
-    spans: dict[tuple[int, int], list[int]] = {}  # the rows on each overlap, either way round
+    spans: dict[tuple[int, int], range] = {}  # the rows on each overlap, either way round
     found: dict[int, set[int]] = {}  # per all-vs-nothing root: rows summing to 1_root
 
     for start in range(len(contexts)):
@@ -730,10 +764,11 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
                 basis[f.bit_length() - 1] = f, combined
         else:
             continue
-        if not spans:
-            for r, (i, j, _) in enumerate(equations):
-                spans[j, i] = spans.setdefault((i, j), [])
-                spans[i, j].append(r)
+        if not spans:  # the table lists each overlap's rows together
+            stop = 0
+            for (i, j), on in groupby(equations, key=lambda equation: equation[:2]):
+                first, stop = stop, stop + sum(1 for _ in on)
+                spans[i, j] = spans[j, i] = range(first, stop)
         a: dict[int, int] = {}
         for k, (c, f) in enumerate(theory):
             if combined >> k & 1:
@@ -750,9 +785,9 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
             m = scenario.measurements[(bit - 1) // width]
             o = scenario.outcomes[(bit - 1) % width + 1]
             for i, j in zip(held[::2], held[1::2]):
-                z.symmetric_difference_update(
-                    r for r in spans[i, j] if equations[r][2].value_of(m) == o
-                )
+                span = spans[i, j]
+                at = equations[span.start][2].domain.index(m)
+                z.symmetric_difference_update(r for r in span if equations[r][2].values[at] == o)
         odd = {c for c, f in a.items() if f & 1}
         for c in reversed(order[1:]):  # children before their parents
             if c in odd:
@@ -784,11 +819,12 @@ ALL_VS_NOTHING = "all-vs-nothing: y.A even, y.b odd at every section of the base
 
 def _obstruction_solver(
     model: SupportModel, classification: Classification | None = None
-) -> Callable[[int], Callable[[Section, Ring], ObstructionResult]]:
+) -> Callable[[int], Callable[[Section, int, Ring], ObstructionResult]]:
     """Return, per base context, the verdict function of its support
-    sections on either ring (the algorithm of the module docstring).  Each
-    factorization is made at most once, a base's for that base only, and a
-    verdict renders only its ring's proof."""
+    sections, each given with its position in `support_list`, on either
+    ring (the algorithm of the module docstring).  Each factorization is
+    made at most once, a base's for that base only, and a verdict renders
+    only its ring's proof."""
     contexts = model.scenario.contexts
     delta = _Coboundary(model)
     basis, rows, equations = delta.basis, delta.rows, delta.equations
@@ -821,8 +857,8 @@ def _obstruction_solver(
         found = search()
         return found and (found.extendable, _proof_families(model, ring, found.proofs))
 
-    def base_solver(base: int) -> Callable[[Section, Ring], ObstructionResult]:
-        block, avn = delta.block(base), parity(base)
+    def base_solver(base: int) -> Callable[[Section, int, Ring], ObstructionResult]:
+        block, avn, columns = delta.block(base), parity(base), delta.column_at[base]
         checked: dict = {}  # per (ring, g): a certificate and its re-check at each column
 
         @_once
@@ -866,10 +902,9 @@ def _obstruction_solver(
                 raise VerificationError("Z/2 certificate failed its re-check")
             return certificate
 
-        def decide(section: Section, ring: Ring) -> ObstructionResult:
+        def decide(section: Section, i: int, ring: Ring) -> ObstructionResult:
             nonlocal at_hand
-            t = delta.column[base, section]
-            i = t - block.start  # the section's row of the projection
+            t = columns[i]  # i is also the section's row of the projection
             system = ObstructionSystem(ring, base, section, equations, basis, rows, block, t)
             # An all-vs-nothing base context has one certificate for its block.
             if avn is not None:
@@ -930,17 +965,18 @@ def _obstructions(
     if not rings:
         return out
     require_overlap_consistent(model)
-    if only is None:
-        wanted = {c.index: s for c in model.scenario.contexts if (s := model.support_list(c.index))}
+    if only is None:  # each section with its position in `support_list`
+        wanted = {c.index: enumerate(model.support_list(c.index)) for c in model.scenario.contexts}
     else:
         _check_base(model, *only)
-        wanted = {only[0]: [only[1]]}
+        base, section = only
+        wanted = {base: [(model.support_list(base).index(section), section)]}
     solver = _obstruction_solver(model, classification)
     for base, sections in wanted.items():
         decide = solver(base)
-        for section in sections:
+        for position, section in sections:
             for ring, results in out.items():
-                results[base, section] = decide(section, ring)
+                results[base, section] = decide(section, position, ring)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .scenario import Context, Scenario, Section, enumerate_sections, restrict_section
@@ -22,8 +23,9 @@ from .scenario import Context, Scenario, Section, enumerate_sections, restrict_s
 _FILLED_ON_FIRST_USE = dict(default=None, init=False, repr=False, compare=False)
 
 # One row of SupportModel.overlap_table: a context pair i < j, a section of
-# their overlap, and the support sections of i and of j restricting to it.
-OverlapFiber = tuple[int, int, Section, tuple[Section, ...], tuple[Section, ...]]
+# their overlap, and the positions in `support_list(i)` and in
+# `support_list(j)` of the support sections restricting to it.
+OverlapFiber = tuple[int, int, Section, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -92,19 +94,24 @@ class SupportModel:
         For each pair (i, j, carrier) of :attr:`Scenario.overlaps` and each
         section of the carrier that a support section of i or of j restricts
         to, in canonical order: (i, j, section, fiber in i, fiber in j), each
-        fiber in canonical order.  A one-sided section has an empty fiber.
+        fiber the ascending positions of its sections in
+        :meth:`support_list` of its context.  A one-sided section has an
+        empty fiber.
         """
         if self._overlap_table is None:
             table: list[OverlapFiber] = []
             contexts = self.scenario.contexts
             for i, j, carrier in self.scenario.overlaps:
                 # Fibers keyed on the carrier's values, read off by position.
-                fibers: dict[tuple[str, ...], tuple[list[Section], list[Section]]] = {}
+                fibers: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
                 for side, index in enumerate((i, j)):
-                    at = [contexts[index].members.index(m) for m in carrier]
-                    for s in self.support_list(index):
-                        values = tuple([s.values[p] for p in at])
-                        fibers.setdefault(values, ([], []))[side].append(s)
+                    restrict = itemgetter(*map(contexts[index].members.index, carrier))
+                    for k, s in enumerate(self.support_list(index)):
+                        if (fiber := fibers.get(values := restrict(s.values))) is None:
+                            fiber = fibers[values] = ([], [])
+                        fiber[side].append(k)
+                if len(carrier) == 1:  # itemgetter of one position gives a bare value
+                    fibers = {(value,): fiber for value, fiber in fibers.items()}
                 restricted = [Section(carrier, values) for values in fibers]
                 for section in sorted(restricted, key=self.scenario.section_sort_key):
                     left, right = fibers[section.values]
@@ -196,23 +203,27 @@ def check_no_signalling(model: EmpiricalModel) -> list[SignallingViolation]:
 
     Each marginal is an exact sum over one fiber of the nonzero support's
     `overlap_table` (0 off its rows), summed as integer numerators over its
-    table's common denominator; empty means a compatible family.  The
-    support and the violations are found once per model and kept.
+    table's common denominator, one per support position; empty means a
+    compatible family.  The support and the violations are found once per
+    model and kept.
     """
     if model._no_signalling is None:
         supports = [frozenset(s for s, p in table.items() if p != 0) for table in model.tables]
         support = support_model(model.scenario, supports)
+        rows = support.overlap_table
         scales = [lcm(*(p.denominator for p in table.values())) for table in model.tables]
+        # By support position, in the sorted supports the table was built
+        # from (none were listed if no contexts overlap, and none are read).
         numerators = [
-            {s: table[s].numerator * (scale // table[s].denominator) for s in nonzero}
-            for table, scale, nonzero in zip(model.tables, scales, supports)
+            [table[s].numerator * (scale // table[s].denominator) for s in listed]
+            for table, scale, listed in zip(model.tables, scales, support._support_lists or ())
         ]
         violations: list[SignallingViolation] = []
-        for i, j, section, left, right in support.overlap_table:
+        for i, j, section, left, right in rows:
             if violations and (violations[-1].first, violations[-1].second) == (i, j):
                 continue
-            a = sum(numerators[i][s] for s in left)
-            b = sum(numerators[j][s] for s in right)
+            a = sum(numerators[i][p] for p in left)
+            b = sum(numerators[j][p] for p in right)
             if a * scales[j] != b * scales[i]:
                 a, b = Fraction(a, scales[i]), Fraction(b, scales[j])
                 violations.append(SignallingViolation(i, j, section, a, b))

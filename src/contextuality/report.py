@@ -7,7 +7,7 @@ import json
 from itertools import product
 from typing import Sequence
 
-from .analysis import false_positives, gcd_condition
+from .analysis import _false_positives, gcd_condition
 from .cohomology import ObstructionResult, Ring, _obstructions
 from .documents import ScenarioDocument
 from .extendability import classify
@@ -106,7 +106,9 @@ def build_report(
         ]
     report["obstructions"] = {}
     report["false_positives"] = {}
-    for ring, results in _obstructions(support, rings, classification).items():
+    verdicts = _obstructions(support, rings, classification)
+    found = _false_positives(support, verdicts, classification)
+    for ring, results in verdicts.items():
         entries = []
         for (index, section), result in results.items():
             entry = {
@@ -126,13 +128,12 @@ def build_report(
             "vanishing": vanishing,
             "results": entries,
         }
-        fp = false_positives(support, ring, obstructions=results, classification=classification)
         report["false_positives"][ring.value] = {
             "sections": [
                 {"context": index, "section": section.outcome_string()}
-                for index, section in fp.sections
+                for index, section in found[ring].sections
             ],
-            "strong_contextuality_false_positive": fp.strong_contextuality_false_positive,
+            "strong_contextuality_false_positive": found[ring].strong_contextuality_false_positive,
         }
     return report
 

@@ -190,7 +190,7 @@ def canonical_subset(scenario: Scenario, subset: Iterable[str]) -> tuple[str, ..
     """Sort a measurement subset into global order, validating membership."""
     unique = set(subset)
     for m in unique:
-        if m not in scenario.measurements:
+        if m not in scenario.positions:
             raise ValueError(f"{m!r} is not a measurement of the scenario")
     return tuple(sorted(unique, key=scenario.positions.__getitem__))
 

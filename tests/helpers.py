@@ -22,6 +22,7 @@ from contextuality import (
     SupportModel,
     build_scenario,
     combination,
+    embed,
     enumerate_sections,
     ks_support,
     restrict_combination,
@@ -171,6 +172,53 @@ def reference_coboundary_matrix(model: SupportModel, ring: Ring, degree: int) ->
                         row[source_index[(facet.vertices, candidate)]] += sign
             rows.append([ring.reduce(v) for v in row])
     return rows
+
+
+def fibers_by_restriction(model: SupportModel) -> list:
+    """The overlap table rebuilt from scratch: per overlap, each section of
+    the carrier, in enumeration order, that a support section of either
+    context restricts to, with the support sections of each context, also
+    in enumeration order, that restrict to it."""
+    scenario = model.scenario
+
+    def support_in_order(k):
+        members = scenario.contexts[k].members
+        return [s for s in enumerate_sections(scenario, members) if s in model.supports[k]]
+
+    rows = []
+    for i, j, carrier in scenario.overlaps:
+        sides = [support_in_order(i), support_in_order(j)]
+        for target in enumerate_sections(scenario, carrier):
+            left, right = (
+                tuple(s for s in side if restrict_section(s, carrier) == target)
+                for side in sides
+            )
+            if left or right:
+                rows.append((i, j, target, left, right))
+    return rows
+
+
+def reference_verify_witness(
+    model: SupportModel, base: int, section: Section, witness: tuple, ring: Ring, table: list
+) -> bool:
+    """The witness re-check with Section-keyed fiber sums, on `table`, the
+    overlap fibers as sections (fibers_by_restriction): the reference for
+    cohomology.verify_witness, which sums fibers by support position."""
+    contexts = model.scenario.contexts
+    if len(witness) != len(contexts) or not 0 <= base < len(contexts):
+        return False
+    if witness[base] != embed(ring, section):
+        return False
+    for ctx, combo in zip(contexts, witness):
+        if combo.ring is not ring or combo.domain != ctx.members:
+            return False
+        if not model.supports[ctx.index].issuperset(combo.coefficients):
+            return False
+    for i, j, _, left, right in table:
+        first, second = witness[i].coefficients, witness[j].coefficients
+        if ring.reduce(sum(first.get(s, 0) for s in left) - sum(second.get(s, 0) for s in right)):
+            return False
+    return True
 
 
 def reference_overlaps(scenario: Scenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:

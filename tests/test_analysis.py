@@ -19,6 +19,8 @@ Core claims:
       verify_witness of the pair's own witness, which rejects a changed or
       missing witness; no obstruction batch is run and no global section is
       listed
+    - a report over both rings runs each false positive's pinned search
+      once: ks-false-positive classifies 10 times (1 + 9 pairs), Hardy twice
     - Hardy beside the one-hot ring of 11 (81,190 global sections) has
       exactly the one false positive (0, "0,0") on both rings, found with
       the listing of global sections disabled
@@ -39,6 +41,7 @@ from contextuality import (
     Ring,
     VerificationError,
     all_obstructions,
+    build_report,
     build_scenario,
     classify,
     combination,
@@ -238,6 +241,28 @@ def test_false_positives_are_reverified_by_one_pinned_count_per_pair(corpus_supp
     message = re.escape(f"oracle disagreement at context {key[0]}, {key[1]}")
     with pytest.raises(VerificationError, match=message):
         false_positives(model, Ring.Z, obstructions=results, classification=wrong)
+
+
+def test_a_report_pins_each_false_positive_once_for_both_rings(monkeypatch):
+    from contextuality import analysis, cohomology, report
+
+    searched = []
+
+    def counting(model):
+        searched.append(model)
+        return classify(model)
+
+    for module in (analysis, cohomology, report):
+        monkeypatch.setattr(module, "classify", counting)
+    # ks-false-positive: the report's classification and one pinned search
+    # for each of its 9 false positives (the same on both rings), not 1 + 2 * 9.
+    # Hardy: one false positive over either ring, 1 + 1, not 1 + 2.
+    for name, calls, pairs in (("ks-false-positive", 10, 9), ("hardy", 2, 1)):
+        searched.clear()
+        built = build_report(parse_scenario(example_text(name)), rings=(Ring.Z2, Ring.Z))
+        assert len(searched) == calls, name
+        for ring in (Ring.Z2, Ring.Z):
+            assert len(built["false_positives"][ring.value]["sections"]) == pairs
 
 
 @pytest.mark.parametrize("ring", [Ring.Z, Ring.Z2])

@@ -76,6 +76,9 @@ Core claims:
       its cocycle, with the verdicts the proofs give
     - witnesses are re-checked on the overlap table: deciding Hardy and a
       one-hot ring calls no restrict_combination
+    - a pass reads the overlap fibers by support position: one Z/2
+      all_obstructions on GHZ-4, its support model built, hashes at most 2
+      Sections per support section (the parent hashed 576 for its 64)
     - obstruction systems are views: on GHZ-4 and on the bundled models,
       over both rings, every result of an all_obstructions call shares one
       list of delta^0's rows, and a system holds only its declared fields,
@@ -919,6 +922,23 @@ _AVN_TERMS = {"prbox": 4, "ghz": 6, "triangle": 3, "ks18": 18, "peres-mermin": 9
 def _avn_models(corpus_supports):
     models = {name: corpus_supports[name] for name in _AVN_TERMS if name in corpus_supports}
     return {**models, "ghz4": ghz_parity(4), "chain16": parity_chain(16)}
+
+
+def test_a_pass_reads_overlap_fibers_by_position_not_by_section_hash(monkeypatch):
+    model = ghz_parity(4)
+    hashed = []
+    real = Section.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Section, "__hash__", counting)
+    results = all_obstructions(model, Ring.Z2)
+    monkeypatch.undo()
+    sections = sum(map(len, model.supports))
+    assert len(results) == sections == 64
+    assert len(hashed) <= 2 * sections
 
 
 @pytest.mark.parametrize("name", ["prbox", "ghz4"])

@@ -31,7 +31,8 @@ Core claims:
     - the overlap table is the fibers of restriction, rebuilt section by
       section with restrict_section (bundled, random consistent and random
       arbitrary supports, nested contexts and one-sided fibers included),
-      with rows and fibers in enumeration order
+      with rows and fibers in enumeration order, once each fiber's positions
+      are mapped back through support_list
     - support_list is the support in canonical order, and a list returned
       to a caller is the caller's own
     - support_model checks each section by its labels, never enumerating a
@@ -505,30 +506,6 @@ def test_corpus_supports_are_overlap_consistent(corpus_supports):
         assert support_violations(model) == [], name
 
 
-def _fibers_by_restriction(model):
-    """The overlap table rebuilt from scratch: per overlap, each section of
-    the carrier, in enumeration order, that a support section of either
-    context restricts to, with the support sections of each context, also
-    in enumeration order, that restrict to it."""
-    scenario = model.scenario
-
-    def support_in_order(k):
-        members = scenario.contexts[k].members
-        return [s for s in enumerate_sections(scenario, members) if s in model.supports[k]]
-
-    rows = []
-    for i, j, carrier in scenario.overlaps:
-        sides = [support_in_order(i), support_in_order(j)]
-        for target in enumerate_sections(scenario, carrier):
-            left, right = (
-                tuple(s for s in side if restrict_section(s, carrier) == target)
-                for side in sides
-            )
-            if left or right:
-                rows.append((i, j, target, left, right))
-    return rows
-
-
 def test_overlap_table_is_the_fibers_of_restriction(corpus_supports):
     rng = random.Random(113)
     models = list(corpus_supports.values())
@@ -537,7 +514,13 @@ def test_overlap_table_is_the_fibers_of_restriction(corpus_supports):
     nested = one_sided = 0
     for model in models:
         table = model.overlap_table
-        assert list(table) == _fibers_by_restriction(model)
+        # Each fiber holds positions into its context's sorted support.
+        sections = [
+            (i, j, target, tuple(model.support_list(i)[p] for p in left),
+             tuple(model.support_list(j)[p] for p in right))
+            for i, j, target, left, right in table
+        ]
+        assert sections == helpers.fibers_by_restriction(model)
         members = [set(ctx.members) for ctx in model.scenario.contexts]
         nested += any(
             members[i] < members[j] or members[j] < members[i]
@@ -606,7 +589,7 @@ def test_overlap_consistency_is_walked_once_per_model(monkeypatch):
         model = helpers.random_any_support(rng, helpers.random_scenario(rng))
         expected = [
             SupportViolation(i, j, target, i if left else j)
-            for i, j, target, left, right in _fibers_by_restriction(model)
+            for i, j, target, left, right in helpers.fibers_by_restriction(model)
             if not (left and right)
         ]
         walks.clear()
