@@ -624,10 +624,10 @@ def verify_witness(
     of the solver: the base entry is 1*section, every entry is supported on
     its context's support, and on every row of the overlap table the two
     fiber sums agree.  Each entry is read once into a vector over its
-    context's support positions (`support_list` order), and each fiber is
-    summed by position.  Every term lies in a support, so it falls in some
-    fiber of each overlap of its context: this is the push-forward condition
-    on every overlap."""
+    context's support positions (`support_list` order), each term placed at
+    its position by its values, and each fiber is summed by position.  Every
+    term lies in a support, so it falls in some fiber of each overlap of its
+    context: this is the push-forward condition on every overlap."""
     contexts = model.scenario.contexts
     if len(witness) != len(contexts) or not 0 <= base < len(contexts):
         return False
@@ -640,7 +640,11 @@ def verify_witness(
             return False
         if not model.supports[ctx.index].issuperset(coefficients):
             return False
-        vectors.append([coefficients.get(s, 0) for s in model.support_list(ctx.index)])
+        at = model.support_positions(ctx.index)
+        vector = [0] * len(at)
+        for s, c in coefficients.items():
+            vector[at[s.values]] = c
+        vectors.append(vector)
     for i, j, _, left, right in model.overlap_table:
         first, second = vectors[i], vectors[j]
         if ring.reduce(sum([first[p] for p in left]) - sum([second[p] for p in right])):

@@ -73,10 +73,13 @@ class SupportModel:
 
     scenario: Scenario
     supports: tuple[frozenset[Section], ...]
-    # Filled on first use of `overlap_table`, `support_list` and
-    # `support_violations`.
+    # Filled on first use of `overlap_table`, `support_list`,
+    # `support_positions` and `support_violations`.
     _overlap_table: tuple[OverlapFiber, ...] | None = field(**_FILLED_ON_FIRST_USE)
     _support_lists: tuple[tuple[Section, ...], ...] | None = field(**_FILLED_ON_FIRST_USE)
+    _support_positions: tuple[dict[tuple[str, ...], int], ...] | None = field(
+        **_FILLED_ON_FIRST_USE
+    )
     _support_violations: tuple[SupportViolation, ...] | None = field(**_FILLED_ON_FIRST_USE)
 
     def support_list(self, index: int) -> list[Section]:
@@ -86,6 +89,18 @@ class SupportModel:
             sorted_supports = tuple(tuple(sorted(s, key=key)) for s in self.supports)
             object.__setattr__(self, "_support_lists", sorted_supports)
         return list(self._support_lists[index])
+
+    def support_positions(self, index: int) -> dict[tuple[str, ...], int]:
+        """Position in :meth:`support_list` of each support section of one
+        context, keyed by its values (a section is known by its values
+        within its context), built once; callers must not change it."""
+        if self._support_positions is None:
+            positions = tuple(
+                {s.values: k for k, s in enumerate(self.support_list(c.index))}
+                for c in self.scenario.contexts
+            )
+            object.__setattr__(self, "_support_positions", positions)
+        return self._support_positions[index]
 
     @property
     def overlap_table(self) -> tuple[OverlapFiber, ...]:

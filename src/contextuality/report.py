@@ -3,8 +3,8 @@ a human rendering with the support table laid out per context row."""
 
 from __future__ import annotations
 
-import json
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .analysis import _false_positives, gcd_condition
@@ -38,11 +38,16 @@ def _certificate_payload(result: ObstructionResult) -> dict:
     multipliers as exact strings."""
     certificate = result.certificate
     assert certificate is not None
-    return {
-        "reason": certificate.reason,
-        "rows": list(certificate.rows),
-        "values": list(map(str, certificate.values)),
-    }
+    values = certificate.values
+    # Z/2 certificates and their halvings over Z repeat one multiplier object
+    # (1 or 1/2): the tuple comparison is by identity, at C speed, and the
+    # pure-Python Fraction.__str__ then runs once.
+    once = values[:1]
+    if values == once * len(values):
+        strings = list(map(str, once)) * len(values)
+    else:
+        strings = list(map(str, values))
+    return {"reason": certificate.reason, "rows": list(certificate.rows), "values": strings}
 
 
 def build_report(
@@ -251,11 +256,79 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(value: object, parts: list[str], indent: str) -> None:
+    """Append the JSON text of `value` to `parts` as `json.dumps(value,
+    indent=2)` writes it, `indent` being the newline and spaces before its
+    closing bracket.  A list of strings needing no escape (all printable
+    ASCII, no quote or backslash, as one test over the whole list) is
+    written as its own items between shared separators: no encoded copy of
+    each item, and no copy of the list's text before the final join.  A
+    list of ints is written in one join."""
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        opener, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            parts += opener, encode_basestring_ascii(key), ": "
+            _write_json(item, parts, inner)
+            opener = comma
+        parts.append(indent + "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(item) is str for item in value):
+            text = "".join(value)
+            plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+            del text
+            if plain:
+                spaced = [f'",{inner}"'] * (2 * len(value) - 1)
+                spaced[::2] = value
+                parts.append(f'[{inner}"')
+                parts += spaced
+                parts.append(f'"{indent}]')
+            else:
+                escaped = map(encode_basestring_ascii, value)
+                parts += f"[{inner}", f",{inner}".join(escaped), f"{indent}]"
+            return
+        if all(type(item) is int for item in value):
+            parts += f"[{inner}", f",{inner}".join(map(int.__repr__, value)), f"{indent}]"
+            return
+        opener, comma = "[" + inner, "," + inner
+        for item in value:
+            parts.append(opener)
+            _write_json(item, parts, inner)
+            opener = comma
+        parts.append(indent + "]")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) -> str:
-    """Render a report for output: `json.dumps(report, indent=2)` plus a
-    newline, or the text rendering."""
+    """Render a report for output: JSON byte-identical to
+    `json.dumps(report, indent=2)` plus a newline, written in one pass over
+    the report and one join, or the text rendering.  A report holds dicts
+    with `str` keys, lists, `str`, `int`, `bool` and `None`; any other type
+    raises :class:`TypeError`."""
     if as_json:
-        return json.dumps(report, indent=2) + "\n"
+        parts: list[str] = []
+        _write_json(report, parts, "\n")
+        parts.append("\n")
+        return "".join(parts)
     return render_text(report, include_witnesses=include_witnesses)
 
 

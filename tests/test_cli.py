@@ -67,6 +67,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import SignallingError, model as model_module, report as report_module
 from contextuality import extendability as extendability_module
@@ -627,6 +629,66 @@ def test_json_emission_is_byte_identical_to_json_dumps(name, witnesses):
     else:
         entries = [e for data in parsed["obstructions"].values() for e in data["results"]]
         assert "equations" not in parsed and not any("certificate" in e for e in entries)
+
+
+# One alphabet per string, and per list of strings, so that a list needs one
+# kind of escape or none: printable ASCII (none), non-ASCII and non-BMP
+# letters, DEL, control characters, quotes, backslashes, lone surrogates
+# (outcome labels pass through `surrogatepass`), or any code point.
+_ALPHABETS = [
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    *(
+        st.sampled_from("a,0" + special)
+        for special in ("\xe9\U0001d11e", "\x7f", "\x00\x1f\n", '"', "\\", "\ud800\udfff")
+    ),
+    st.characters(exclude_categories=()),
+]
+_JSON_TEXT = st.sampled_from(_ALPHABETS).flatmap(st.text)
+_JSON_LEAVES = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.sampled_from([0, 1, True, False, None]),
+)
+
+
+def _nested(tree, depth: int, in_lists: bool):
+    for _ in range(depth):
+        tree = [tree] if in_lists else {"": tree}
+    return tree
+
+
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.sampled_from(_ALPHABETS).flatmap(lambda a: st.lists(st.text(a), max_size=6)),
+        st.dictionaries(_JSON_TEXT, children, max_size=6),
+        st.builds(_nested, children, st.integers(0, 40), st.booleans()),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_JSON_TREES)
+def test_json_emission_matches_json_dumps_on_report_shaped_trees(tree):
+    assert emit_report(tree, True) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1,), {1}, b"x", Fraction(1, 2), Ring.Z, object(), type("Label", (str,), {})("a")]
+)
+def test_json_emission_refuses_values_a_report_never_holds(value):
+    for tree in (value, [value], ["a", value], {"key": [{"key": value}]}):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            emit_report(tree, True)
+
+
+@pytest.mark.parametrize("key", [1, None, (1,), Fraction(1, 2)])
+def test_json_emission_refuses_keys_other_than_strings(key):
+    with pytest.raises(TypeError, match=type(key).__name__):
+        emit_report({"key": {key: 1}}, True)
 
 
 def test_report_shares_one_equation_list_per_ring():

@@ -79,6 +79,9 @@ Core claims:
     - a pass reads the overlap fibers by support position: one Z/2
       all_obstructions on GHZ-4, its support model built, hashes at most 2
       Sections per support section (the parent hashed 576 for its 64)
+    - verify_witness places each term of an entry at its support position:
+      one Z/2 all_obstructions on the one-hot ring of 11 hashes at most 444
+      Sections (620 when every entry was read over its whole support)
     - obstruction systems are views: on GHZ-4 and on the bundled models,
       over both rings, every result of an all_obstructions call shares one
       list of delta^0's rows, and a system holds only its declared fields,
@@ -924,8 +927,7 @@ def _avn_models(corpus_supports):
     return {**models, "ghz4": ghz_parity(4), "chain16": parity_chain(16)}
 
 
-def test_a_pass_reads_overlap_fibers_by_position_not_by_section_hash(monkeypatch):
-    model = ghz_parity(4)
+def _sections_hashed_by_a_z2_pass(model, monkeypatch) -> int:
     hashed = []
     real = Section.__hash__
 
@@ -936,9 +938,21 @@ def test_a_pass_reads_overlap_fibers_by_position_not_by_section_hash(monkeypatch
     monkeypatch.setattr(Section, "__hash__", counting)
     results = all_obstructions(model, Ring.Z2)
     monkeypatch.undo()
+    assert len(results) == sum(map(len, model.supports))
+    return len(hashed)
+
+
+def test_a_pass_reads_overlap_fibers_by_position_not_by_section_hash(monkeypatch):
+    model = ghz_parity(4)
     sections = sum(map(len, model.supports))
-    assert len(results) == sections == 64
-    assert len(hashed) <= 2 * sections
+    assert sections == 64
+    assert _sections_hashed_by_a_z2_pass(model, monkeypatch) <= 2 * sections
+
+
+def test_witness_rechecks_place_each_term_by_position_not_by_section_hash(monkeypatch):
+    # Every section of the one-hot ring extends: its 4 proof families are
+    # re-checked by verify_witness, 11 one-term entries each.
+    assert _sections_hashed_by_a_z2_pass(helpers.ring_cover(11), monkeypatch) <= 444
 
 
 @pytest.mark.parametrize("name", ["prbox", "ghz4"])
