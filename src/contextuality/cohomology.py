@@ -640,7 +640,7 @@ def verify_witness(
             return False
         if not model.supports[ctx.index].issuperset(coefficients):
             return False
-        at = model.support_positions(ctx.index)
+        at = model._support_position(ctx.index)
         vector = [0] * len(at)
         for s, c in coefficients.items():
             vector[at[s.values]] = c

@@ -74,7 +74,7 @@ class SupportModel:
     scenario: Scenario
     supports: tuple[frozenset[Section], ...]
     # Filled on first use of `overlap_table`, `support_list`,
-    # `support_positions` and `support_violations`.
+    # `_support_position` and `support_violations`.
     _overlap_table: tuple[OverlapFiber, ...] | None = field(**_FILLED_ON_FIRST_USE)
     _support_lists: tuple[tuple[Section, ...], ...] | None = field(**_FILLED_ON_FIRST_USE)
     _support_positions: tuple[dict[tuple[str, ...], int], ...] | None = field(
@@ -90,7 +90,7 @@ class SupportModel:
             object.__setattr__(self, "_support_lists", sorted_supports)
         return list(self._support_lists[index])
 
-    def support_positions(self, index: int) -> dict[tuple[str, ...], int]:
+    def _support_position(self, index: int) -> dict[tuple[str, ...], int]:
         """Position in :meth:`support_list` of each support section of one
         context, keyed by its values (a section is known by its values
         within its context), built once; callers must not change it."""

@@ -259,11 +259,11 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
 def _write_json(value: object, parts: list[str], indent: str) -> None:
     """Append the JSON text of `value` to `parts` as `json.dumps(value,
     indent=2)` writes it, `indent` being the newline and spaces before its
-    closing bracket.  A list of strings needing no escape (all printable
-    ASCII, no quote or backslash, as one test over the whole list) is
-    written as its own items between shared separators: no encoded copy of
-    each item, and no copy of the list's text before the final join.  A
-    list of ints is written in one join."""
+    closing bracket.  A list of strings is tested for escapes once, over
+    its items joined into one transient string that is freed at once; needing
+    none (all printable ASCII, no quote or backslash), it is written as its
+    own items between shared separators, with no encoded copy of any item
+    kept in `parts`.  A list of ints is written in one join."""
     kind = type(value)
     if kind is str:
         parts.append(encode_basestring_ascii(value))
@@ -295,10 +295,7 @@ def _write_json(value: object, parts: list[str], indent: str) -> None:
                 parts.append(f'[{inner}"')
                 parts += spaced
                 parts.append(f'"{indent}]')
-            else:
-                escaped = map(encode_basestring_ascii, value)
-                parts += f"[{inner}", f",{inner}".join(escaped), f"{indent}]"
-            return
+                return
         if all(type(item) is int for item in value):
             parts += f"[{inner}", f",{inner}".join(map(int.__repr__, value)), f"{indent}]"
             return
@@ -319,11 +316,12 @@ def _write_json(value: object, parts: list[str], indent: str) -> None:
 
 
 def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) -> str:
-    """Render a report for output: JSON byte-identical to
-    `json.dumps(report, indent=2)` plus a newline, written in one pass over
-    the report and one join, or the text rendering.  A report holds dicts
-    with `str` keys, lists, `str`, `int`, `bool` and `None`; any other type
-    raises :class:`TypeError`."""
+    """Render a report for output: JSON written in one pass over the report
+    and one join, or the text rendering.  For a report as :func:`build_report`
+    returns it (dicts with `str` keys, lists, `str`, `int`, `bool` and `None`)
+    the JSON is byte-identical to `json.dumps(report, indent=2)` plus a
+    newline; any other type, such as a tuple, a float or a subclass of `str`
+    or `int`, raises :class:`TypeError`, as does a key other than a `str`."""
     if as_json:
         parts: list[str] = []
         _write_json(report, parts, "\n")
