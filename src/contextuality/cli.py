@@ -82,13 +82,18 @@ def _parse_section_flag(document: ScenarioDocument, context: int, text: str) -> 
     return section
 
 
-def _print_obstruction(result, show_witness: bool) -> None:  # noqa: ANN001
+def _print_obstruction(result, show_witness: bool, rendered: dict) -> None:  # noqa: ANN001
+    """Print one verdict; `rendered` holds each witness's lines by the id()
+    of its family, so results that share a family format it once."""
     ring_name = result.ring.describe()
     where = f"context {result.base} section {result.section.outcome_string()}"
     if result.vanishes:
         print(f"{where}: vanishes over {ring_name}")
         if show_witness:
-            for line in format_witness(witness_payload(result)):
+            witness = id(result.witness)
+            if witness not in rendered:
+                rendered[witness] = format_witness(witness_payload(result))
+            for line in rendered[witness]:
                 print(line)
     else:
         print(f"{where}: does not vanish over {ring_name}")
@@ -106,16 +111,18 @@ def _cmd_obstruction(args) -> int:  # noqa: ANN001
     if args.all and args.context is not None:
         _usage_error(args, "--all cannot be combined with --context")
 
-    # One pass for both rings: the search runs at most once.
+    # One pass for both rings: the search runs at most once.  The loops hold
+    # every result, so the witness ids that `rendered` keys by stay unique.
+    rendered: dict[int, list[str]] = {}
     if args.context is not None:
         key = (args.context, _parse_section_flag(document, args.context, args.section))
         for results in _obstructions(support, rings, only=key).values():
-            _print_obstruction(results[key], args.witness)
+            _print_obstruction(results[key], args.witness, rendered)
         return 0
 
     for ring, results in _obstructions(support, rings).items():
         for result in results.values():
-            _print_obstruction(result, args.witness)
+            _print_obstruction(result, args.witness, rendered)
         non_vanishing = sum(1 for result in results.values() if not result.vanishes)
         print(f"{non_vanishing}/{len(results)} non-vanishing over {ring.describe()}")
     return 0

@@ -57,6 +57,11 @@ def build_report(
 ) -> dict:
     """Run the full analysis and collect it into a JSON-compatible dict.
 
+    Results that share a proof share its payload: every entry whose result
+    holds the same witness family or certificate object holds the same
+    `witness` list or `certificate` dict, built once.  Mutating one entry's
+    payload changes every entry that shares it.
+
     Raises :class:`contextuality.model.SignallingError` for signalling
     distributions, and for overlap-inconsistent supports unless `rings=()`.
     """
@@ -113,6 +118,9 @@ def build_report(
     report["false_positives"] = {}
     verdicts = _obstructions(support, rings, classification)
     found = _false_positives(support, verdicts, classification)
+    # Payloads by id() of their witness or certificate, which stays unique
+    # while `verdicts` holds every result.
+    payloads: dict[int, list | dict] = {}
     for ring, results in verdicts.items():
         entries = []
         for (index, section), result in results.items():
@@ -122,10 +130,12 @@ def build_report(
                 "vanishes": result.vanishes,
             }
             if include_witnesses:
-                if result.vanishes:
-                    entry["witness"] = witness_payload(result)
-                else:
-                    entry["certificate"] = _certificate_payload(result)
+                key = "witness" if result.vanishes else "certificate"
+                proof = id(getattr(result, key))
+                if proof not in payloads:
+                    build = witness_payload if result.vanishes else _certificate_payload
+                    payloads[proof] = build(result)
+                entry[key] = payloads[proof]
             entries.append(entry)
         vanishing = sum(1 for e in entries if e["vanishes"])
         report["obstructions"][ring.value] = {
@@ -223,6 +233,8 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
         f"contexts: {'yes' if gcd_data['holds'] else 'no'}"
     )
 
+    # Each shared witness payload is formatted once, keyed by its id().
+    rendered: dict[int, list[str]] = {}
     for ring_key, data in report["obstructions"].items():
         ring_name = Ring(ring_key).describe()
         non_vanishing = data["total"] - data["vanishing"]
@@ -234,7 +246,10 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
                 where = f"context {entry['context']} section {entry['section']}"
                 if entry["vanishes"] and "witness" in entry:
                     lines.append(f"  {where}: vanishes, witness:")
-                    lines.extend(format_witness(entry["witness"]))
+                    witness = id(entry["witness"])
+                    if witness not in rendered:
+                        rendered[witness] = format_witness(entry["witness"])
+                    lines.extend(rendered[witness])
                 elif "certificate" in entry:
                     lines.append(
                         f"  {where}: does not vanish ({entry['certificate']['reason']})"
@@ -256,55 +271,39 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(value: object, parts: list[str], indent: str) -> None:
+def _write_json(
+    value: object, parts: list[str], indent: str, memo: dict[int, tuple[str, int, int]]
+) -> None:
     """Append the JSON text of `value` to `parts` as `json.dumps(value,
     indent=2)` writes it, `indent` being the newline and spaces before its
     closing bracket.  A list of strings is tested for escapes once, over
     its items joined into one transient string that is freed at once; needing
     none (all printable ASCII, no quote or backslash), it is written as its
     own items between shared separators, with no encoded copy of any item
-    kept in `parts`.  A list of ints is written in one join."""
+    kept in `parts`.  A list of ints is written in one join.
+
+    `memo` maps the id() of each dict and list written so far to its indent
+    and its span in `parts`: a container met again at the same indent, such
+    as a payload that results share, is written by copying its span."""
     kind = type(value)
     if kind is str:
         parts.append(encode_basestring_ascii(value))
     elif kind is int:
         parts.append(int.__repr__(value))
-    elif kind is dict:
+    elif kind is dict or kind is list:
         if not value:
-            parts.append("{}")
+            parts.append("{}" if kind is dict else "[]")
             return
-        inner = indent + "  "
-        opener, comma = "{" + inner, "," + inner
-        for key, item in value.items():
-            parts += opener, encode_basestring_ascii(key), ": "
-            _write_json(item, parts, inner)
-            opener = comma
-        parts.append(indent + "}")
-    elif kind is list:
-        if not value:
-            parts.append("[]")
+        seen = memo.get(id(value))
+        if seen is not None and seen[0] == indent:
+            parts += parts[seen[1] : seen[2]]
             return
-        inner = indent + "  "
-        if all(type(item) is str for item in value):
-            text = "".join(value)
-            plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-            del text
-            if plain:
-                spaced = [f'",{inner}"'] * (2 * len(value) - 1)
-                spaced[::2] = value
-                parts.append(f'[{inner}"')
-                parts += spaced
-                parts.append(f'"{indent}]')
-                return
-        if all(type(item) is int for item in value):
-            parts += f"[{inner}", f",{inner}".join(map(int.__repr__, value)), f"{indent}]"
-            return
-        opener, comma = "[" + inner, "," + inner
-        for item in value:
-            parts.append(opener)
-            _write_json(item, parts, inner)
-            opener = comma
-        parts.append(indent + "]")
+        start = len(parts)
+        if kind is dict:
+            _write_dict(value, parts, indent, memo)
+        else:
+            _write_list(value, parts, indent, memo)
+        memo[id(value)] = (indent, start, len(parts))
     elif value is True:
         parts.append("true")
     elif value is False:
@@ -313,6 +312,40 @@ def _write_json(value: object, parts: list[str], indent: str) -> None:
         parts.append("null")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_dict(value: dict, parts: list[str], indent: str, memo: dict) -> None:
+    inner = indent + "  "
+    opener, comma = "{" + inner, "," + inner
+    for key, item in value.items():
+        parts += opener, encode_basestring_ascii(key), ": "
+        _write_json(item, parts, inner, memo)
+        opener = comma
+    parts.append(indent + "}")
+
+
+def _write_list(value: list, parts: list[str], indent: str, memo: dict) -> None:
+    inner = indent + "  "
+    if all(type(item) is str for item in value):
+        text = "".join(value)
+        plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+        del text
+        if plain:
+            spaced = [f'",{inner}"'] * (2 * len(value) - 1)
+            spaced[::2] = value
+            parts.append(f'[{inner}"')
+            parts += spaced
+            parts.append(f'"{indent}]')
+            return
+    if all(type(item) is int for item in value):
+        parts += f"[{inner}", f",{inner}".join(map(int.__repr__, value)), f"{indent}]"
+        return
+    opener, comma = "[" + inner, "," + inner
+    for item in value:
+        parts.append(opener)
+        _write_json(item, parts, inner, memo)
+        opener = comma
+    parts.append(indent + "]")
 
 
 def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) -> str:
@@ -324,7 +357,7 @@ def emit_report(report: dict, as_json: bool, include_witnesses: bool = False) ->
     or `int`, raises :class:`TypeError`, as does a key other than a `str`."""
     if as_json:
         parts: list[str] = []
-        _write_json(report, parts, "\n")
+        _write_json(report, parts, "\n", {})
         parts.append("\n")
         return "".join(parts)
     return render_text(report, include_witnesses=include_witnesses)

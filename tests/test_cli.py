@@ -50,6 +50,12 @@ Core claims:
       witnesses; the text reparses to the report, and with witnesses every
       certificate in it re-checks from the text alone, as the goldens' do
       (without, it holds no certificate and no equation list)
+    - results that share a proof share its payload: on ring11 and GHZ-4,
+      build_report holds one witness or certificate object per distinct
+      proof object, each equal to a freshly built one, and the text report
+      and `obstruction --all --witness` format each distinct witness once;
+      the JSON writer copies a container met again at the same indent, and
+      writes it anew at another (shared subtrees in the hypothesis trees)
     - every result of one all_obstructions call holds the same
       system.equations tuple, and a report with witnesses (schema 2) writes
       one top-level equation list, a row per row of the overlap table,
@@ -70,14 +76,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality import SignallingError, model as model_module, report as report_module
+from contextuality import SignallingError, cli as cli_module, model as model_module
+from contextuality import report as report_module
 from contextuality import extendability as extendability_module
 from contextuality.cli import main
-from contextuality.cohomology import Ring, all_obstructions
+from contextuality.cohomology import Ring, _obstructions, all_obstructions
 from contextuality.corpus import EXAMPLE_NAMES, example_text
 from contextuality.documents import parse_scenario
 from contextuality.linalg import Certificate
-from contextuality.report import MAX_TABLE_COLUMNS, RING_ORDER, build_report, emit_report
+from contextuality.report import (
+    MAX_TABLE_COLUMNS,
+    RING_ORDER,
+    _certificate_payload,
+    build_report,
+    emit_report,
+    format_witness,
+    witness_payload,
+)
 
 import helpers
 
@@ -598,9 +613,9 @@ def test_build_report_rejects_signalling_distribution():
         build_report(document)
 
 
-def _generated_documents():
+def _generated_texts():
     """GHZ-3, GHZ-4, chain16, ring11 and cover11 from the benchmark's
-    generators, by name."""
+    generators: their documents' text by name."""
     families = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "families.py"))
     generated = [
         families["ghz"](3),
@@ -609,10 +624,11 @@ def _generated_documents():
         families["ring_cover"](11),
         families["random_cover"](11, random.Random(1)),
     ]
-    return {g.name: parse_scenario(g.text) for g in generated}
+    return {g.name: g.text for g in generated}
 
 
-GENERATED = _generated_documents()
+GENERATED_TEXTS = _generated_texts()
+GENERATED = {name: parse_scenario(text) for name, text in GENERATED_TEXTS.items()}
 
 
 @pytest.mark.parametrize("witnesses", [False, True])
@@ -658,6 +674,12 @@ def _nested(tree, depth: int, in_lists: bool):
     return tree
 
 
+def _shared(tree, deeper: bool):
+    """One object twice: at one depth, or the second time one level deeper,
+    where the writer must not copy its first text."""
+    return [tree, [tree] if deeper else tree]
+
+
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
     lambda children: st.one_of(
@@ -665,6 +687,7 @@ _JSON_TREES = st.recursive(
         st.sampled_from(_ALPHABETS).flatmap(lambda a: st.lists(st.text(a), max_size=6)),
         st.dictionaries(_JSON_TEXT, children, max_size=6),
         st.builds(_nested, children, st.integers(0, 40), st.booleans()),
+        st.builds(_shared, children, st.booleans()),
     ),
     max_leaves=40,
 )
@@ -689,6 +712,53 @@ def test_json_emission_refuses_values_a_report_never_holds(value):
 def test_json_emission_refuses_keys_other_than_strings(key):
     with pytest.raises(TypeError, match=type(key).__name__):
         emit_report({"key": {key: 1}}, True)
+
+
+@pytest.mark.parametrize("name", ["ring11", "ghz4"])
+def test_report_builds_and_renders_each_shared_proof_once(name, tmp_path, monkeypatch, capsys):
+    document = GENERATED[name]
+    verdicts = _obstructions(document.support_model(), RING_ORDER)
+    report = build_report(document, include_witnesses=True)
+    proofs, payloads = [], []
+    for ring, results in verdicts.items():
+        entries = report["obstructions"][ring.value]["results"]
+        for result, entry in zip(results.values(), entries, strict=True):
+            if result.vanishes:
+                proof, payload = result.witness, entry["witness"]
+                assert payload == witness_payload(result)
+            else:
+                proof, payload = result.certificate, entry["certificate"]
+                assert payload == _certificate_payload(result)
+            proofs.append(id(proof))
+            payloads.append(id(payload))
+    # One payload object per distinct proof object, and no two proofs share one.
+    assert len(set(proofs)) == len(set(payloads)) == len(set(zip(proofs, payloads))) < len(proofs)
+
+    witnesses = {
+        id(result.witness)
+        for results in verdicts.values()
+        for result in results.values()
+        if result.vanishes
+    }
+    calls = []
+
+    def counted(payload):
+        calls.append(id(payload))
+        return format_witness(payload)
+
+    monkeypatch.setattr(report_module, "format_witness", counted)
+    text = emit_report(report, False, include_witnesses=True)
+    assert len(calls) == len(witnesses)
+    unshared = json.loads(emit_report(report, True))
+    assert text == emit_report(unshared, False, include_witnesses=True)
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(GENERATED_TEXTS[name], encoding="utf-8")
+    calls.clear()
+    monkeypatch.setattr(cli_module, "format_witness", counted)
+    assert main(["obstruction", str(path), "--all", "--witness"]) == 0
+    assert len(calls) == len(witnesses)
+    capsys.readouterr()
 
 
 def test_report_shares_one_equation_list_per_ring():
