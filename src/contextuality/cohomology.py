@@ -20,11 +20,11 @@ context by base context, and computes what does not depend on the ring at
 most once for all of them: delta^0, the all-vs-nothing test, the search,
 the factorizations below and each base's mod-2 decisions.  delta^0 is
 sparse and the same on both rings: every entry is +-1, and GF(2) reads it
-mod 2.  Its rows are {column: entry} dicts; its columns, {row: entry}
-dicts, are built only once the echelon or a Hermite form reads them.  Each
-:class:`ObstructionSystem` holds the pass's rows and basis, its base block
-and its section's column; its `variables`, dense `matrix` and `rhs` are
-built from them, reduced by its ring, on each read and kept nowhere.
+mod 2.  Its rows are the overlap table's entries: a row as a {column:
+entry} dict is built only where an echelon, a Hermite form or a
+certificate re-check reads it, and the columns only where an echelon or a
+Hermite form does.  An :class:`ObstructionSystem` is a view on its model,
+its dense `matrix` and `rhs` built from the table on each read.
 
 The obstruction vanishes if the family has a global section: if g is one
 and g|C_b = t, the family (1*g|C_i)_i agrees on every overlap and is 1*t on
@@ -112,7 +112,7 @@ from .linalg import (
     halve_certificate,
     solve_linear,
 )
-from .model import SupportModel, require_overlap_consistent
+from .model import OverlapFiber, SupportModel, require_overlap_consistent
 from .scenario import (
     Context,
     Section,
@@ -417,7 +417,7 @@ def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list
     Entries lie in {-1, 0, 1} before ring reduction; the matrix agrees with
     :func:`coboundary`."""
     rows, width = _coboundary_rows(model, degree)
-    return [list(_dense({k: ring.reduce(a) for k, a in row.items()}, width)) for row in rows]
+    return [list(_dense(row, width, ring.reduce)) for row in rows]
 
 
 def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, int, int]:
@@ -437,44 +437,48 @@ def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, in
 # The obstruction
 
 
+def _offsets(model: SupportModel) -> list[int]:
+    """The first column of each context's block, and the width last."""
+    return list(accumulate((len(support) for support in model.supports), initial=0))
+
+
+def _row(entry: OverlapFiber, offsets: Sequence[int]) -> dict[int, int]:
+    """delta^0's row on one overlap-table entry as {column: entry}: +1 on
+    the fiber in i and -1 on the fiber in j, each at its block's offset."""
+    i, j, _, left, right = entry
+    first, second = offsets[i], offsets[j]
+    return {first + p: 1 for p in left} | {second + p: -1 for p in right}
+
+
 class _Coboundary:
-    """delta^0 on the context pairs i < j, built once per pass from the
-    overlap table and never changed, the same on both rings: the support
-    sections of every context in context order (the basis, one block per
-    context, each in `support_list` order), `column_at[c][p]`, the column of
-    position p of context c's block (one shared int per column), the rows
-    as sparse {column: entry} dicts (on the row of (i, j, section), +1 on
-    the fiber in i and -1 on the fiber in j, each fiber's positions read
-    through `column_at`), and the equation labels (i, j, section) of the
-    rows.  The columns, sparse {row: entry} dicts (the transpose, which the
-    GF(2) echelon factors, reading entries mod 2), are built on first read:
-    only the echelon and Hermite paths read them; so is the `column` of
-    each (context, section), which only :func:`build_obstruction_system`
-    reads.
+    """delta^0 on the context pairs i < j, the same on both rings: its rows
+    are the model's overlap table, its basis every context's support in
+    `support_list` order, one block per context from its offset.  A row's
+    sparse {column: entry} dict is built on first read of :meth:`row` and
+    kept; `rows`, every one, and `columns`, their transpose as {row: entry}
+    dicts, which the GF(2) echelon factors mod 2, are built on first read,
+    by the echelon and Hermite paths only.
 
     The system at the section of column t is the rows less t's block, with
     minus column t as its right-hand side.  :meth:`split` gives those rows
-    renumbered, which only a Hermite form reads; each
-    :class:`ObstructionSystem` holds the rows, the basis, the block and t,
-    and :meth:`refutes` re-checks its certificates.
+    renumbered, which only a Hermite form reads, and :meth:`refuted`
+    re-checks a block's certificates.
     """
 
     def __init__(self, model: SupportModel):
-        self.offsets = list(accumulate((len(support) for support in model.supports), initial=0))
+        self.table = model.overlap_table
+        self.offsets = _offsets(model)
         self.basis = tuple(
             (c.index, s) for c in model.scenario.contexts for s in model.support_list(c.index)
         )
-        shared = list(range(len(self.basis)))
-        self.column_at = at = [shared[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
-        self.rows = [
-            {at[i][p]: 1 for p in left} | {at[j][p]: -1 for p in right}
-            for i, j, _, left, right in model.overlap_table
-        ]
-        self.equations = tuple((i, j, section) for i, j, section, _, _ in model.overlap_table)
+        self._built: dict[int, dict[int, int]] = {}
+
+    def row(self, r: int) -> dict[int, int]:
+        return self._built.get(r) or self._built.setdefault(r, _row(self.table[r], self.offsets))
 
     @cached_property
-    def column(self) -> dict[tuple[int, Section], int]:
-        return {entry: k for k, entry in enumerate(self.basis)}
+    def rows(self) -> list[dict[int, int]]:
+        return [self.row(r) for r in range(len(self.table))]
 
     @cached_property
     def columns(self) -> list[dict[int, int]]:
@@ -504,31 +508,27 @@ class _Coboundary:
         over Z, on a set R of rows refutes it iff the columns met by an odd
         number of the rows of R all lie in the block and include t: y.A is
         then even (integral, halved) off the block, and y.b odd (not
-        integral).  Any other certificate is re-checked by
-        :func:`check_certificate` at each t."""
+        integral).  The rows of R are read through :meth:`row`.  Any other
+        certificate is re-checked by :func:`check_certificate` at each t."""
         n = len(certificate.rows)
         ones = (1,) * n if certificate.ring is Ring.Z2 else (_HALF,) * n
-        if certificate.length != len(self.rows) or certificate.values != ones:
+        if certificate.length != len(self.table) or certificate.values != ones:
             split = self.split(base)
             return lambda t: check_certificate(
                 split, {r: -a for r, a in self.columns[t].items()}, certificate
             )
         odd: set[int] = set()
         for r in certificate.rows:
-            odd.symmetric_difference_update(self.rows[r])
+            odd.symmetric_difference_update(self.row(r))
         block = self.block(base)
         inside = bool(odd) and block.start <= min(odd) and max(odd) < block.stop
         return lambda t: inside and t in odd
 
-    def refutes(self, base: int, t: int, certificate: Certificate) -> bool:
-        """:meth:`refuted` at the one column t of the base block."""
-        return self.refuted(base, certificate)(t)
 
-
-def _dense(entries: Mapping[int, int], length: int) -> tuple[int, ...]:
+def _dense(entries: Mapping[int, int], length: int, reduce: Callable) -> tuple[int, ...]:
     out = [0] * length
     for k, a in entries.items():
-        out[k] = a
+        out[k] = reduce(a)
     return tuple(out)
 
 
@@ -544,38 +544,39 @@ class ObstructionSystem:
     base section as the right-hand side, since the base context's entry is
     fixed to 1*section.
 
-    A system holds delta^0 itself, which is the same on both rings: its
-    rows and its basis, which every system of the call shares with its
-    `equations` tuple, the base block, and the section's column.  The
-    `variables` (the basis less the block), the dense `matrix` and `rhs`,
-    reduced by the ring, are built from them on each read and kept nowhere:
-    the solver never reads them.  Every field but the rows is compared and
-    hashed; with the equations, they determine every entry.
+    A system is a view on its model, whose overlap table is delta^0's rows,
+    and holds nothing of delta^0.  Its `equations` (the (i, j, section) of
+    the table's rows), `variables` (the basis less the base block), and the
+    dense `matrix` and `rhs`, reduced by the ring, are built on each read
+    and kept nowhere: the solver never reads them.
     """
 
     ring: Ring
     base: int
     section: Section
-    equations: tuple[tuple[int, int, Section], ...]
-    _basis: tuple[tuple[int, Section], ...] = field(repr=False)
-    _rows: Sequence[dict[int, int]] = field(repr=False, compare=False)
-    _block: range = field(repr=False)
-    _t: int = field(repr=False)
+    model: SupportModel = field(repr=False)
+
+    @property
+    def equations(self) -> tuple[tuple[int, int, Section], ...]:
+        return tuple(entry[:3] for entry in self.model.overlap_table)
 
     @property
     def variables(self) -> tuple[tuple[int, Section], ...]:
-        return self._basis[: self._block.start] + self._basis[self._block.stop :]
+        others = [c for c in range(len(self.model.supports)) if c != self.base]
+        return tuple((c, s) for c in others for s in self.model.support_list(c))
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        start, stop, reduce = self._block.start, self._block.stop, self.ring.reduce
-        width = len(self._basis)
-        rows = (_dense({k: reduce(a) for k, a in row.items()}, width) for row in self._rows)
+        offsets, reduce = _offsets(self.model), self.ring.reduce
+        start, stop, width = offsets[self.base], offsets[self.base + 1], offsets[-1]
+        rows = (_dense(_row(entry, offsets), width, reduce) for entry in self.model.overlap_table)
         return tuple(row[:start] + row[stop:] for row in rows)
 
     @property
     def rhs(self) -> tuple[int, ...]:
-        return tuple(self.ring.reduce(-row.get(self._t, 0)) for row in self._rows)
+        offsets, reduce = _offsets(self.model), self.ring.reduce
+        t = offsets[self.base] + self.model._support_position(self.base)[self.section.values]
+        return tuple(reduce(-_row(entry, offsets).get(t, 0)) for entry in self.model.overlap_table)
 
 
 @dataclass(frozen=True)
@@ -607,10 +608,7 @@ def build_obstruction_system(
     """The obstruction system at one support section; inputs are checked as
     by :func:`obstruction`."""
     _check_base(model, base, section)
-    delta = _Coboundary(model)
-    block, t = delta.block(base), delta.column[base, section]
-    basis, rows = delta.basis, delta.rows
-    return ObstructionSystem(ring, base, section, delta.equations, basis, rows, block, t)
+    return ObstructionSystem(ring, base, section, model)
 
 
 def verify_witness(
@@ -730,7 +728,7 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
     to 1_c - 1_parent: moving each odd 1_C up the tree leaves 1_root, and
     the path from the base up to the root moves it to the base.
     """
-    scenario, equations = model.scenario, delta.equations
+    scenario, table = model.scenario, delta.table
     contexts, holders, position = scenario.contexts, scenario.holders, scenario.positions
     index = scenario.outcome_indices
     width = len(index) - 1  # x_{m,o} is bit position(m) * width + index(o)
@@ -770,7 +768,7 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
             continue
         if not spans:  # the table lists each overlap's rows together
             stop = 0
-            for (i, j), on in groupby(equations, key=lambda equation: equation[:2]):
+            for (i, j), on in groupby(table, key=lambda entry: entry[:2]):
                 first, stop = stop, stop + sum(1 for _ in on)
                 spans[i, j] = spans[j, i] = range(first, stop)
         a: dict[int, int] = {}
@@ -790,8 +788,8 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
             o = scenario.outcomes[(bit - 1) % width + 1]
             for i, j in zip(held[::2], held[1::2]):
                 span = spans[i, j]
-                at = equations[span.start][2].domain.index(m)
-                z.symmetric_difference_update(r for r in span if equations[r][2].values[at] == o)
+                at = table[span.start][2].domain.index(m)
+                z.symmetric_difference_update(r for r in span if table[r][2].values[at] == o)
         odd = {c for c, f in a.items() if f & 1}
         for c in reversed(order[1:]):  # children before their parents
             if c in odd:
@@ -831,7 +829,7 @@ def _obstruction_solver(
     only its ring's proof."""
     contexts = model.scenario.contexts
     delta = _Coboundary(model)
-    basis, rows, equations = delta.basis, delta.rows, delta.equations
+    basis, length = delta.basis, len(delta.table)
     # A global section rules out every all-vs-nothing component.
     counted = classification is not None and classification.count
     parity = (lambda base: None) if counted else _all_vs_nothing(model, delta)
@@ -842,7 +840,7 @@ def _obstruction_solver(
 
     @_once
     def cocycles() -> Factorization:  # delta^0 transposed, mod 2
-        return factor(delta.columns, Ring.Z2, width=len(rows))
+        return factor(delta.columns, Ring.Z2, width=length)
 
     @_once
     def reach() -> list[list[int]]:  # per column v: the z solved for e_v
@@ -850,7 +848,7 @@ def _obstruction_solver(
 
     @_once
     def lattice() -> tuple[dict[int, int], ...]:
-        return factor(rows, Ring.Z, width=len(basis)).kernel()
+        return factor(delta.rows, Ring.Z, width=len(basis)).kernel()
 
     @_once
     def search() -> Classification | None:
@@ -862,7 +860,7 @@ def _obstruction_solver(
         return found and (found.extendable, _proof_families(model, ring, found.proofs))
 
     def base_solver(base: int) -> Callable[[Section, int, Ring], ObstructionResult]:
-        block, avn, columns = delta.block(base), parity(base), delta.column_at[base]
+        block, avn = delta.block(base), parity(base)
         checked: dict = {}  # per (ring, g): a certificate and its re-check at each column
 
         @_once
@@ -897,7 +895,7 @@ def _obstruction_solver(
                     z = reduce(xor, (set(reach()[block.start + k]) for k in g), set())
                     reason = "inconsistent equation combination"
                 terms = sorted(z)
-                certificate = Certificate(Ring.Z2, terms, (1,) * len(terms), len(rows), reason)
+                certificate = Certificate(Ring.Z2, terms, (1,) * len(terms), length, reason)
                 if ring is Ring.Z:
                     certificate = halve_certificate(certificate)
                 checked[ring, g] = certificate, delta.refuted(base, certificate)
@@ -908,8 +906,8 @@ def _obstruction_solver(
 
         def decide(section: Section, i: int, ring: Ring) -> ObstructionResult:
             nonlocal at_hand
-            t = columns[i]  # i is also the section's row of the projection
-            system = ObstructionSystem(ring, base, section, equations, basis, rows, block, t)
+            t = block.start + i  # i is also the section's row of the projection
+            system = ObstructionSystem(ring, base, section, model)
             # An all-vs-nothing base context has one certificate for its block.
             if avn is not None:
                 certificate = certified(ring, None, t)
@@ -1023,9 +1021,9 @@ def all_obstructions(
     One pass on one ring (see the module docstring): each proof family of
     `classification`, or of :func:`classify_in_reach`'s if none is passed,
     is built and re-checked at most once, and the Hermite system of a base
-    context only for sections that vanish mod 2 but not over Z.  All
-    results share delta^0's rows and one `system.equations` tuple; each
-    `system.matrix` is built on each read.  Verdicts and proofs are those
-    of :func:`obstruction`; `identify` has no effect there either.
+    context only for sections that vanish mod 2 but not over Z.  Each
+    result's system is a view on `model`; its `equations` and `matrix` are
+    built on each read.  Verdicts and proofs are those of
+    :func:`obstruction`; `identify` has no effect there either.
     """
     return _obstructions(model, (ring,), classification)[ring]

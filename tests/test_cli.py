@@ -56,8 +56,9 @@ Core claims:
       and `obstruction --all --witness` format each distinct witness once;
       the JSON writer copies a container met again at the same indent, and
       writes it anew at another (shared subtrees in the hypothesis trees)
-    - every result of one all_obstructions call holds the same
-      system.equations tuple, and a report with witnesses (schema 2) writes
+    - every result of one all_obstructions call is a view on the
+      document's model, whose system.equations are the (i, j, section) of
+      its overlap table, and a report with witnesses (schema 2) writes
       one top-level equation list, a row per row of the overlap table,
       which the certificates of both rings index
 """
@@ -763,11 +764,14 @@ def test_report_builds_and_renders_each_shared_proof_once(name, tmp_path, monkey
 
 def test_report_shares_one_equation_list_per_ring():
     document = GENERATED["ghz4"]
+    model = document.support_model()
+    table = model.overlap_table
+    labels = tuple((i, j, s) for i, j, s, _, _ in table)
     for ring in RING_ORDER:
-        results = all_obstructions(document.support_model(), ring).values()
-        assert len({id(result.system.equations) for result in results}) == 1
+        results = all_obstructions(model, ring).values()
+        assert results and all(result.system.model is model for result in results)
+        assert all(result.system.equations == labels for result in results)
     report = build_report(document, include_witnesses=True)
-    table = document.support_model().overlap_table
     assert report["equations"] == [
         {"first": i, "second": j, "section": s.outcome_string()} for i, j, s, _, _ in table
     ]

@@ -82,20 +82,29 @@ Core claims:
     - verify_witness places each term of an entry at its support position:
       one Z/2 all_obstructions on the one-hot ring of 11 hashes at most 444
       Sections (620 when every entry was read over its whole support)
-    - obstruction systems are views: on GHZ-4 and on the bundled models,
-      over both rings, every result of an all_obstructions call shares one
-      list of delta^0's rows, and a system holds only its declared fields,
-      sparse, with its section's column in its base block; each read of
-      its matrix and rhs builds them anew as the dense
-      split of coboundary_matrix(model, ring, 0), and reading every
-      result's matrix and rhs (GHZ-4, ks18, the one-hot ring of 11) leaves
-      the memory that cohomology.py allocated unchanged
-    - no field of a result or of its system is the call's delta^0, its
-      columns list or one of its columns; systems of two calls hold
-      different rows and bases and are equal, with equal hashes
-    - delta^0's columns, built on first read, are the transpose of its
-      rows, and they are the very matrix the solver's GF(2) echelon
-      factors (with the echelon path forced)
+    - obstruction systems are views on their model: on GHZ-4 and on the
+      bundled models, over both rings, every result of an all_obstructions
+      call holds the call's model, and a system holds only its ring, base,
+      section and model; its variables leave out the base block, and each
+      read of its equations, matrix and rhs builds them anew as the overlap
+      table's (i, j, section) labels and the dense split of
+      coboundary_matrix(model, ring, 0), and reading every result's matrix
+      and rhs (GHZ-4, ks18, the one-hot ring of 11) leaves the memory that
+      cohomology.py allocated unchanged
+    - no field of a result or of its system is a dict, the call's delta^0,
+      its list of rows or of columns, or one of its rows or columns;
+      systems of two calls on equal models, each with its own overlap
+      table, are equal, with equal hashes
+    - delta^0's rows are the overlap table's entries put through the one
+      row builder, each kept by the per-row memo; its columns, built on
+      first read, are the transpose of its rows, and they are the very
+      matrix the solver's GF(2) echelon factors (with the echelon path
+      forced)
+    - an all-vs-nothing pass builds only the rows it reads: on the PR box,
+      GHZ-4 and chain16, on each ring and on both, neither the list of
+      every row nor the columns are built, and the rows built, each once,
+      are exactly the distinct rows of the pass's certificates (34 of
+      GHZ-4's 96)
     - certificates are their nonzero terms: multipliers is the dense
       expansion of the terms (0 over Z/2, Fraction 0 over Z), a certificate
       rebuilt from its dense multipliers (helpers.dense_certificate) or
@@ -1126,19 +1135,24 @@ def test_systems_are_views_built_only_when_read(ring, corpus_supports):
     models = [ghz_parity(4), *corpus_supports.values()]
     for model in models:
         results = all_obstructions(model, ring)
-        shared = {id(result.system._rows) for result in results.values()}
-        assert len(shared) == 1
+        assert {id(result.system.model) for result in results.values()} == {id(model)}
+        labels = tuple(entry[:3] for entry in model.overlap_table)
+        width = sum(map(len, model.supports))
         for (base, s), result in results.items():
             system = result.system
-            assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}
-            assert all(isinstance(row, dict) for row in system._rows)
-            assert system._t in system._block and system._basis[system._t] == (base, s)
+            fields = {f.name for f in dataclasses.fields(system)}
+            assert set(vars(system)) == fields == {"ring", "base", "section", "model"}
+            assert (system.ring, system.base, system.section) == (ring, base, s)
+            assert (base, s) not in system.variables
+            assert len(system.variables) == width - len(model.supports[base])
             matrix, rhs = _dense_split(model, ring, base, s)
             for _ in range(2):  # built again on each read, equal each time
                 assert system.matrix == matrix
                 assert system.rhs == rhs
+                assert system.equations == labels
             assert system.matrix is not system.matrix and system.rhs is not system.rhs
-            assert set(vars(system)) == {f.name for f in dataclasses.fields(system)}
+            assert system.equations is not system.equations
+            assert set(vars(system)) == fields
 
 
 def _recording_coboundaries(monkeypatch):
@@ -1170,7 +1184,10 @@ def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, 
         made.clear()
         results = all_obstructions(model, ring)
         [delta] = made
-        assert all(result.system._rows is delta.rows for result in results.values())
+        assert delta.table is model.overlap_table
+        assert all(result.system.model is model for result in results.values())
+        assert delta.rows == [cohomology._row(entry, delta.offsets) for entry in delta.table]
+        assert all(delta.row(r) is row for r, row in enumerate(delta.rows))
         transpose = [{} for _ in delta.basis]
         for r, row in enumerate(delta.rows):
             for k, a in row.items():
@@ -1182,11 +1199,11 @@ def test_the_solver_factors_the_coboundary_s_own_columns(ring, corpus_supports, 
 def test_view_equality_is_the_systems_equality(corpus_supports):
     model = corpus_supports["hardy"]
     first = all_obstructions(model, Ring.Z)
-    second = all_obstructions(model, Ring.Z)
+    second = all_obstructions(dataclasses.replace(model), Ring.Z)  # an equal model, its own table
     for key, result in first.items():
         other = second[key]
-        assert result.system._rows is not other.system._rows
-        assert result.system._basis is not other.system._basis
+        assert result.system.model is not other.system.model
+        assert result.system.model.overlap_table is not other.system.model.overlap_table
         assert result.system == other.system and hash(result.system) == hash(other.system)
         assert result == other
     base, s = next(iter(first))
@@ -1200,7 +1217,10 @@ def test_results_hold_no_coboundary_and_no_columns(ring, corpus_supports, monkey
         made.clear()
         results = all_obstructions(model, ring)
         [delta] = made
-        forbidden = {id(delta), id(delta.columns), *map(id, delta.columns)}
+        # The rows are read after the pass through the same per-row memo, so
+        # every row dict the pass built is among them.
+        forbidden = {id(delta), id(delta.rows), id(delta.columns)}
+        forbidden.update(map(id, delta.rows), map(id, delta.columns))
         for result in results.values():
             held = []
             for owner in (result, result.system):
@@ -1210,7 +1230,7 @@ def test_results_hold_no_coboundary_and_no_columns(ring, corpus_supports, monkey
                     if isinstance(value, (tuple, list)):
                         held.extend(value)
             assert forbidden.isdisjoint(map(id, held))
-            assert not any(isinstance(value, cohomology._Coboundary) for value in held)
+            assert not any(isinstance(value, (cohomology._Coboundary, dict)) for value in held)
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
@@ -1284,18 +1304,19 @@ def test_term_built_certificates_are_validated():
 # One pass for both rings
 
 
-def _counted_columns(monkeypatch):
-    """Every _Coboundary whose transpose is built from now on, once per build."""
+def _counted_columns(monkeypatch, name="columns"):
+    """Every _Coboundary whose transpose (or, by `name`, whose list of every
+    row) is built from now on, once per build."""
     built = []
-    real = cohomology._Coboundary.columns.func
+    real = getattr(cohomology._Coboundary, name).func
 
-    def columns(self):
+    def build(self):
         built.append(self)
         return real(self)
 
-    counted = cached_property(columns)
-    counted.__set_name__(cohomology._Coboundary, "columns")
-    monkeypatch.setattr(cohomology._Coboundary, "columns", counted)
+    counted = cached_property(build)
+    counted.__set_name__(cohomology._Coboundary, name)
+    monkeypatch.setattr(cohomology._Coboundary, name, counted)
     return built
 
 
@@ -1398,3 +1419,32 @@ def test_the_transpose_is_built_only_where_the_echelon_runs(ring, corpus_support
                 built.clear()
                 cohomology._obstructions(model, rings)
                 assert len(made) == 1 and built == made
+
+
+@pytest.mark.parametrize("name", ["prbox", "ghz4", "chain16"])
+def test_an_all_vs_nothing_pass_builds_only_the_rows_it_reads(name, corpus_supports, monkeypatch):
+    model = _avn_models(corpus_supports)[name]
+    columns, rows = _counted_columns(monkeypatch), _counted_columns(monkeypatch, "rows")
+    made = _recording_coboundaries(monkeypatch)
+    entries, real = [], cohomology._row
+
+    def counted(entry, offsets):
+        entries.append(entry)
+        return real(entry, offsets)
+
+    monkeypatch.setattr(cohomology, "_row", counted)
+    for rings in ((Ring.Z2,), (Ring.Z,), RING_ORDER):
+        made.clear()
+        entries.clear()
+        results = cohomology._obstructions(model, rings)
+        [delta] = made
+        read = set()
+        for ring in rings:
+            for result in results[ring].values():
+                assert not result.vanishes
+                read.update(result.certificate.rows)
+        assert columns == [] and rows == []
+        assert sorted(delta._built) == sorted(read)  # each row the certificates name, once
+        assert sorted(map(delta.table.index, entries)) == sorted(read)
+        if name == "ghz4":
+            assert (len(read), len(delta.table)) == (34, 96)

@@ -23,7 +23,7 @@ Core claims, on the bundled models and on random consistent supports
     - on the one-hot rings, a classification whose proof has one outcome
       flipped, or whose proofs miss an extendable section, makes the
       obstruction raise VerificationError on both rings
-    - the parity re-check of delta^0 (_Coboundary.refutes) accepts exactly
+    - the parity re-check of delta^0 (_Coboundary.refuted) accepts exactly
       what helpers.reference_check_certificate accepts against the dense
       system, on random consistent models over both rings, for 0/1 and
       halved certificates on the solver's row sets, their pairwise sums and
@@ -246,11 +246,12 @@ def _parity_candidates(rng, row_sets, length):
 def test_parity_recheck_accepts_what_the_dense_reference_accepts(rng):
     model = helpers.random_consistent_support(rng)
     delta = cohomology._Coboundary(model)
-    length = len(delta.rows)
+    length = len(delta.table)
     for ring in (Ring.Z2, Ring.Z):
         results = all_obstructions(model, ring)
         for (base, s), result in results.items():
-            t = delta.column[base, s]
+            t = delta.block(base).start + model._support_position(base)[s.values]
+            assert delta.basis[t] == (base, s)
             system = result.system
             solved = [
                 set(other.certificate.rows)
@@ -258,12 +259,12 @@ def test_parity_recheck_accepts_what_the_dense_reference_accepts(rng):
                 if b == base and other.certificate is not None
             ]
             if result.certificate is not None:
-                assert delta.refutes(base, t, result.certificate)
+                assert delta.refuted(base, result.certificate)(t)
             row_sets = solved + [a ^ b for a in solved for b in solved]
             row_sets += [{r for r in range(length) if rng.random() < 0.3} for _ in range(3)]
             for certificate in _parity_candidates(rng, row_sets, length):
                 expected = helpers.reference_check_certificate(system.matrix, system.rhs, certificate)
-                assert delta.refutes(base, t, certificate) == expected
+                assert delta.refuted(base, certificate)(t) == expected
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
