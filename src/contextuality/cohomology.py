@@ -45,13 +45,15 @@ GF(2) equations holding on its contexts' supports, in the one-hot
 coordinates of their sections, sum to 0 = 1 (Abramsky, Barbosa, Kishida,
 Lal & Mansfield, "Contextuality, Cohomology and Paradox", CSL 2015): then
 no section of it vanishes, on either ring.  Before anything is factored,
-one walk over the supports and one small elimination per component decide
-this, and the combination gives, per base context, rows z of delta^0 with
-z.delta^0 = 1 on the base block and 0 elsewhere, mod 2
-(:func:`_all_vs_nothing`).  That one certificate, re-checked once, refutes
-every section of the block; over Z it is halved.  Such a component factors
-nothing.  A classification that counts a global section rules every
-component out, so the test is skipped.
+one small elimination per component decides this, from one GF(2) theory
+per support shape (a support's values, in order) moved onto each context's
+measurements, and the combination gives, per base context, rows z of
+delta^0 with z.delta^0 = 1 on the base block and 0 elsewhere, mod 2
+(:func:`_all_vs_nothing`).  That one certificate, halved over Z and
+re-checked once per ring, refutes every section of the block in one step:
+such a base builds no solver machinery, and its component factors nothing.
+A classification that counts a global section rules every component out,
+so the test is skipped.
 
 Every other section is decided mod 2 first, by cocycle projection: one GF(2)
 echelon of the transpose of delta^0 per pass, packed straight from its
@@ -94,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, compress, groupby
-from operator import xor
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .extendability import Classification, SearchLimit, classify
@@ -581,7 +583,8 @@ class ObstructionSystem:
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """Verdict for one base section over one ring, with proof either way."""
+    """Verdict for one base section over one ring, with proof either way;
+    `system` is built from its ring, base, section and model on each read."""
 
     ring: Ring
     base: int
@@ -589,7 +592,11 @@ class ObstructionResult:
     vanishes: bool
     witness: tuple[LinearCombination, ...] | None
     certificate: Certificate | None
-    system: ObstructionSystem
+    model: SupportModel = field(repr=False)
+
+    @property
+    def system(self) -> ObstructionSystem:
+        return ObstructionSystem(self.ring, self.base, self.section, self.model)
 
 
 def _check_base(model: SupportModel, base: int, section: Section) -> None:
@@ -715,10 +722,15 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
     A section is its one-hot vector x, x_{m,o} = 1 iff it gives m outcome o,
     less the coordinates of the first outcome (sum_o x_{m,o} = 1 on every
     section makes them redundant).  The GF(2) equations a.x = b holding on a
-    context's support form the annihilator of its affine span: bit 0 of
-    each mask is b.  One elimination per component, carrying b, finds a
-    combination of them with sum a = 0 and sum b = 1 if there is one: the
-    component is all-vs-nothing.  On context C's block, a.x = b is the
+    context's support form the annihilator of its affine span: bit 0 of each
+    mask is b.  It depends only on the support's shape, its values in
+    `support_list` order, so it is computed once per shape in the call, in
+    local bits (member j's outcome k at j*width + k), and moved onto each
+    context's measurements; members are in measurement order, so the move
+    keeps the order of bits, and with it every pivot, mask and certificate of
+    a per-context computation.  One elimination per component, carrying b,
+    finds a combination of them with sum a = 0 and sum b = 1 if there is one:
+    the component is all-vs-nothing.  On context C's block, a.x = b is the
     identity sum_{(m,o) in a} f_{C,m,o} = b 1_C, f_{C,m,o} summing C's
     sections that give m outcome o; and f_{i,m,o} - f_{j,m,o} is the sum of
     delta^0's rows on the overlap (i, j) whose section gives m outcome o.
@@ -734,6 +746,7 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
     width = len(index) - 1  # x_{m,o} is bit position(m) * width + index(o)
     parent, root = [-1] * len(contexts), [-1] * len(contexts)
     spans: dict[tuple[int, int], range] = {}  # the rows on each overlap, either way round
+    theories: dict[tuple, list[int]] = {}  # per support shape: its masks in local bits
     found: dict[int, set[int]] = {}  # per all-vs-nothing root: rows summing to 1_root
 
     for start in range(len(contexts)):
@@ -748,13 +761,16 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
                         order.append(j)
         theory = []  # (context, a.x = b as a mask)
         for c in order:
-            offsets = [position[m] * width for m in contexts[c].members]
-            points = [
-                sum((1 << (at + index[o]) for at, o in zip(offsets, s.values) if index[o]), 1)
-                for s in model.supports[c]
-            ]
-            coordinates = [0, *(at + k for at in offsets for k in range(1, width + 1))]
-            theory += [(c, f) for f in _annihilator(points, coordinates)]
+            members = contexts[c].members
+            shape = tuple(model._support_position(c))  # the support's values, in order
+            if (masks := theories.get(shape)) is None:  # member j's outcome k at bit j*width + k
+                points = [
+                    sum((1 << (j * width + index[o]) for j, o in enumerate(values) if index[o]), 1)
+                    for values in shape
+                ]
+                masks = theories[shape] = _annihilator(points, range(len(members) * width + 1))
+            at = [0, *(position[m] * width + k for m in members for k in range(1, width + 1))]
+            theory += [(c, sum(1 << p for b, p in enumerate(at) if f >> b & 1)) for f in masks]
         basis: dict[int, tuple[int, int]] = {}  # top bit: (mask, equations combined)
         for k, (_, f) in enumerate(theory):
             combined = 1 << k
@@ -768,8 +784,8 @@ def _all_vs_nothing(model: SupportModel, delta: _Coboundary) -> Callable[[int], 
             continue
         if not spans:  # the table lists each overlap's rows together
             stop = 0
-            for (i, j), on in groupby(table, key=lambda entry: entry[:2]):
-                first, stop = stop, stop + sum(1 for _ in on)
+            for (i, j), on in groupby(map(itemgetter(0, 1), table)):
+                first, stop = stop, stop + len(list(on))
                 spans[i, j] = spans[j, i] = range(first, stop)
         a: dict[int, int] = {}
         for k, (c, f) in enumerate(theory):
@@ -863,26 +879,6 @@ def _obstruction_solver(
         block, avn = delta.block(base), parity(base)
         checked: dict = {}  # per (ring, g): a certificate and its re-check at each column
 
-        @_once
-        def projection() -> Factorization:
-            kernel = cocycles().kernel()
-            projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
-            return factor(projection_rows, Ring.Z2, len(kernel))
-
-        @_once
-        def refutations() -> list[tuple[int, ...] | None]:  # per section: g, or None
-            return projection().unit_certificates()
-
-        @_once
-        def integer_projection() -> Factorization:
-            basis_z = lattice()
-            rows_z = [{c: k[v] for c, k in enumerate(basis_z) if v in k} for v in block]
-            return factor(rows_z, Ring.Z, len(basis_z))
-
-        @_once
-        def hermite() -> Factorization:
-            return factor(delta.split(base), Ring.Z, len(basis) - len(block))
-
         def certified(ring: Ring, g: tuple[int, ...] | None, t: int) -> Certificate:
             """The certificate refuting the system at column t: rows z of
             delta^0, the block's all-vs-nothing rows or, unchecked, those with
@@ -904,14 +900,35 @@ def _obstruction_solver(
                 raise VerificationError("Z/2 certificate failed its re-check")
             return certificate
 
+        # An all-vs-nothing base context has one certificate for its block.
+        if avn is not None:
+            return lambda section, i, ring: ObstructionResult(
+                ring, base, section, False, None, certified(ring, None, block.start + i), model
+            )
+
+        @_once
+        def projection() -> Factorization:
+            kernel = cocycles().kernel()
+            projection_rows = [{c: 1 for c, k in enumerate(kernel) if k >> v & 1} for v in block]
+            return factor(projection_rows, Ring.Z2, len(kernel))
+
+        @_once
+        def refutations() -> list[tuple[int, ...] | None]:  # per section: g, or None
+            return projection().unit_certificates()
+
+        @_once
+        def integer_projection() -> Factorization:
+            basis_z = lattice()
+            rows_z = [{c: k[v] for c, k in enumerate(basis_z) if v in k} for v in block]
+            return factor(rows_z, Ring.Z, len(basis_z))
+
+        @_once
+        def hermite() -> Factorization:
+            return factor(delta.split(base), Ring.Z, len(basis) - len(block))
+
         def decide(section: Section, i: int, ring: Ring) -> ObstructionResult:
             nonlocal at_hand
             t = block.start + i  # i is also the section's row of the projection
-            system = ObstructionSystem(ring, base, section, model)
-            # An all-vs-nothing base context has one certificate for its block.
-            if avn is not None:
-                certificate = certified(ring, None, t)
-                return ObstructionResult(ring, base, section, False, None, certificate, system)
             # An extendable section takes a proof's family as its witness.
             if at_hand or refutations()[i] is None:
                 at_hand, proofs = True, proved(ring)
@@ -919,7 +936,7 @@ def _obstruction_solver(
                     family = proofs[1].get((base, section))
                     if family is None or family[base] != embed(ring, section):
                         raise VerificationError("no proof passes through an extendable section")
-                    return ObstructionResult(ring, base, section, True, family, None, system)
+                    return ObstructionResult(ring, base, section, True, family, None, model)
             cocycle = certificate = None
             if (g := refutations()[i]) is not None:
                 certificate = certified(ring, g, t)
@@ -938,7 +955,7 @@ def _obstruction_solver(
                     raise VerificationError("Hermite form solves what the lattice does not")
                 certificate = result.certificate
             if cocycle is None:
-                return ObstructionResult(ring, base, section, False, None, certificate, system)
+                return ObstructionResult(ring, base, section, False, None, certificate, model)
             terms: list[dict[Section, int]] = [{} for _ in contexts]
             for (owner, s), c in zip(basis, cocycle):
                 if c:
@@ -946,7 +963,7 @@ def _obstruction_solver(
             witness = tuple(LinearCombination(ring, c.members, terms[c.index]) for c in contexts)
             if not verify_witness(model, base, section, witness, ring):
                 raise VerificationError("cocycle fails substitution into the overlap fibers")
-            return ObstructionResult(ring, base, section, True, witness, None, system)
+            return ObstructionResult(ring, base, section, True, witness, None, model)
 
         return decide
 
@@ -1022,8 +1039,8 @@ def all_obstructions(
     `classification`, or of :func:`classify_in_reach`'s if none is passed,
     is built and re-checked at most once, and the Hermite system of a base
     context only for sections that vanish mod 2 but not over Z.  Each
-    result's system is a view on `model`; its `equations` and `matrix` are
-    built on each read.  Verdicts and proofs are those of
+    result is a view on `model`, and so is its system, built on each read
+    with its `equations` and `matrix`.  Verdicts and proofs are those of
     :func:`obstruction`; `identify` has no effect there either.
     """
     return _obstructions(model, (ring,), classification)[ring]

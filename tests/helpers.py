@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from typing import Callable
 
 from contextuality import (
     Ring,
@@ -221,6 +222,92 @@ def reference_verify_witness(
     return True
 
 
+def reference_all_vs_nothing(model: SupportModel, delta) -> Callable[[int], list[int] | None]:
+    """cohomology._all_vs_nothing context by context, its reference: each
+    context's points and GF(2) theory are computed on their own, in the
+    global coordinates x_{m,o} at bit position(m) * width + index(o), with
+    no theory shared between contexts of one support shape."""
+    scenario, table = model.scenario, delta.table
+    contexts, holders, position = scenario.contexts, scenario.holders, scenario.positions
+    index = scenario.outcome_indices
+    width = len(index) - 1  # x_{m,o} is bit position(m) * width + index(o)
+    parent, root = [-1] * len(contexts), [-1] * len(contexts)
+    spans: dict[tuple[int, int], range] = {}  # the rows on each overlap, either way round
+    found: dict[int, set[int]] = {}  # per all-vs-nothing root: rows summing to 1_root
+
+    for start in range(len(contexts)):
+        if root[start] >= 0:
+            continue
+        root[start], order = start, [start]
+        for c in order:  # breadth first, through the holders of each member
+            for m in contexts[c].members:
+                for j in holders[m]:
+                    if root[j] < 0:
+                        root[j], parent[j] = start, c
+                        order.append(j)
+        theory = []  # (context, a.x = b as a mask)
+        for c in order:
+            offsets = [position[m] * width for m in contexts[c].members]
+            points = [
+                sum((1 << (at + index[o]) for at, o in zip(offsets, s.values) if index[o]), 1)
+                for s in model.supports[c]
+            ]
+            coordinates = [0, *(at + k for at in offsets for k in range(1, width + 1))]
+            theory += [(c, f) for f in cohomology._annihilator(points, coordinates)]
+        basis: dict[int, tuple[int, int]] = {}  # top bit: (mask, equations combined)
+        for k, (_, f) in enumerate(theory):
+            combined = 1 << k
+            while f > 1 and (top := f.bit_length() - 1) in basis:
+                f, combined = f ^ basis[top][0], combined ^ basis[top][1]
+            if f == 1:
+                break
+            if f:
+                basis[f.bit_length() - 1] = f, combined
+        else:
+            continue
+        if not spans:  # the table lists each overlap's rows together
+            stop = 0
+            for (i, j), on in groupby(table, key=lambda entry: entry[:2]):
+                first, stop = stop, stop + sum(1 for _ in on)
+                spans[i, j] = spans[j, i] = range(first, stop)
+        a: dict[int, int] = {}
+        for k, (c, f) in enumerate(theory):
+            if combined >> k & 1:
+                a[c] = a.get(c, 0) ^ f
+        holding: dict[int, list[int]] = {}
+        for c in order:
+            bits = a.get(c, 0)
+            while bits > 1:
+                top = bits.bit_length() - 1
+                holding.setdefault(top, []).append(c)
+                bits ^= 1 << top
+        z: set[int] = set()
+        for bit, held in holding.items():
+            m = scenario.measurements[(bit - 1) // width]
+            o = scenario.outcomes[(bit - 1) % width + 1]
+            for i, j in zip(held[::2], held[1::2]):
+                span = spans[i, j]
+                at = table[span.start][2].domain.index(m)
+                z.symmetric_difference_update(r for r in span if table[r][2].values[at] == o)
+        odd = {c for c, f in a.items() if f & 1}
+        for c in reversed(order[1:]):  # children before their parents
+            if c in odd:
+                odd ^= {c, parent[c]}
+                z.symmetric_difference_update(spans[c, parent[c]])
+        found[start] = z
+
+    def rows(base: int) -> list[int] | None:
+        if root[base] not in found:
+            return None
+        z, c = set(found[root[base]]), base
+        while parent[c] >= 0:
+            z.symmetric_difference_update(spans[c, parent[c]])
+            c = parent[c]
+        return sorted(z)
+
+    return rows
+
+
 def reference_overlaps(scenario: Scenario) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
     """Every intersecting context pair (i, j), i < j, in lexicographic
     order, with its common measurements in global order, by visiting every
@@ -311,6 +398,22 @@ def ring_cover_document(k: int) -> dict:
         "outcomes": ["0", "1"],
         "contexts": contexts,
         "model": {"support": [rows] * k},
+    }
+
+
+def parity_chain_document(n: int) -> dict:
+    """The n-cycle parity model (the chained PR box) as a support document:
+    context k holds measurements k and k + 1 (mod n), named as wide as n so
+    that they sort in chain order, and its support is the even sections,
+    the odd ones on context 0."""
+    names = [f"m{k:0{len(str(n))}d}" for k in range(n)]
+    even, odd = ["0,0", "1,1"], ["0,1", "1,0"]
+    return {
+        "name": f"chain{n}",
+        "measurements": names,
+        "outcomes": ["0", "1"],
+        "contexts": [sorted([names[k], names[(k + 1) % n]]) for k in range(n)],
+        "model": {"support": [odd] + [even] * (n - 1)},
     }
 
 

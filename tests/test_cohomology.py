@@ -48,6 +48,18 @@ Core claims:
       in every context's affine hull, its sections are refuted by the
       finder's rows on both rings, and every other component's results
       equal those of the forced echelon path
+    - an all-vs-nothing base runs no solver machinery: on the PR box, GHZ-4,
+      chain16, KS-18 and Peres-Mermin, on each ring and on both, nothing is
+      factored, a pass builds only its pass-wide memos (no per-base
+      projection, refutations or Hermite form), each base's certificate is
+      re-checked once per ring, and every section of a block holds the
+      same Certificate object
+    - one GF(2) theory per support shape: _annihilator runs once per
+      distinct support (twice on GHZ-4 and chain16, once on KS-18 and the
+      one-hot ring of 11), and on those models, on random models and on
+      random models beside a parity graph over two or three outcome labels
+      the finder's rows equal helpers.reference_all_vs_nothing's, which
+      computes every context's theory on its own
     - cocycle projection: on the bundled, 60 random, Fano, GHZ-3/4 and
       chain16 models every Z/2 verdict equals a per-section GF(2) solve,
       every certificate passes the dense reference check, every
@@ -95,6 +107,10 @@ Core claims:
       its list of rows or of columns, or one of its rows or columns;
       systems of two calls on equal models, each with its own overlap
       table, are equal, with equal hashes
+    - results are views too: an ObstructionResult holds its model, last and
+      out of its repr, and no ObstructionSystem; its system, built on each
+      read, equals ObstructionSystem(ring, base, section, model), also
+      after dataclasses.replace
     - delta^0's rows are the overlap table's entries put through the one
       row builder, each kept by the per-row memo; its columns, built on
       first read, are the transpose of its rows, and they are the very
@@ -132,9 +148,11 @@ Core claims:
 import copy
 import dataclasses
 import gc
+import json
 import random
 import sys
 import tracemalloc
+import typing
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -1108,6 +1126,89 @@ def test_all_vs_nothing_path_agrees_with_the_echelon_per_component(rng):
             )
 
 
+@pytest.mark.parametrize("name", ["prbox", "ghz4", "chain16", "ks18", "peres-mermin"])
+def test_an_all_vs_nothing_base_runs_no_solver_machinery(name, corpus_supports, monkeypatch):
+    model = _avn_models(corpus_supports)[name]
+
+    def forbidden(matrix, ring, width=None):
+        raise AssertionError("factored on an all-vs-nothing model")
+
+    built, rechecked = [], []
+    real_once, real_refuted = cohomology._once, cohomology._Coboundary.refuted
+
+    def recorded_once(build):
+        built.append(build.__name__)
+        return real_once(build)
+
+    def recorded_refuted(self, base, certificate):
+        rechecked.append((base, certificate.ring))
+        return real_refuted(self, base, certificate)
+
+    monkeypatch.setattr(cohomology, "factor", forbidden)
+    monkeypatch.setattr(cohomology, "_once", recorded_once)
+    monkeypatch.setattr(cohomology._Coboundary, "refuted", recorded_refuted)
+    bases = range(len(model.scenario.contexts))
+    for rings in ((Ring.Z2,), (Ring.Z,), RING_ORDER):
+        built.clear()
+        rechecked.clear()
+        results = cohomology._obstructions(model, rings)
+        # Only the pass-wide builders: no base builds a projection or Hermite form.
+        assert sorted(built) == ["cocycles", "lattice", "proved", "reach", "search"]
+        assert rechecked == [(base, ring) for base in bases for ring in rings]
+        for ring in rings:
+            shared = {}
+            for (base, _), result in results[ring].items():
+                assert not result.vanishes and result.witness is None
+                assert shared.setdefault(base, result.certificate) is result.certificate
+            assert sorted(shared) == list(bases)
+
+
+@pytest.mark.parametrize(
+    "name, shapes",
+    [("ghz4", 2), ("chain16", 2), ("ks18", 1), ("ring11", 1), ("chain16 document", 2)],
+)
+def test_each_support_shape_takes_one_theory(name, shapes, corpus_supports, monkeypatch):
+    if name == "ring11":
+        model = helpers.ring_cover(11)
+    elif name == "chain16 document":
+        text = json.dumps(helpers.parity_chain_document(16))
+        model = parse_scenario(text).support_model()
+        assert model == parity_chain(16)
+    else:
+        model = _avn_models(corpus_supports)[name]
+    calls, real = [], cohomology._annihilator
+    monkeypatch.setattr(
+        cohomology, "_annihilator", lambda *args: calls.append(args) or real(*args)
+    )
+    delta = cohomology._Coboundary(model)
+    finder = cohomology._all_vs_nothing(model, delta)
+    distinct = {tuple(model._support_position(c.index)) for c in model.scenario.contexts}
+    assert len(calls) == len(distinct) == shapes
+    monkeypatch.undo()
+    reference = helpers.reference_all_vs_nothing(model, delta)
+    for base in range(len(model.scenario.contexts)):
+        assert finder(base) == reference(base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rng=st.randoms(use_true_random=False), name=st.sampled_from(sorted(_AVN_TERMS) + ["chain16"])
+)
+def test_shared_theories_give_the_per_context_rows(rng, name, corpus_supports):
+    # The random parts hold contexts of one support shape on different
+    # measurements, over two or three outcome labels in either order.
+    parts = [helpers.random_consistent_support(rng), _parity_graph(rng)]
+    outcomes = rng.choice([("0", "1"), ("1", "0"), ("0", "1", "2"), ("2", "1", "0")])
+    models = [helpers.random_consistent_support(rng), _beside(outcomes, parts)]
+    models.append(_avn_models(corpus_supports)[name])
+    for model in models:
+        delta = cohomology._Coboundary(model)
+        finder = cohomology._all_vs_nothing(model, delta)
+        reference = helpers.reference_all_vs_nothing(model, delta)
+        for base in range(len(model.scenario.contexts)):
+            assert finder(base) == reference(base)
+
+
 # ---------------------------------------------------------------------------
 # Systems as views on one sparse delta^0, certificates as their terms
 
@@ -1208,6 +1309,22 @@ def test_view_equality_is_the_systems_equality(corpus_supports):
         assert result == other
     base, s = next(iter(first))
     assert first[(base, s)].system != all_obstructions(model, Ring.Z2)[(base, s)].system
+
+
+@pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
+def test_results_are_views_on_their_model(ring, corpus_supports):
+    hints = typing.get_type_hints(cohomology.ObstructionResult)
+    assert [f.name for f in dataclasses.fields(cohomology.ObstructionResult)][-1] == "model"
+    assert cohomology.ObstructionSystem not in hints.values()
+    for model in (ghz_parity(4), fano_one_hot(), helpers.ring_cover(5), *corpus_supports.values()):
+        for result in all_obstructions(model, ring).values():
+            assert result.model is model and result.system.model is model
+            system = cohomology.ObstructionSystem(
+                result.ring, result.base, result.section, result.model
+            )
+            assert result.system == system and result.system is not result.system
+            assert "model=" not in repr(result)
+            assert dataclasses.replace(result, witness=None).system == system
 
 
 @pytest.mark.parametrize("ring", [Ring.Z2, Ring.Z])
