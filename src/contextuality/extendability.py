@@ -21,10 +21,12 @@ they give every extendability flag.  The proofs are kept: each also
 witnesses that the obstruction of every section it passes through vanishes.
 The list of global sections is built only on demand, from the live memo
 entries of the search that counted them, each listing its completions once,
-so it never backtracks out of a dead branch.  They are packed rows (`bytes`
-of outcome indices, which sort as the index tuples do), re-checked in bulk
-by the function that re-checks the proofs, and kept as sorted outcome
-strings; a `Section` is built only where one is read.
+so it never backtracks out of a dead branch; a count of 0 lists nothing.
+They are packed rows (`bytes` of outcome indices, which sort as the index
+tuples do), re-checked in bulk by the function that re-checks the proofs,
+which tests each byte column for each value once, for all the contexts
+that hold its measurement, and kept as sorted outcome strings, cut from one
+text of equal-width slots; a `Section` is built only where one is read.
 """
 
 from __future__ import annotations
@@ -59,17 +61,20 @@ class _LazySections(Sequence):
     """A model's global sections as a read-only tuple.  They are listed once,
     on first use, from a finished search (`_steps` and memo), and kept as
     their outcome strings in canonical order; a `Section` is built for each
-    element read.  Its length is the count, and `len` and `bool` list nothing."""
+    element read.  Its length is the count, and `len` and `bool` list nothing.
+    With a count of 0 it is empty from the start: no blob is built, re-checked
+    or written as text."""
 
     __slots__ = ("_model", "_count", "_search", "_found")
 
     def __init__(self, model: SupportModel, count: int, search: tuple[list, list]):
-        self._model, self._count, self._found = model, count, None
-        self._search = search if count else None  # held until listed
+        self._model, self._count = model, count
+        # The search is held until listed.
+        self._found, self._search = (None, search) if count else ([], None)
 
     def _listed(self) -> list[str]:
         if self._found is None:
-            blob = _listing(self._model, *self._search) if self._count else b""
+            blob = _listing(self._model, *self._search)
             _recheck(self._model, blob)
             self._found, self._search = _outcome_strings(self._model, blob), None
         return self._found
@@ -318,27 +323,29 @@ def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
     small against the rows has each section s matched against every row at
     once: byte i of the AND over s's members of `column.translate(is s's
     value)`, as an integer, is 1 iff row i restricts to s, and the OR over
-    the support must set every row.  Otherwise each row is looked up."""
+    the support must set every row.  Otherwise each row is looked up.  Each
+    byte's column is sliced once, and each (byte, value) test is made once
+    and shared by every context that holds the measurement."""
     scenario, size = model.scenario, _code_size(model)
     width, pack = size * len(scenario.measurements), _packer(size)
     rows, index = len(blob) // width, scenario.outcome_indices
     every, restrictions = int.from_bytes(b"\1" * rows, "big"), []
+    columns = [blob[q::width] for q in range(width)]
+    equal: dict[tuple[int, int], int] = {}  # (byte offset, value): the rows that have it
     for ctx in scenario.contexts:
         offsets = [scenario.positions[m] * size + b for m in ctx.members for b in range(size)]
         coded = {pack([index[v] for v in s.values]): s for s in model.supports[ctx.index]}
         # Per member, matching a section against every row costs about what
         # looking up 1/256 of the rows does, plus 16 rows' worth.
         if len(coded) * (rows // 256 + 16) <= rows:
-            cells = {cell for code in coded for cell in zip(offsets, code)}
-            equal = {
-                (q, v): int.from_bytes(blob[q::width].translate(_IS[v]), "big") for q, v in cells
-            }
+            for q, v in {cell for code in coded for cell in zip(offsets, code)} - equal.keys():
+                equal[q, v] = int.from_bytes(columns[q].translate(_IS[v]), "big")
             match = [reduce(and_, map(equal.get, zip(offsets, code)), every) for code in coded]
             seen = set(compress(coded.values(), match))
             if reduce(or_, match, 0) != every:
                 seen.add(None)  # a row restricts to no section of the support
         else:
-            seen = {coded.get(bytes(key)) for key in set(zip(*[blob[q::width] for q in offsets]))}
+            seen = {coded.get(bytes(key)) for key in set(zip(*map(columns.__getitem__, offsets)))}
         if None in seen:
             raise VerificationError(f"search produced a non-global section (context {ctx.index})")
         restrictions.append(seen)
@@ -347,27 +354,35 @@ def _recheck(model: SupportModel, blob: bytes) -> list[set[Section]]:
 
 def _outcome_strings(model: SupportModel, blob: bytes) -> list[str]:
     """The outcome strings of the packed rows of `blob`, in order, from UTF-8
-    text written one byte of one measurement's labels at a time: each label
-    is padded with 0xFF (never in UTF-8, deleted after) and followed by a
-    comma, and each row by one more comma, so that ",," ends the rows (labels
-    are nonempty and comma-free)."""
+    text in which each outcome index of the blob, in the blob's order, has a
+    slot of the same width: its label, then a comma, or `end` after the last
+    label of a row, padded with 0xFF (never in UTF-8).  `end` is the first
+    character in no label and not a comma.  The slots are written one byte
+    of the labels at a time, the padding is deleted unless there is none,
+    and the text is split at each `end`."""
     n, size = len(model.scenario.measurements), _code_size(model)
     codes = map(itemgetter(0), iter_unpack(f"{size}s", blob))
     values = blob if size == 1 else list(map(int.from_bytes, codes, repeat("big")))
-    labels = [o.encode("utf-8", "surrogatepass") for o in model.scenario.outcomes]
-    longest = max(map(len, labels))
-    stride = n * (longest + 1) + 1
-    text = bytearray(b"," * (len(blob) // (size * n) * stride))
+    outcomes = model.scenario.outcomes
+    used = set(",".join(outcomes))
+    end = next(c for c in map(chr, range(len(used) + 1)) if c not in used)
+    labels = [o.encode("utf-8", "surrogatepass") for o in outcomes]
+    stop = end.encode("utf-8", "surrogatepass")
+    longest, cells = max(map(len, labels)), len(blob) // size
+    width, rows = longest + len(stop), cells // n
+    text = bytearray((b"\xff" * longest + b",").ljust(width, b"\xff")) * cells
     for j in range(longest):
         table = bytes([label.ljust(longest, b"\xff")[j] for label in labels]).ljust(256)
-        for p in range(n):
-            column = values[p::n]
-            piece = column.translate(table) if size == 1 else bytes(map(table.__getitem__, column))
-            text[p * (longest + 1) + j :: stride] = piece
+        text[j::width] = (
+            values.translate(table) if size == 1 else bytes(map(table.__getitem__, values))
+        )
+    for j, byte in enumerate(stop, start=n * width - len(stop)):
+        text[j :: n * width] = bytes([byte]) * rows
     del blob, values  # and each step below drops the text it was given
-    text = text.translate(None, b"\xff")
+    if min(map(len, labels)) + 1 < width:
+        text = text.translate(None, b"\xff")
     text = text.decode("utf-8", "surrogatepass")
-    return text.split(",,")[:-1]
+    return text.split(end)[:-1]
 
 
 def global_sections(model: SupportModel) -> list[Section]:

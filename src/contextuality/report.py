@@ -271,6 +271,10 @@ def render_text(report: dict, include_witnesses: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The characters JSON writes as they are: printable ASCII but quote and backslash.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
 def _write_json(
     value: object, parts: list[str], indent: str, memo: dict[int, tuple[str, int, int]]
 ) -> None:
@@ -278,9 +282,9 @@ def _write_json(
     indent=2)` writes it, `indent` being the newline and spaces before its
     closing bracket.  A list of strings is tested for escapes once, over
     its items joined into one transient string that is freed at once; needing
-    none (all printable ASCII, no quote or backslash), it is written as its
-    own items between shared separators, with no encoded copy of any item
-    kept in `parts`.  A list of ints is written in one join.
+    none (every character in `_PLAIN`), it is written as its own items
+    between shared separators, with no encoded copy of any item kept in
+    `parts`.  A list of ints is written in one join.
 
     `memo` maps the id() of each dict and list written so far to its indent
     and its span in `parts`: a container met again at the same indent, such
@@ -328,7 +332,7 @@ def _write_list(value: list, parts: list[str], indent: str, memo: dict) -> None:
     inner = indent + "  "
     if all(type(item) is str for item in value):
         text = "".join(value)
-        plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+        plain = text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
         del text
         if plain:
             spaced = [f'",{inner}"'] * (2 * len(value) - 1)

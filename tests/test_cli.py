@@ -50,6 +50,10 @@ Core claims:
       witnesses; the text reparses to the report, and with witnesses every
       certificate in it re-checks from the text alone, as the goldens' do
       (without, it holds no certificate and no equation list)
+    - a list of strings is escaped item by item exactly when some item needs
+      an escape, and is otherwise written as it is: for every code point up
+      to 127, é, U+2028 and a lone surrogate, alone, three times and beside
+      "0,1", byte-identically to json.dumps
     - results that share a proof share its payload: on ring11 and GHZ-4,
       build_report holds one witness or certificate object per distinct
       proof object, each equal to a freshly built one, and the text report
@@ -698,6 +702,26 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_json_emission_matches_json_dumps_on_report_shaped_trees(tree):
     assert emit_report(tree, True) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_a_string_list_is_escaped_item_by_item_exactly_when_an_item_needs_it(monkeypatch):
+    written = []
+    real = report_module._write_json
+
+    def spied(value, *args):
+        written.append(value)
+        return real(value, *args)
+
+    monkeypatch.setattr(report_module, "_write_json", spied)
+    for code in [*range(128), 0xE9, 0x2028, 0xD800]:
+        c = chr(code)
+        plain = 0x20 <= code < 0x7F and c not in '"\\'
+        for value in ([c], [c * 3], ["0,1", c]):
+            for tree in (value, {"global_sections": value}):
+                written.clear()
+                assert emit_report(tree, True) == json.dumps(tree, indent=2) + "\n", code
+                # Items are written one by one only where one needs an escape.
+                assert any(type(item) is str for item in written) is not plain, code
 
 
 @pytest.mark.parametrize(

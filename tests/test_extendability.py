@@ -22,7 +22,9 @@ Core claims:
       global_sections; the ring of 20 (45,239,074 sections) is classified,
       counted and proved with the enumeration disabled
     - the lazy list behaves as the tuple, is built once and only when read,
-      and is not built at all when the count is 0
+      and is not built at all when the count is 0: the PR box, ks18 and a
+      random one-hot cover list, re-check and write nothing, in classify
+      and in build_report
     - a proof section outside a support, or proofs that miss an extendable
       row, raise RuntimeError
     - classify, global_sections and is_extendable_at each run the oracle
@@ -40,13 +42,21 @@ Core claims:
       matches whole supports against all rows and where it looks up each
       row, for the listing and for the proofs, and it matches whole
       supports only where they are small against the rows
+    - the listing's re-check and outcome strings equal a per-row reference
+      on random consistent models and shuffled rings relabeled "off"/"on",
+      "é" or "10" (hypothesis), each row once and 256 times over; one
+      corrupted byte, an index past the outcomes or a row outside a support,
+      is refused; the rows are split right when the labels hold every ASCII
+      character but the comma
 """
 
 import gc
 import random
+import runpy
 import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +72,7 @@ from contextuality import (
     global_sections,
     is_connected,
     is_extendable_at,
+    parse_scenario,
     restrict_section,
     support_model,
 )
@@ -405,6 +416,18 @@ def test_no_global_section_builds_nothing(corpus_supports, monkeypatch):
     assert list(cls.global_sections) == [] and cls.global_sections == ()
 
 
+def test_a_count_of_0_lists_nothing(corpus, monkeypatch):
+    families = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "families.py"))
+    cover = parse_scenario(families["random_cover"](11, random.Random(34)).text)
+    for name in ("_listing", "_recheck", "_outcome_strings"):
+        monkeypatch.setattr(extendability, name, _refuse)
+    for document in (corpus["prbox"], corpus["ks18"], cover):
+        cls = classify(document.support_model())
+        assert cls.count == 0 and cls.verdict is Verdict.STRONGLY_CONTEXTUAL
+        assert cls.global_sections.outcome_strings() == [] and list(cls.global_sections) == []
+        assert build_report(document)["classification"]["global_sections"] == []
+
+
 def test_a_proof_section_outside_a_support_is_refused(monkeypatch):
     real = extendability._steps
 
@@ -624,3 +647,100 @@ def test_a_listed_row_outside_a_support_is_refused(k, monkeypatch):
     cls = classify(helpers.ring_cover(k))
     with pytest.raises(VerificationError, match="non-global section"):
         cls.global_sections.outcome_strings()
+
+
+def _relabeled(model, labels):
+    """The model with outcome k renamed labels[k]."""
+    scen = model.scenario
+    names = dict(zip(scen.outcomes, labels))
+    relabeled = build_scenario(scen.measurements, labels, [c.members for c in scen.contexts])
+    supports = [
+        {Section(s.domain, tuple(names[v] for v in s.values)) for s in model.supports[c.index]}
+        for c in scen.contexts
+    ]
+    return support_model(relabeled, supports)
+
+
+def _reference_rows(model, blob):
+    """Each context's restrictions of the packed rows of `blob`, and their
+    outcome strings, one row and one context at a time, with sections."""
+    scen, size = model.scenario, _code_size(model)
+    width = size * len(scen.measurements)
+    restrictions, strings = [set() for _ in scen.contexts], []
+    for start in range(0, len(blob), width):
+        row = [int.from_bytes(blob[q : q + size], "big") for q in range(start, start + width, size)]
+        if max(row) >= len(scen.outcomes):
+            raise VerificationError("an outcome index past the outcomes")
+        g = Section(scen.measurements, tuple(scen.outcomes[v] for v in row))
+        for ctx in scen.contexts:
+            s = restrict_section(g, ctx.members)
+            if s not in model.supports[ctx.index]:
+                raise VerificationError("a row outside a support")
+            restrictions[ctx.index].add(s)
+        strings.append(",".join(g.values))
+    return restrictions, strings
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=st.permutations(["off", "on", "é", "10"]).map(lambda p: tuple(p[:2])),
+    ring=st.booleans(),
+)
+def test_the_listing_s_recheck_and_text_match_a_per_row_reference(seed, labels, ring):
+    rng = random.Random(seed)
+    if ring:
+        model = helpers.ring_cover(rng.randint(3, 5), rng)
+    else:
+        model = helpers.random_consistent_support(rng)
+    model = _relabeled(model, labels)
+    cls, steps = classify(model), _steps(model)
+    width = len(model.scenario.measurements)  # one byte per outcome index
+    listed = _listing(model, steps, _search(steps, width)[1]) if cls.count else b""
+    assert listed == _packed(model, cls.global_sections)
+    restrictions, strings = _reference_rows(model, listed)
+    # Each row once: looked up row by row; 256 times: ring supports are
+    # matched against all rows at once.
+    for copies in (1, 256):
+        blob = bytes(listed) * copies
+        assert _recheck(model, blob) == restrictions
+        assert _outcome_strings(model, blob) == strings * copies
+        if not blob:
+            continue
+        row = rng.randrange(len(blob) // width)
+        at = row * width + rng.randrange(width)
+        past = bytearray(blob)
+        past[at] = rng.randrange(len(model.scenario.outcomes), 256)
+        with pytest.raises(VerificationError, match="non-global section"):
+            _recheck(model, past)
+        outside = bytearray(blob)
+        outside[at] ^= 1  # the other outcome
+        try:
+            _reference_rows(model, outside[row * width : (row + 1) * width])
+        except VerificationError:
+            with pytest.raises(VerificationError, match="non-global section"):
+                _recheck(model, outside)
+        else:  # another global section
+            distinct = {bytes(outside[q : q + width]) for q in range(0, len(outside), width)}
+            assert _recheck(model, outside) == _reference_rows(model, b"".join(distinct))[0]
+
+
+def test_rows_split_at_a_character_in_no_label_when_labels_take_all_of_ascii():
+    # Every ASCII character but the comma is a label: the rows end in a
+    # character of two UTF-8 bytes, and every slot is padded.
+    labels = [chr(c) for c in range(128) if c != ord(",")] + ["\u2028", "\xe9"]
+    scen = build_scenario("abc", labels, ["ab", "bc"])
+    values = random.Random(34).sample(labels, 12)
+    model = support_model(
+        scen,
+        [
+            {Section(("a", "b"), (a, b)) for a, b in zip(values[:6], values[6:])},
+            {Section(("b", "c"), (b, c)) for b, c in zip(values[6:], values[:6])},
+        ],
+    )
+    cls = classify(model)
+    assert cls.count == 6
+    blob = _packed(model, cls.global_sections)
+    restrictions, strings = _reference_rows(model, blob)
+    assert _recheck(model, blob) == restrictions
+    assert _outcome_strings(model, blob) == strings == cls.global_sections.outcome_strings()
