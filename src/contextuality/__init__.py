@@ -28,31 +28,24 @@ from .cohomology import (
     SolveResult,
     VerificationError,
     all_obstructions,
-    build_obstruction_system,
     cochain,
     cochain_basis,
     cochain_from_vector,
     cochain_to_vector,
     coboundary,
-    coboundary_matrix,
     combination,
     embed,
     gf2_cohomology_dimensions,
     obstruction,
-    push_forward,
-    restrict_combination,
-    solve_linear,
     support_at,
     verify_witness,
     zero_cochain,
-    zero_combination,
 )
 from .corpus import EXAMPLE_NAMES, example_text, load_example
 from .documents import (
     DocumentError,
     ScenarioDocument,
     parse_scenario,
-    serialize_document,
 )
 from .extendability import (
     Classification,

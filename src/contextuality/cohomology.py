@@ -109,10 +109,8 @@ from .linalg import (
     _HALF,
     check_certificate,
     factor,
-    gf2_nullity,
-    gf2_rank,
     halve_certificate,
-    solve_linear,
+    mat_vec,
 )
 from .model import OverlapFiber, SupportModel, require_overlap_consistent
 from .scenario import (
@@ -135,26 +133,18 @@ __all__ = [
     "SolveResult",
     "VerificationError",
     "all_obstructions",
-    "build_obstruction_system",
     "cochain",
     "cochain_basis",
     "cochain_from_vector",
     "cochain_to_vector",
     "coboundary",
-    "coboundary_matrix",
     "combination",
     "embed",
     "gf2_cohomology_dimensions",
-    "gf2_nullity",
-    "gf2_rank",
     "obstruction",
-    "push_forward",
-    "restrict_combination",
-    "solve_linear",
     "support_at",
     "verify_witness",
     "zero_cochain",
-    "zero_combination",
 ]
 
 
@@ -169,27 +159,6 @@ class LinearCombination:
     ring: Ring
     domain: tuple[str, ...]
     coefficients: dict[Section, int]
-
-    def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        self._check_compatible(other)
-        merged = dict(self.coefficients)
-        for s, c in other.coefficients.items():
-            merged[s] = merged.get(s, 0) + c
-        return combination(self.ring, self.domain, merged)
-
-    def __sub__(self, other: "LinearCombination") -> "LinearCombination":
-        return self + -other
-
-    def __neg__(self) -> "LinearCombination":
-        return combination(
-            self.ring, self.domain, {s: -c for s, c in self.coefficients.items()}
-        )
-
-    def _check_compatible(self, other: "LinearCombination") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("mixed rings")
-        if self.domain != other.domain:
-            raise ValueError(f"mixed domains {self.domain} and {other.domain}")
 
     @property
     def is_zero(self) -> bool:
@@ -219,47 +188,9 @@ def combination(
     return LinearCombination(ring, domain, reduced)
 
 
-def zero_combination(ring: Ring, domain: Sequence[str]) -> LinearCombination:
-    return LinearCombination(ring, tuple(domain), {})
-
-
 def embed(ring: Ring, section: Section) -> LinearCombination:
     """The embedding of a section as the combination 1*section."""
     return LinearCombination(ring, section.domain, {section: 1})
-
-
-def push_forward(
-    mapping: Callable[[Section], Section],
-    combo: LinearCombination,
-    domain: Sequence[str] | None = None,
-) -> LinearCombination:
-    """Apply a map of sections to a combination: each image collects the sum
-    of the coefficients in its fiber.  A group homomorphism in the combination."""
-    images: dict[Section, int] = {}
-    target: tuple[str, ...] | None = tuple(domain) if domain is not None else None
-    for section, c in combo.coefficients.items():
-        image = mapping(section)
-        if target is None:
-            target = image.domain
-        elif image.domain != target:
-            raise ValueError(f"map sends sections to mixed domains {target} / {image.domain}")
-        images[image] = images.get(image, 0) + c
-    if target is None:
-        raise ValueError("cannot infer the target domain of an empty combination")
-    return combination(combo.ring, target, images)
-
-
-def restrict_combination(
-    combo: LinearCombination, subset: Iterable[str]
-) -> LinearCombination:
-    """Push a combination forward along section restriction to a subset."""
-    wanted = set(subset)
-    if not wanted <= set(combo.domain):
-        raise ValueError(
-            f"cannot restrict a combination over {combo.domain} to {sorted(wanted)}"
-        )
-    target = tuple(m for m in combo.domain if m in wanted)
-    return push_forward(lambda s: restrict_section(s, wanted), combo, domain=target)
 
 
 def support_at(model: SupportModel, subset: Iterable[str]) -> list[Section]:
@@ -321,30 +252,25 @@ def cochain(
 def zero_cochain(model: SupportModel, ring: Ring, degree: int) -> Cochain:
     simplices = nerve(model.scenario, degree)[degree]
     return Cochain(
-        model, ring, degree, {s.vertices: zero_combination(ring, s.carrier) for s in simplices}
+        model, ring, degree, {s.vertices: LinearCombination(ring, s.carrier, {}) for s in simplices}
     )
 
 
 def coboundary(degree: int, omega: Cochain) -> Cochain:
-    """The coboundary of a degree-q cochain: on each (q+1)-simplex, the
-    alternating sum of the restricted values on its faces.
+    """The coboundary of a degree-q cochain: the rows of
+    :func:`_coboundary_rows` applied to its vector in the canonical basis.
 
-    Signs are fixed so that on a pair (i, j) of cover indices the value is
-    omega(i) - omega(j) restricted to the overlap; applying the map twice
-    gives zero.
+    On each (q+1)-simplex it is the alternating sum of the restricted values
+    on its faces, signed so that on a pair (i, j) of cover indices the value
+    is omega(i) - omega(j) restricted to the overlap; applying the map twice
+    gives zero.  A value with a term outside the support basis raises
+    ValueError, as in :func:`cochain_to_vector`.
     """
     if omega.degree != degree:
         raise ValueError(f"cochain has degree {omega.degree}, expected {degree}")
-    scenario = omega.model.scenario
-    out: dict[tuple[int, ...], LinearCombination] = {}
-    for simplex in nerve(scenario, degree + 1)[degree + 1]:
-        acc = zero_combination(omega.ring, simplex.carrier)
-        for j in range(degree + 2):
-            facet = face(scenario, simplex, j)
-            term = restrict_combination(omega.values[facet.vertices], simplex.carrier)
-            acc = acc - term if j % 2 == 0 else acc + term
-        out[simplex.vertices] = acc
-    return Cochain(omega.model, omega.ring, degree + 1, out)
+    rows, _ = _coboundary_rows(omega.model, degree)
+    image = mat_vec(rows, cochain_to_vector(omega))
+    return cochain_from_vector(omega.model, omega.ring, degree + 1, image)
 
 
 def cochain_basis(model: SupportModel, degree: int) -> list[tuple[Simplex, Section]]:
@@ -389,15 +315,14 @@ def _coboundary_rows(model: SupportModel, degree: int) -> tuple[list[dict[int, i
     once and puts its face sign in the row of its image; rows follow
     :func:`support_at`, zero rows included.  The faces of a simplex are
     distinct, so a row meets each column at most once: every entry is -1
-    or 1.
+    or 1.  Each face's basis sections are read off the source basis, not
+    found again by :func:`support_at`.
     """
-    if degree not in (0, 1):
-        raise ValueError("coboundary matrices are built for degrees 0 and 1 only")
     scenario = model.scenario
     source = cochain_basis(model, degree)
-    source_index = {
-        (simplex.vertices, section): k for k, (simplex, section) in enumerate(source)
-    }
+    columns: dict[tuple[int, ...], dict[Section, int]] = {}  # per q-simplex: {section: column}
+    for k, (simplex, section) in enumerate(source):
+        columns.setdefault(simplex.vertices, {})[section] = k
     rows: list[dict[int, int]] = []
     for simplex in nerve(scenario, degree + 1)[degree + 1]:
         block: dict[Section, dict[int, int]] = {
@@ -406,27 +331,17 @@ def _coboundary_rows(model: SupportModel, degree: int) -> tuple[list[dict[int, i
         for j in range(degree + 2):
             facet = face(scenario, simplex, j)
             sign = -1 if j % 2 == 0 else 1
-            for section in support_at(model, facet.carrier):
-                image = restrict_section(section, simplex.carrier)
-                block[image][source_index[(facet.vertices, section)]] = sign
+            for section, k in columns[facet.vertices].items():
+                block[restrict_section(section, simplex.carrier)][k] = sign
         rows.extend(block.values())
     return rows, len(source)
-
-
-def coboundary_matrix(model: SupportModel, ring: Ring, degree: int) -> list[list[int]]:
-    """Matrix of the coboundary from degree q to q+1 in the canonical bases:
-    the rows of the sparse coboundary, dense and reduced by the ring.
-    Entries lie in {-1, 0, 1} before ring reduction; the matrix agrees with
-    :func:`coboundary`."""
-    rows, width = _coboundary_rows(model, degree)
-    return [list(_dense(row, width, ring.reduce)) for row in rows]
 
 
 def gf2_cohomology_dimensions(model: SupportModel, degree: int) -> tuple[int, int, int]:
     """(cocycle, coboundary, quotient) dimensions over GF(2) at a degree,
     each rank taken from the sparse coboundary rows."""
     rows, width = _coboundary_rows(model, degree)
-    z_dim = gf2_nullity(rows, width=width)
+    z_dim = width - factor(rows, Ring.Z2, width).rank
     if degree == 0:
         b_dim = 0
     else:
@@ -539,7 +454,7 @@ class ObstructionSystem:
     """The linear system deciding the obstruction at one base section.
 
     The system is the coboundary delta^0 with the base block moved right:
-    the rows of :func:`coboundary_matrix` at degree 0 on the context pairs
+    the rows of :func:`_coboundary_rows` at degree 0 on the context pairs
     i < j (one equation per overlap and section possible on it, stating that
     the two fiber sums agree), its columns of the non-base contexts as the
     matrix (one variable per support section), and minus the column of the
@@ -607,15 +522,6 @@ def _check_base(model: SupportModel, base: int, section: Section) -> None:
         raise ValueError(
             f"{section.outcome_string()} is not in the support of context {base}"
         )
-
-
-def build_obstruction_system(
-    model: SupportModel, base: int, section: Section, ring: Ring
-) -> ObstructionSystem:
-    """The obstruction system at one support section; inputs are checked as
-    by :func:`obstruction`."""
-    _check_base(model, base, section)
-    return ObstructionSystem(ring, base, section, model)
 
 
 def verify_witness(

@@ -243,32 +243,3 @@ def _parse_distribution(raw, scenario: Scenario, errors: list[str]) -> Empirical
     if errors:
         return None
     return empirical_model(scenario, tables)
-
-
-def serialize_document(document: ScenarioDocument) -> str:
-    """Canonical JSON for a document; rational values round-trip exactly."""
-    scenario = document.scenario
-    payload: dict = {
-        "name": document.name,
-        "measurements": list(scenario.measurements),
-        "outcomes": list(scenario.outcomes),
-        "contexts": [list(ctx.members) for ctx in scenario.contexts],
-    }
-    if document.kind == "support":
-        assert document.support is not None
-        payload["model"] = {
-            "support": [
-                [s.outcome_string() for s in document.support.support_list(ctx.index)]
-                for ctx in scenario.contexts
-            ]
-        }
-    else:
-        assert document.empirical is not None
-        # empirical_model fills each table in canonical section order, and a
-        # Fraction prints as "p/q", or "p" when integral.
-        tables = [
-            {s.outcome_string(): str(p) for s, p in table.items() if p}
-            for table in document.empirical.tables
-        ]
-        payload["model"] = {"distribution": tables}
-    return json.dumps(payload, indent=2) + "\n"

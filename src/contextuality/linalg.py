@@ -3,7 +3,6 @@
 Each solver comes in two steps.  :func:`factor` reduces a matrix once; the
 :class:`Factorization` it returns then decides A x = b for one right-hand
 side b at a time, as often as needed, and no solve changes it.
-:func:`solve_linear` is factor-then-solve for a single right-hand side.
 
 A row of a matrix is either a dense sequence or a sparse {column: entry}
 dict, and so is a right-hand side, wherever a system is solved or checked:
@@ -153,12 +152,6 @@ def mat_vec(matrix: Matrix, x: Sequence[int]) -> list[int]:
     return [sum(a * x[j] for j, a in _sparse(row).items()) for row in matrix]
 
 
-def check_solution(matrix: Matrix, rhs: Vector, x: Sequence[int], ring: Ring) -> bool:
-    rows = _sparse_rows(matrix, len(x))
-    b = None if rows is None else _fitted(rhs, len(rows))
-    return b is not None and _substitutes(rows, b, x, ring)
-
-
 def _substitutes(rows: Matrix, b: dict[int, int], x: Sequence[int], ring: Ring) -> bool:
     """A x = b, for dict rows that fit x and a dict b that fits the rows."""
     return not any(ring.reduce(g - b.get(i, 0)) for i, g in enumerate(mat_vec(rows, x)))
@@ -262,12 +255,6 @@ def factor(matrix: Matrix, ring: Ring, width: int | None = None) -> Factorizatio
     if ring is Ring.Z2:
         return _GF2Echelon(matrix, width)
     return _HermiteBasis(matrix, width)
-
-
-def solve_linear(matrix: Matrix, rhs: Vector, ring: Ring, width: int | None = None) -> SolveResult:
-    """Decide A x = b over the ring; result carries a verified witness or
-    a verified certificate of unsolvability."""
-    return factor(matrix, ring, width).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +384,6 @@ class _GF2Echelon(Factorization):
         for col, combo in self._pivots:
             solution[col] = (combo & bits).bit_count() & 1
         return SolveResult(tuple(solution), None)
-
-
-def gf2_rank(matrix: Matrix) -> int:
-    """Rank of a matrix over GF(2)."""
-    return factor(matrix, Ring.Z2).rank
-
-
-def gf2_nullity(matrix: Matrix, width: int | None = None) -> int:
-    reduced = factor(matrix, Ring.Z2, width)
-    return reduced.width - reduced.rank
 
 
 # ---------------------------------------------------------------------------

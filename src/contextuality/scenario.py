@@ -44,9 +44,6 @@ class Section:
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"duplicate measurements in section domain {self.domain}")
 
-    def value_of(self, measurement: str) -> str:
-        return self.values[self.domain.index(measurement)]
-
     def outcome_string(self) -> str:
         """Comma-joined outcome tuple, the external name of the section."""
         return ",".join(self.values)
@@ -97,11 +94,6 @@ class Scenario:
         object.__setattr__(self, "holders", holders)
         pairs = sorted({pair for owners in holders.values() for pair in combinations(owners, 2)})
         object.__setattr__(self, "overlaps", tuple((*p, _carrier(self, p)) for p in pairs))
-
-    def outcome_index(self, outcome: str) -> int:
-        if (index := self.outcome_indices.get(outcome)) is None:
-            raise ValueError(f"{outcome!r} is not an outcome")
-        return index
 
     def section_sort_key(self, section: Section) -> tuple[int, ...]:
         return tuple(map(self.outcome_indices.__getitem__, section.values))

@@ -16,6 +16,7 @@ from itertools import groupby, permutations, product
 from typing import Callable
 
 from contextuality import (
+    LinearCombination,
     Ring,
     Scenario,
     Section,
@@ -26,7 +27,6 @@ from contextuality import (
     embed,
     enumerate_sections,
     ks_support,
-    restrict_combination,
     restrict_section,
     support_at,
     support_model,
@@ -60,6 +60,17 @@ def exhaustive_global_sections(model: SupportModel) -> set[Section]:
     return out
 
 
+def restricted(combo: LinearCombination, subset) -> dict[Section, int]:
+    """A combination pushed forward along restriction to a subset of its
+    domain: each restricted section's coefficient is the sum, reduced by the
+    ring, over the sections restricting to it, and zero sums are dropped."""
+    sums: dict[Section, int] = {}
+    for s, c in combo.coefficients.items():
+        image = restrict_section(s, subset)
+        sums[image] = sums.get(image, 0) + c
+    return {s: combo.ring.reduce(c) for s, c in sums.items() if combo.ring.reduce(c)}
+
+
 def pairwise_compatible(omega: Cochain) -> bool:
     """Direct check that a 0-cochain's family agrees on every overlap."""
     scenario = omega.model.scenario
@@ -69,11 +80,19 @@ def pairwise_compatible(omega: Cochain) -> bool:
             common = set(scenario.contexts[i].members) & set(scenario.contexts[j].members)
             if not common:
                 continue
-            left = restrict_combination(omega.values[(i,)], common)
-            right = restrict_combination(omega.values[(j,)], common)
-            if left != right:
+            if restricted(omega.values[(i,)], common) != restricted(omega.values[(j,)], common):
                 return False
     return True
+
+
+def substitutes(matrix, rhs, x, ring: Ring) -> bool:
+    """Dense substitution: every row of A.x equals its entry of b in the
+    ring, with one entry of x per column and one of b per row."""
+    if len(rhs) != len(matrix) or any(len(row) != len(x) for row in matrix):
+        return False
+    return all(
+        ring.reduce(sum(a * v for a, v in zip(row, x)) - b) == 0 for row, b in zip(matrix, rhs)
+    )
 
 
 def reference_check_certificate(matrix, rhs, certificate: Certificate) -> bool:

@@ -17,12 +17,10 @@ from contextuality import (
     coboundary,
     global_sections,
     obstruction,
-    restrict_combination,
-    solve_linear,
     verify_witness,
 )
 from contextuality.cohomology import cochain, embed
-from contextuality.linalg import check_certificate, check_solution
+from contextuality.linalg import check_certificate, factor
 from contextuality.scenario import restrict_section
 
 import helpers
@@ -109,8 +107,9 @@ def integer_vanishing_descends_to_mod2(cases: int = 200, seed: int = 204) -> int
 
 
 def solver_witnesses_substitute(cases: int = 200, seed: int = 205) -> int:
-    """(e) solutions satisfy the untouched system; certificates refute it;
-    obstruction witnesses re-verify at the presheaf level."""
+    """(e) solutions satisfy the untouched system, by dense substitution
+    (helpers.substitutes); certificates refute it; obstruction witnesses
+    re-verify at the presheaf level."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(cases):
@@ -118,9 +117,9 @@ def solver_witnesses_substitute(cases: int = 200, seed: int = 205) -> int:
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = [[ring.reduce(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
         b = [ring.reduce(rng.randint(-2, 2)) for _ in range(m)]
-        result = solve_linear(a, b, ring)
+        result = factor(a, ring).solve(b)
         if result.solution is not None:
-            assert check_solution(a, b, result.solution, ring)
+            assert helpers.substitutes(a, b, result.solution, ring)
         else:
             assert check_certificate(a, b, result.certificate)
         checked += 1
@@ -135,9 +134,7 @@ def solver_witnesses_substitute(cases: int = 200, seed: int = 205) -> int:
                 for key in outcome.system.variables
             }
             x = [values[key] for key in outcome.system.variables]
-            assert check_solution(
-                [list(r) for r in outcome.system.matrix], list(outcome.system.rhs), x, ring
-            )
+            assert helpers.substitutes(outcome.system.matrix, outcome.system.rhs, x, ring)
         else:
             assert check_certificate(
                 [list(r) for r in outcome.system.matrix],
@@ -186,7 +183,7 @@ def families_through_base_restrict_to_zero(cases: int = 200, seed: int = 206) ->
         z = coboundary(0, omega)
         for vertices, value in z.values.items():
             target = base_members & set(value.domain)
-            assert restrict_combination(value, target).is_zero
+            assert not helpers.restricted(value, target)
             checked += 1
     return checked
 

@@ -19,8 +19,8 @@ from contextuality import (
     false_positives,
     obstruction,
     restrict_section,
-    solve_linear,
 )
+from contextuality.linalg import factor
 
 RINGS = (Ring.Z2, Ring.Z)
 
@@ -78,7 +78,7 @@ def test_self_overlap_equations_are_degenerate(corpus_supports):
                     extra_rows.append([ring.reduce(v) for v in row])
             padded = [list(r) for r in system.matrix] + extra_rows
             rhs = list(system.rhs) + [0] * len(extra_rows)
-            widened = solve_linear(padded, rhs, ring, width=len(system.variables))
+            widened = factor(padded, ring, len(system.variables)).solve(rhs)
             assert (widened.solution is not None) == result.vanishes, (name, ring)
 
 

@@ -200,7 +200,7 @@ def test_returned_sections_hit_every_support():
 def _relabel_section(s: Section, mapping: dict, target) -> Section:
     inverse = {new: old for old, new in mapping.items()}
     domain = tuple(sorted((mapping[m] for m in s.domain), key=target.positions.__getitem__))
-    return Section(domain, tuple(s.value_of(inverse[m]) for m in domain))
+    return Section(domain, tuple(s.values[s.domain.index(inverse[m])] for m in domain))
 
 
 def test_relabelling_permutes_global_sections():
@@ -338,7 +338,7 @@ def test_soundness_recheck_rejects_an_assignment_outside_one_support(corpus_supp
     model = corpus_supports["hardy"]
     scen = model.scenario
     exhaustive = helpers.exhaustive_global_sections(model)
-    good = [tuple(map(scen.outcome_index, g.values)) for g in global_sections(model)]
+    good = [tuple(map(scen.outcome_indices.__getitem__, g.values)) for g in global_sections(model)]
     bad = next(
         values
         for values in product(range(len(scen.outcomes)), repeat=len(scen.measurements))
@@ -539,7 +539,7 @@ LABELS = ("10", "2", "0", "ab", "-1", "x9", "1")
 def _packed(model, sections):
     scenario = model.scenario
     return b"".join(
-        b"".join(scenario.outcome_index(v).to_bytes(_code_size(model), "big") for v in g.values)
+        b"".join(scenario.outcome_indices[v].to_bytes(_code_size(model), "big") for v in g.values)
         for g in sections
     )
 

@@ -71,7 +71,6 @@ from contextuality import (
     obstruction,
     parse_scenario,
     verify_witness,
-    zero_combination,
 )
 from contextuality import cohomology, linalg
 from contextuality.linalg import Certificate, check_certificate
@@ -213,7 +212,7 @@ def test_proofs_that_miss_the_section_are_rejected(k):
     for (base, s), extendable in classification.extendable.items():
         assert extendable
         members = model.scenario.contexts[base].members
-        values = tuple(model.scenario.outcome_index(v) for v in s.values)
+        values = tuple(model.scenario.outcome_indices[v] for v in s.values)
         missing = [
             g for g in classification.proofs if tuple(g[position[m]] for m in members) != values
         ]
@@ -340,7 +339,7 @@ def _witness_mutations(rng, model, base, s, witness, ring):
             yield witness[: ctx.index] + (changed,) + witness[ctx.index + 1 :]
     members = scenario.contexts[base].members
     others = [t for t in model.support_list(base) if t != s]
-    wrong_bases = [zero_combination(ring, members), combination(ring, members, {s: 3})]
+    wrong_bases = [combination(ring, members, {}), combination(ring, members, {s: 3})]
     if others:
         wrong_bases += [embed(ring, others[0]), combination(ring, members, {s: 1, others[-1]: 1})]
     for wrong in wrong_bases:

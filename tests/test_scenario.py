@@ -5,8 +5,8 @@ Core claims:
     - a context inside another warns once per such pair, with the messages
       and order of the loop over ordered context pairs (a fixed cover and
       200 random ones, each declared in both index orders)
-    - outcome_index and section_sort_key read the outcomes' declared order
-      off one map; outcome_index raises ValueError on an unknown label
+    - outcome_indices and section_sort_key follow the outcomes' declared
+      order
     - section restriction is function restriction and is transitive
     - enumeration order is lexicographic with the last measurement fastest
     - the nerve's simplices are injective index tuples with nonempty carrier
@@ -114,12 +114,8 @@ def test_outcome_labels_validated():
 def test_outcome_indices_follow_the_declared_order(outcomes):
     scen = build_scenario("AB", outcomes, [("A", "B")])
     assert scen.outcome_indices == {o: k for k, o in enumerate(outcomes)}
-    assert [scen.outcome_index(o) for o in outcomes] == list(range(len(outcomes)))
     for s in enumerate_sections(scen, ("A", "B")):
         assert scen.section_sort_key(s) == tuple(outcomes.index(v) for v in s.values)
-    for unknown in ("x", "", "0,1"):
-        with pytest.raises(ValueError, match="is not an outcome"):
-            scen.outcome_index(unknown)
 
 
 def test_restrict_section_examples():
