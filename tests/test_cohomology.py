@@ -465,6 +465,20 @@ def test_obstruction_system_is_coboundary_with_base_block_moved_right(ring, corp
                 assert system.rhs == tuple(ring.reduce(-row[column]) for row in rows)
 
 
+def test_build_obstruction_system_rejects_bad_inputs(corpus_supports):
+    # obstruction() checks the section, the base and signalling before it
+    # builds the system for a base.
+    model = corpus_supports["prbox"]
+    members = model.scenario.contexts[0].members
+    with pytest.raises(ValueError, match="not in the support"):
+        obstruction(model, 0, section(members, "0,1"), Ring.Z)
+    for base in (9, -1):
+        with pytest.raises(ValueError, match="no context"):
+            obstruction(model, base, section(members, "0,0"), Ring.Z2)
+    with pytest.raises(SignallingError, match="possibilistically signalling"):
+        obstruction(_crooked_support(), 0, section(("A", "B"), "0,0"), Ring.Z)
+
+
 def test_matrix_entries_are_signs(corpus_supports):
     for name in ("ghz", "peres-mermin"):
         for degree in (0, 1):
@@ -525,9 +539,6 @@ def test_obstruction_rejects_bad_inputs(corpus_supports):
     ctx = model.scenario.contexts[0]
     with pytest.raises(ValueError, match="not in the support"):
         obstruction(model, 0, section(ctx.members, "0,1"), Ring.Z)
-    for base in (9, -1):
-        with pytest.raises(ValueError, match="no context"):
-            obstruction(model, base, section(ctx.members, "0,0"), Ring.Z2)
     scen = build_scenario("ABC", "01", [("A", "B"), ("B", "C")])
     crooked = support_model(
         scen,
